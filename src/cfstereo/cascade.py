@@ -7,7 +7,7 @@ variance, sampled with uniformly spaced hypothesis planes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,12 +185,10 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         plane_counts=(config.cascade_n2, config.cascade_n1),
     )
     w_g, w_a = config.cost_w_group, config.cost_w_absdiff
-    groups = config.features_groups
 
     def feats():
         kw = dict(
             channels=config.features_channels,
-            groups=groups,
             census_radius=config.features_census_radius,
             stat_radius=config.features_stat_radius,
         )
@@ -198,11 +196,12 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
 
     pyr_l, pyr_r = _stage("features", feats)
 
+    # One correlation group: difference() keeps only the mean over groups.
     def stage3():
-        v3 = build_dense_volume(pyr_l.levels[3], pyr_r.levels[3], dmax, 3, groups)
+        v3 = build_dense_volume(pyr_l.levels[3], pyr_r.levels[3], dmax, 3, 1)
         if fcfg.enabled:
-            v4 = build_dense_volume(pyr_l.levels[4], pyr_r.levels[4], dmax, 4, groups)
-            v5 = build_dense_volume(pyr_l.levels[5], pyr_r.levels[5], dmax, 5, groups)
+            v4 = build_dense_volume(pyr_l.levels[4], pyr_r.levels[4], dmax, 4, 1)
+            v5 = build_dense_volume(pyr_l.levels[5], pyr_r.levels[5], dmax, 5, 1)
             sv = fuse_volumes(v3, v4, v5, fcfg, w_g, w_a)
         else:
             sv = single_volume_score(v3, fcfg, w_g, w_a)
@@ -217,10 +216,11 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
             planes = sample_planes(lo, hi, params.for_stage(stage)[2])
             scale = stage - 1
-            vol = build_sparse_volume(
-                pyr_l.levels[scale], pyr_r.levels[scale], planes, scale, groups
-            )
-            sv = reduce_to_cost(replace(vol, data=aggregate(vol.data, fcfg)), w_g, w_a)
+            # Keep no reference to the 2C+G volume: it would raise peak memory.
+            diff = build_sparse_volume(
+                pyr_l.levels[scale], pyr_r.levels[scale], planes, scale, 1
+            ).difference()
+            sv = reduce_to_cost(aggregate(diff, fcfg), planes, scale, w_g, w_a)
             d = soft_argmin(sv)
             u = uncertainty(sv, d)
             return StageResult(scale, d, u, planes)

@@ -16,7 +16,6 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class RunConfig:
     features_channels: int = 16
-    features_groups: int = 4
     features_census_radius: int = 1
     features_stat_radius: int = 2
     cost_w_group: float = 1.0
@@ -76,7 +75,6 @@ def _fmt_scalar(v) -> str:
 
 _KEYS = {
     "features.channels": ("features_channels", _parse_int, _fmt_scalar),
-    "features.groups": ("features_groups", _parse_int, _fmt_scalar),
     "features.census_radius": ("features_census_radius", _parse_int, _fmt_scalar),
     "features.stat_radius": ("features_stat_radius", _parse_int, _fmt_scalar),
     "cost.w_group": ("cost_w_group", _parse_float, _fmt_scalar),
@@ -96,13 +94,8 @@ _KEYS = {
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     c = cfg
-    if c.features_channels < 1 or c.features_groups < 1:
-        raise ConfigError("features.channels and features.groups must be positive")
-    if c.features_channels % c.features_groups:
-        raise ConfigError(
-            f"features.channels ({c.features_channels}) must be divisible by "
-            f"features.groups ({c.features_groups})"
-        )
+    if c.features_channels < 1:
+        raise ConfigError("features.channels must be positive")
     if c.features_census_radius < 1:
         raise ConfigError("features.census_radius must be >= 1")
     if c.features_stat_radius < 0:

@@ -1,9 +1,11 @@
 """Combination volumes, score reduction, and disparity decoding.
 
-A combination volume stacks, along the feature axis: the left features, the
-matched (shifted or warped) right features, and one normalized inner-product
-channel per channel group. A score volume holds one cost per hypothesis
-plane; softmax of the negated cost is the per-pixel disparity distribution.
+The builders produce the paper's combination volume as the reference: left
+features, matched (shifted or warped) right features, and one normalized
+inner-product channel per group. Every stage before the cost is linear, so the
+pipeline carries the C+1 channel difference volume (left - matched, mean
+correlation) and applies `|.|` only in `reduce_to_cost`. A score volume holds
+one cost per plane; softmax of the negated cost is the disparity distribution.
 """
 
 from __future__ import annotations
@@ -68,13 +70,24 @@ class HypothesisPlanes:
 
 @dataclass(frozen=True, eq=False)
 class CombinationVolume:
-    """(F, N, H, W) feature volume; F = 2*n_channels + n_groups."""
+    """(F, N, H, W) reference volume in the paper's concat plus group-correlation
+    layout, F = 2*n_channels + n_groups. The pipeline aggregates `difference()`
+    instead, and `reduce_to_cost` applies `|.|`."""
 
     data: np.ndarray
     planes: HypothesisPlanes
     scale: int
     n_channels: int
     n_groups: int
+
+    def difference(self) -> np.ndarray:
+        """(n_channels + 1, N, H, W): left - matched per channel, then the mean
+        correlation. The cost reads `data` only through these combinations."""
+        c = self.n_channels
+        out = np.empty((c + 1,) + self.data.shape[1:], dtype=DTYPE)
+        np.subtract(self.data[:c], self.data[c : 2 * c], out=out[:c])
+        np.mean(self.data[2 * c :], axis=0, out=out[c])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,28 +206,20 @@ def build_sparse_volume(
 
 
 def reduce_to_cost(
-    volume: CombinationVolume,
+    diff: np.ndarray,
+    planes: HypothesisPlanes,
+    scale: int,
     w_group: float = 1.0,
     w_absdiff: float = 1.0,
 ) -> ScoreVolume:
-    """Collapse the feature axis to one cost per plane.
+    """Collapse a (C+1, N, H, W) difference volume to one cost per plane.
 
-    cost = -w_group * mean(correlation channels)
-           + w_absdiff * mean over channel pairs of |left - matched|.
+    `diff` has the layout of `CombinationVolume.difference()`, usually after
+    aggregation: cost = -w_group * diff[C] + w_absdiff * mean_c |diff[c]|.
     """
-    c = volume.n_channels
-    g = volume.n_groups
-    data = volume.data
-    corr = np.zeros(data.shape[1:], dtype=DTYPE)
-    for k in range(g):
-        corr += data[2 * c + k]
-    corr /= g
-    absdiff = np.zeros(data.shape[1:], dtype=DTYPE)
-    for ch in range(c):
-        absdiff += np.abs(data[ch] - data[c + ch])
-    absdiff /= c
-    cost = -w_group * corr + w_absdiff * absdiff
-    return ScoreVolume(cost, volume.planes, volume.scale)
+    c = diff.shape[0] - 1
+    cost = -w_group * diff[c] + w_absdiff * np.abs(diff[:c]).mean(axis=0)
+    return ScoreVolume(cost, planes, scale)
 
 
 def soft_argmin(score: ScoreVolume) -> np.ndarray:

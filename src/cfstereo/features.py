@@ -24,7 +24,6 @@ class FeaturePyramid:
 
     levels: dict[int, np.ndarray]
     channel_count: int
-    group_count: int
 
 
 def blur_decimate2(image: np.ndarray) -> np.ndarray:
@@ -89,7 +88,6 @@ def build_pyramid(
     levels: int = 5,
     *,
     channels: int = 16,
-    groups: int = 4,
     census_radius: int = 1,
     stat_radius: int = 2,
 ) -> FeaturePyramid:
@@ -108,8 +106,8 @@ def build_pyramid(
         raise ValueError(
             f"image dims {(h, w)} must be divisible by 2**levels = {step}; pad the input"
         )
-    if channels < 1 or groups < 1 or channels % groups:
-        raise ValueError(f"channels {channels} must be a positive multiple of groups {groups}")
+    if channels < 1:
+        raise ValueError(f"channels must be positive, got {channels}")
 
     maps: dict[int, np.ndarray] = {}
     current = img
@@ -120,4 +118,4 @@ def build_pyramid(
         take = min(channels, raw.shape[0])
         feats[:take] = normalize_channels(raw[:take])
         maps[i] = feats
-    return FeaturePyramid(levels=maps, channel_count=channels, group_count=groups)
+    return FeaturePyramid(levels=maps, channel_count=channels)

@@ -8,7 +8,7 @@ never amplified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,21 +89,20 @@ def fuse_volumes(
 
     Encoder: regularize, pool to the next scale, merge with that scale's
     regularized volume. Decoder: trilinear upsample plus skip mixing, then a
-    down-up hourglass pass, then the cost reduction.
+    down-up hourglass pass, then the cost reduction, all on difference volumes.
     """
     _check_pyramid_ratios(v3, v4, v5)
-    skip3 = aggregate(v3.data, cfg)
-    merged4 = concat_reduce(avgpool_volume(skip3), aggregate(v4.data, cfg))
+    skip3 = aggregate(v3.difference(), cfg)
+    merged4 = concat_reduce(avgpool_volume(skip3), aggregate(v4.difference(), cfg))
     skip4 = aggregate(merged4, cfg)
-    merged5 = concat_reduce(avgpool_volume(skip4), aggregate(v5.data, cfg))
+    merged5 = concat_reduce(avgpool_volume(skip4), aggregate(v5.difference(), cfg))
     bottom = aggregate(merged5, cfg)
     up4 = 0.5 * (trilinear_upsample2x(bottom) + skip4)
     up3 = 0.5 * (trilinear_upsample2x(up4) + skip3)
     for _ in range(cfg.hourglass_passes):
         down = aggregate(avgpool_volume(aggregate(up3, cfg)), cfg)
         up3 = 0.5 * (up3 + trilinear_upsample2x(down))
-    fused = replace(v3, data=up3)
-    return reduce_to_cost(fused, w_group, w_absdiff)
+    return reduce_to_cost(up3, v3.planes, v3.scale, w_group, w_absdiff)
 
 
 def single_volume_score(
@@ -113,7 +112,7 @@ def single_volume_score(
     w_absdiff: float = 1.0,
 ) -> ScoreVolume:
     """Fusion-disabled path: regularize the scale-3 volume alone and reduce it."""
-    return reduce_to_cost(replace(v3, data=aggregate(v3.data, cfg)), w_group, w_absdiff)
+    return reduce_to_cost(aggregate(v3.difference(), cfg), v3.planes, v3.scale, w_group, w_absdiff)
 
 
 def initial_disparity(fused: ScoreVolume) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,8 @@ matching writer.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import FormatError
@@ -65,11 +67,7 @@ def read_pfm(path) -> np.ndarray:
             raise FormatError(f"bad scale in header: {scale_tok!r}")
         if scale == 0:
             raise FormatError("scale must be non-zero")
-        payload = fh.read(4 * w * h)
-        if len(payload) != 4 * w * h:
-            raise FormatError(f"truncated payload: expected {4 * w * h} bytes, got {len(payload)}")
-        dtype = "<f4" if scale < 0 else ">f4"
-        rows = np.frombuffer(payload, dtype=dtype).reshape(h, w)
+        rows = _read_samples(fh, w * h, "<f4" if scale < 0 else ">f4").reshape(h, w)
         return np.flipud(rows).astype(DTYPE)
 
 
@@ -86,7 +84,7 @@ def write_pfm(path, values: np.ndarray) -> None:
         fh.write(np.flipud(a).astype("<f4").tobytes())
 
 
-def _read_netpbm_header(fh, expected: bytes, name: str) -> tuple[int, int, int]:
+def _read_netpbm_header(fh, expected: bytes, name: str) -> tuple[int, int, int, str]:
     magic = fh.read(2)
     if magic in (b"P2", b"P3"):
         raise FormatError(
@@ -99,31 +97,35 @@ def _read_netpbm_header(fh, expected: bytes, name: str) -> tuple[int, int, int]:
     maxval = _int_token(fh, "maxval", allow_comments=True)
     if maxval > 65535:
         raise FormatError(f"maxval {maxval} exceeds 65535")
-    return w, h, maxval
+    return w, h, maxval, ">u2" if maxval > 255 else "u1"
 
 
-def _read_samples(fh, count: int, maxval: int) -> np.ndarray:
-    wide = maxval > 255
-    nbytes = count * (2 if wide else 1)
+def _read_samples(fh, count: int, dtype: str) -> np.ndarray:
+    """Read count samples. A file whose header claims more than it holds fails
+    before anything of the claimed size is allocated."""
+    nbytes = count * np.dtype(dtype).itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable() else nbytes
+    if nbytes > left:
+        raise FormatError(f"truncated payload: expected {nbytes} bytes, got {left}")
     payload = fh.read(nbytes)
-    if len(payload) != nbytes:
+    if len(payload) != nbytes:  # a pipe, whose size is unknown before the read
         raise FormatError(f"truncated payload: expected {nbytes} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=">u2" if wide else "u1").astype(DTYPE)
+    return np.frombuffer(payload, dtype=dtype)
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read binary PGM (P5); returns values normalized to [0, 1] plus maxval."""
     with open(path, "rb") as fh:
-        w, h, maxval = _read_netpbm_header(fh, b"P5", "PGM")
-        raw = _read_samples(fh, w * h, maxval)
+        w, h, maxval, dtype = _read_netpbm_header(fh, b"P5", "PGM")
+        raw = _read_samples(fh, w * h, dtype)
         return raw.reshape(h, w) / maxval, maxval
 
 
 def read_ppm(path) -> tuple[np.ndarray, int]:
     """Read binary PPM (P6) and convert to grayscale with BT.601 luma weights."""
     with open(path, "rb") as fh:
-        w, h, maxval = _read_netpbm_header(fh, b"P6", "PPM")
-        raw = _read_samples(fh, 3 * w * h, maxval).reshape(h, w, 3) / maxval
+        w, h, maxval, dtype = _read_netpbm_header(fh, b"P6", "PPM")
+        raw = _read_samples(fh, 3 * w * h, dtype).reshape(h, w, 3) / maxval
         return _LUMA[0] * raw[:, :, 0] + _LUMA[1] * raw[:, :, 1] + _LUMA[2] * raw[:, :, 2], maxval
 
 

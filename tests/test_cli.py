@@ -107,6 +107,13 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_oversized_image_header_is_data_error(tmp_path, capsys):
+    huge = tmp_path / "huge.pfm"
+    huge.write_bytes(b"Pf\n1000000 1000000\n-1.0\n" + b"\x00" * 16)
+    assert cli_main(["eval", "--pred", str(huge), "--gt", str(huge)]) == 2
+    assert "truncated payload" in capsys.readouterr().err
+
+
 def test_usage_error(capsys):
     assert cli_main([]) == 1
     assert cli_main(["match", "--left", "x"]) == 1

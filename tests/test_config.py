@@ -36,6 +36,8 @@ def test_scalar_broadcast_for_tuples():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config("pipeline.dmaxx = 64\n")
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config("features.groups = 4\n")  # retired: grouping cannot change the cost
 
 
 def test_duplicate_key_rejected():
@@ -57,7 +59,7 @@ def test_bad_value_reports_line():
     "line",
     [
         "pipeline.dmax = 48",  # not a multiple of 32
-        "features.channels = 10",  # not divisible by default groups=4
+        "features.channels = 0",
         "cascade.alpha = -2,-2",
         "cascade.min_step = 0",
         "fusion.passes = 0",

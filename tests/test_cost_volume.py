@@ -18,6 +18,10 @@ from cfstereo.tensor_ops import box_smooth_axis
 BIG = 1000.0
 
 
+def cost_of(vol, **weights):
+    return reduce_to_cost(vol.difference(), vol.planes, vol.scale, **weights)
+
+
 def smoothed_features(rng, c, h, w):
     raw = rng.random((c, h, w))
     for ch in range(c):
@@ -48,7 +52,7 @@ class TestDenseVolume:
         rng = np.random.default_rng(1)
         f = smoothed_features(rng, 8, 10, 40)
         vol = build_dense_volume(f, f, 16, 1, 2)
-        sv = reduce_to_cost(vol)
+        sv = cost_of(vol)
         am = np.argmin(sv.cost, axis=0)
         # columns where every plane is in range
         assert np.mean(am[:, 8:] == 0) > 0.99
@@ -123,14 +127,14 @@ class TestReduceToCost:
         rng = np.random.default_rng(5)
         f = rng.normal(size=(4, 3, 8))
         vol = build_dense_volume(f, f, 8, 1, 2)
-        sv = reduce_to_cost(vol, w_group=0.0, w_absdiff=1.0)
+        sv = cost_of(vol, w_group=0.0, w_absdiff=1.0)
         assert np.allclose(sv.cost[0], 0.0)
 
     def test_perfect_match_cost_is_negative_correlation(self):
         rng = np.random.default_rng(6)
         f = rng.normal(size=(4, 3, 8))
         vol = build_dense_volume(f, f, 8, 1, 2)
-        sv = reduce_to_cost(vol, w_group=1.0, w_absdiff=1.0)
+        sv = cost_of(vol, w_group=1.0, w_absdiff=1.0)
         corr = 0.5 * (vol.data[8, 0] + vol.data[9, 0])
         assert np.allclose(sv.cost[0], -corr)
 
@@ -138,7 +142,7 @@ class TestReduceToCost:
         rng = np.random.default_rng(7)
         f = rng.normal(size=(2, 2, 4))
         vol = build_dense_volume(f, f, 8, 1, 1)
-        sv = reduce_to_cost(vol)
+        sv = cost_of(vol)
         assert np.isfinite(sv.cost).all()
 
 

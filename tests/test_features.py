@@ -13,10 +13,10 @@ def test_constant_image_all_channels_zero():
 
 def test_shape_contract():
     img = np.random.default_rng(0).random((128, 256))
-    pyr = build_pyramid(img, levels=5, channels=16, groups=4)
+    pyr = build_pyramid(img, levels=5, channels=16)
     assert pyr.levels[3].shape == (16, 128 // 8, 256 // 8)
     assert pyr.levels[5].shape == (16, 128 // 32, 256 // 32)
-    assert pyr.channel_count == 16 and pyr.group_count == 4
+    assert pyr.channel_count == 16
 
 
 def test_step_edge_gradient_peak():
@@ -32,7 +32,7 @@ def test_step_edge_gradient_peak():
 
 def test_padded_channels_stay_zero():
     img = np.random.default_rng(1).random((64, 64))
-    pyr = build_pyramid(img, levels=3, channels=16, groups=4)
+    pyr = build_pyramid(img, levels=3, channels=16)
     # 5 statistics channels + 8 census channels = 13 generated
     assert np.all(pyr.levels[1][13:] == 0.0)
     assert np.any(pyr.levels[1][:13] != 0.0)
@@ -40,7 +40,7 @@ def test_padded_channels_stay_zero():
 
 def test_channel_truncation():
     img = np.random.default_rng(2).random((64, 64))
-    pyr = build_pyramid(img, levels=3, channels=8, groups=4)
+    pyr = build_pyramid(img, levels=3, channels=8)
     assert pyr.levels[1].shape[0] == 8
 
 
@@ -71,8 +71,3 @@ def test_rejects_misaligned_dims():
 def test_rejects_too_few_levels():
     with pytest.raises(ValueError, match="levels"):
         build_pyramid(np.zeros((64, 64)), levels=2)
-
-
-def test_rejects_bad_group_split():
-    with pytest.raises(ValueError, match="groups"):
-        build_pyramid(np.zeros((64, 64)), levels=3, channels=10, groups=4)

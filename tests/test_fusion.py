@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
-from cfstereo.cost_volume import CombinationVolume, HypothesisPlanes, build_dense_volume
+from cfstereo.cost_volume import (
+    CombinationVolume,
+    HypothesisPlanes,
+    build_dense_volume,
+    build_sparse_volume,
+    reduce_to_cost,
+)
 from cfstereo.features import build_pyramid
 from cfstereo.fusion import (
     FusionConfig,
     aggregate,
     box_smooth_volume,
+    concat_reduce,
     fuse_volumes,
     initial_disparity,
     single_volume_score,
 )
 from cfstereo.synth import random_dot_stereogram
-from cfstereo.tensor_ops import avgpool_volume
+from cfstereo.tensor_ops import avgpool_volume, trilinear_upsample2x
 
 BIG = 1000.0
 
@@ -92,6 +99,56 @@ class TestFuseVolumes:
         bad5 = make_volume(np.zeros((5, 2, 2, 2)), 5, 2, 1)
         with pytest.raises(ValueError, match="ratio"):
             fuse_volumes(v3, v4, bad5, FusionConfig())
+
+
+def layout_cost(data, c, g, w_group, w_absdiff):
+    """The cost written out on the paper's 2C+G layout: left, matched, groups."""
+    corr = data[2 * c : 2 * c + g].mean(axis=0)
+    absdiff = np.abs(data[:c] - data[c : 2 * c]).mean(axis=0)
+    return -w_group * corr + w_absdiff * absdiff
+
+
+class TestDifferenceVolume:
+    """Every stage before the cost is linear, so aggregating the C+1 difference
+    volume gives the cost of aggregating the 2C+G volume, for any grouping."""
+
+    C = 8
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_single_volume_path(self, g):
+        rng = np.random.default_rng(20 + g)
+        fl, fr = rng.normal(size=(2, self.C, 8, 16))
+        pv = np.sort(rng.uniform(-1.0, 17.0, size=(6, 8, 16)), axis=0)
+        cfg = FusionConfig(smooth_radius=(1, 2, 1), passes=2)
+        for vol in (
+            build_dense_volume(fl, fr, 64, 3, g),
+            build_sparse_volume(fl, fr, HypothesisPlanes.per_pixel(pv), 1, g),
+        ):
+            got = reduce_to_cost(aggregate(vol.difference(), cfg), vol.planes, vol.scale, 3.0, 2.0)
+            want = layout_cost(aggregate(vol.data, cfg), self.C, g, 3.0, 2.0)
+            assert np.abs(got.cost - want).max() < 1e-9
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_fused_path(self, g):
+        rng = np.random.default_rng(30 + g)
+        vols = []
+        for k in range(3):
+            fl, fr = rng.normal(size=(2, self.C, 8 >> k, 16 >> k))
+            vols.append(build_dense_volume(fl, fr, 64, 3 + k, g))
+        cfg = FusionConfig(smooth_radius=(1, 1, 1), hourglass_passes=2)
+        got = fuse_volumes(*vols, cfg, 3.0, 2.0)
+        # the encoder-decoder of fuse_volumes, run on the 2C+G arrays
+        a3, a4, a5 = (v.data for v in vols)
+        skip3 = aggregate(a3, cfg)
+        skip4 = aggregate(concat_reduce(avgpool_volume(skip3), aggregate(a4, cfg)), cfg)
+        bottom = aggregate(concat_reduce(avgpool_volume(skip4), aggregate(a5, cfg)), cfg)
+        up4 = 0.5 * (trilinear_upsample2x(bottom) + skip4)
+        up3 = 0.5 * (trilinear_upsample2x(up4) + skip3)
+        for _ in range(cfg.hourglass_passes):
+            down = aggregate(avgpool_volume(aggregate(up3, cfg)), cfg)
+            up3 = 0.5 * (up3 + trilinear_upsample2x(down))
+        want = layout_cost(up3, self.C, g, 3.0, 2.0)
+        assert np.abs(got.cost - want).max() < 1e-9
 
 
 class TestInitialDisparity:

@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -52,6 +54,26 @@ class TestPfm:
         with pytest.raises(FormatError, match="truncated"):
             read_pfm(path)
 
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.pfm"
+        path.write_bytes(b"Pf\n1000000 1000000\n-1.0\n" + b"\x00" * 16)
+        with pytest.raises(FormatError, match="truncated payload: expected 4000000000000 bytes, got 16"):
+            read_pfm(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_a_pipe(self, tmp_path):
+        # a pipe has no size to check before the read
+        path = tmp_path / "p.pfm"
+        os.mkfifo(path)
+        data = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 2.5)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            assert read_pfm(path)[0, 0] == 2.5
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_big_endian_scale(self, tmp_path):
         path = tmp_path / "be.pfm"
         path.write_bytes(b"Pf\n1 1\n1.0\n" + struct.pack(">f", 2.5))
@@ -97,6 +119,12 @@ class TestPgm:
         with pytest.raises(FormatError, match="binary P5"):
             read_pgm(path)
 
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n1000000 1000000\n65535\n" + b"\x00" * 8)
+        with pytest.raises(FormatError, match="truncated payload: expected 2000000000000 bytes, got 8"):
+            read_pgm(path)
+
     def test_header_comments(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x00\xff")
@@ -110,6 +138,12 @@ class TestPpm:
         path.write_bytes(b"P6\n1 1\n255\n\xff\x00\x00")
         gray, mv = read_ppm(path)
         assert gray[0, 0] == 0.299
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P6\n1000000 1000000\n255\n" + b"\x00" * 6)
+        with pytest.raises(FormatError, match="truncated payload: expected 3000000000000 bytes, got 6"):
+            read_ppm(path)
 
     def test_read_image_dispatch(self, tmp_path):
         pgm = tmp_path / "x.pgm"
