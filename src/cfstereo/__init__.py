@@ -22,7 +22,7 @@ from .cost_volume import (
 )
 from .errors import CfStereoError, ConfigError, FormatError, PipelineError
 from .features import FeaturePyramid, build_pyramid
-from .fusion import FusionConfig, aggregate, fuse_volumes, initial_disparity, single_volume_score
+from .fusion import aggregate, fuse_volumes
 from .io_formats import read_image, read_pfm, read_pgm, read_ppm, write_pfm, write_pgm
 from .metrics import (
     FilteredMetrics,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, validate_config
 from .cost_volume import (
     HypothesisPlanes,
     build_dense_volume,
@@ -22,7 +22,7 @@ from .cost_volume import (
 )
 from .errors import PipelineError
 from .features import build_pyramid
-from .fusion import FusionConfig, aggregate, fuse_volumes, initial_disparity, single_volume_score
+from .fusion import aggregate, fuse_volumes
 from .tensor_ops import as_grid, bilinear_upsample2x
 
 __all__ = [
@@ -165,6 +165,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     Output disparity and uncertainty are at full resolution in full-resolution
     pixel units (uncertainty scales by 4 as a variance).
     """
+    validate_config(config)
     li = as_grid(left, 2, "left image")
     ri = as_grid(right, 2, "right image")
     if li.shape != ri.shape:
@@ -172,12 +173,6 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     if li.shape[0] % 32 or li.shape[1] % 32:
         raise PipelineError(f"input: image dims {li.shape} must be divisible by 32")
     dmax = config.pipeline_dmax
-    fcfg = FusionConfig(
-        smooth_radius=config.fusion_smooth_radius,
-        passes=config.fusion_passes,
-        hourglass_passes=config.fusion_hourglass_passes,
-        enabled=config.fusion_enabled,
-    )
     params = RangeParams(
         alpha=config.cascade_alpha,
         beta=config.cascade_beta,
@@ -196,17 +191,22 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
 
     pyr_l, pyr_r = _stage("features", feats)
 
+    def decode(diff, planes, scale):
+        sv = reduce_to_cost(diff, planes, scale, w_g, w_a)
+        d = soft_argmin(sv)
+        return StageResult(scale, d, uncertainty(sv, d), planes)
+
     # One correlation group: difference() keeps only the mean over groups.
+    # Keep no reference to a 2C+G volume: it would raise peak memory.
     def stage3():
-        v3 = build_dense_volume(pyr_l.levels[3], pyr_r.levels[3], dmax, 3, 1)
-        if fcfg.enabled:
-            v4 = build_dense_volume(pyr_l.levels[4], pyr_r.levels[4], dmax, 4, 1)
-            v5 = build_dense_volume(pyr_l.levels[5], pyr_r.levels[5], dmax, 5, 1)
-            sv = fuse_volumes(v3, v4, v5, fcfg, w_g, w_a)
+        def dense(s):
+            return build_dense_volume(pyr_l.levels[s], pyr_r.levels[s], dmax, s, 1).difference()
+
+        if config.fusion_enabled:
+            diff = fuse_volumes(dense(3), dense(4), dense(5), config)
         else:
-            sv = single_volume_score(v3, fcfg, w_g, w_a)
-        d, u = initial_disparity(sv)
-        return StageResult(3, d, u, sv.planes)
+            diff = aggregate(dense(3), config)
+        return decode(diff, HypothesisPlanes.uniform(diff.shape[1]), 3)
 
     results = [_stage("stage 3", stage3)]
 
@@ -216,14 +216,10 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
             planes = sample_planes(lo, hi, params.for_stage(stage)[2])
             scale = stage - 1
-            # Keep no reference to the 2C+G volume: it would raise peak memory.
             diff = build_sparse_volume(
                 pyr_l.levels[scale], pyr_r.levels[scale], planes, scale, 1
             ).difference()
-            sv = reduce_to_cost(aggregate(diff, fcfg), planes, scale, w_g, w_a)
-            d = soft_argmin(sv)
-            u = uncertainty(sv, d)
-            return StageResult(scale, d, u, planes)
+            return decode(aggregate(diff, config), planes, scale)
 
         results.append(_stage(f"stage {stage - 1}", refine))
 

@@ -135,6 +135,9 @@ def cli_main(argv=None) -> int:
     except (CfStereoError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -9,14 +9,13 @@ matching writer.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import FormatError
 from .tensor_ops import DTYPE
 
 _LUMA = (0.299, 0.587, 0.114)  # BT.601
+_CHUNK = 1 << 20  # payload read size in bytes
 
 
 def _read_token(fh, *, allow_comments: bool) -> bytes:
@@ -101,16 +100,17 @@ def _read_netpbm_header(fh, expected: bytes, name: str) -> tuple[int, int, int, 
 
 
 def _read_samples(fh, count: int, dtype: str) -> np.ndarray:
-    """Read count samples. A file whose header claims more than it holds fails
-    before anything of the claimed size is allocated."""
+    """Read count samples in bounded chunks, so a header that claims more than
+    the file or pipe holds fails after reading what is there, never by
+    allocating the claimed size."""
     nbytes = count * np.dtype(dtype).itemsize
-    left = os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable() else nbytes
-    if nbytes > left:
-        raise FormatError(f"truncated payload: expected {nbytes} bytes, got {left}")
-    payload = fh.read(nbytes)
-    if len(payload) != nbytes:  # a pipe, whose size is unknown before the read
-        raise FormatError(f"truncated payload: expected {nbytes} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=dtype)
+    chunks, got = [], 0
+    while got < nbytes and (chunk := fh.read(min(_CHUNK, nbytes - got))):
+        chunks.append(chunk)
+        got += len(chunk)
+    if got != nbytes:
+        raise FormatError(f"truncated payload: expected {nbytes} bytes, got {got}")
+    return np.frombuffer(b"".join(chunks), dtype=dtype)
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

@@ -1,8 +1,9 @@
 """Row-sliced worker pool.
 
-CFSTEREO_THREADS caps the worker count (0 or unset = auto). Workers write
-disjoint row ranges of preallocated outputs, so results are identical no
-matter how the rows are split.
+CFSTEREO_THREADS sets the worker count: 0 or unset means min(8, cpu count),
+and an explicit count is capped at max(8, cpu count). Workers write disjoint
+row ranges of preallocated outputs, so results are identical no matter how
+the rows are split.
 """
 
 import os
@@ -19,9 +20,10 @@ def thread_count() -> int:
         raise ValueError(f"CFSTEREO_THREADS must be an integer, got {raw!r}")
     if n < 0:
         raise ValueError("CFSTEREO_THREADS must be >= 0")
+    cpus = os.cpu_count() or 1
     if n == 0:
-        n = min(_AUTO_CAP, os.cpu_count() or 1)
-    return n
+        return min(_AUTO_CAP, cpus)
+    return min(n, max(_AUTO_CAP, cpus))
 
 
 def run_rows(fn, n_rows: int) -> None:

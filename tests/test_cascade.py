@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from cfstereo.cascade import (
     uncertainty,
 )
 from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume
-from cfstereo.errors import PipelineError
+from cfstereo.errors import ConfigError, PipelineError
 from cfstereo.synth import random_dot_stereogram
 
 BIG = 1000.0
@@ -223,3 +225,10 @@ class TestPipeline:
         img[3, 3] = np.nan
         with pytest.raises(PipelineError, match="features"):
             run_pipeline(img, np.zeros((64, 64)), desk_config())
+
+    @pytest.mark.parametrize(
+        "change", [{"cascade_alpha": (-2.0, -2.0)}, {"fusion_passes": 0}, {"cascade_n1": 1}]
+    )
+    def test_invalid_config_is_config_error(self, change):
+        with pytest.raises(ConfigError):
+            run_pipeline(np.zeros((64, 64)), np.zeros((64, 64)), replace(desk_config(), **change))

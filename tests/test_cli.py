@@ -1,5 +1,6 @@
 import pytest
 
+from cfstereo import cli
 from cfstereo.cli import cli_main
 from cfstereo.config import load_config, parse_config
 from cfstereo.io_formats import read_pfm
@@ -112,6 +113,15 @@ def test_oversized_image_header_is_data_error(tmp_path, capsys):
     huge.write_bytes(b"Pf\n1000000 1000000\n-1.0\n" + b"\x00" * 16)
     assert cli_main(["eval", "--pred", str(huge), "--gt", str(huge)]) == 2
     assert "truncated payload" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_data_error(tmp_path, capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(cli, "read_pfm", exhausted)
+    assert cli_main(["eval", "--pred", str(tmp_path / "p.pfm"), "--gt", str(tmp_path / "g.pfm")]) == 2
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_usage_error(capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import struct
 import threading
@@ -12,6 +13,19 @@ from cfstereo.errors import FormatError
 from cfstereo.io_formats import read_image, read_pfm, read_pgm, read_ppm, write_pfm, write_pgm
 
 f32 = st.floats(-1e6, 1e6, allow_nan=False, width=32)
+
+
+@contextlib.contextmanager
+def fifo_holding(path, data):
+    """A named pipe that a thread fills with data once a reader opens it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 class TestPfm:
@@ -63,16 +77,15 @@ class TestPfm:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_reads_from_a_pipe(self, tmp_path):
         # a pipe has no size to check before the read
-        path = tmp_path / "p.pfm"
-        os.mkfifo(path)
-        data = b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 2.5)
-        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
-        writer.start()
-        try:
+        with fifo_holding(tmp_path / "p.pfm", b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 2.5)) as path:
             assert read_pfm(path)[0, 0] == 2.5
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_oversized_header_from_a_pipe(self, tmp_path):
+        data = b"Pf\n1000000 1000000\n-1.0\n" + b"\x00" * 16
+        with fifo_holding(tmp_path / "huge.pfm", data) as path:
+            with pytest.raises(FormatError, match="truncated payload: expected 4000000000000 bytes, got 16"):
+                read_pfm(path)
 
     def test_big_endian_scale(self, tmp_path):
         path = tmp_path / "be.pfm"
