@@ -180,11 +180,11 @@ def build_sparse_volume(
     n_planes = pv.shape[0]
     data = np.zeros((2 * c + n_groups, n_planes, h, w), dtype=DTYPE)
     xs = np.arange(w, dtype=DTYPE)
+    fr_flat = fr.reshape(c, h * w)
 
     def fill(lo, hi):
         fl_rows = fl[:, lo:hi, :]
-        fr_rows = fr[:, lo:hi, :]
-        matched = np.empty_like(fr_rows)
+        row_start = (np.arange(lo, hi) * w)[:, None]
         for n in range(n_planes):
             src = xs[None, :] - pv[n, lo:hi, :]
             base = np.floor(src)
@@ -193,12 +193,12 @@ def build_sparse_volume(
             i1 = i0 + 1
             w0 = (1.0 - t) * ((i0 >= 0) & (i0 < w))
             w1 = t * ((i1 >= 0) & (i1 < w))
-            i0c = np.clip(i0, 0, w - 1)
-            i1c = np.clip(i1, 0, w - 1)
-            for ch in range(c):
-                a0 = np.take_along_axis(fr_rows[ch], i0c, axis=1)
-                a1 = np.take_along_axis(fr_rows[ch], i1c, axis=1)
-                matched[ch] = w0 * a0 + w1 * a1
+            # matched = w0 * a0 + w1 * a1, with a0/a1 gathered from the flat rows
+            matched = np.take(fr_flat, np.clip(i0, 0, w - 1) + row_start, axis=1)
+            matched *= w0
+            a1 = np.take(fr_flat, np.clip(i1, 0, w - 1) + row_start, axis=1)
+            a1 *= w1
+            matched += a1
             _fill_matched(data, fl_rows, matched, lo, hi, n, c, n_groups)
 
     run_rows(fill, h)

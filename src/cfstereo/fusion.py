@@ -19,17 +19,21 @@ def box_smooth_volume(data: np.ndarray, radii: tuple[int, int, int], passes: int
     r_d, r_x, r_y = radii
     out = data
     for _ in range(passes):
-        out = box_smooth_axis(out, out.ndim - 3, r_d)
-        out = box_smooth_axis(out, out.ndim - 1, r_x)
-        out = box_smooth_axis(out, out.ndim - 2, r_y)
-    return out
+        for axis, radius in ((-3, r_d), (-1, r_x), (-2, r_y)):
+            if radius:
+                out = box_smooth_axis(out, axis, radius)
+    # fresh even when every radius is 0: aggregate() finishes in place
+    return data.copy() if out is data else out
 
 
 def aggregate(data: np.ndarray, config: RunConfig) -> np.ndarray:
     """Regularize a (…, planes, H, W) grid: smoothed half-mixed with the input."""
     if data.ndim not in (3, 4):
         raise ValueError(f"expected 3D or 4D volume, got shape {data.shape}")
-    return 0.5 * (data + box_smooth_volume(data, config.fusion_smooth_radius, config.fusion_passes))
+    out = box_smooth_volume(data, config.fusion_smooth_radius, config.fusion_passes)
+    out += data
+    out *= 0.5
+    return out
 
 
 def _check_pyramid_ratios(v3: np.ndarray, v4: np.ndarray, v5: np.ndarray):

@@ -36,26 +36,33 @@ def softmax_along_planes(volume: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
+def _add_shifted(acc: np.ndarray, a: np.ndarray, axis: int, off: int, weight=None) -> None:
+    """acc[i] += a[clip(i + off, 0, n - 1)] along `axis`, times `weight` if given,
+    by slicing: the cells that the shift pushes off the end read the length-1
+    edge slice, broadcast."""
+    n = a.shape[axis]
+    k = min(abs(off), n)
+    if off >= 0:
+        spans = ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(n - 1, n)))
+    else:
+        spans = ((slice(k, n), slice(0, n - k)), (slice(0, k), slice(0, 1)))
+    lead = (slice(None),) * (axis % a.ndim)
+    for dst, src in spans:
+        part = a[lead + (src,)]
+        acc[lead + (dst,)] += part if weight is None else weight * part
+
+
 def _upsample2x_axis(a: np.ndarray, axis: int) -> np.ndarray:
     """Double one axis: half-pixel sample centers with edge clamping.
 
     Output sample 2k sits a quarter cell left of input cell k, sample 2k+1 a
     quarter cell right, so each output is 0.75/0.25 blend of neighbors.
     """
-    n = a.shape[axis]
-    idx = np.arange(n)
-    lo = np.take(a, np.maximum(idx - 1, 0), axis=axis)
-    hi = np.take(a, np.minimum(idx + 1, n - 1), axis=axis)
-    even = 0.75 * a + 0.25 * lo
-    odd = 0.75 * a + 0.25 * hi
-    shape = list(a.shape)
-    shape[axis] = 2 * n
-    out = np.empty(shape, dtype=a.dtype)
-    sel = [slice(None)] * a.ndim
-    sel[axis] = slice(0, None, 2)
-    out[tuple(sel)] = even
-    sel[axis] = slice(1, None, 2)
-    out[tuple(sel)] = odd
+    out = np.repeat(a, 2, axis=axis)
+    out *= 0.75
+    lead = (slice(None),) * (axis % a.ndim)
+    for parity, off in ((0, -1), (1, 1)):
+        _add_shifted(out[lead + (slice(parity, None, 2),)], a, axis, off, 0.25)
     return out
 
 
@@ -96,21 +103,16 @@ def avgpool_volume(volume: np.ndarray, factor: int = 2) -> np.ndarray:
 
 
 def box_smooth_axis(a: np.ndarray, axis: int, radius: int) -> np.ndarray:
-    """Edge-clamped box mean along one axis.
-
-    Built from shifted gathers accumulated in a fixed order, which keeps the
-    result translation-stable and independent of any row chunking.
-    """
+    """Edge-clamped box mean along one axis."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return a.copy()
-    n = a.shape[axis]
-    idx = np.arange(n)
     acc = np.zeros_like(a)
     for off in range(-radius, radius + 1):
-        acc += np.take(a, np.clip(idx + off, 0, n - 1), axis=axis)
-    return acc / (2 * radius + 1)
+        _add_shifted(acc, a, axis, off)
+    acc /= 2 * radius + 1
+    return acc
 
 
 def weighted_smooth_axis(a: np.ndarray, axis: int, weights) -> np.ndarray:
@@ -119,9 +121,7 @@ def weighted_smooth_axis(a: np.ndarray, axis: int, weights) -> np.ndarray:
     if weights.ndim != 1 or weights.size % 2 == 0:
         raise ValueError("kernel must be 1D with odd length")
     radius = weights.size // 2
-    n = a.shape[axis]
-    idx = np.arange(n)
     acc = np.zeros_like(a)
-    for k, off in enumerate(range(-radius, radius + 1)):
-        acc += weights[k] * np.take(a, np.clip(idx + off, 0, n - 1), axis=axis)
+    for weight, off in zip(weights, range(-radius, radius + 1)):
+        _add_shifted(acc, a, axis, off, weight)
     return acc

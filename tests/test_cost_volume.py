@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfstereo import parallel
 from cfstereo.cost_volume import (
     HypothesisPlanes,
     ScoreVolume,
@@ -100,6 +101,54 @@ class TestSparseVolume:
         pv[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             HypothesisPlanes.per_pixel(pv)
+
+
+def sparse_reference(fl, fr, pv, n_groups):
+    """The sparse volume with the matched side gathered channel by channel."""
+    c, h, w = fl.shape
+    gs = c // n_groups
+    data = np.zeros((2 * c + n_groups, pv.shape[0], h, w))
+    xs = np.arange(w, dtype=float)
+    for n in range(pv.shape[0]):
+        src = xs[None, :] - pv[n]
+        base = np.floor(src)
+        t = src - base
+        i0 = base.astype(np.int64)
+        i1 = i0 + 1
+        w0 = (1.0 - t) * ((i0 >= 0) & (i0 < w))
+        w1 = t * ((i1 >= 0) & (i1 < w))
+        i0c, i1c = np.clip(i0, 0, w - 1), np.clip(i1, 0, w - 1)
+        matched = np.empty_like(fr)
+        for ch in range(c):
+            a0 = np.take_along_axis(fr[ch], i0c, axis=1)
+            a1 = np.take_along_axis(fr[ch], i1c, axis=1)
+            matched[ch] = w0 * a0 + w1 * a1
+        data[:c, n] = fl
+        data[c : 2 * c, n] = matched
+        for g in range(n_groups):
+            acc = np.zeros((h, w))
+            for ch in range(g * gs, (g + 1) * gs):
+                acc += fl[ch] * matched[ch]
+            data[2 * c + g, n] = acc / gs
+    return data
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sparse_volume_matches_per_channel_gather(monkeypatch, threads):
+    # 2 workers split the 7 rows as [0, 4) and [4, 7): the second chunk's flat
+    # indices need its own row offset
+    monkeypatch.setenv("CFSTEREO_THREADS", threads)
+    assert parallel.thread_count() == int(threads)
+    rng = np.random.default_rng(11)
+    c, h, w = 4, 7, 9
+    fl = rng.normal(size=(c, h, w))
+    fr = rng.normal(size=(c, h, w))
+    pv = rng.uniform(-3.0, w + 3.0, size=(5, h, w))
+    pv[1, :, ::3] = np.round(pv[1, :, ::3])  # some exact integer planes
+    pv = np.sort(pv, axis=0)
+    vol = build_sparse_volume(fl, fr, HypothesisPlanes.per_pixel(pv), 1, 2)
+    want = sparse_reference(fl, fr, pv, 2)
+    assert vol.data.tobytes() == want.tobytes()
 
 
 class TestOracleEquivalence:

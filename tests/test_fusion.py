@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfstereo.config import RunConfig
 from cfstereo.cost_volume import (
@@ -16,7 +18,7 @@ from cfstereo.cost_volume import (
 from cfstereo.features import build_pyramid
 from cfstereo.fusion import aggregate, box_smooth_volume, fuse_volumes
 from cfstereo.synth import random_dot_stereogram
-from cfstereo.tensor_ops import avgpool_volume
+from cfstereo.tensor_ops import avgpool_volume, box_smooth_axis
 
 BIG = 1000.0
 
@@ -41,6 +43,28 @@ class TestAggregate:
         v[0, 0, 3] = 3.0
         out = box_smooth_volume(v, (0, 1, 0), passes=1)
         assert np.allclose(out[0, 0], [0, 0, 1, 1, 1, 0, 0])
+
+    @given(st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 2), st.sampled_from([3, 4]))
+    @settings(max_examples=30, deadline=None)
+    @example((0, 0, 0), 1, 3)
+    @example((0, 0, 0), 2, 4)
+    def test_exact_and_input_untouched(self, radii, passes, ndim):
+        v = np.random.default_rng(7).normal(size=(2, 3, 4, 5)[-ndim:])
+        v[..., 0, 0] = -0.0
+        keep = v.copy()
+        cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
+        # every axis smoothed in turn, a zero radius as a copy, then half-mixed
+        want = v
+        for _ in range(passes):
+            for axis, radius in ((-3, radii[0]), (-1, radii[1]), (-2, radii[2])):
+                want = box_smooth_axis(want, axis, radius)
+        smoothed = box_smooth_volume(v, radii, passes)
+        mixed = aggregate(v, cfg)
+        assert smoothed.tobytes() == want.tobytes()
+        assert mixed.tobytes() == (0.5 * (v + want)).tobytes()
+        for out in (smoothed, mixed):
+            assert not np.shares_memory(out, v)
+        assert v.tobytes() == keep.tobytes()
 
 
 class TestFuseVolumes:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -10,6 +10,7 @@ from cfstereo.tensor_ops import (
     box_smooth_axis,
     softmax_along_planes,
     trilinear_upsample2x,
+    weighted_smooth_axis,
 )
 
 finite = st.floats(-50, 50, allow_nan=False)
@@ -116,3 +117,102 @@ def test_trilinear_matches_bilinear_per_slice():
     c = np.broadcast_to(v[0], (2, 4, 5)).copy()
     up_c = trilinear_upsample2x(c)
     assert np.allclose(up_c[0], bilinear_upsample2x(v[0]))
+
+
+# Reference formulas that shift with np.take over clipped indices. The library
+# shifts by slicing but computes the same terms and adds them in the same
+# order, so results must be equal bit for bit, signed zeros included.
+
+
+def take_clamped(a, axis, off):
+    n = a.shape[axis]
+    return np.take(a, np.clip(np.arange(n) + off, 0, n - 1), axis=axis)
+
+
+def box_reference(a, axis, radius):
+    if radius == 0:
+        return a.copy()
+    acc = np.zeros_like(a)
+    for off in range(-radius, radius + 1):
+        acc += take_clamped(a, axis, off)
+    return acc / (2 * radius + 1)
+
+
+def weighted_reference(a, axis, weights):
+    radius = len(weights) // 2
+    acc = np.zeros_like(a)
+    for k, off in enumerate(range(-radius, radius + 1)):
+        acc += weights[k] * take_clamped(a, axis, off)
+    return acc
+
+
+def upsample_axis_reference(a, axis):
+    n = a.shape[axis]
+    idx = np.arange(n)
+    lo = np.take(a, np.maximum(idx - 1, 0), axis=axis)
+    hi = np.take(a, np.minimum(idx + 1, n - 1), axis=axis)
+    shape = list(a.shape)
+    shape[axis] = 2 * n
+    out = np.empty(shape)
+    sel = [slice(None)] * a.ndim
+    sel[axis] = slice(0, None, 2)
+    out[tuple(sel)] = 0.75 * a + 0.25 * lo
+    sel[axis] = slice(1, None, 2)
+    out[tuple(sel)] = 0.75 * a + 0.25 * hi
+    return out
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def grids():
+    return arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5), elements=finite)
+
+
+LENGTH_ONE = np.array([[-0.0], [2.5], [-1.25]])  # axis 1 has length 1
+
+
+class TestSliceShiftsMatchGathers:
+    @given(grids(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_box_smooth_axis(self, a, data):
+        axis = data.draw(st.integers(-a.ndim, a.ndim - 1), label="axis")
+        radius = data.draw(st.integers(0, 7), label="radius")
+        assert_bitwise_equal(box_smooth_axis(a, axis, radius), box_reference(a, axis, radius))
+
+    @given(grids(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_smooth_axis(self, a, data):
+        axis = data.draw(st.integers(-a.ndim, a.ndim - 1), label="axis")
+        size = data.draw(st.sampled_from([1, 3, 5, 9, 13]), label="kernel size")
+        weights = np.asarray(data.draw(st.lists(finite, min_size=size, max_size=size), label="weights"))
+        assert_bitwise_equal(weighted_smooth_axis(a, axis, weights), weighted_reference(a, axis, weights))
+
+    @pytest.mark.parametrize("axis", [0, 1, -1, -2])
+    def test_radius_beyond_axis_and_length_one(self, axis):
+        a = np.arange(10.0).reshape(2, 5) - 4.5
+        for radius in (1, 4, 5, 9):
+            assert_bitwise_equal(box_smooth_axis(a, axis, radius), box_reference(a, axis, radius))
+            kernel = np.linspace(-1.0, 2.0, 2 * radius + 1)
+            assert_bitwise_equal(weighted_smooth_axis(a, axis, kernel), weighted_reference(a, axis, kernel))
+        for radius in (1, 6):
+            assert_bitwise_equal(box_smooth_axis(LENGTH_ONE, axis, radius), box_reference(LENGTH_ONE, axis, radius))
+
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5), elements=finite))
+    @settings(max_examples=80, deadline=None)
+    @example(LENGTH_ONE)
+    @example(np.array([[-0.0]]))
+    def test_bilinear_upsample2x(self, m):
+        want = upsample_axis_reference(upsample_axis_reference(m, 0), 1)
+        assert_bitwise_equal(bilinear_upsample2x(m), want)
+
+    @given(arrays(np.float64, array_shapes(min_dims=3, max_dims=4, min_side=1, max_side=4), elements=finite))
+    @settings(max_examples=80, deadline=None)
+    def test_trilinear_upsample2x(self, v):
+        want = v
+        for axis in (-3, -2, -1):
+            want = upsample_axis_reference(want, axis)
+        assert_bitwise_equal(trilinear_upsample2x(v), want)
