@@ -3,10 +3,10 @@
 
 Two trees give the same digest only if every run's disparity and
 uncertainty maps are byte-identical, so comparing the line printed at two
-commits (and at several CFSTEREO_THREADS values) checks that a change kept
-the outputs exactly. The set covers desk scenes 0-19 under `desk_config()`
-with fusion on, with fusion off, and with (1,1,1) smoothing over two passes,
-plus one 256x512 two-plane scene at dmax 256.
+commits checks that a change kept the outputs exactly. The set covers desk
+scenes 0-19 under `desk_config()` with fusion on, with fusion off, and with
+(1,1,1) smoothing over two passes, plus one 256x512 two-plane scene at
+dmax 256.
 
     PYTHONPATH=src python3 scripts/output_digest.py
 """

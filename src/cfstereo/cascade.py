@@ -7,6 +7,7 @@ variance, sampled with uniformly spaced hypothesis planes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class RangeParams:
     plane_counts: tuple[int, int] = (16, 12)  # planes at stage 2, stage 1
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.alpha, *self.beta, self.min_step)):
+            raise ValueError("alpha, beta and min_step must be finite")
         if any(a < -1.0 for a in self.alpha):
             raise ValueError("alpha must be >= -1")
         if any(b < 0.0 for b in self.beta):

@@ -8,6 +8,7 @@ reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -94,6 +95,16 @@ _KEYS = {
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     c = cfg
+    float_values = {
+        "cost.w_group": (c.cost_w_group,),
+        "cost.w_absdiff": (c.cost_w_absdiff,),
+        "cascade.alpha": c.cascade_alpha,
+        "cascade.beta": c.cascade_beta,
+        "cascade.min_step": (c.cascade_min_step,),
+    }
+    for key, values in float_values.items():
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} must be finite")
     if c.features_channels < 1:
         raise ConfigError("features.channels must be positive")
     if c.features_census_radius < 1:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import run_rows
 from .tensor_ops import DTYPE, as_grid, require_finite, softmax_along_planes
 
 
@@ -39,8 +38,8 @@ class HypothesisPlanes:
         v = as_grid(values, 3, "plane values")
         if v.shape[0] < 2:
             raise ValueError("need at least 2 hypothesis planes")
-        if np.isnan(v).any():
-            raise ValueError("hypothesis planes contain NaN")
+        if not np.isfinite(v).all():
+            raise ValueError("hypothesis planes contain NaN or inf")
         if (np.diff(v, axis=0) < -1e-9).any():
             raise ValueError("plane values must be non-decreasing per pixel")
         return cls(v)
@@ -110,16 +109,16 @@ def _check_feature_pair(left_feats, right_feats, n_groups):
     return fl, fr, c
 
 
-def _fill_matched(data, fl, matched, lo, hi, plane, c, n_groups):
-    """Write concat + group-correlation channels for one plane of one row chunk."""
+def _fill_matched(data, fl, matched, plane, c, n_groups):
+    """Write concat + group-correlation channels for one plane."""
     group_size = c // n_groups
-    data[:c, plane, lo:hi, :] = fl
-    data[c:2 * c, plane, lo:hi, :] = matched
+    data[:c, plane] = fl
+    data[c:2 * c, plane] = matched
     for g in range(n_groups):
         acc = np.zeros(fl.shape[1:], dtype=DTYPE)
         for ch in range(g * group_size, (g + 1) * group_size):
             acc += fl[ch] * matched[ch]
-        data[2 * c + g, plane, lo:hi, :] = acc / group_size
+        data[2 * c + g, plane] = acc / group_size
 
 
 def build_dense_volume(
@@ -142,20 +141,14 @@ def build_dense_volume(
         raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
     h, w = fl.shape[1:]
     data = np.zeros((2 * c + n_groups, n_planes, h, w), dtype=DTYPE)
-
-    def fill(lo, hi):
-        fl_rows = fl[:, lo:hi, :]
-        fr_rows = fr[:, lo:hi, :]
-        for d in range(n_planes):
-            if d == 0:
-                matched = fr_rows
-            else:
-                matched = np.zeros_like(fr_rows)
-                if d < w:
-                    matched[:, :, d:] = fr_rows[:, :, : w - d]
-            _fill_matched(data, fl_rows, matched, lo, hi, d, c, n_groups)
-
-    run_rows(fill, h)
+    for d in range(n_planes):
+        if d == 0:
+            matched = fr
+        else:
+            matched = np.zeros_like(fr)
+            if d < w:
+                matched[:, :, d:] = fr[:, :, : w - d]
+        _fill_matched(data, fl, matched, d, c, n_groups)
     return CombinationVolume(data, HypothesisPlanes.uniform(n_planes), scale, c, n_groups)
 
 
@@ -175,33 +168,28 @@ def build_sparse_volume(
     fl, fr, c = _check_feature_pair(left_feats, right_feats, n_groups)
     h, w = fl.shape[1:]
     pv = planes.values_at(h, w)
-    if np.isnan(pv).any():
-        raise ValueError("hypothesis planes contain NaN")
+    if not np.isfinite(pv).all():
+        raise ValueError("hypothesis planes contain NaN or inf")
     n_planes = pv.shape[0]
     data = np.zeros((2 * c + n_groups, n_planes, h, w), dtype=DTYPE)
     xs = np.arange(w, dtype=DTYPE)
     fr_flat = fr.reshape(c, h * w)
-
-    def fill(lo, hi):
-        fl_rows = fl[:, lo:hi, :]
-        row_start = (np.arange(lo, hi) * w)[:, None]
-        for n in range(n_planes):
-            src = xs[None, :] - pv[n, lo:hi, :]
-            base = np.floor(src)
-            t = src - base
-            i0 = base.astype(np.int64)
-            i1 = i0 + 1
-            w0 = (1.0 - t) * ((i0 >= 0) & (i0 < w))
-            w1 = t * ((i1 >= 0) & (i1 < w))
-            # matched = w0 * a0 + w1 * a1, with a0/a1 gathered from the flat rows
-            matched = np.take(fr_flat, np.clip(i0, 0, w - 1) + row_start, axis=1)
-            matched *= w0
-            a1 = np.take(fr_flat, np.clip(i1, 0, w - 1) + row_start, axis=1)
-            a1 *= w1
-            matched += a1
-            _fill_matched(data, fl_rows, matched, lo, hi, n, c, n_groups)
-
-    run_rows(fill, h)
+    row_start = np.arange(h)[:, None] * w
+    for n in range(n_planes):
+        src = xs[None, :] - pv[n]
+        base = np.floor(src)
+        t = src - base
+        i0 = base.astype(np.int64)
+        i1 = i0 + 1
+        w0 = (1.0 - t) * ((i0 >= 0) & (i0 < w))
+        w1 = t * ((i1 >= 0) & (i1 < w))
+        # matched = w0 * a0 + w1 * a1, with a0/a1 gathered from the flat rows
+        matched = np.take(fr_flat, np.clip(i0, 0, w - 1) + row_start, axis=1)
+        matched *= w0
+        a1 = np.take(fr_flat, np.clip(i1, 0, w - 1) + row_start, axis=1)
+        a1 *= w1
+        matched += a1
+        _fill_matched(data, fl, matched, n, c, n_groups)
     return CombinationVolume(data, planes, scale, c, n_groups)
 
 

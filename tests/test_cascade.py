@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfstereo.benchmarks import desk_config, evaluate_scene, stagewise_bad2
+from cfstereo.benchmarks import desk_config, desk_scene, evaluate_scene, stagewise_bad2
 from cfstereo.cascade import (
     RangeParams,
     next_range,
@@ -125,6 +125,13 @@ class TestNextRange:
         assert np.allclose(hi - lo, floor, atol=1e-9)
         assert np.allclose(0.5 * (lo + hi), 10.0, atol=1e-9)  # doubled estimate
 
+    @pytest.mark.parametrize(
+        "change", [{"alpha": (0.0, np.nan)}, {"beta": (np.inf, 0.0)}, {"min_step": np.inf}]
+    )
+    def test_nonfinite_params_rejected(self, change):
+        with pytest.raises(ValueError, match="finite"):
+            RangeParams(**change)
+
     def test_window_shifts_inward_at_borders(self):
         params = RangeParams(min_step=0.5, plane_counts=(16, 12))
         d = np.zeros((2, 2))
@@ -225,6 +232,16 @@ class TestPipeline:
         img[3, 3] = np.nan
         with pytest.raises(PipelineError, match="features"):
             run_pipeline(img, np.zeros((64, 64)), desk_config())
+
+    def test_threads_variable_is_ignored(self, monkeypatch):
+        scene = desk_scene(3)
+        monkeypatch.delenv("CFSTEREO_THREADS", raising=False)
+        want = run_pipeline(scene.left, scene.right, desk_config())
+        for value in ("abc", "-1", "2"):
+            monkeypatch.setenv("CFSTEREO_THREADS", value)
+            out = run_pipeline(scene.left, scene.right, desk_config())
+            assert out.disparity.tobytes() == want.disparity.tobytes(), value
+            assert out.uncertainty.tobytes() == want.uncertainty.tobytes(), value
 
     @pytest.mark.parametrize(
         "change", [{"cascade_alpha": (-2.0, -2.0)}, {"fusion_passes": 0}, {"cascade_n1": 1}]

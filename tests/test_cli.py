@@ -129,13 +129,13 @@ def test_usage_error(capsys):
     assert cli_main(["match", "--left", "x"]) == 1
 
 
-def test_bad_config_is_data_error(tmp_path, capsys):
+def match_with_config(tmp_path, text):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mystery.key = 1\n")
+    cfg.write_text(text)
     scene = tmp_path / "s"
     assert cli_main(["synth", "--spec", "constant:4", "--seed", "0", "--out", str(scene),
                      "--height", "32", "--width", "64"]) == 0
-    rc = cli_main([
+    return cli_main([
         "match",
         "--left", str(scene / "left.pgm"),
         "--right", str(scene / "right.pgm"),
@@ -143,5 +143,13 @@ def test_bad_config_is_data_error(tmp_path, capsys):
         "--out-disp", str(tmp_path / "d.pfm"),
         "--out-unc", str(tmp_path / "u.pfm"),
     ])
-    assert rc == 2
+
+
+def test_bad_config_is_data_error(tmp_path, capsys):
+    assert match_with_config(tmp_path, "mystery.key = 1\n") == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_nonfinite_config_value_is_data_error(tmp_path, capsys):
+    assert match_with_config(tmp_path, "cost.w_group = nan\n") == 2
+    assert "cost.w_group" in capsys.readouterr().err

@@ -70,6 +70,15 @@ def test_validation_failures(line):
         parse_config(line + "\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "key", ["cost.w_group", "cost.w_absdiff", "cascade.alpha", "cascade.beta", "cascade.min_step"]
+)
+def test_nonfinite_floats_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(f"{key} = {value}\n")
+
+
 def test_validate_direct():
     with pytest.raises(ConfigError, match="n1"):
         validate_config(RunConfig(cascade_n1=1))

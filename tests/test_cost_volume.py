@@ -102,6 +102,16 @@ class TestSparseVolume:
         with pytest.raises(ValueError, match="NaN"):
             HypothesisPlanes.per_pixel(pv)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_planes_rejected(self, value):
+        pv = np.zeros((2, 2, 2))
+        pv[1, 0, 0] = value
+        with pytest.raises(ValueError, match="inf"):
+            HypothesisPlanes.per_pixel(pv)
+        feats = np.ones((2, 2, 2))
+        with pytest.raises(ValueError, match="inf"):
+            build_sparse_volume(feats, feats, HypothesisPlanes(pv), 1, 1)
+
 
 def sparse_reference(fl, fr, pv, n_groups):
     """The sparse volume with the matched side gathered channel by channel."""
@@ -135,8 +145,8 @@ def sparse_reference(fl, fr, pv, n_groups):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sparse_volume_matches_per_channel_gather(monkeypatch, threads):
-    # 2 workers split the 7 rows as [0, 4) and [4, 7): the second chunk's flat
-    # indices need its own row offset
+    # the builder fills all 7 rows at once whatever CFSTEREO_THREADS says; each
+    # row's flat gather indices need that row's own offset
     monkeypatch.setenv("CFSTEREO_THREADS", threads)
     assert parallel.thread_count() == int(threads)
     rng = np.random.default_rng(11)
