@@ -1,11 +1,12 @@
 """Combination volumes, score reduction, and disparity decoding.
 
 The builders produce the paper's combination volume as the reference: left
-features, matched (shifted or warped) right features, and one normalized
-inner-product channel per group. Every stage before the cost is linear, so the
-pipeline carries the C+1 channel difference volume (left - matched, mean
-correlation) and applies `|.|` only in `reduce_to_cost`. A score volume holds
-one cost per plane; softmax of the negated cost is the disparity distribution.
+features, right features matched at x - d by `tensor_ops._sample_rows`, and
+one normalized inner-product channel per group. Every stage before the cost
+is linear, so the pipeline carries the C+1 channel difference volume
+(left - matched, mean correlation) and applies `|.|` only in
+`reduce_to_cost`. A score volume holds one cost per plane; softmax of the
+negated cost is the disparity distribution.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DTYPE, as_grid, require_finite, softmax_along_planes
+from .tensor_ops import DTYPE, _sample_rows, as_grid, require_finite, softmax_along_planes
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,16 +110,23 @@ def _check_feature_pair(left_feats, right_feats, n_groups):
     return fl, fr, c
 
 
-def _fill_matched(data, fl, matched, plane, c, n_groups):
-    """Write concat + group-correlation channels for one plane."""
+def _fill_volume(fl, fr, pv, n_groups):
+    """(2C+G, N, H, W) volume: left features, right features sampled at x - pv[n],
+    and the group correlations, one plane at a time."""
+    c, h, w = fl.shape
     group_size = c // n_groups
-    data[:c, plane] = fl
-    data[c:2 * c, plane] = matched
-    for g in range(n_groups):
-        acc = np.zeros(fl.shape[1:], dtype=DTYPE)
-        for ch in range(g * group_size, (g + 1) * group_size):
-            acc += fl[ch] * matched[ch]
-        data[2 * c + g, plane] = acc / group_size
+    data = np.zeros((2 * c + n_groups, pv.shape[0], h, w), dtype=DTYPE)
+    xs = np.arange(w, dtype=DTYPE)
+    for n in range(pv.shape[0]):
+        matched = _sample_rows(fr, xs[None, :] - pv[n])
+        data[:c, n] = fl
+        data[c:2 * c, n] = matched
+        for g in range(n_groups):
+            acc = np.zeros((h, w), dtype=DTYPE)
+            for ch in range(g * group_size, (g + 1) * group_size):
+                acc += fl[ch] * matched[ch]
+            data[2 * c + g, n] = acc / group_size
+    return data
 
 
 def build_dense_volume(
@@ -128,28 +136,17 @@ def build_dense_volume(
     scale: int,
     n_groups: int,
 ) -> CombinationVolume:
-    """Volume over every integer disparity 0 .. dmax/2^scale - 1.
-
-    The matched side is the right features shifted by d; columns with
-    x - d < 0 contribute zeros.
-    """
+    """Volume over every integer disparity 0 .. dmax/2^scale - 1, sampled as
+    `build_sparse_volume` samples uniform planes."""
     fl, fr, c = _check_feature_pair(left_feats, right_feats, n_groups)
     if dmax % (1 << scale):
         raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
     n_planes = dmax >> scale
     if n_planes < 2:
         raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
-    h, w = fl.shape[1:]
-    data = np.zeros((2 * c + n_groups, n_planes, h, w), dtype=DTYPE)
-    for d in range(n_planes):
-        if d == 0:
-            matched = fr
-        else:
-            matched = np.zeros_like(fr)
-            if d < w:
-                matched[:, :, d:] = fr[:, :, : w - d]
-        _fill_matched(data, fl, matched, d, c, n_groups)
-    return CombinationVolume(data, HypothesisPlanes.uniform(n_planes), scale, c, n_groups)
+    planes = HypothesisPlanes.uniform(n_planes)
+    data = _fill_volume(fl, fr, planes.values_at(*fl.shape[1:]), n_groups)
+    return CombinationVolume(data, planes, scale, c, n_groups)
 
 
 def build_sparse_volume(
@@ -159,38 +156,13 @@ def build_sparse_volume(
     scale: int,
     n_groups: int,
 ) -> CombinationVolume:
-    """Volume over per-pixel fractional planes.
-
-    The matched side interpolates the right features linearly along the row
-    between the bracketing integer columns; columns outside the image
-    contribute zeros, which makes integer planes an exact lookup.
-    """
+    """Volume over per-pixel fractional planes; the matched side is
+    `tensor_ops._sample_rows` of the right features at x - plane."""
     fl, fr, c = _check_feature_pair(left_feats, right_feats, n_groups)
-    h, w = fl.shape[1:]
-    pv = planes.values_at(h, w)
+    pv = planes.values_at(*fl.shape[1:])
     if not np.isfinite(pv).all():
         raise ValueError("hypothesis planes contain NaN or inf")
-    n_planes = pv.shape[0]
-    data = np.zeros((2 * c + n_groups, n_planes, h, w), dtype=DTYPE)
-    xs = np.arange(w, dtype=DTYPE)
-    fr_flat = fr.reshape(c, h * w)
-    row_start = np.arange(h)[:, None] * w
-    for n in range(n_planes):
-        src = xs[None, :] - pv[n]
-        base = np.floor(src)
-        t = src - base
-        i0 = base.astype(np.int64)
-        i1 = i0 + 1
-        w0 = (1.0 - t) * ((i0 >= 0) & (i0 < w))
-        w1 = t * ((i1 >= 0) & (i1 < w))
-        # matched = w0 * a0 + w1 * a1, with a0/a1 gathered from the flat rows
-        matched = np.take(fr_flat, np.clip(i0, 0, w - 1) + row_start, axis=1)
-        matched *= w0
-        a1 = np.take(fr_flat, np.clip(i1, 0, w - 1) + row_start, axis=1)
-        a1 *= w1
-        matched += a1
-        _fill_matched(data, fl, matched, n, c, n_groups)
-    return CombinationVolume(data, planes, scale, c, n_groups)
+    return CombinationVolume(_fill_volume(fl, fr, pv, n_groups), planes, scale, c, n_groups)
 
 
 def reduce_to_cost(

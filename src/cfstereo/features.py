@@ -9,6 +9,7 @@ mean / unit variance over the image; constant channels are left at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -37,36 +38,34 @@ def box_mean2d(image: np.ndarray, radius: int) -> np.ndarray:
     return box_smooth_axis(box_smooth_axis(image, 0, radius), 1, radius)
 
 
-def census_signs(image: np.ndarray, radius: int = 1) -> np.ndarray:
-    """One +-1 channel per neighbor: +1 where center exceeds the neighbor.
+def _raw_channels(image: np.ndarray, census_radius: int, stat_radius: int):
+    """The channels of `channel_stack` in order, each computed when it is drawn.
 
+    A census channel is +1 where the center exceeds that neighbor, else -1.
     Neighbors are clamped at the border, so border pixels compare against
     themselves there and read -1.
     """
-    h, w = image.shape
-    rows = np.arange(h)
-    cols = np.arange(w)
-    channels = []
-    for dy in range(-radius, radius + 1):
-        ry = np.clip(rows + dy, 0, h - 1)
-        for dx in range(-radius, radius + 1):
-            if dy == 0 and dx == 0:
-                continue
-            rx = np.clip(cols + dx, 0, w - 1)
-            neighbor = image[ry][:, rx]
-            channels.append(np.where(image > neighbor, 1.0, -1.0))
-    return np.stack(channels, axis=0)
-
-
-def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 2) -> np.ndarray:
-    """Raw (unnormalized) channel stack for one image; order is fixed."""
     gy, gx = np.gradient(image)
     mean = box_mean2d(image, stat_radius)
     sq_mean = box_mean2d(image * image, stat_radius)
     std = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
-    stack = [image.copy(), gx, gy, mean, std]
-    stack.extend(census_signs(image, census_radius))
-    return np.stack(stack, axis=0)
+    yield from (image.copy(), gx, gy, mean, std)
+    h, w = image.shape
+    rows = np.arange(h)
+    cols = np.arange(w)
+    for dy in range(-census_radius, census_radius + 1):
+        ry = np.clip(rows + dy, 0, h - 1)
+        for dx in range(-census_radius, census_radius + 1):
+            if dy == 0 and dx == 0:
+                continue
+            rx = np.clip(cols + dx, 0, w - 1)
+            neighbor = image[ry][:, rx]
+            yield np.where(image > neighbor, 1.0, -1.0)
+
+
+def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 2) -> np.ndarray:
+    """Raw (unnormalized) channel stack for one image; order is fixed."""
+    return np.stack(list(_raw_channels(image, census_radius, stat_radius)), axis=0)
 
 
 def normalize_channels(stack: np.ndarray) -> np.ndarray:
@@ -113,9 +112,10 @@ def build_pyramid(
     current = img
     for i in range(1, levels + 1):
         current = blur_decimate2(current)
-        raw = channel_stack(current, census_radius, stat_radius)
+        # only the channels that are kept get computed, so a wide census
+        # window costs no more than `channels` maps
+        raw = np.stack(list(islice(_raw_channels(current, census_radius, stat_radius), channels)))
         feats = np.zeros((channels,) + current.shape, dtype=DTYPE)
-        take = min(channels, raw.shape[0])
-        feats[:take] = normalize_channels(raw[:take])
+        feats[: raw.shape[0]] = normalize_channels(raw)
         maps[i] = feats
     return FeaturePyramid(levels=maps, channel_count=channels)

@@ -64,8 +64,8 @@ def read_pfm(path) -> np.ndarray:
             scale = float(scale_tok)
         except ValueError:
             raise FormatError(f"bad scale in header: {scale_tok!r}")
-        if scale == 0:
-            raise FormatError("scale must be non-zero")
+        if not np.isfinite(scale) or scale == 0:
+            raise FormatError("scale must be finite and non-zero")
         rows = _read_samples(fh, w * h, "<f4" if scale < 0 else ">f4").reshape(h, w)
         return np.flipud(rows).astype(DTYPE)
 

@@ -1,10 +1,10 @@
 """Synthetic stereo pairs with exact ground truth, plus brute-force oracles.
 
 The right image is seeded noise texture; the left image samples it through
-the disparity field (left(x, y) = right(x - d, y), linear interpolation for
-fractional d). Pixels whose source column falls outside the frame, or that
-lose the z-buffer visibility test near disparity jumps, are invalid and get
-filled with fresh noise.
+the disparity field, left(x, y) = right(x - d, y), with the row sampler the
+cost volumes use (`tensor_ops._sample_rows`). Pixels whose source column
+falls outside the frame, or that lose the z-buffer visibility test near
+disparity jumps, are invalid and get filled with fresh noise.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost_volume import CombinationVolume, HypothesisPlanes
-from .tensor_ops import DTYPE, as_grid, box_smooth_axis
+from .tensor_ops import DTYPE, _sample_rows, as_grid, box_smooth_axis
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,19 +84,7 @@ def random_dot_stereogram(
         raise ValueError("disparity must be non-negative")
 
     xs = np.arange(w, dtype=DTYPE)[None, :] - field
-    base = np.floor(xs)
-    t = xs - base
-    i0 = base.astype(np.int64)
-    i1 = i0 + 1
-    in0 = (i0 >= 0) & (i0 < w)
-    in1 = (i1 >= 0) & (i1 < w)
-    w0 = (1.0 - t) * in0
-    w1 = t * in1
-    i0c = np.clip(i0, 0, w - 1)
-    i1c = np.clip(i1, 0, w - 1)
-    left = w0 * np.take_along_axis(right, i0c, axis=1) + w1 * np.take_along_axis(
-        right, i1c, axis=1
-    )
+    left = _sample_rows(right, xs)
     in_frame = (xs >= 0) & (xs <= w - 1)
 
     # z-buffer on nearest source columns: larger disparity occludes smaller

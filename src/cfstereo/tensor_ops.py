@@ -1,7 +1,7 @@
 """Dense grid primitives shared by every pipeline stage.
 
 Grids are plain row-major float64 ndarrays. Per-pixel reductions accumulate
-in a fixed ascending order, so results are bit-stable across worker counts.
+in a fixed ascending order, so results are bit-stable from run to run.
 """
 
 from __future__ import annotations
@@ -50,6 +50,32 @@ def _add_shifted(acc: np.ndarray, a: np.ndarray, axis: int, off: int, weight=Non
     for dst, src in spans:
         part = a[lead + (src,)]
         acc[lead + (dst,)] += part if weight is None else weight * part
+
+
+def _sample_rows(a: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Sample each row of a (..., H, W) grid at (H, W) fractional columns `src`.
+
+    Linear between the two bracketing columns; a column outside [0, W) gets
+    zero weight, so integer columns are an exact lookup and columns beyond
+    the frame read 0. This is the x - d warp of every cost volume and of the
+    synthetic stereograms.
+    """
+    h, w = a.shape[-2:]
+    base = np.floor(src)
+    t = src - base
+    i0 = base.astype(np.int64)
+    i1 = i0 + 1
+    w0 = (1.0 - t) * ((i0 >= 0) & (i0 < w))
+    w1 = t * ((i1 >= 0) & (i1 < w))
+    # out = w0 * a0 + w1 * a1, with a0/a1 gathered from the flat rows
+    flat = a.reshape(a.shape[:-2] + (h * w,))
+    row_start = np.arange(h)[:, None] * w
+    out = np.take(flat, np.clip(i0, 0, w - 1) + row_start, axis=-1)
+    out *= w0
+    a1 = np.take(flat, np.clip(i1, 0, w - 1) + row_start, axis=-1)
+    a1 *= w1
+    out += a1
+    return out
 
 
 def _upsample2x_axis(a: np.ndarray, axis: int) -> np.ndarray:

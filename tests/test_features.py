@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cfstereo.features import build_pyramid, channel_stack
+from cfstereo.features import blur_decimate2, build_pyramid, channel_stack, normalize_channels
 
 
 def test_constant_image_all_channels_zero():
@@ -71,3 +73,31 @@ def test_rejects_misaligned_dims():
 def test_rejects_too_few_levels():
     with pytest.raises(ValueError, match="levels"):
         build_pyramid(np.zeros((64, 64)), levels=2)
+
+
+@pytest.mark.parametrize("census_radius", [1, 2, 3])
+@pytest.mark.parametrize("channels", [1, 4, 8, 13, 16, 30, 60])
+def test_levels_match_truncated_full_stack(census_radius, channels):
+    """Computing only the kept channels changes no byte of any level."""
+    img = np.random.default_rng(5).random((64, 128))
+    pyr = build_pyramid(img, levels=3, channels=channels, census_radius=census_radius)
+    current = img
+    for level in (1, 2, 3):
+        current = blur_decimate2(current)
+        raw = channel_stack(current, census_radius)
+        want = np.zeros((channels,) + current.shape)
+        take = min(channels, raw.shape[0])
+        want[:take] = normalize_channels(raw[:take])
+        assert pyr.levels[level].tobytes() == want.tobytes()
+
+
+def test_wide_census_radius_stays_small():
+    # r = 8 has 288 census neighbors; only the 11 that fit in 16 channels are built
+    img = np.random.default_rng(6).random((128, 256))
+    tracemalloc.start()
+    try:
+        build_pyramid(img, levels=5, channels=16, census_radius=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -92,6 +92,14 @@ class TestPfm:
         path.write_bytes(b"Pf\n1 1\n1.0\n" + struct.pack(">f", 2.5))
         assert read_pfm(path)[0, 0] == 2.5
 
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf", b"1e999", b"0", b"-0.0"])
+    def test_nonfinite_or_zero_scale_rejected(self, tmp_path, scale):
+        # a NaN scale is not < 0, so it would pick big-endian and misread the payload
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + struct.pack("<f", 3.5))
+        with pytest.raises(FormatError, match="scale must be finite and non-zero"):
+            read_pfm(path)
+
     def test_nan_passes_through(self, tmp_path):
         path = tmp_path / "n.pfm"
         write_pfm(path, np.array([[np.nan, 1.0]]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cfstereo.tensor_ops import (
+    _sample_rows,
     avgpool_volume,
     bilinear_upsample2x,
     box_smooth_axis,
@@ -216,3 +219,58 @@ class TestSliceShiftsMatchGathers:
         for axis in (-3, -2, -1):
             want = upsample_axis_reference(want, axis)
         assert_bitwise_equal(trilinear_upsample2x(v), want)
+
+
+# The row sampler against the per-pixel formula that `synth.volume_oracle`
+# writes out: linear between floor(src) and floor(src) + 1, and a column
+# outside [0, W) reads 0.
+
+
+def sample_rows_reference(a, src):
+    h, w = a.shape[-2:]
+    out = np.empty(a.shape)
+    for lead in np.ndindex(a.shape[:-2]):
+        rows = a[lead].tolist()
+        for y in range(h):
+            for x in range(w):
+                s = float(src[y, x])
+                x0 = math.floor(s)
+                t = s - x0
+                v0 = rows[y][x0] if 0 <= x0 < w else 0.0
+                v1 = rows[y][x0 + 1] if 0 <= x0 + 1 < w else 0.0
+                out[lead + (y, x)] = (1.0 - t) * v0 + t * v1
+    return out
+
+
+def source_columns(w):
+    """Fractional, integer, negative, >= W and in-(W-1, W) columns."""
+    return st.one_of(
+        st.floats(-2.0 * w - 2, 2.0 * w + 2, allow_nan=False),
+        st.integers(-w - 2, 2 * w + 2).map(float),
+        st.floats(w - 1, w, exclude_min=True, exclude_max=True),
+        st.sampled_from([-1.0, -0.5, 0.0, w - 1.0, float(w)]),
+    )
+
+
+class TestSampleRows:
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=5), elements=finite), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pixel_formula(self, a, data):
+        h, w = a.shape[-2:]
+        src = data.draw(arrays(np.float64, (h, w), elements=source_columns(w)), label="src")
+        got = _sample_rows(a, src)
+        assert got.shape == a.shape and got.dtype == np.float64
+        assert np.array_equal(got, sample_rows_reference(a, src))
+
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=5), elements=finite), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_columns_are_an_exact_lookup(self, a, data):
+        h, w = a.shape[-2:]
+        cols = data.draw(arrays(np.int64, (h, w), elements=st.integers(0, w - 1)), label="cols")
+        want = np.take_along_axis(a, np.broadcast_to(cols, a.shape), axis=-1)
+        assert np.array_equal(_sample_rows(a, cols.astype(np.float64)), want)
+
+    def test_outside_the_frame_reads_zero(self):
+        a = np.arange(1.0, 13.0).reshape(3, 4)
+        src = np.array([[-1.0, -0.5, 4.0, 3.5]] * 3)
+        assert np.array_equal(_sample_rows(a, src), np.array([[0.0, 0.5, 0.0, 0.5]]) * a[:, [0, 0, 0, 3]])
