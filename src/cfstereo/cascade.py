@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, validate_config
+from .config import RunConfig
 from .cost_volume import (
     HypothesisPlanes,
     build_dense_volume,
@@ -168,7 +168,6 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     Output disparity and uncertainty are at full resolution in full-resolution
     pixel units (uncertainty scales by 4 as a variance).
     """
-    validate_config(config)
     li = as_grid(left, 2, "left image")
     ri = as_grid(right, 2, "right image")
     if li.shape != ri.shape:

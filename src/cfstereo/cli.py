@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .cascade import run_pipeline
-from .config import RunConfig, format_config, load_config, validate_config
+from .config import RunConfig, format_config, load_config
 from .errors import CfStereoError
 from .io_formats import read_image, read_pfm, write_pfm, write_pgm
 from .metrics import avg_error, bad_tau, d1_all, filtered_metrics
@@ -30,7 +30,7 @@ def _warn_nonfinite(name: str, values: np.ndarray) -> None:
 def _cmd_match(args) -> int:
     left, _ = read_image(args.left)
     right, _ = read_image(args.right)
-    config = load_config(args.config) if args.config else validate_config(RunConfig())
+    config = load_config(args.config) if args.config else RunConfig()
     out = run_pipeline(left, right, config)
     for path in (args.out_disp, args.out_unc):
         parent = os.path.dirname(os.path.abspath(path))

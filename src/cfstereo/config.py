@@ -4,12 +4,16 @@ Files hold `key = value` lines; blank lines and lines starting with '#' are
 ignored. Unknown keys are rejected so typos cannot silently fall back to
 defaults. The full key set is serialized next to every run for
 reproducibility.
+
+`RunConfig` is the schema: each field is one key, named by turning the
+field's first '_' into '.', and its annotation gives the value type.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 
@@ -32,65 +36,41 @@ class RunConfig:
     cascade_n2: int = 16
     cascade_min_step: float = 0.25
 
-
-def _parse_int(s: str) -> int:
-    return int(s, 10)
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
+    def __post_init__(self):
+        validate_config(self)
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+def _key(name: str) -> str:
+    return name.replace("_", ".", 1)
 
 
-def _tuple_parser(item_parser, width):
-    def parse(s: str):
-        items = [p.strip() for p in s.split(",")]
+def _parse(kind, text: str):
+    """Parse `text` as the annotated type `kind`; a tuple takes 1 value
+    (broadcast) or one per item."""
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        items = [p.strip() for p in text.split(",")]
         if len(items) == 1:
-            items = items * width
-        if len(items) != width:
-            raise ValueError(f"expected 1 or {width} comma-separated values, got {len(items)}")
-        return tuple(item_parser(p) for p in items)
-
-    return parse
-
-
-def _fmt_tuple(v) -> str:
-    return ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-
-
-def _fmt_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            items = items * len(kinds)
+        if len(items) != len(kinds):
+            raise ValueError(f"expected 1 or {len(kinds)} comma-separated values, got {len(items)}")
+        return tuple(_parse(k, p) for k, p in zip(kinds, items))
+    if kind is bool:
+        low = text.lower()
+        if low in ("true", "1", "yes", "on"):
+            return True
+        if low in ("false", "0", "no", "off"):
+            return False
+        raise ValueError(f"not a boolean: {text!r}")
+    return kind(text)
 
 
-_KEYS = {
-    "features.channels": ("features_channels", _parse_int, _fmt_scalar),
-    "features.census_radius": ("features_census_radius", _parse_int, _fmt_scalar),
-    "features.stat_radius": ("features_stat_radius", _parse_int, _fmt_scalar),
-    "cost.w_group": ("cost_w_group", _parse_float, _fmt_scalar),
-    "cost.w_absdiff": ("cost_w_absdiff", _parse_float, _fmt_scalar),
-    "pipeline.dmax": ("pipeline_dmax", _parse_int, _fmt_scalar),
-    "fusion.enabled": ("fusion_enabled", _parse_bool, _fmt_scalar),
-    "fusion.smooth_radius": ("fusion_smooth_radius", _tuple_parser(_parse_int, 3), _fmt_tuple),
-    "fusion.passes": ("fusion_passes", _parse_int, _fmt_scalar),
-    "fusion.hourglass_passes": ("fusion_hourglass_passes", _parse_int, _fmt_scalar),
-    "cascade.alpha": ("cascade_alpha", _tuple_parser(_parse_float, 2), _fmt_tuple),
-    "cascade.beta": ("cascade_beta", _tuple_parser(_parse_float, 2), _fmt_tuple),
-    "cascade.n1": ("cascade_n1", _parse_int, _fmt_scalar),
-    "cascade.n2": ("cascade_n2", _parse_int, _fmt_scalar),
-    "cascade.min_step": ("cascade_min_step", _parse_float, _fmt_scalar),
-}
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_format(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
@@ -125,10 +105,21 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("cascade.n1 and cascade.n2 must be >= 2")
     if c.cascade_min_step <= 0.0:
         raise ConfigError("cascade.min_step must be > 0")
+    # Smoothing work is linear in radii and pass counts: cap them so no file
+    # can make a run last practically forever.
+    if c.features_stat_radius > 32:
+        raise ConfigError("features.stat_radius must be <= 32")
+    if any(r > 32 for r in c.fusion_smooth_radius):
+        raise ConfigError("fusion.smooth_radius entries must be <= 32")
+    if c.fusion_passes > 16:
+        raise ConfigError("fusion.passes must be <= 16")
+    if c.fusion_hourglass_passes > 16:
+        raise ConfigError("fusion.hourglass_passes must be <= 16")
     return c
 
 
 def parse_config(text: str) -> RunConfig:
+    kinds = {_key(name): (name, kind) for name, kind in get_type_hints(RunConfig).items()}
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -139,26 +130,20 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if key in seen:
+        name, kind = kinds[key]
+        if name in seen:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        field, parser, _ = _KEYS[key]
         try:
-            seen[key] = (field, parser(value))
+            seen[name] = _parse(kind, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    cfg = replace(RunConfig(), **{field: v for field, v in seen.values()})
-    return validate_config(cfg)
+    return RunConfig(**seen)
 
 
 def format_config(cfg: RunConfig) -> str:
-    lines = []
-    by_field = {field: (key, fmt) for key, (field, _, fmt) in _KEYS.items()}
-    for f in fields(cfg):
-        key, fmt = by_field[f.name]
-        lines.append(f"{key} = {fmt(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{_key(f.name)} = {_format(getattr(cfg, f.name))}\n" for f in fields(cfg))
 
 
 def load_config(path) -> RunConfig:

@@ -12,10 +12,11 @@ negated cost is the disparity distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .tensor_ops import DTYPE, _sample_rows, as_grid, require_finite, softmax_along_planes
+from .tensor_ops import DTYPE, _sample_rows, as_grid, softmax_along_planes
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +98,12 @@ class ScoreVolume:
     cost: np.ndarray
     planes: HypothesisPlanes
     scale: int
+
+    @cached_property
+    def _distribution(self) -> np.ndarray:
+        """softmax(-cost) over planes, shared by soft_argmin and uncertainty.
+        The softmax rejects a non-finite cost, naming its index."""
+        return softmax_along_planes(-self.cost)
 
 
 def _check_feature_pair(left_feats, right_feats, n_groups):
@@ -187,8 +194,7 @@ def soft_argmin(score: ScoreVolume) -> np.ndarray:
     cost = score.cost
     if cost.shape[0] < 2:
         raise ValueError("need at least 2 planes")
-    require_finite(cost, "cost volume")
-    p = softmax_along_planes(-cost)
+    p = score._distribution
     h, w = cost.shape[1:]
     pv = score.planes.values_at(h, w)
     d_hat = np.zeros((h, w), dtype=DTYPE)
@@ -203,8 +209,7 @@ def uncertainty(score: ScoreVolume, d_hat: np.ndarray) -> np.ndarray:
     h, w = cost.shape[1:]
     if d_hat.shape != (h, w):
         raise ValueError(f"disparity shape {d_hat.shape} does not match cost {cost.shape}")
-    require_finite(cost, "cost volume")
-    p = softmax_along_planes(-cost)
+    p = score._distribution
     pv = score.planes.values_at(h, w)
     u = np.zeros((h, w), dtype=DTYPE)
     for n in range(cost.shape[0]):

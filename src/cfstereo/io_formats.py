@@ -83,7 +83,7 @@ def write_pfm(path, values: np.ndarray) -> None:
         fh.write(np.flipud(a).astype("<f4").tobytes())
 
 
-def _read_netpbm_header(fh, expected: bytes, name: str) -> tuple[int, int, int, str]:
+def _expect_magic(fh, expected: bytes, name: str) -> bytes:
     magic = fh.read(2)
     if magic in (b"P2", b"P3"):
         raise FormatError(
@@ -91,12 +91,22 @@ def _read_netpbm_header(fh, expected: bytes, name: str) -> tuple[int, int, int, 
         )
     if magic != expected:
         raise FormatError(f"not a binary {name} file (magic {magic!r})")
+    return magic
+
+
+def _read_netpbm(fh, magic: bytes) -> tuple[np.ndarray, int]:
+    """Header and samples after a P5 or P6 magic, as a grayscale map in [0, 1]
+    plus maxval; P6 converts with BT.601 luma weights."""
     w = _int_token(fh, "width", allow_comments=True)
     h = _int_token(fh, "height", allow_comments=True)
     maxval = _int_token(fh, "maxval", allow_comments=True)
     if maxval > 65535:
         raise FormatError(f"maxval {maxval} exceeds 65535")
-    return w, h, maxval, ">u2" if maxval > 255 else "u1"
+    dtype = ">u2" if maxval > 255 else "u1"
+    if magic == b"P5":
+        return _read_samples(fh, w * h, dtype).reshape(h, w) / maxval, maxval
+    raw = _read_samples(fh, 3 * w * h, dtype).reshape(h, w, 3) / maxval
+    return _LUMA[0] * raw[:, :, 0] + _LUMA[1] * raw[:, :, 1] + _LUMA[2] * raw[:, :, 2], maxval
 
 
 def _read_samples(fh, count: int, dtype: str) -> np.ndarray:
@@ -116,28 +126,23 @@ def _read_samples(fh, count: int, dtype: str) -> np.ndarray:
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read binary PGM (P5); returns values normalized to [0, 1] plus maxval."""
     with open(path, "rb") as fh:
-        w, h, maxval, dtype = _read_netpbm_header(fh, b"P5", "PGM")
-        raw = _read_samples(fh, w * h, dtype)
-        return raw.reshape(h, w) / maxval, maxval
+        return _read_netpbm(fh, _expect_magic(fh, b"P5", "PGM"))
 
 
 def read_ppm(path) -> tuple[np.ndarray, int]:
     """Read binary PPM (P6) and convert to grayscale with BT.601 luma weights."""
     with open(path, "rb") as fh:
-        w, h, maxval, dtype = _read_netpbm_header(fh, b"P6", "PPM")
-        raw = _read_samples(fh, 3 * w * h, dtype).reshape(h, w, 3) / maxval
-        return _LUMA[0] * raw[:, :, 0] + _LUMA[1] * raw[:, :, 1] + _LUMA[2] * raw[:, :, 2], maxval
+        return _read_netpbm(fh, _expect_magic(fh, b"P6", "PPM"))
 
 
 def read_image(path) -> tuple[np.ndarray, int]:
-    """Read a P5 or P6 file as a grayscale map in [0, 1]."""
+    """Read a P5 or P6 file as a grayscale map in [0, 1]. The file is opened
+    once, so a pipe works too."""
     with open(path, "rb") as fh:
         magic = fh.read(2)
-    if magic == b"P5":
-        return read_pgm(path)
-    if magic == b"P6":
-        return read_ppm(path)
-    raise FormatError(f"unsupported image magic {magic!r}; expected binary P5 or P6")
+        if magic not in (b"P5", b"P6"):
+            raise FormatError(f"unsupported image magic {magic!r}; expected binary P5 or P6")
+        return _read_netpbm(fh, magic)
 
 
 def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:

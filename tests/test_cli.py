@@ -153,3 +153,9 @@ def test_bad_config_is_data_error(tmp_path, capsys):
 def test_nonfinite_config_value_is_data_error(tmp_path, capsys):
     assert match_with_config(tmp_path, "cost.w_group = nan\n") == 2
     assert "cost.w_group" in capsys.readouterr().err
+
+
+def test_runaway_smoothing_config_is_data_error(tmp_path, capsys):
+    # smoothing work is linear in the radius; uncapped, this would run for months
+    assert match_with_config(tmp_path, "fusion.smooth_radius = 0,1000000000,1000000000\n") == 2
+    assert "fusion.smooth_radius" in capsys.readouterr().err

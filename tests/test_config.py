@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields, replace
+from pathlib import Path
+
 import pytest
 
 from cfstereo.config import RunConfig, format_config, parse_config, validate_config
@@ -82,3 +86,91 @@ def test_nonfinite_floats_rejected(key, value):
 def test_validate_direct():
     with pytest.raises(ConfigError, match="n1"):
         validate_config(RunConfig(cascade_n1=1))
+
+
+# One valid non-default value per field; a new field must be added here.
+NON_DEFAULT = {
+    "features_channels": 7,
+    "features_census_radius": 2,
+    "features_stat_radius": 3,
+    "cost_w_group": 12.5,
+    "cost_w_absdiff": 0.1,
+    "pipeline_dmax": 96,
+    "fusion_enabled": False,
+    "fusion_smooth_radius": (0, 2, 3),
+    "fusion_passes": 2,
+    "fusion_hourglass_passes": 3,
+    "cascade_alpha": (0.5, -0.25),
+    "cascade_beta": (1.5, 0.125),
+    "cascade_n1": 5,
+    "cascade_n2": 7,
+    "cascade_min_step": 0.3,
+}
+
+DEFAULT_TEXT = """\
+features.channels = 16
+features.census_radius = 1
+features.stat_radius = 2
+cost.w_group = 1.0
+cost.w_absdiff = 1.0
+pipeline.dmax = 256
+fusion.enabled = true
+fusion.smooth_radius = 1,1,1
+fusion.passes = 1
+fusion.hourglass_passes = 1
+cascade.alpha = 0.0,0.0
+cascade.beta = 0.0,0.0
+cascade.n1 = 12
+cascade.n2 = 16
+cascade.min_step = 0.25
+"""
+
+
+def test_default_text_golden():
+    assert format_config(RunConfig()) == DEFAULT_TEXT
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_each_field_roundtrips(name):
+    cfg = replace(RunConfig(), **{name: NON_DEFAULT[name]})
+    assert cfg != RunConfig()
+    assert parse_config(format_config(cfg)) == cfg
+
+
+def test_invalid_construction_rejected():
+    with pytest.raises(ConfigError, match="pass counts"):
+        RunConfig(fusion_passes=0)
+    with pytest.raises(ConfigError, match="min_step"):
+        replace(RunConfig(), cascade_min_step=0.0)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("features.stat_radius = 33", "features.stat_radius"),
+        ("fusion.smooth_radius = 0,0,33", "fusion.smooth_radius"),
+        ("fusion.smooth_radius = 1000000000", "fusion.smooth_radius"),
+        ("fusion.passes = 17", "fusion.passes"),
+        ("fusion.hourglass_passes = 17", "fusion.hourglass_passes"),
+    ],
+)
+def test_work_caps(line, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(line + "\n")
+
+
+def test_values_at_caps_accepted():
+    cfg = parse_config(
+        "features.stat_radius = 32\nfusion.smooth_radius = 32\n"
+        "fusion.passes = 16\nfusion.hourglass_passes = 16\n"
+    )
+    assert cfg.fusion_smooth_radius == (32, 32, 32)
+
+
+def test_readme_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    documented = {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
+    written = {line.split(" = ")[0] for line in format_config(RunConfig()).splitlines()}
+    assert documented == written

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfstereo import parallel
+from cfstereo import cost_volume, parallel
 from cfstereo.cost_volume import (
     HypothesisPlanes,
     ScoreVolume,
@@ -11,6 +11,7 @@ from cfstereo.cost_volume import (
     build_sparse_volume,
     reduce_to_cost,
     soft_argmin,
+    uncertainty,
 )
 from cfstereo.features import normalize_channels
 from cfstereo.synth import volume_oracle
@@ -242,3 +243,28 @@ class TestSoftArgmin:
     def test_rejects_single_plane(self):
         with pytest.raises(ValueError, match="2 planes"):
             soft_argmin(ScoreVolume(np.zeros((1, 2, 2)), HypothesisPlanes(np.zeros(1)), 1))
+
+
+class TestDecode:
+    def test_softmax_runs_once_per_decode(self, monkeypatch):
+        calls = []
+
+        def counting(volume):
+            calls.append(volume.shape)
+            return softmax(volume)
+
+        softmax = cost_volume.softmax_along_planes
+        monkeypatch.setattr(cost_volume, "softmax_along_planes", counting)
+        sv = ScoreVolume(np.random.default_rng(10).normal(size=(5, 3, 4)), HypothesisPlanes.uniform(5), 1)
+        uncertainty(sv, soft_argmin(sv))
+        assert calls == [(5, 3, 4)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_cost_names_the_pixel(self, bad):
+        cost = np.zeros((4, 3, 5))
+        cost[2, 1, 3] = bad
+        planes = HypothesisPlanes.uniform(4)
+        with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
+            soft_argmin(ScoreVolume(cost, planes, 1))
+        with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
+            uncertainty(ScoreVolume(cost, planes, 1), np.zeros((3, 5)))

@@ -176,6 +176,22 @@ class TestPpm:
         gray, _ = read_image(ppm)
         assert gray[0, 0] == 0.587
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize(
+        "data, want",
+        [(b"P5\n2 1\n255\n\x00\xff", [[0.0, 1.0]]), (b"P6\n1 1\n255\n\x00\xff\x00", [[0.587]])],
+    )
+    def test_read_image_from_a_pipe(self, data, want):
+        # a pipe can be read only once, so sniffing the magic must not reopen it
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            gray, _ = read_image(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert gray.tolist() == want
+
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"XY")
