@@ -24,7 +24,7 @@ from .cost_volume import (
 from .errors import PipelineError
 from .features import build_pyramid
 from .fusion import aggregate, fuse_volumes
-from .tensor_ops import as_grid, bilinear_upsample2x
+from .tensor_ops import DTYPE, as_grid, bilinear_upsample2x
 
 __all__ = [
     "RangeParams",
@@ -168,8 +168,8 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     Output disparity and uncertainty are at full resolution in full-resolution
     pixel units (uncertainty scales by 4 as a variance).
     """
-    li = as_grid(left, 2, "left image")
-    ri = as_grid(right, 2, "right image")
+    li = as_grid(left, 2, "left image").astype(DTYPE, copy=False)
+    ri = as_grid(right, 2, "right image").astype(DTYPE, copy=False)
     if li.shape != ri.shape:
         raise PipelineError(f"input: image shapes differ: {li.shape} vs {ri.shape}")
     if li.shape[0] % 32 or li.shape[1] % 32:
@@ -189,9 +189,13 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             census_radius=config.features_census_radius,
             stat_radius=config.features_stat_radius,
         )
-        return build_pyramid(li, 5, **kw), build_pyramid(ri, 5, **kw)
+        # features in float64, cast once: every volume below is float32
+        return tuple(
+            {s: f.astype(np.float32) for s, f in build_pyramid(img, 5, **kw).levels.items()}
+            for img in (li, ri)
+        )
 
-    pyr_l, pyr_r = _stage("features", feats)
+    feat_l, feat_r = _stage("features", feats)
 
     def decode(diff, planes, scale):
         sv = reduce_to_cost(diff, planes, scale, w_g, w_a)
@@ -202,7 +206,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     # Keep no reference to a 2C+G volume: it would raise peak memory.
     def stage3():
         def dense(s):
-            return build_dense_volume(pyr_l.levels[s], pyr_r.levels[s], dmax, s, 1).difference()
+            return build_dense_volume(feat_l[s], feat_r[s], dmax, s, 1).difference()
 
         if config.fusion_enabled:
             diff = fuse_volumes(dense(3), dense(4), dense(5), config)
@@ -218,9 +222,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
             planes = sample_planes(lo, hi, params.for_stage(stage)[2])
             scale = stage - 1
-            diff = build_sparse_volume(
-                pyr_l.levels[scale], pyr_r.levels[scale], planes, scale, 1
-            ).difference()
+            diff = build_sparse_volume(feat_l[scale], feat_r[scale], planes, scale, 1).difference()
             return decode(aggregate(diff, config), planes, scale)
 
         results.append(_stage(f"stage {stage - 1}", refine))

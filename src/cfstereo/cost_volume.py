@@ -7,6 +7,10 @@ is linear, so the pipeline carries the C+1 channel difference volume
 (left - matched, mean correlation) and applies `|.|` only in
 `reduce_to_cost`. A score volume holds one cost per plane; softmax of the
 negated cost is the disparity distribution.
+
+Volumes take the features' float dtype: float32 features (the pipeline's)
+give float32 volumes, float64 features give the float64 reference. The cost,
+the planes and every decoded map are float64 either way.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class HypothesisPlanes:
 
     @classmethod
     def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
-        v = as_grid(values, 3, "plane values")
+        v = as_grid(values, 3, "plane values").astype(DTYPE, copy=False)
         if v.shape[0] < 2:
             raise ValueError("need at least 2 hypothesis planes")
         if not np.isfinite(v).all():
@@ -85,7 +89,7 @@ class CombinationVolume:
         """(n_channels + 1, N, H, W): left - matched per channel, then the mean
         correlation. The cost reads `data` only through these combinations."""
         c = self.n_channels
-        out = np.empty((c + 1,) + self.data.shape[1:], dtype=DTYPE)
+        out = np.empty((c + 1,) + self.data.shape[1:], dtype=self.data.dtype)
         np.subtract(self.data[:c], self.data[c : 2 * c], out=out[:c])
         np.mean(self.data[2 * c :], axis=0, out=out[c])
         return out
@@ -111,6 +115,9 @@ def _check_feature_pair(left_feats, right_feats, n_groups):
     fr = as_grid(right_feats, 3, "right features")
     if fl.shape != fr.shape:
         raise ValueError(f"feature shapes differ: {fl.shape} vs {fr.shape}")
+    # a float32/float64 pair is promoted, so the volume is float64
+    dtype = np.result_type(fl, fr)
+    fl, fr = fl.astype(dtype, copy=False), fr.astype(dtype, copy=False)
     c = fl.shape[0]
     if n_groups < 1 or c % n_groups:
         raise ValueError(f"{c} channels not divisible into {n_groups} groups")
@@ -122,14 +129,14 @@ def _fill_volume(fl, fr, pv, n_groups):
     and the group correlations, one plane at a time."""
     c, h, w = fl.shape
     group_size = c // n_groups
-    data = np.zeros((2 * c + n_groups, pv.shape[0], h, w), dtype=DTYPE)
+    data = np.zeros((2 * c + n_groups, pv.shape[0], h, w), dtype=fl.dtype)
     xs = np.arange(w, dtype=DTYPE)
     for n in range(pv.shape[0]):
         matched = _sample_rows(fr, xs[None, :] - pv[n])
         data[:c, n] = fl
         data[c:2 * c, n] = matched
         for g in range(n_groups):
-            acc = np.zeros((h, w), dtype=DTYPE)
+            acc = np.zeros((h, w), dtype=fl.dtype)
             for ch in range(g * group_size, (g + 1) * group_size):
                 acc += fl[ch] * matched[ch]
             data[2 * c + g, n] = acc / group_size
@@ -183,9 +190,12 @@ def reduce_to_cost(
 
     `diff` has the layout of `CombinationVolume.difference()`, usually after
     aggregation: cost = -w_group * diff[C] + w_absdiff * mean_c |diff[c]|.
+    The cost is float64 for a float32 volume too: the mean accumulates in
+    float64 and the correlation channel is upcast.
     """
     c = diff.shape[0] - 1
-    cost = -w_group * diff[c] + w_absdiff * np.abs(diff[:c]).mean(axis=0)
+    corr = diff[c].astype(DTYPE, copy=False)
+    cost = -w_group * corr + w_absdiff * np.abs(diff[:c]).mean(axis=0, dtype=DTYPE)
     return ScoreVolume(cost, planes, scale)
 
 

@@ -95,7 +95,7 @@ def build_pyramid(
     Level i is derived from the blur-then-decimate image chain, and its raw
     channel stack is truncated or zero-padded to `channels`.
     """
-    img = as_grid(image, 2, "image")
+    img = as_grid(image, 2, "image").astype(DTYPE, copy=False)
     require_finite(img, "image")
     if levels < 3:
         raise ValueError("need at least 3 pyramid levels")

@@ -1,7 +1,10 @@
 """Dense grid primitives shared by every pipeline stage.
 
-Grids are plain row-major float64 ndarrays. Per-pixel reductions accumulate
-in a fixed ascending order, so results are bit-stable from run to run.
+Grids are plain row-major ndarrays whose float dtype follows the input: a
+float32 grid stays float32 and anything else becomes float64 (`DTYPE`). The
+pipeline feeds float32 cost volumes through here and keeps its maps and
+hypothesis planes in float64. Per-pixel reductions accumulate in a fixed
+ascending order, so results are bit-stable from run to run.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ DTYPE = np.float64
 
 
 def as_grid(a, ndim: int | None = None, name: str = "input") -> np.ndarray:
-    out = np.asarray(a, dtype=DTYPE)
+    """`a` as a float32 or float64 array: float32 stays, anything else is DTYPE."""
+    out = np.asarray(a)
+    if out.dtype != np.float32:
+        out = out.astype(DTYPE, copy=False)
     if ndim is not None and out.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {out.shape}")
     return out
@@ -65,8 +71,9 @@ def _sample_rows(a: np.ndarray, src: np.ndarray) -> np.ndarray:
     t = src - base
     i0 = base.astype(np.int64)
     i1 = i0 + 1
-    w0 = (1.0 - t) * ((i0 >= 0) & (i0 < w))
-    w1 = t * ((i1 >= 0) & (i1 < w))
+    # weights in a's dtype, so a float32 gather multiplies in float32
+    w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(a.dtype, copy=False)
+    w1 = (t * ((i1 >= 0) & (i1 < w))).astype(a.dtype, copy=False)
     # out = w0 * a0 + w1 * a1, with a0/a1 gathered from the flat rows
     flat = a.reshape(a.shape[:-2] + (h * w,))
     row_start = np.arange(h)[:, None] * w
@@ -147,7 +154,8 @@ def weighted_smooth_axis(a: np.ndarray, axis: int, weights) -> np.ndarray:
     if weights.ndim != 1 or weights.size % 2 == 0:
         raise ValueError("kernel must be 1D with odd length")
     radius = weights.size // 2
+    a = as_grid(a)
     acc = np.zeros_like(a)
-    for weight, off in zip(weights, range(-radius, radius + 1)):
+    for weight, off in zip(weights.astype(a.dtype), range(-radius, radius + 1)):
         _add_shifted(acc, a, axis, off, weight)
     return acc

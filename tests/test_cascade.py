@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfstereo import cascade
 from cfstereo.benchmarks import desk_config, desk_scene, evaluate_scene, stagewise_bad2
 from cfstereo.cascade import (
     RangeParams,
@@ -249,3 +250,50 @@ class TestPipeline:
     def test_invalid_config_is_config_error(self, change):
         with pytest.raises(ConfigError):
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 64)), replace(desk_config(), **change))
+
+
+class TestPrecision:
+    """The pipeline's volumes are float32; its costs, planes and maps are float64."""
+
+    def test_float32_image_matches_its_float64_copy(self):
+        scene = desk_scene(4)
+        left, right = scene.left.astype(np.float32), scene.right.astype(np.float32)
+        got = run_pipeline(left, right, desk_config())
+        want = run_pipeline(left.astype(np.float64), right.astype(np.float64), desk_config())
+        for a, b in zip(got.stages, want.stages):
+            for name in ("disparity", "uncertainty"):
+                assert getattr(a, name).dtype == np.float64
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert a.planes.values.dtype == np.float64
+            assert a.planes.values.tobytes() == b.planes.values.tobytes()
+        for name in ("disparity", "uncertainty"):
+            assert getattr(got, name).dtype == np.float64
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_volumes_float32_costs_and_maps_float64(self, monkeypatch, fusion):
+        volumes, costs = [], []
+
+        def watch(fn, record):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                record(args, result)
+                return result
+
+            monkeypatch.setattr(cascade, fn.__name__, wrapper)
+
+        watch(cascade.aggregate, lambda args, out: volumes.extend([args[0], out]))
+        watch(cascade.fuse_volumes, lambda args, out: volumes.extend([*args[:3], out]))
+        watch(cascade.reduce_to_cost, lambda args, out: (volumes.append(args[0]), costs.append(out.cost)))
+        scene = desk_scene(5)
+        out = run_pipeline(scene.left, scene.right, replace(desk_config(), fusion_enabled=fusion))
+        # inputs and outputs of fuse_volumes (3 + 1) or of the stage-3
+        # aggregate (1 + 1), of the two refinement aggregates, and the three
+        # volumes reduce_to_cost reads
+        assert len(costs) == 3
+        assert len(volumes) == (4 if fusion else 2) + 2 * 2 + 3
+        assert all(v.dtype == np.float32 for v in volumes)
+        maps = costs + [out.disparity, out.uncertainty]
+        for stage in out.stages:
+            maps += [stage.disparity, stage.uncertainty, stage.planes.values]
+        assert all(m.dtype == np.float64 for m in maps)

@@ -268,3 +268,43 @@ class TestDecode:
             soft_argmin(ScoreVolume(cost, planes, 1))
         with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
             uncertainty(ScoreVolume(cost, planes, 1), np.zeros((3, 5)))
+
+
+class TestFloat32Volumes:
+    """The builders and difference() follow the features' dtype; the cost is
+    float64 whatever the volume's dtype."""
+
+    @staticmethod
+    def feature_pair(seed):
+        rng = np.random.default_rng(seed)
+        return (smoothed_features(rng, 8, 8, 16).astype(np.float32) for _ in range(2))
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 4])
+    def test_float32_features_give_float32_volumes(self, n_groups):
+        fl, fr = self.feature_pair(n_groups)
+        pv = np.sort(np.random.default_rng(9).uniform(-2.0, 18.0, size=(5, 8, 16)), axis=0)
+        for build, arg in ((build_dense_volume, 16), (build_sparse_volume, HypothesisPlanes.per_pixel(pv))):
+            vol = build(fl, fr, arg, 1, n_groups)
+            ref = build(fl.astype(np.float64), fr.astype(np.float64), arg, 1, n_groups)
+            assert vol.data.dtype == np.float32 and ref.data.dtype == np.float64
+            assert np.abs(vol.data - ref.data).max() <= 1e-5
+            diff = vol.difference()
+            assert diff.dtype == np.float32
+            assert np.abs(diff - ref.difference()).max() <= 1e-5
+
+    def test_mixed_pair_is_promoted_to_float64(self):
+        fl, fr = self.feature_pair(3)
+        want = build_dense_volume(fl.astype(np.float64), fr.astype(np.float64), 16, 1, 2)
+        for left, right in ((fl, fr.astype(np.float64)), (fl.astype(np.float64), fr)):
+            vol = build_dense_volume(left, right, 16, 1, 2)
+            assert vol.data.dtype == np.float64
+            assert vol.data.tobytes() == want.data.tobytes()
+
+    def test_float32_volume_gives_float64_cost(self):
+        fl, fr = self.feature_pair(4)
+        vol = build_dense_volume(fl, fr, 16, 1, 2)
+        diff = vol.difference()
+        got = reduce_to_cost(diff, vol.planes, 1, w_group=0.7, w_absdiff=1.3).cost
+        want = reduce_to_cost(diff.astype(np.float64), vol.planes, 1, w_group=0.7, w_absdiff=1.3).cost
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-12

@@ -128,3 +128,14 @@ def test_d1_never_exceeds_bad3(pred, gt):
     b3 = bad_tau(pred, gt, 3.0)
     assert 0.0 <= d1 <= b3 <= 1.0
     assert avg_error(pred, gt) >= 0.0
+
+
+def test_float32_prediction_scores_as_its_float64_copy():
+    rng = np.random.default_rng(8)
+    gt = rng.uniform(0.5, 60.0, size=(16, 24))
+    gt[::5, ::7] = np.nan
+    pred = (gt + rng.normal(scale=4.0, size=gt.shape)).astype(np.float32)
+    for tau in (0.5, 1.0, 3.0):
+        assert bad_tau(pred, gt, tau) == bad_tau(pred.astype(np.float64), gt, tau)
+    assert d1_all(pred, gt) == d1_all(pred.astype(np.float64), gt)
+    assert 0.0 < d1_all(pred, gt) < 1.0

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from cfstereo.tensor_ops import (
     _sample_rows,
+    as_grid,
     avgpool_volume,
     bilinear_upsample2x,
     box_smooth_axis,
@@ -274,3 +275,36 @@ class TestSampleRows:
         a = np.arange(1.0, 13.0).reshape(3, 4)
         src = np.array([[-1.0, -0.5, 4.0, 3.5]] * 3)
         assert np.array_equal(_sample_rows(a, src), np.array([[0.0, 0.5, 0.0, 0.5]]) * a[:, [0, 0, 0, 3]])
+
+
+# Float32 grids stay float32, within float32 rounding of the float64 result
+# on the same values; the float64 results are pinned bit for bit above.
+
+
+def assert_float32_close(got, want):
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+FLOAT32_CASES = {
+    "sample_rows": lambda a: _sample_rows(a, np.linspace(-2.5, 9.75, 8 * 8).reshape(8, 8)),
+    "box_smooth_axis": lambda a: box_smooth_axis(a, -1, 2),
+    "weighted_smooth_axis": lambda a: weighted_smooth_axis(a, -2, [1.0, 4.0, 6.0, 4.0, 1.0]),
+    "avgpool_volume": avgpool_volume,
+    "trilinear_upsample2x": trilinear_upsample2x,
+    "bilinear_upsample2x": lambda a: bilinear_upsample2x(a[0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
+def test_float32_input_stays_float32(name):
+    a32 = np.random.default_rng(5).normal(size=(3, 4, 8, 8)).astype(np.float32)
+    fn = FLOAT32_CASES[name]
+    assert_float32_close(fn(a32), fn(a32.astype(np.float64)))
+
+
+def test_as_grid_keeps_float32_and_upcasts_the_rest():
+    assert as_grid(np.zeros(3, np.float32)).dtype == np.float32
+    for a in (np.zeros(3, np.float16), np.zeros(3, np.int32), [1, 2], np.zeros(3)):
+        assert as_grid(a).dtype == np.float64
