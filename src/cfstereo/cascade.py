@@ -202,11 +202,10 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         d = soft_argmin(sv)
         return StageResult(scale, d, uncertainty(sv, d), planes)
 
-    # One correlation group: difference() keeps only the mean over groups.
-    # Keep no reference to a 2C+G volume: it would raise peak memory.
+    # One correlation group, so each volume's data is the C+1 layout the cost reads.
     def stage3():
         def dense(s):
-            return build_dense_volume(feat_l[s], feat_r[s], dmax, s, 1).difference()
+            return build_dense_volume(feat_l[s], feat_r[s], dmax, s, 1).data
 
         if config.fusion_enabled:
             diff = fuse_volumes(dense(3), dense(4), dense(5), config)
@@ -222,7 +221,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
             planes = sample_planes(lo, hi, params.for_stage(stage)[2])
             scale = stage - 1
-            diff = build_sparse_volume(feat_l[scale], feat_r[scale], planes, scale, 1).difference()
+            diff = build_sparse_volume(feat_l[scale], feat_r[scale], planes, scale, 1).data
             return decode(aggregate(diff, config), planes, scale)
 
         results.append(_stage(f"stage {stage - 1}", refine))

@@ -105,8 +105,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("cascade.n1 and cascade.n2 must be >= 2")
     if c.cascade_min_step <= 0.0:
         raise ConfigError("cascade.min_step must be > 0")
-    # Smoothing work is linear in radii and pass counts: cap them so no file
-    # can make a run last practically forever.
+    # Smoothing work is linear in each radius and pass count, so each is capped.
+    # The caps bound each key, not their product: all four at their caps took
+    # 20.6 s on desk_scene(1) on a 2-core host, against 0.17 s at the desk config.
     if c.features_stat_radius > 32:
         raise ConfigError("features.stat_radius must be <= 32")
     if any(r > 32 for r in c.fusion_smooth_radius):

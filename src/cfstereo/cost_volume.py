@@ -1,12 +1,12 @@
 """Combination volumes, score reduction, and disparity decoding.
 
-The builders produce the paper's combination volume as the reference: left
-features, right features matched at x - d by `tensor_ops._sample_rows`, and
-one normalized inner-product channel per group. Every stage before the cost
-is linear, so the pipeline carries the C+1 channel difference volume
-(left - matched, mean correlation) and applies `|.|` only in
-`reduce_to_cost`. A score volume holds one cost per plane; softmax of the
-negated cost is the disparity distribution.
+CFNet's combination volume concatenates left features, right features
+matched at x - d, and one normalized inner-product channel per group. Every
+stage before the cost is linear, so the concatenation reaches the cost only
+as left - matched. The builders therefore write left - matched per channel
+(the right side sampled by `tensor_ops._sample_rows`) followed by the group
+correlations, and `reduce_to_cost` applies `|.|`. A score volume holds one
+cost per plane; softmax of the negated cost is the disparity distribution.
 
 Volumes take the features' float dtype: float32 features (the pipeline's)
 give float32 volumes, float64 features give the float64 reference. The cost,
@@ -75,24 +75,14 @@ class HypothesisPlanes:
 
 @dataclass(frozen=True, eq=False)
 class CombinationVolume:
-    """(F, N, H, W) reference volume in the paper's concat plus group-correlation
-    layout, F = 2*n_channels + n_groups. The pipeline aggregates `difference()`
-    instead, and `reduce_to_cost` applies `|.|`."""
+    """(C + n_groups, N, H, W): left - matched per feature channel, then one
+    correlation per group. With one group, `data` is what `reduce_to_cost`
+    reads."""
 
     data: np.ndarray
     planes: HypothesisPlanes
     scale: int
-    n_channels: int
     n_groups: int
-
-    def difference(self) -> np.ndarray:
-        """(n_channels + 1, N, H, W): left - matched per channel, then the mean
-        correlation. The cost reads `data` only through these combinations."""
-        c = self.n_channels
-        out = np.empty((c + 1,) + self.data.shape[1:], dtype=self.data.dtype)
-        np.subtract(self.data[:c], self.data[c : 2 * c], out=out[:c])
-        np.mean(self.data[2 * c :], axis=0, out=out[c])
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,25 +111,24 @@ def _check_feature_pair(left_feats, right_feats, n_groups):
     c = fl.shape[0]
     if n_groups < 1 or c % n_groups:
         raise ValueError(f"{c} channels not divisible into {n_groups} groups")
-    return fl, fr, c
+    return fl, fr
 
 
 def _fill_volume(fl, fr, pv, n_groups):
-    """(2C+G, N, H, W) volume: left features, right features sampled at x - pv[n],
-    and the group correlations, one plane at a time."""
+    """(C+G, N, H, W) volume: left minus the right features sampled at x - pv[n],
+    then the group correlations, one plane at a time."""
     c, h, w = fl.shape
     group_size = c // n_groups
-    data = np.zeros((2 * c + n_groups, pv.shape[0], h, w), dtype=fl.dtype)
+    data = np.empty((c + n_groups, pv.shape[0], h, w), dtype=fl.dtype)
     xs = np.arange(w, dtype=DTYPE)
     for n in range(pv.shape[0]):
         matched = _sample_rows(fr, xs[None, :] - pv[n])
-        data[:c, n] = fl
-        data[c:2 * c, n] = matched
+        np.subtract(fl, matched, out=data[:c, n])
         for g in range(n_groups):
             acc = np.zeros((h, w), dtype=fl.dtype)
             for ch in range(g * group_size, (g + 1) * group_size):
                 acc += fl[ch] * matched[ch]
-            data[2 * c + g, n] = acc / group_size
+            data[c + g, n] = acc / group_size
     return data
 
 
@@ -152,7 +141,7 @@ def build_dense_volume(
 ) -> CombinationVolume:
     """Volume over every integer disparity 0 .. dmax/2^scale - 1, sampled as
     `build_sparse_volume` samples uniform planes."""
-    fl, fr, c = _check_feature_pair(left_feats, right_feats, n_groups)
+    fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
     if dmax % (1 << scale):
         raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
     n_planes = dmax >> scale
@@ -160,7 +149,7 @@ def build_dense_volume(
         raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
     planes = HypothesisPlanes.uniform(n_planes)
     data = _fill_volume(fl, fr, planes.values_at(*fl.shape[1:]), n_groups)
-    return CombinationVolume(data, planes, scale, c, n_groups)
+    return CombinationVolume(data, planes, scale, n_groups)
 
 
 def build_sparse_volume(
@@ -172,11 +161,11 @@ def build_sparse_volume(
 ) -> CombinationVolume:
     """Volume over per-pixel fractional planes; the matched side is
     `tensor_ops._sample_rows` of the right features at x - plane."""
-    fl, fr, c = _check_feature_pair(left_feats, right_feats, n_groups)
+    fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
     pv = planes.values_at(*fl.shape[1:])
     if not np.isfinite(pv).all():
         raise ValueError("hypothesis planes contain NaN or inf")
-    return CombinationVolume(_fill_volume(fl, fr, pv, n_groups), planes, scale, c, n_groups)
+    return CombinationVolume(_fill_volume(fl, fr, pv, n_groups), planes, scale, n_groups)
 
 
 def reduce_to_cost(
@@ -188,8 +177,8 @@ def reduce_to_cost(
 ) -> ScoreVolume:
     """Collapse a (C+1, N, H, W) difference volume to one cost per plane.
 
-    `diff` has the layout of `CombinationVolume.difference()`, usually after
-    aggregation: cost = -w_group * diff[C] + w_absdiff * mean_c |diff[c]|.
+    `diff` has the layout of a one-group `CombinationVolume.data`, usually
+    after aggregation: cost = -w_group * diff[C] + w_absdiff * mean_c |diff[c]|.
     The cost is float64 for a float32 volume too: the mean accumulates in
     float64 and the correlation channel is upcast.
     """

@@ -4,7 +4,8 @@ PFM layout as written here: ``Pf\\n{width} {height}\\n-1.0\\n`` followed by
 float32 rows stored bottom-to-top (negative scale = little-endian). PGM/PPM
 are the binary Netpbm variants (P5/P6); samples above maxval 255 are two
 bytes, big-endian. Reads of finite data round-trip bitwise through the
-matching writer.
+matching writer. A header must fit in `_HEADER_MAX` bytes, and a message
+quotes at most `_QUOTE` bytes of the file.
 """
 
 from __future__ import annotations
@@ -16,54 +17,64 @@ from .tensor_ops import DTYPE
 
 _LUMA = (0.299, 0.587, 0.114)  # BT.601
 _CHUNK = 1 << 20  # payload read size in bytes
+_HEADER_MAX = 4096  # header bytes after the magic, comments included
+_QUOTE = 16  # most file bytes a message quotes
+_BINARY = {b"P2": b"P5", b"P3": b"P6"}  # ASCII Netpbm magic -> binary form
+_NAMES = {b"P5": "PGM", b"P6": "PPM"}
 
 
-def _read_token(fh, *, allow_comments: bool) -> bytes:
-    """Next whitespace-delimited token; consumes exactly one trailing whitespace byte."""
-    tok = b""
-    while True:
+def _tokens(fh, *, comments: bool):
+    """Whitespace-delimited header tokens, each read with exactly one trailing
+    whitespace byte. The header may take at most `_HEADER_MAX` bytes, so a
+    token or comment without end fails early."""
+    tok = bytearray()
+    in_comment = False
+    for _ in range(_HEADER_MAX):
         ch = fh.read(1)
         if not ch:
-            if tok:
-                return tok
-            raise FormatError("truncated header")
-        if allow_comments and ch == b"#" and not tok:
-            while ch not in (b"\n", b""):
-                ch = fh.read(1)
-            continue
-        if ch.isspace():
-            if tok:
-                return tok
-            continue
-        tok += ch
+            break
+        if in_comment:
+            in_comment = ch != b"\n"
+        elif comments and ch == b"#" and not tok:
+            in_comment = True
+        elif not ch.isspace():
+            tok += ch
+        elif tok:
+            yield bytes(tok)
+            tok.clear()
+    else:
+        raise FormatError(f"header longer than {_HEADER_MAX} bytes")
+    if tok:
+        yield bytes(tok)
+    raise FormatError("truncated header")
 
 
-def _int_token(fh, what: str, *, allow_comments: bool) -> int:
-    tok = _read_token(fh, allow_comments=allow_comments)
+def _positive_int(tok: bytes, what: str) -> int:
     try:
         value = int(tok)
     except ValueError:
-        raise FormatError(f"bad {what} in header: {tok!r}")
+        raise FormatError(f"bad {what} in header: {tok[:_QUOTE]!r}")
     if value <= 0:
-        raise FormatError(f"{what} must be positive, got {value}")
+        raise FormatError(f"{what} must be positive, got {tok[:_QUOTE]!r}")
     return value
 
 
 def read_pfm(path) -> np.ndarray:
     """Read a grayscale PFM into a float64 (H, W) array. NaNs pass through."""
     with open(path, "rb") as fh:
-        magic = _read_token(fh, allow_comments=False)
+        tokens = _tokens(fh, comments=False)
+        magic = next(tokens)
         if magic == b"PF":
             raise FormatError("color PFM ('PF') not supported; expected grayscale 'Pf'")
         if magic != b"Pf":
-            raise FormatError(f"not a PFM file (magic {magic!r})")
-        w = _int_token(fh, "width", allow_comments=False)
-        h = _int_token(fh, "height", allow_comments=False)
-        scale_tok = _read_token(fh, allow_comments=False)
+            raise FormatError(f"not a PFM file (magic {magic[:_QUOTE]!r})")
+        w = _positive_int(next(tokens), "width")
+        h = _positive_int(next(tokens), "height")
+        scale_tok = next(tokens)
         try:
             scale = float(scale_tok)
         except ValueError:
-            raise FormatError(f"bad scale in header: {scale_tok!r}")
+            raise FormatError(f"bad scale in header: {scale_tok[:_QUOTE]!r}")
         if not np.isfinite(scale) or scale == 0:
             raise FormatError("scale must be finite and non-zero")
         rows = _read_samples(fh, w * h, "<f4" if scale < 0 else ">f4").reshape(h, w)
@@ -83,30 +94,34 @@ def write_pfm(path, values: np.ndarray) -> None:
         fh.write(np.flipud(a).astype("<f4").tobytes())
 
 
-def _expect_magic(fh, expected: bytes, name: str) -> bytes:
-    magic = fh.read(2)
-    if magic in (b"P2", b"P3"):
-        raise FormatError(
-            f"ASCII {name} ({magic.decode()}) not supported; convert to binary {expected.decode()}"
-        )
-    if magic != expected:
-        raise FormatError(f"not a binary {name} file (magic {magic!r})")
-    return magic
-
-
-def _read_netpbm(fh, magic: bytes) -> tuple[np.ndarray, int]:
-    """Header and samples after a P5 or P6 magic, as a grayscale map in [0, 1]
-    plus maxval; P6 converts with BT.601 luma weights."""
-    w = _int_token(fh, "width", allow_comments=True)
-    h = _int_token(fh, "height", allow_comments=True)
-    maxval = _int_token(fh, "maxval", allow_comments=True)
-    if maxval > 65535:
-        raise FormatError(f"maxval {maxval} exceeds 65535")
-    dtype = ">u2" if maxval > 255 else "u1"
-    if magic == b"P5":
-        return _read_samples(fh, w * h, dtype).reshape(h, w) / maxval, maxval
-    raw = _read_samples(fh, 3 * w * h, dtype).reshape(h, w, 3) / maxval
-    return _LUMA[0] * raw[:, :, 0] + _LUMA[1] * raw[:, :, 1] + _LUMA[2] * raw[:, :, 2], maxval
+def _read_netpbm(path, accepted: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
+    """Read a file whose magic is one of the binary `accepted` (P5, P6) as a
+    grayscale map in [0, 1] plus maxval; P6 converts with BT.601 luma weights.
+    The file is opened once, so a pipe works too."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+        if magic not in accepted:
+            binary = _BINARY.get(magic)
+            if binary in accepted:
+                raise FormatError(
+                    f"ASCII {_NAMES[binary]} ({magic.decode()}) not supported; "
+                    f"convert to binary {binary.decode()}"
+                )
+            names = " or ".join(_NAMES[m] for m in accepted)
+            wanted = " or ".join(m.decode() for m in accepted)
+            raise FormatError(f"not a binary {names} file (magic {magic!r}); expected {wanted}")
+        tokens = _tokens(fh, comments=True)
+        w = _positive_int(next(tokens), "width")
+        h = _positive_int(next(tokens), "height")
+        maxval_tok = next(tokens)
+        maxval = _positive_int(maxval_tok, "maxval")
+        if maxval > 65535:
+            raise FormatError(f"maxval exceeds 65535: {maxval_tok[:_QUOTE]!r}")
+        dtype = ">u2" if maxval > 255 else "u1"
+        if magic == b"P5":
+            return _read_samples(fh, w * h, dtype).reshape(h, w) / maxval, maxval
+        raw = _read_samples(fh, 3 * w * h, dtype).reshape(h, w, 3) / maxval
+        return _LUMA[0] * raw[:, :, 0] + _LUMA[1] * raw[:, :, 1] + _LUMA[2] * raw[:, :, 2], maxval
 
 
 def _read_samples(fh, count: int, dtype: str) -> np.ndarray:
@@ -125,24 +140,17 @@ def _read_samples(fh, count: int, dtype: str) -> np.ndarray:
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read binary PGM (P5); returns values normalized to [0, 1] plus maxval."""
-    with open(path, "rb") as fh:
-        return _read_netpbm(fh, _expect_magic(fh, b"P5", "PGM"))
+    return _read_netpbm(path, (b"P5",))
 
 
 def read_ppm(path) -> tuple[np.ndarray, int]:
     """Read binary PPM (P6) and convert to grayscale with BT.601 luma weights."""
-    with open(path, "rb") as fh:
-        return _read_netpbm(fh, _expect_magic(fh, b"P6", "PPM"))
+    return _read_netpbm(path, (b"P6",))
 
 
 def read_image(path) -> tuple[np.ndarray, int]:
-    """Read a P5 or P6 file as a grayscale map in [0, 1]. The file is opened
-    once, so a pipe works too."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-        if magic not in (b"P5", b"P6"):
-            raise FormatError(f"unsupported image magic {magic!r}; expected binary P5 or P6")
-        return _read_netpbm(fh, magic)
+    """Read a P5 or P6 file as a grayscale map in [0, 1]."""
+    return _read_netpbm(path, (b"P5", b"P6"))
 
 
 def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:

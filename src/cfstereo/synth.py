@@ -135,7 +135,9 @@ def volume_oracle(
     scale: int,
     n_groups: int,
 ) -> CombinationVolume:
-    """Literal per-pixel loop over the combination-volume definition (tests only)."""
+    """Literal per-pixel loop over the combination-volume definition (tests only):
+    the left value, the right value matched at x - d and the group correlations
+    of each pixel, stored as left - matched per channel, then the groups."""
     fl_arr = as_grid(left_feats, 3)
     fr_arr = as_grid(right_feats, 3)
     c, h, w = fl_arr.shape
@@ -147,7 +149,7 @@ def volume_oracle(
     fl = fl_arr.tolist()
     fr = fr_arr.tolist()
     pl = np.asarray(pv).tolist()
-    data = np.zeros((2 * c + n_groups, n_planes, h, w), dtype=DTYPE)
+    data = np.zeros((c + n_groups, n_planes, h, w), dtype=DTYPE)
     for n in range(n_planes):
         for y in range(h):
             for x in range(w):
@@ -160,11 +162,10 @@ def volume_oracle(
                     v1 = fr[ch][y][x0 + 1] if 0 <= x0 + 1 < w else 0.0
                     matched.append((1.0 - t) * v0 + t * v1)
                 for ch in range(c):
-                    data[ch, n, y, x] = fl[ch][y][x]
-                    data[c + ch, n, y, x] = matched[ch]
+                    data[ch, n, y, x] = fl[ch][y][x] - matched[ch]
                 for g in range(n_groups):
                     acc = 0.0
                     for ch in range(g * group_size, (g + 1) * group_size):
                         acc += fl[ch][y][x] * matched[ch]
-                    data[2 * c + g, n, y, x] = acc / group_size
-    return CombinationVolume(data, planes, scale, c, n_groups)
+                    data[c + g, n, y, x] = acc / group_size
+    return CombinationVolume(data, planes, scale, n_groups)

@@ -3,7 +3,8 @@ import pytest
 from cfstereo import cli
 from cfstereo.cli import cli_main
 from cfstereo.config import load_config, parse_config
-from cfstereo.io_formats import read_pfm
+from cfstereo.errors import FormatError
+from cfstereo.io_formats import read_pfm, read_pgm, read_ppm
 
 DESK_CFG = """\
 pipeline.dmax = 64
@@ -159,3 +160,17 @@ def test_runaway_smoothing_config_is_data_error(tmp_path, capsys):
     # smoothing work is linear in the radius; uncapped, this would run for months
     assert match_with_config(tmp_path, "fusion.smooth_radius = 0,1000000000,1000000000\n") == 2
     assert "fusion.smooth_radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("magic, reader", [(b"P2", read_pgm), (b"P3", read_ppm)])
+def test_ascii_image_gets_the_readers_guidance(tmp_path, capsys, magic, reader):
+    image = tmp_path / "ascii.pnm"
+    image.write_bytes(magic + b"\n1 1\n255\n0 0 0\n")
+    with pytest.raises(FormatError, match="convert to binary") as direct:
+        reader(image)
+    rc = cli_main([
+        "match", "--left", str(image), "--right", str(image),
+        "--out-disp", str(tmp_path / "d.pfm"), "--out-unc", str(tmp_path / "u.pfm"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"error: {direct.value}"

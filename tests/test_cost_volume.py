@@ -20,8 +20,15 @@ from cfstereo.tensor_ops import box_smooth_axis
 BIG = 1000.0
 
 
+def mean_correlation(vol):
+    """The (C+1, N, H, W) volume the cost reads: left - matched per channel,
+    then the mean of the group correlations."""
+    c = vol.data.shape[0] - vol.n_groups
+    return np.concatenate([vol.data[:c], vol.data[c:].mean(axis=0, keepdims=True)])
+
+
 def cost_of(vol, **weights):
-    return reduce_to_cost(vol.difference(), vol.planes, vol.scale, **weights)
+    return reduce_to_cost(mean_correlation(vol), vol.planes, vol.scale, **weights)
 
 
 def smoothed_features(rng, c, h, w):
@@ -37,9 +44,13 @@ class TestDenseVolume:
         fl = np.zeros((2, 1, 4))
         fl[0] = 1.0
         vol = build_dense_volume(fl, fl, 8, 1, 1)
-        assert vol.data.shape == (5, 4, 1, 4)
-        assert np.allclose(vol.data[:4, 0, 0, 2], [1, 0, 1, 0])
-        assert vol.data[4, 0, 0, 2] == 0.5
+        assert vol.data.shape == (3, 4, 1, 4)
+        # x=2 at d=0 matches itself: left - matched is 0, correlation (1*1 + 0*0)/2
+        assert np.allclose(vol.data[:2, 0, 0, 2], [0, 0])
+        assert vol.data[2, 0, 0, 2] == 0.5
+        # at d=3 the match falls outside the frame and reads 0: the left value stays
+        assert np.allclose(vol.data[:2, 3, 0, 2], [1, 0])
+        assert vol.data[2, 3, 0, 2] == 0.0
 
     def test_out_of_range_zero_padded(self):
         rng = np.random.default_rng(0)
@@ -47,8 +58,8 @@ class TestDenseVolume:
         fr = rng.normal(size=(2, 3, 6))
         vol = build_dense_volume(fl, fr, 8, 1, 1)
         for d in range(1, 4):
-            assert np.all(vol.data[2:4, d, :, :d] == 0.0)  # matched-side concat
-            assert np.all(vol.data[4, d, :, :d] == 0.0)  # correlation
+            assert np.all(vol.data[:2, d, :, :d] == fl[:, :, :d])  # left - 0
+            assert np.all(vol.data[2, d, :, :d] == 0.0)  # correlation
 
     def test_identical_images_argmin_at_zero(self):
         rng = np.random.default_rng(1)
@@ -61,7 +72,7 @@ class TestDenseVolume:
         # correlation channels at d=0 equal squared norm per group / group size
         gs = 8 // 2
         expect = sum(f[ch] * f[ch] for ch in range(gs)) / gs
-        assert np.allclose(vol.data[16, 0], expect)
+        assert np.allclose(vol.data[8, 0], expect)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
@@ -86,7 +97,8 @@ class TestSparseVolume:
         planes = HypothesisPlanes.per_pixel(np.full((2, 1, 4), 0.0) + np.array([0.0, 0.5])[:, None, None])
         vol = build_sparse_volume(fl, fr, planes, 1, 1)
         # pixel x=2, plane d=0.5 samples halfway between columns 1 and 2
-        assert vol.data[1, 1, 0, 2] == 0.5
+        assert vol.data[0, 1, 0, 2] == 1.0 - 0.5  # left - matched
+        assert vol.data[1, 1, 0, 2] == 0.5  # correlation
 
     def test_equal_planes_give_identical_slices(self):
         rng = np.random.default_rng(3)
@@ -118,7 +130,7 @@ def sparse_reference(fl, fr, pv, n_groups):
     """The sparse volume with the matched side gathered channel by channel."""
     c, h, w = fl.shape
     gs = c // n_groups
-    data = np.zeros((2 * c + n_groups, pv.shape[0], h, w))
+    data = np.zeros((c + n_groups, pv.shape[0], h, w))
     xs = np.arange(w, dtype=float)
     for n in range(pv.shape[0]):
         src = xs[None, :] - pv[n]
@@ -134,13 +146,12 @@ def sparse_reference(fl, fr, pv, n_groups):
             a0 = np.take_along_axis(fr[ch], i0c, axis=1)
             a1 = np.take_along_axis(fr[ch], i1c, axis=1)
             matched[ch] = w0 * a0 + w1 * a1
-        data[:c, n] = fl
-        data[c : 2 * c, n] = matched
+        data[:c, n] = fl - matched
         for g in range(n_groups):
             acc = np.zeros((h, w))
             for ch in range(g * gs, (g + 1) * gs):
                 acc += fl[ch] * matched[ch]
-            data[2 * c + g, n] = acc / gs
+            data[c + g, n] = acc / gs
     return data
 
 
@@ -195,7 +206,7 @@ class TestReduceToCost:
         f = rng.normal(size=(4, 3, 8))
         vol = build_dense_volume(f, f, 8, 1, 2)
         sv = cost_of(vol, w_group=1.0, w_absdiff=1.0)
-        corr = 0.5 * (vol.data[8, 0] + vol.data[9, 0])
+        corr = 0.5 * (vol.data[4, 0] + vol.data[5, 0])
         assert np.allclose(sv.cost[0], -corr)
 
     def test_zero_padded_plane_finite(self):
@@ -271,8 +282,8 @@ class TestDecode:
 
 
 class TestFloat32Volumes:
-    """The builders and difference() follow the features' dtype; the cost is
-    float64 whatever the volume's dtype."""
+    """The builders follow the features' dtype, and so does averaging the group
+    correlations; the cost is float64 whatever the volume's dtype."""
 
     @staticmethod
     def feature_pair(seed):
@@ -288,9 +299,9 @@ class TestFloat32Volumes:
             ref = build(fl.astype(np.float64), fr.astype(np.float64), arg, 1, n_groups)
             assert vol.data.dtype == np.float32 and ref.data.dtype == np.float64
             assert np.abs(vol.data - ref.data).max() <= 1e-5
-            diff = vol.difference()
+            diff = mean_correlation(vol)
             assert diff.dtype == np.float32
-            assert np.abs(diff - ref.difference()).max() <= 1e-5
+            assert np.abs(diff - mean_correlation(ref)).max() <= 1e-5
 
     def test_mixed_pair_is_promoted_to_float64(self):
         fl, fr = self.feature_pair(3)
@@ -303,7 +314,7 @@ class TestFloat32Volumes:
     def test_float32_volume_gives_float64_cost(self):
         fl, fr = self.feature_pair(4)
         vol = build_dense_volume(fl, fr, 16, 1, 2)
-        diff = vol.difference()
+        diff = mean_correlation(vol)
         got = reduce_to_cost(diff, vol.planes, 1, w_group=0.7, w_absdiff=1.3).cost
         want = reduce_to_cost(diff.astype(np.float64), vol.planes, 1, w_group=0.7, w_absdiff=1.3).cost
         assert got.dtype == np.float64

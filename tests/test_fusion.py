@@ -23,6 +23,13 @@ from cfstereo.tensor_ops import avgpool_volume, box_smooth_axis
 BIG = 1000.0
 
 
+def mean_correlation(vol):
+    """The (C+1, N, H, W) volume the cost reads: left - matched per channel,
+    then the mean of the group correlations."""
+    c = vol.data.shape[0] - vol.n_groups
+    return np.concatenate([vol.data[:c], vol.data[c:].mean(axis=0, keepdims=True)])
+
+
 def scale3_cost(diff, w_group=1.0, w_absdiff=1.0):
     """Cost of a scale-3 difference volume over uniform integer planes."""
     return reduce_to_cost(diff, HypothesisPlanes.uniform(diff.shape[1]), 3, w_group, w_absdiff).cost
@@ -72,7 +79,7 @@ class TestFuseVolumes:
         scene = random_dot_stereogram(128, 256, spec, seed)
         pl = build_pyramid(scene.left)
         pr = build_pyramid(scene.right)
-        d3 = build_dense_volume(pl.levels[3], pr.levels[3], 64, 3, 4).difference()
+        d3 = mean_correlation(build_dense_volume(pl.levels[3], pr.levels[3], 64, 3, 4))
         d4 = avgpool_volume(d3)
         return d3, d4, avgpool_volume(d4)
 
@@ -116,6 +123,14 @@ class TestFuseVolumes:
             fuse_volumes(v3, v4, np.zeros((3, 2, 1, 2)), RunConfig())
 
 
+def paper_layout(fl, vol):
+    """The paper's (2C+G, N, H, W) concat volume: left features in every plane,
+    the matched features (left - data[:C]), then the G correlations."""
+    c = fl.shape[0]
+    left = np.broadcast_to(fl[:, None], vol.data[:c].shape)
+    return np.concatenate([left, left - vol.data[:c], vol.data[c:]])
+
+
 def layout_cost(data, c, g, w_group, w_absdiff):
     """The cost written out on the paper's 2C+G layout: left, matched, groups."""
     corr = data[2 * c : 2 * c + g].mean(axis=0)
@@ -124,8 +139,9 @@ def layout_cost(data, c, g, w_group, w_absdiff):
 
 
 class TestDifferenceVolume:
-    """Every stage before the cost is linear, so aggregating the C+1 difference
-    volume gives the cost of aggregating the 2C+G volume, for any grouping."""
+    """Every stage before the cost is linear, so aggregating the C+1 volume
+    (left - matched, mean correlation) gives the cost of aggregating the
+    paper's 2C+G concat volume, for any grouping."""
 
     C = 8
 
@@ -139,20 +155,21 @@ class TestDifferenceVolume:
             build_dense_volume(fl, fr, 64, 3, g),
             build_sparse_volume(fl, fr, HypothesisPlanes.per_pixel(pv), 1, g),
         ):
-            got = reduce_to_cost(aggregate(vol.difference(), cfg), vol.planes, vol.scale, 3.0, 2.0)
-            want = layout_cost(aggregate(vol.data, cfg), self.C, g, 3.0, 2.0)
+            got = reduce_to_cost(aggregate(mean_correlation(vol), cfg), vol.planes, vol.scale, 3.0, 2.0)
+            want = layout_cost(aggregate(paper_layout(fl, vol), cfg), self.C, g, 3.0, 2.0)
             assert np.abs(got.cost - want).max() < 1e-9
 
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_fused_path(self, g):
         rng = np.random.default_rng(30 + g)
-        vols = []
+        vols, full = [], []
         for k in range(3):
             fl, fr = rng.normal(size=(2, self.C, 8 >> k, 16 >> k))
             vols.append(build_dense_volume(fl, fr, 64, 3 + k, g))
+            full.append(paper_layout(fl, vols[-1]))
         cfg = replace(RunConfig(), fusion_smooth_radius=(1, 1, 1), fusion_hourglass_passes=2)
-        got = scale3_cost(fuse_volumes(*(v.difference() for v in vols), cfg), 3.0, 2.0)
-        want = layout_cost(fuse_volumes(*(v.data for v in vols), cfg), self.C, g, 3.0, 2.0)
+        got = scale3_cost(fuse_volumes(*(mean_correlation(v) for v in vols), cfg), 3.0, 2.0)
+        want = layout_cost(fuse_volumes(*full, cfg), self.C, g, 3.0, 2.0)
         assert np.abs(got - want).max() < 1e-9
 
 

@@ -2,15 +2,16 @@ import contextlib
 import os
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cfstereo.errors import FormatError
-from cfstereo.io_formats import read_image, read_pfm, read_pgm, read_ppm, write_pfm, write_pgm
+from cfstereo.io_formats import _HEADER_MAX, read_image, read_pfm, read_pgm, read_ppm, write_pfm, write_pgm
 
 f32 = st.floats(-1e6, 1e6, allow_nan=False, width=32)
 
@@ -197,3 +198,125 @@ class TestPpm:
         path.write_bytes(b"XY")
         with pytest.raises(FormatError, match="P5 or P6"):
             read_image(path)
+
+
+MB = 1 << 20
+
+
+class TestHeaderBound:
+    """A header, comments included, may take at most _HEADER_MAX bytes, so a
+    header that never ends fails at once with a short message."""
+
+    @pytest.mark.parametrize(
+        "data, reader",
+        [
+            (b"Pf" + b"7" * MB, read_pfm),  # no whitespace at all
+            (b"P5\n" + b"9" * MB + b" 1\n255\n\x00", read_pgm),  # 1 MB width token
+            (b"P5\n#" + b"c" * MB + b"\n1 1\n255\n\x00", read_pgm),  # 1 MB comment
+        ],
+        ids=["pfm-no-whitespace", "pgm-width-token", "pgm-comment"],
+    )
+    def test_endless_header_fails_fast_and_short(self, tmp_path, data, reader):
+        path = tmp_path / "endless"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match=f"header longer than {_HEADER_MAX} bytes") as err:
+            reader(path)
+        assert time.perf_counter() - start < 1.0
+        assert len(str(err.value)) < 200
+
+    def test_comment_up_to_the_bound_reads(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        rest = b"\n1 1\n255\n"
+        comment = b"#" + b"c" * (_HEADER_MAX - len(rest) - 2)
+        path.write_bytes(b"P5\n" + comment + rest + b"\xff")  # header: exactly _HEADER_MAX bytes
+        assert read_pgm(path)[0].tolist() == [[1.0]]
+        path.write_bytes(b"P5\n" + comment + b"c" + rest + b"\xff")
+        with pytest.raises(FormatError, match="header longer"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize(
+        "data, reader",
+        [
+            (b"Px" + b"y" * 100 + b"\n1 1\n-1.0\n", read_pfm),
+            (b"Pf\n" + b"w" * 100 + b" 1\n-1.0\n", read_pfm),
+            (b"Pf\n1 1\n" + b"s" * 100 + b"\n", read_pfm),
+            (b"P5\n-" + b"9" * 100 + b" 1\n255\n", read_pgm),
+            (b"P5\n1 1\n" + b"9" * 100 + b"\n", read_pgm),
+        ],
+        ids=["magic", "width", "scale", "negative-width", "maxval"],
+    )
+    def test_message_quotes_a_short_prefix(self, tmp_path, data, reader):
+        path = tmp_path / "long-token"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            reader(path)
+        assert len(str(err.value)) < 80
+
+
+P2_GUIDANCE = "ASCII PGM (P2) not supported; convert to binary P5"
+P3_GUIDANCE = "ASCII PPM (P3) not supported; convert to binary P6"
+
+
+@pytest.mark.parametrize(
+    "magic, reader, message",
+    [
+        (b"P2", read_pgm, P2_GUIDANCE),
+        (b"P2", read_image, P2_GUIDANCE),
+        (b"P3", read_ppm, P3_GUIDANCE),
+        (b"P3", read_image, P3_GUIDANCE),
+        (b"P6", read_pgm, "not a binary PGM file (magic b'P6'); expected P5"),
+        (b"P5", read_ppm, "not a binary PPM file (magic b'P5'); expected P6"),
+        (b"Pf", read_image, "not a binary PGM or PPM file (magic b'Pf'); expected P5 or P6"),
+    ],
+)
+def test_netpbm_readers_share_one_magic_check(tmp_path, magic, reader, message):
+    # the three readers differ only in the magics they accept
+    path = tmp_path / "m"
+    path.write_bytes(magic + b"\n1 1\n255\n\x00\x00\x00")
+    with pytest.raises(FormatError) as err:
+        reader(path)
+    assert str(err.value) == message
+
+
+MAGICS = st.sampled_from([b"Pf", b"PF", b"P2", b"P3", b"P5", b"P6", b"", b"P", b"P7", b"\xffP"])
+ODD_NUMBERS = st.sampled_from(
+    [b"0", b"-0", b"-1", b"65536", b"70000", b"1e999", b"nan", b"x", b"+1", b"1_0", b"\xff",
+     str(10**40).encode(), b"9" * 500]
+)
+SIZES = st.integers(1, 4).map(lambda v: str(v).encode()) | ODD_NUMBERS
+MAXVALS_OR_SCALES = st.sampled_from([b"255", b"65535", b"-1.0", b"1.0"]) | ODD_NUMBERS
+# mostly plain whitespace, so that many headers parse and reach the payload
+SEPARATORS = st.sampled_from([b" ", b"\n", b" ", b"\n", b"\t", b"\r\n", b"#c\n", b"\n# c\n", b"", b" #"])
+
+
+@st.composite
+def headers(draw):
+    """Magic, width, height and maxval or scale, with separators and comments
+    between them and a payload after, truncated about half the time."""
+    fields = [draw(MAGICS), draw(SIZES), draw(SIZES), draw(MAXVALS_OR_SCALES)]
+    data = b"".join(f + draw(SEPARATORS) for f in fields) + draw(st.binary(max_size=64))
+    cut = draw(st.none() | st.integers(0, len(data)))
+    return data[:cut]
+
+
+@given(data=headers())
+@settings(max_examples=300, deadline=None)
+@example(data=b"Pf\n2 1\n-1.0\n" + bytes(8))
+@example(data=b"P5 # c\n2\t1\r\n65535\n" + bytes(4))
+@example(data=b"P6\n1 1\n255 \xff\x00\x7f")
+def test_fuzzed_headers_read_or_raise_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "h"
+    path.write_bytes(data)
+    for reader in (read_pfm, read_pgm, read_ppm, read_image):
+        try:
+            out = reader(path)
+        except FormatError:
+            continue
+        if reader is read_pfm:
+            assert out.ndim == 2 and out.dtype == np.float64 and out.size
+        else:
+            values, maxval = out
+            assert 1 <= maxval <= 65535
+            assert values.ndim == 2 and values.size
+            assert values.min() >= 0.0 and values.max() <= 1.0
