@@ -21,7 +21,7 @@ from .cost_volume import (
     soft_argmin,
 )
 from .errors import CfStereoError, ConfigError, FormatError, PipelineError
-from .features import FeaturePyramid, build_pyramid
+from .features import build_pyramid
 from .fusion import aggregate, fuse_volumes
 from .io_formats import read_image, read_pfm, read_pgm, read_ppm, write_pfm, write_pgm
 from .metrics import (

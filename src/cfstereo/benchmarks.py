@@ -26,6 +26,8 @@ DESK_SPECS = ("constant:12", "two-plane:8,24", "slanted:6,20")
 DESK_SHAPE = (128, 256)
 DESK_DMAX = 64
 SQRT_U_THRESHOLD = 2.5
+INTERIOR_MARGIN = 16  # px dropped at each border before scoring
+ORACLE_RADIUS = 4  # block-match oracle's SAD window radius
 
 
 def desk_config() -> RunConfig:
@@ -60,9 +62,9 @@ def add_noise(scene: SyntheticScene, sigma: float) -> SyntheticScene:
     return replace(scene, left=left, right=right)
 
 
-def interior_mask(scene: SyntheticScene, margin: int = 16) -> np.ndarray:
+def interior_mask(scene: SyntheticScene) -> np.ndarray:
     m = np.zeros_like(scene.valid)
-    m[margin:-margin, margin:-margin] = True
+    m[INTERIOR_MARGIN:-INTERIOR_MARGIN, INTERIOR_MARGIN:-INTERIOR_MARGIN] = True
     return m & scene.valid
 
 
@@ -78,15 +80,9 @@ class SceneReport:
     filtered: FilteredMetrics
 
 
-def evaluate_scene(
-    scene: SyntheticScene,
-    config: RunConfig,
-    *,
-    oracle_radius: int = 4,
-    margin: int = 16,
-) -> tuple[SceneReport, PipelineOutput]:
+def evaluate_scene(scene: SyntheticScene, config: RunConfig) -> tuple[SceneReport, PipelineOutput]:
     out = run_pipeline(scene.left, scene.right, config)
-    interior = interior_mask(scene, margin)
+    interior = interior_mask(scene)
     gt_interior = np.where(interior, scene.gt, 0.0)
 
     err = np.abs(out.disparity - scene.gt)
@@ -95,7 +91,7 @@ def evaluate_scene(
     d1 = d1_all(out.disparity, gt_interior)
     filt = filtered_metrics(out.disparity, gt_interior, out.uncertainty, SQRT_U_THRESHOLD)
 
-    oracle = block_match_oracle(scene.left, scene.right, config.pipeline_dmax, oracle_radius)
+    oracle = block_match_oracle(scene.left, scene.right, config.pipeline_dmax, ORACLE_RADIUS)
     oracle_bad2 = bad_tau(oracle, gt_interior, 2.0)
 
     stage1 = out.stages[-1]

@@ -22,7 +22,7 @@ from .cost_volume import (
     uncertainty,
 )
 from .errors import PipelineError
-from .features import build_pyramid
+from .features import LEVELS, build_pyramid
 from .fusion import aggregate, fuse_volumes
 from .tensor_ops import DTYPE, as_grid, bilinear_upsample2x
 
@@ -172,8 +172,9 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     ri = as_grid(right, 2, "right image").astype(DTYPE, copy=False)
     if li.shape != ri.shape:
         raise PipelineError(f"input: image shapes differ: {li.shape} vs {ri.shape}")
-    if li.shape[0] % 32 or li.shape[1] % 32:
-        raise PipelineError(f"input: image dims {li.shape} must be divisible by 32")
+    step = 1 << LEVELS
+    if li.shape[0] % step or li.shape[1] % step:
+        raise PipelineError(f"input: image dims {li.shape} must be divisible by {step}")
     dmax = config.pipeline_dmax
     params = RangeParams(
         alpha=config.cascade_alpha,
@@ -191,7 +192,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         )
         # features in float64, cast once: every volume below is float32
         return tuple(
-            {s: f.astype(np.float32) for s, f in build_pyramid(img, 5, **kw).levels.items()}
+            {s: f.astype(np.float32) for s, f in build_pyramid(img, **kw).items()}
             for img in (li, ri)
         )
 

@@ -8,7 +8,6 @@ mean / unit variance over the image; constant channels are left at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -17,14 +16,8 @@ from .tensor_ops import DTYPE, as_grid, box_smooth_axis, require_finite, weighte
 
 # binomial 5-tap, the usual pyramid antialias kernel
 _BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-
-
-@dataclass(frozen=True, eq=False)
-class FeaturePyramid:
-    """Per-scale feature maps, scale i -> (channels, H/2^i, W/2^i)."""
-
-    levels: dict[int, np.ndarray]
-    channel_count: int
+# scales 1..5: the cascade refines at 1-3 and fusion reaches down to 1/32
+LEVELS = 5
 
 
 def blur_decimate2(image: np.ndarray) -> np.ndarray:
@@ -84,33 +77,28 @@ def normalize_channels(stack: np.ndarray) -> np.ndarray:
 
 def build_pyramid(
     image: np.ndarray,
-    levels: int = 5,
     *,
     channels: int = 16,
     census_radius: int = 1,
     stat_radius: int = 2,
-) -> FeaturePyramid:
-    """Build normalized feature maps at scales 1..levels.
+) -> dict[int, np.ndarray]:
+    """Normalized feature maps, scale i -> (channels, H/2^i, W/2^i) for i in 1..LEVELS.
 
     Level i is derived from the blur-then-decimate image chain, and its raw
     channel stack is truncated or zero-padded to `channels`.
     """
     img = as_grid(image, 2, "image").astype(DTYPE, copy=False)
     require_finite(img, "image")
-    if levels < 3:
-        raise ValueError("need at least 3 pyramid levels")
     h, w = img.shape
-    step = 1 << levels
+    step = 1 << LEVELS
     if h % step or w % step:
-        raise ValueError(
-            f"image dims {(h, w)} must be divisible by 2**levels = {step}; pad the input"
-        )
+        raise ValueError(f"image dims {(h, w)} must be divisible by {step}; pad the input")
     if channels < 1:
         raise ValueError(f"channels must be positive, got {channels}")
 
     maps: dict[int, np.ndarray] = {}
     current = img
-    for i in range(1, levels + 1):
+    for i in range(1, LEVELS + 1):
         current = blur_decimate2(current)
         # only the channels that are kept get computed, so a wide census
         # window costs no more than `channels` maps
@@ -118,4 +106,4 @@ def build_pyramid(
         feats = np.zeros((channels,) + current.shape, dtype=DTYPE)
         feats[: raw.shape[0]] = normalize_channels(raw)
         maps[i] = feats
-    return FeaturePyramid(levels=maps, channel_count=channels)
+    return maps

@@ -10,6 +10,8 @@ quotes at most `_QUOTE` bytes of the file.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import FormatError
@@ -21,6 +23,8 @@ _HEADER_MAX = 4096  # header bytes after the magic, comments included
 _QUOTE = 16  # most file bytes a message quotes
 _BINARY = {b"P2": b"P5", b"P3": b"P6"}  # ASCII Netpbm magic -> binary form
 _NAMES = {b"P5": "PGM", b"P6": "PPM"}
+# a PFM scale: a decimal with optional exponent; no "_", "inf" or "nan"
+_SCALE = re.compile(rb"[-+]?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _tokens(fh, *, comments: bool):
@@ -50,10 +54,10 @@ def _tokens(fh, *, comments: bool):
 
 
 def _positive_int(tok: bytes, what: str) -> int:
-    try:
-        value = int(tok)
-    except ValueError:
+    """A header number: ASCII digits only, so no sign, "_" or other digits."""
+    if not tok.isdigit():
         raise FormatError(f"bad {what} in header: {tok[:_QUOTE]!r}")
+    value = int(tok)
     if value <= 0:
         raise FormatError(f"{what} must be positive, got {tok[:_QUOTE]!r}")
     return value
@@ -71,12 +75,10 @@ def read_pfm(path) -> np.ndarray:
         w = _positive_int(next(tokens), "width")
         h = _positive_int(next(tokens), "height")
         scale_tok = next(tokens)
-        try:
-            scale = float(scale_tok)
-        except ValueError:
-            raise FormatError(f"bad scale in header: {scale_tok[:_QUOTE]!r}")
-        if not np.isfinite(scale) or scale == 0:
-            raise FormatError("scale must be finite and non-zero")
+        if not _SCALE.fullmatch(scale_tok) or not np.isfinite(scale := float(scale_tok)) or scale == 0:
+            raise FormatError(
+                f"bad scale in header: {scale_tok[:_QUOTE]!r}; scale must be finite and non-zero"
+            )
         rows = _read_samples(fh, w * h, "<f4" if scale < 0 else ">f4").reshape(h, w)
         return np.flipud(rows).astype(DTYPE)
 

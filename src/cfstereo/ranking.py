@@ -22,34 +22,14 @@ def _as_groups(ballot) -> list[list[str]]:
     return groups
 
 
-def schulze_rank(
-    ballots: Iterable[Sequence], candidates: Sequence[str] | None = None
-) -> list[list[str]]:
-    """Fuse ballots into one order via pairwise majorities and widest paths."""
+def schulze_rank(ballots: Iterable[Sequence]) -> list[list[str]]:
+    """Fuse ballots into one order via pairwise majorities and widest paths.
+
+    The candidates are every name that appears on a ballot."""
     normalized = [_as_groups(b) for b in ballots]
     if not normalized:
         raise ValueError("need at least one ballot")
-
-    names: list[str] = []
-    if candidates is not None:
-        names = list(candidates)
-        known = set(names)
-        if len(known) != len(names):
-            raise ValueError("duplicate candidate name")
-        for groups in normalized:
-            for group in groups:
-                for name in group:
-                    if name not in known:
-                        raise ValueError(f"unknown method in ballot: {name!r}")
-    else:
-        seen = set()
-        for groups in normalized:
-            for group in groups:
-                for name in group:
-                    if name not in seen:
-                        seen.add(name)
-                        names.append(name)
-        names.sort()
+    names = sorted({name for groups in normalized for group in groups for name in group})
 
     index = {name: i for i, name in enumerate(names)}
     k = len(names)

@@ -69,14 +69,11 @@ def disparity_field(spec: str, shape: tuple[int, int], rng: np.random.Generator)
     raise ValueError(f"unknown disparity spec kind {kind!r}")
 
 
-def random_dot_stereogram(
-    h: int, w: int, spec: str, seed: int, *, smooth: bool = True
-) -> SyntheticScene:
-    """Seeded random-dot pair warped by the disparity field given by `spec`."""
+def random_dot_stereogram(h: int, w: int, spec: str, seed: int) -> SyntheticScene:
+    """Seeded random-dot pair warped by the disparity field given by `spec`;
+    the right image is noise under a 3x3 box blur."""
     rng = np.random.default_rng(seed)
-    right = rng.random((h, w))
-    if smooth:
-        right = box_smooth_axis(box_smooth_axis(right, 0, 1), 1, 1)
+    right = box_smooth_axis(box_smooth_axis(rng.random((h, w)), 0, 1), 1, 1)
     field = disparity_field(spec, (h, w), rng)
     if field.max() >= w / 4:
         raise ValueError(f"max disparity {field.max()} must stay below W/4 = {w / 4}")

@@ -115,23 +115,21 @@ def trilinear_upsample2x(volume: np.ndarray) -> np.ndarray:
     return v
 
 
-def avgpool_volume(volume: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Mean-pool the trailing (planes, H, W) axes jointly by `factor`.
+def avgpool_volume(volume: np.ndarray) -> np.ndarray:
+    """Mean-pool the trailing (planes, H, W) axes jointly by 2.
 
     Pooling covers the plane axis as well as space so plane counts stay
-    aligned across scales.
+    aligned across scales, as the 2x upsamplers expect.
     """
     v = as_grid(volume, None, "pool input")
     if v.ndim not in (3, 4):
         raise ValueError(f"expected 3D or 4D volume, got shape {v.shape}")
     n, h, w = v.shape[-3:]
-    if n % factor or h % factor or w % factor:
+    if n % 2 or h % 2 or w % 2:
         raise ValueError(
-            f"avgpool needs (planes, H, W) divisible by {factor}, got {(n, h, w)}; "
-            "pad the volume first"
+            f"avgpool needs (planes, H, W) divisible by 2, got {(n, h, w)}; pad the volume first"
         )
-    lead = v.shape[:-3]
-    blocks = v.reshape(lead + (n // factor, factor, h // factor, factor, w // factor, factor))
+    blocks = v.reshape(v.shape[:-3] + (n // 2, 2, h // 2, 2, w // 2, 2))
     return blocks.mean(axis=(-5, -3, -1))
 
 

@@ -234,6 +234,32 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="features"):
             run_pipeline(img, np.zeros((64, 64)), desk_config())
 
+    @pytest.mark.parametrize(
+        "name, call, tag",
+        [
+            ("build_dense_volume", 1, "stage 3"),
+            ("build_sparse_volume", 1, "stage 2"),
+            ("build_sparse_volume", 2, "stage 1"),
+            # two per refinement step in next_range, then the output's first
+            ("bilinear_upsample2x", 5, "output"),
+        ],
+    )
+    def test_failure_inside_a_stage_carries_its_tag(self, monkeypatch, name, call, tag):
+        real = getattr(cascade, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == call:
+                raise ValueError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cascade, name, failing)
+        scene = desk_scene(0)
+        with pytest.raises(PipelineError, match=f"^{tag}: injected$") as info:
+            run_pipeline(scene.left, scene.right, desk_config())
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_threads_variable_is_ignored(self, monkeypatch):
         scene = desk_scene(3)
         monkeypatch.delenv("CFSTEREO_THREADS", raising=False)

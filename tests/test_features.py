@@ -8,17 +8,17 @@ from cfstereo.features import blur_decimate2, build_pyramid, channel_stack, norm
 
 def test_constant_image_all_channels_zero():
     img = np.full((64, 64), 0.4)
-    pyr = build_pyramid(img, levels=4)
-    for level, feats in pyr.levels.items():
+    pyr = build_pyramid(img)
+    for level, feats in pyr.items():
         assert np.all(feats == 0.0), f"level {level} not zeroed"
 
 
 def test_shape_contract():
     img = np.random.default_rng(0).random((128, 256))
-    pyr = build_pyramid(img, levels=5, channels=16)
-    assert pyr.levels[3].shape == (16, 128 // 8, 256 // 8)
-    assert pyr.levels[5].shape == (16, 128 // 32, 256 // 32)
-    assert pyr.channel_count == 16
+    pyr = build_pyramid(img, channels=16)
+    assert sorted(pyr) == [1, 2, 3, 4, 5]
+    assert pyr[3].shape == (16, 128 // 8, 256 // 8)
+    assert pyr[5].shape == (16, 128 // 32, 256 // 32)
 
 
 def test_step_edge_gradient_peak():
@@ -26,24 +26,24 @@ def test_step_edge_gradient_peak():
     k = 16
     img = np.zeros((64, 128))
     img[:, 2 * k :] = 1.0
-    pyr = build_pyramid(img, levels=3)
-    gx = pyr.levels[1][1]
+    pyr = build_pyramid(img)
+    gx = pyr[1][1]
     peaks = np.argmax(np.abs(gx), axis=1)
     assert np.all((peaks == k - 1) | (peaks == k))
 
 
 def test_padded_channels_stay_zero():
     img = np.random.default_rng(1).random((64, 64))
-    pyr = build_pyramid(img, levels=3, channels=16)
+    pyr = build_pyramid(img, channels=16)
     # 5 statistics channels + 8 census channels = 13 generated
-    assert np.all(pyr.levels[1][13:] == 0.0)
-    assert np.any(pyr.levels[1][:13] != 0.0)
+    assert np.all(pyr[1][13:] == 0.0)
+    assert np.any(pyr[1][:13] != 0.0)
 
 
 def test_channel_truncation():
     img = np.random.default_rng(2).random((64, 64))
-    pyr = build_pyramid(img, levels=3, channels=8)
-    assert pyr.levels[1].shape[0] == 8
+    pyr = build_pyramid(img, channels=8)
+    assert pyr[1].shape[0] == 8
 
 
 def test_raw_generators_translation_equivariant():
@@ -59,20 +59,15 @@ def test_raw_generators_translation_equivariant():
 
 def test_deterministic_output():
     img = np.random.default_rng(4).random((64, 64))
-    a = build_pyramid(img, levels=3)
-    b = build_pyramid(img, levels=3)
-    for level in a.levels:
-        assert a.levels[level].tobytes() == b.levels[level].tobytes()
+    a = build_pyramid(img)
+    b = build_pyramid(img)
+    for level in a:
+        assert a[level].tobytes() == b[level].tobytes()
 
 
 def test_rejects_misaligned_dims():
     with pytest.raises(ValueError, match="divisible"):
-        build_pyramid(np.zeros((60, 64)), levels=4)
-
-
-def test_rejects_too_few_levels():
-    with pytest.raises(ValueError, match="levels"):
-        build_pyramid(np.zeros((64, 64)), levels=2)
+        build_pyramid(np.zeros((60, 64)))
 
 
 @pytest.mark.parametrize("census_radius", [1, 2, 3])
@@ -80,15 +75,15 @@ def test_rejects_too_few_levels():
 def test_levels_match_truncated_full_stack(census_radius, channels):
     """Computing only the kept channels changes no byte of any level."""
     img = np.random.default_rng(5).random((64, 128))
-    pyr = build_pyramid(img, levels=3, channels=channels, census_radius=census_radius)
+    pyr = build_pyramid(img, channels=channels, census_radius=census_radius)
     current = img
-    for level in (1, 2, 3):
+    for level in (1, 2, 3, 4, 5):
         current = blur_decimate2(current)
         raw = channel_stack(current, census_radius)
         want = np.zeros((channels,) + current.shape)
         take = min(channels, raw.shape[0])
         want[:take] = normalize_channels(raw[:take])
-        assert pyr.levels[level].tobytes() == want.tobytes()
+        assert pyr[level].tobytes() == want.tobytes()
 
 
 def test_wide_census_radius_stays_small():
@@ -96,7 +91,7 @@ def test_wide_census_radius_stays_small():
     img = np.random.default_rng(6).random((128, 256))
     tracemalloc.start()
     try:
-        build_pyramid(img, levels=5, channels=16, census_radius=8)
+        build_pyramid(img, channels=16, census_radius=8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

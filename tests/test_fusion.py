@@ -79,7 +79,7 @@ class TestFuseVolumes:
         scene = random_dot_stereogram(128, 256, spec, seed)
         pl = build_pyramid(scene.left)
         pr = build_pyramid(scene.right)
-        d3 = mean_correlation(build_dense_volume(pl.levels[3], pr.levels[3], 64, 3, 4))
+        d3 = mean_correlation(build_dense_volume(pl[3], pr[3], 64, 3, 4))
         d4 = avgpool_volume(d3)
         return d3, d4, avgpool_volume(d4)
 

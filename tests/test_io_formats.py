@@ -279,10 +279,42 @@ def test_netpbm_readers_share_one_magic_check(tmp_path, magic, reader, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "magic, numbers, payload",
+    [
+        (b"P5", b"1_0 +1 0_255", 10),
+        (b"P5", b"1_0 1 255", 10),
+        (b"P5", b"10 +1 255", 10),
+        (b"P5", b"10 1 +255", 10),
+        (b"P6", b"1 1 0_255", 3),
+        (b"P5", "\u0661 1 255".encode(), 1),  # ARABIC-INDIC DIGIT ONE
+        (b"Pf", b"+2 1_0 -1_0.0", 80),
+        (b"Pf", b"2 1 -1_0.0", 8),
+        (b"Pf", b"2 1 1.", 8),
+        (b"Pf", b"2 1 -1e", 8),
+        (b"Pf", b"2 1 +-1", 8),
+    ],
+)
+def test_header_numbers_are_plain_digits(tmp_path, magic, numbers, payload):
+    # int() and float() would take a sign and "_" between digits
+    path = tmp_path / "n"
+    path.write_bytes(magic + b"\n" + numbers + b"\n" + bytes(payload))
+    with pytest.raises(FormatError, match="bad"):
+        (read_pfm if magic == b"Pf" else read_image)(path)
+
+
+@pytest.mark.parametrize("scale", [b"1", b"-1", b"+1.0", b"-.5", b"1e0", b"-1E+0", b"2.5e-1"])
+def test_plain_scale_spellings_read(tmp_path, scale):
+    path = tmp_path / "s.pfm"
+    order = "<f" if scale.startswith(b"-") else ">f"
+    path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + struct.pack(order, 3.5))
+    assert read_pfm(path)[0, 0] == 3.5
+
+
 MAGICS = st.sampled_from([b"Pf", b"PF", b"P2", b"P3", b"P5", b"P6", b"", b"P", b"P7", b"\xffP"])
 ODD_NUMBERS = st.sampled_from(
     [b"0", b"-0", b"-1", b"65536", b"70000", b"1e999", b"nan", b"x", b"+1", b"1_0", b"\xff",
-     str(10**40).encode(), b"9" * 500]
+     b"+2", b"0_255", b"-1_0.0", b"+1.0", b"1.", str(10**40).encode(), b"9" * 500]
 )
 SIZES = st.integers(1, 4).map(lambda v: str(v).encode()) | ODD_NUMBERS
 MAXVALS_OR_SCALES = st.sampled_from([b"255", b"65535", b"-1.0", b"1.0"]) | ODD_NUMBERS

@@ -36,11 +36,6 @@ def test_tie_groups_in_ballots():
     assert flat(ranked)[-1] == "c"
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError, match="unknown"):
-        schulze_rank([["a", "b"]], candidates=["a"])
-
-
 def test_duplicate_in_ballot_rejected():
     with pytest.raises(ValueError, match="once"):
         schulze_rank([["a", "b", "a"]])
