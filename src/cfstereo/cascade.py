@@ -186,7 +186,6 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
 
     def feats():
         kw = dict(
-            channels=config.features_channels,
             census_radius=config.features_census_radius,
             stat_radius=config.features_stat_radius,
         )

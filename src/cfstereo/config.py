@@ -20,11 +20,10 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class RunConfig:
-    features_channels: int = 16
     features_census_radius: int = 1
     features_stat_radius: int = 2
-    cost_w_group: float = 1.0
-    cost_w_absdiff: float = 1.0
+    cost_w_group: float = 0.8125
+    cost_w_absdiff: float = 0.8125
     pipeline_dmax: int = 256
     fusion_enabled: bool = True
     fusion_smooth_radius: tuple[int, int, int] = (1, 1, 1)
@@ -85,10 +84,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for key, values in float_values.items():
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{key} must be finite")
-    if c.features_channels < 1:
-        raise ConfigError("features.channels must be positive")
-    if c.features_census_radius < 1:
-        raise ConfigError("features.census_radius must be >= 1")
+    # a level has 5 + (2r+1)^2-1 feature channels: 53 at r = 3
+    if not 1 <= c.features_census_radius <= 3:
+        raise ConfigError("features.census_radius must be 1, 2 or 3")
     if c.features_stat_radius < 0:
         raise ConfigError("features.stat_radius must be >= 0")
     if c.pipeline_dmax < 64 or c.pipeline_dmax % 32:

@@ -8,8 +8,6 @@ mean / unit variance over the image; constant channels are left at zero.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
 from .tensor_ops import DTYPE, as_grid, box_smooth_axis, require_finite, weighted_smooth_axis
@@ -31,8 +29,8 @@ def box_mean2d(image: np.ndarray, radius: int) -> np.ndarray:
     return box_smooth_axis(box_smooth_axis(image, 0, radius), 1, radius)
 
 
-def _raw_channels(image: np.ndarray, census_radius: int, stat_radius: int):
-    """The channels of `channel_stack` in order, each computed when it is drawn.
+def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 2) -> np.ndarray:
+    """Raw (unnormalized) channel stack for one image; order is fixed.
 
     A census channel is +1 where the center exceeds that neighbor, else -1.
     Neighbors are clamped at the border, so border pixels compare against
@@ -42,7 +40,7 @@ def _raw_channels(image: np.ndarray, census_radius: int, stat_radius: int):
     mean = box_mean2d(image, stat_radius)
     sq_mean = box_mean2d(image * image, stat_radius)
     std = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
-    yield from (image.copy(), gx, gy, mean, std)
+    channels = [image, gx, gy, mean, std]
     h, w = image.shape
     rows = np.arange(h)
     cols = np.arange(w)
@@ -53,12 +51,8 @@ def _raw_channels(image: np.ndarray, census_radius: int, stat_radius: int):
                 continue
             rx = np.clip(cols + dx, 0, w - 1)
             neighbor = image[ry][:, rx]
-            yield np.where(image > neighbor, 1.0, -1.0)
-
-
-def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 2) -> np.ndarray:
-    """Raw (unnormalized) channel stack for one image; order is fixed."""
-    return np.stack(list(_raw_channels(image, census_radius, stat_radius)), axis=0)
+            channels.append(np.where(image > neighbor, 1.0, -1.0))
+    return np.stack(channels, axis=0)
 
 
 def normalize_channels(stack: np.ndarray) -> np.ndarray:
@@ -78,14 +72,13 @@ def normalize_channels(stack: np.ndarray) -> np.ndarray:
 def build_pyramid(
     image: np.ndarray,
     *,
-    channels: int = 16,
     census_radius: int = 1,
     stat_radius: int = 2,
 ) -> dict[int, np.ndarray]:
-    """Normalized feature maps, scale i -> (channels, H/2^i, W/2^i) for i in 1..LEVELS.
+    """Normalized feature maps, scale i -> (C, H/2^i, W/2^i) for i in 1..LEVELS.
 
-    Level i is derived from the blur-then-decimate image chain, and its raw
-    channel stack is truncated or zero-padded to `channels`.
+    Level i is the normalized channel stack of the i-th image in the
+    blur-then-decimate chain, so C = 5 + (2r+1)^2-1 for census radius r.
     """
     img = as_grid(image, 2, "image").astype(DTYPE, copy=False)
     require_finite(img, "image")
@@ -93,17 +86,10 @@ def build_pyramid(
     step = 1 << LEVELS
     if h % step or w % step:
         raise ValueError(f"image dims {(h, w)} must be divisible by {step}; pad the input")
-    if channels < 1:
-        raise ValueError(f"channels must be positive, got {channels}")
 
     maps: dict[int, np.ndarray] = {}
     current = img
     for i in range(1, LEVELS + 1):
         current = blur_decimate2(current)
-        # only the channels that are kept get computed, so a wide census
-        # window costs no more than `channels` maps
-        raw = np.stack(list(islice(_raw_channels(current, census_radius, stat_radius), channels)))
-        feats = np.zeros((channels,) + current.shape, dtype=DTYPE)
-        feats[: raw.shape[0]] = normalize_channels(raw)
-        maps[i] = feats
+        maps[i] = normalize_channels(channel_stack(current, census_radius, stat_radius))
     return maps

@@ -101,10 +101,6 @@ def coverage_rate(gt: np.ndarray, planes: HypothesisPlanes) -> float:
     scale-local pixel units.
     """
     g = as_grid(gt, 2, "ground truth")
-    if planes.values.ndim == 3 and planes.values.shape[1:] != g.shape:
-        raise ValueError(
-            f"planes shaped {planes.values.shape} do not match ground truth {g.shape}"
-        )
     m = valid_mask(g)
     if not m.any():
         raise ValueError("no valid ground-truth pixels")

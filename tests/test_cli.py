@@ -8,8 +8,8 @@ from cfstereo.io_formats import read_pfm, read_pgm, read_ppm
 
 DESK_CFG = """\
 pipeline.dmax = 64
-cost.w_group = 12.0
-cost.w_absdiff = 12.0
+cost.w_group = 9.75
+cost.w_absdiff = 9.75
 fusion.smooth_radius = 0,2,2
 cascade.beta = 0.5,0.25
 """
@@ -160,6 +160,12 @@ def test_runaway_smoothing_config_is_data_error(tmp_path, capsys):
     # smoothing work is linear in the radius; uncapped, this would run for months
     assert match_with_config(tmp_path, "fusion.smooth_radius = 0,1000000000,1000000000\n") == 2
     assert "fusion.smooth_radius" in capsys.readouterr().err
+
+
+def test_wide_census_config_is_data_error(tmp_path, capsys):
+    # the census radius alone sets the feature channel count, (2r+1)^2 + 4
+    assert match_with_config(tmp_path, "features.census_radius = 4\n") == 2
+    assert "features.census_radius" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("magic, reader", [(b"P2", read_pgm), (b"P3", read_ppm)])

@@ -42,6 +42,8 @@ def test_unknown_key_rejected():
         parse_config("pipeline.dmaxx = 64\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config("features.groups = 4\n")  # retired: grouping cannot change the cost
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config("features.channels = 0\n")  # retired: a level holds its real channels
 
 
 def test_duplicate_key_rejected():
@@ -63,7 +65,7 @@ def test_bad_value_reports_line():
     "line",
     [
         "pipeline.dmax = 48",  # not a multiple of 32
-        "features.channels = 0",
+        "features.channels = 0",  # retired: now an unknown key
         "cascade.alpha = -2,-2",
         "cascade.min_step = 0",
         "fusion.passes = 0",
@@ -90,7 +92,6 @@ def test_validate_direct():
 
 # One valid non-default value per field; a new field must be added here.
 NON_DEFAULT = {
-    "features_channels": 7,
     "features_census_radius": 2,
     "features_stat_radius": 3,
     "cost_w_group": 12.5,
@@ -108,11 +109,10 @@ NON_DEFAULT = {
 }
 
 DEFAULT_TEXT = """\
-features.channels = 16
 features.census_radius = 1
 features.stat_radius = 2
-cost.w_group = 1.0
-cost.w_absdiff = 1.0
+cost.w_group = 0.8125
+cost.w_absdiff = 0.8125
 pipeline.dmax = 256
 fusion.enabled = true
 fusion.smooth_radius = 1,1,1
@@ -147,6 +147,7 @@ def test_invalid_construction_rejected():
 @pytest.mark.parametrize(
     "line, key",
     [
+        ("features.census_radius = 4", "features.census_radius"),
         ("features.stat_radius = 33", "features.stat_radius"),
         ("fusion.smooth_radius = 0,0,33", "fusion.smooth_radius"),
         ("fusion.smooth_radius = 1000000000", "fusion.smooth_radius"),
@@ -161,16 +162,27 @@ def test_work_caps(line, key):
 
 def test_values_at_caps_accepted():
     cfg = parse_config(
-        "features.stat_radius = 32\nfusion.smooth_radius = 32\n"
+        "features.census_radius = 3\nfeatures.stat_radius = 32\nfusion.smooth_radius = 32\n"
         "fusion.passes = 16\nfusion.hourglass_passes = 16\n"
     )
+    assert cfg.features_census_radius == 3
     assert cfg.fusion_smooth_radius == (32, 32, 32)
 
 
 def test_readme_lists_every_key():
+    """The README table names every key once, with its RunConfig() default."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
-    documented = {key for cell in rows for key in re.findall(r"`([^`]+)`", cell)}
+    rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
+    documented = {}
+    for key_cell, default_cell in rows:
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        defaults = default_cell.strip().split(" / ")
+        assert len(keys) == len(defaults), key_cell
+        documented.update(zip(keys, defaults))
     written = {line.split(" = ")[0] for line in format_config(RunConfig()).splitlines()}
-    assert documented == written
+    assert set(documented) == written
+    for key, default in documented.items():
+        name = key.replace(".", "_", 1)
+        parsed = getattr(parse_config(f"{key} = {default}\n"), name)
+        assert parsed == getattr(RunConfig(), name), f"README default of {key}: {default}"

@@ -79,7 +79,7 @@ class TestFuseVolumes:
         scene = random_dot_stereogram(128, 256, spec, seed)
         pl = build_pyramid(scene.left)
         pr = build_pyramid(scene.right)
-        d3 = mean_correlation(build_dense_volume(pl[3], pr[3], 64, 3, 4))
+        d3 = build_dense_volume(pl[3], pr[3], 64, 3, 1).data
         d4 = avgpool_volume(d3)
         return d3, d4, avgpool_volume(d4)
 
@@ -91,7 +91,7 @@ class TestFuseVolumes:
     def test_shape_contract(self):
         d3, d4, d5 = self._pyramid_volumes()
         fused = fuse_volumes(d3, d4, d5, RunConfig())
-        assert fused.shape == d3.shape == (17, 8, 128 // 8, 256 // 8)
+        assert fused.shape == d3.shape == (14, 8, 128 // 8, 256 // 8)
 
     def test_self_consistent_pyramid_keeps_argmin(self):
         """With v4/v5 exact pools of v3, fusion must agree with the plain

@@ -103,6 +103,11 @@ class TestCoverage:
         gt = np.array([[3.0, 9.0]])
         assert coverage_rate(gt, HypothesisPlanes.uniform(8)) == 0.5
 
+    def test_per_pixel_planes_of_another_shape_rejected(self):
+        planes = HypothesisPlanes.per_pixel(np.stack([np.full((4, 4), 4.0), np.full((4, 4), 6.0)]))
+        with pytest.raises(ValueError, match="do not match"):
+            coverage_rate(np.full((4, 8), 5.0), planes)
+
 
 class TestDownsample:
     def test_decimation_and_rescale(self):
