@@ -19,6 +19,7 @@ from .cost_volume import (
     build_sparse_volume,
     reduce_to_cost,
     soft_argmin,
+    stream_cost,
 )
 from .errors import CfStereoError, ConfigError, FormatError, PipelineError
 from .features import build_pyramid

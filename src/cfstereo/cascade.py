@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .cost_volume import (
-    HypothesisPlanes,
-    build_dense_volume,
-    build_sparse_volume,
-    reduce_to_cost,
-    soft_argmin,
-    uncertainty,
-)
+from .cost_volume import HypothesisPlanes, soft_argmin, stream_cost, uncertainty
 from .errors import PipelineError
 from .features import LEVELS, build_pyramid
 from .fusion import aggregate, fuse_volumes
@@ -197,21 +190,22 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
 
     feat_l, feat_r = _stage("features", feats)
 
-    def decode(diff, planes, scale):
-        sv = reduce_to_cost(diff, planes, scale, w_g, w_a)
+    def smooth(volume):
+        return aggregate(volume, config)
+
+    def fuse(v3, v4, v5):
+        return fuse_volumes(v3, v4, v5, config)
+
+    # One correlation group: stream_cost reduces the C+1 layout block by block.
+    def decode(inputs, scale, regularize):
+        sv = stream_cost(inputs, scale, regularize, w_g, w_a)
         d = soft_argmin(sv)
-        return StageResult(scale, d, uncertainty(sv, d), planes)
+        return StageResult(scale, d, uncertainty(sv, d), sv.planes)
 
-    # One correlation group, so each volume's data is the C+1 layout the cost reads.
     def stage3():
-        def dense(s):
-            return build_dense_volume(feat_l[s], feat_r[s], dmax, s, 1).data
-
-        if config.fusion_enabled:
-            diff = fuse_volumes(dense(3), dense(4), dense(5), config)
-        else:
-            diff = aggregate(dense(3), config)
-        return decode(diff, HypothesisPlanes.uniform(diff.shape[1]), 3)
+        scales = (3, 4, 5) if config.fusion_enabled else (3,)
+        inputs = [(feat_l[s], feat_r[s], HypothesisPlanes.dense(dmax, s)) for s in scales]
+        return decode(inputs, 3, fuse if config.fusion_enabled else smooth)
 
     results = [_stage("stage 3", stage3)]
 
@@ -221,8 +215,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
             planes = sample_planes(lo, hi, params.for_stage(stage)[2])
             scale = stage - 1
-            diff = build_sparse_volume(feat_l[scale], feat_r[scale], planes, scale, 1).data
-            return decode(aggregate(diff, config), planes, scale)
+            return decode([(feat_l[scale], feat_r[scale], planes)], scale, smooth)
 
         results.append(_stage(f"stage {stage - 1}", refine))
 

@@ -8,6 +8,15 @@ as left - matched. The builders therefore write left - matched per channel
 correlations, and `reduce_to_cost` applies `|.|`. A score volume holds one
 cost per plane; softmax of the negated cost is the disparity distribution.
 
+The pipeline never holds such a volume whole. Every step before `|.|` acts
+on each channel alone, so `stream_cost` builds, regularizes and reduces one
+block of channels at a time (`BLOCK_BYTES` of volume): it computes the x - d
+sampler weights once per plane, adds |.| of each regularized block into the
+cost, and regularizes the correlation last. Its cost is byte-identical to
+`reduce_to_cost` of the whole regularized volume. The builders and
+`reduce_to_cost` stay as the reference: the tests check `stream_cost`
+against them, and them against `synth.volume_oracle`.
+
 Volumes take the features' float dtype: float32 features (the pipeline's)
 give float32 volumes, float64 features give the float64 reference. The cost,
 the planes and every decoded map are float64 either way.
@@ -15,12 +24,24 @@ the planes and every decoded map are float64 either way.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .tensor_ops import DTYPE, _sample_rows, as_grid, softmax_along_planes
+from .tensor_ops import (
+    DTYPE,
+    _apply_row_weights,
+    _row_weights,
+    _sample_rows,
+    as_grid,
+    softmax_along_planes,
+)
+
+# Bytes of (C+1)-layout volume that stream_cost regularizes at once. A channel
+# larger than this still goes alone.
+BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,6 +59,15 @@ class HypothesisPlanes:
         if count < 2:
             raise ValueError("need at least 2 hypothesis planes")
         return cls(np.arange(count, dtype=DTYPE))
+
+    @classmethod
+    def dense(cls, dmax: int, scale: int) -> "HypothesisPlanes":
+        """Every integer disparity 0 .. dmax/2^scale - 1 at `scale`."""
+        if dmax % (1 << scale):
+            raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
+        if dmax >> scale < 2:
+            raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
+        return cls.uniform(dmax >> scale)
 
     @classmethod
     def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
@@ -142,12 +172,7 @@ def build_dense_volume(
     """Volume over every integer disparity 0 .. dmax/2^scale - 1, sampled as
     `build_sparse_volume` samples uniform planes."""
     fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
-    if dmax % (1 << scale):
-        raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
-    n_planes = dmax >> scale
-    if n_planes < 2:
-        raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
-    planes = HypothesisPlanes.uniform(n_planes)
+    planes = HypothesisPlanes.dense(dmax, scale)
     data = _fill_volume(fl, fr, planes.values_at(*fl.shape[1:]), n_groups)
     return CombinationVolume(data, planes, scale, n_groups)
 
@@ -186,6 +211,67 @@ def reduce_to_cost(
     corr = diff[c].astype(DTYPE, copy=False)
     cost = -w_group * corr + w_absdiff * np.abs(diff[:c]).mean(axis=0, dtype=DTYPE)
     return ScoreVolume(cost, planes, scale)
+
+
+def stream_cost(
+    inputs: Sequence[tuple[np.ndarray, np.ndarray, HypothesisPlanes]],
+    scale: int,
+    regularize: Callable[..., np.ndarray],
+    w_group: float = 1.0,
+    w_absdiff: float = 1.0,
+) -> ScoreVolume:
+    """`reduce_to_cost` of a regularized one-group volume, built and
+    regularized a block of channels at a time.
+
+    `inputs` holds (left features, right features, planes) per input scale,
+    and `regularize` maps one (B, N, H, W) volume per input to a volume on
+    the first input's planes, acting on each channel alone (as `aggregate`
+    and `fuse_volumes` do). The result equals
+    `reduce_to_cost(regularize(*(v.data for v in volumes)), ...)` for the
+    one-group volumes the builders give, byte for byte: |.| of each
+    regularized block is added into a float64 sum in channel order, and the
+    correlation accumulates over all channels in the builders' order and is
+    regularized last, as one channel.
+    """
+    prepared = []
+    for left, right, planes in inputs:
+        fl, fr = _check_feature_pair(left, right, 1)
+        h, w = fl.shape[1:]
+        pv = planes.values_at(h, w)
+        if not np.isfinite(pv).all():
+            raise ValueError("hypothesis planes contain NaN or inf")
+        xs = np.arange(w, dtype=DTYPE)
+        weights = [_row_weights(xs[None, :] - pv[n], w, fl.dtype) for n in range(pv.shape[0])]
+        prepared.append((fl, fr, weights))
+    counts = {fl.shape[0] for fl, _, _ in prepared}
+    if len(counts) != 1:
+        raise ValueError(f"feature counts differ across inputs: {sorted(counts)}")
+    c = counts.pop()
+    channel_bytes = sum(len(wts) * fl[0].nbytes for fl, _, wts in prepared)
+    block = max(1, BLOCK_BYTES // channel_bytes)
+    corrs = [np.zeros((len(wts),) + fl.shape[1:], dtype=fl.dtype) for fl, _, wts in prepared]
+    total = np.zeros(corrs[0].shape, dtype=DTYPE)
+    for c0 in range(0, c, block):
+        chans = slice(c0, min(c0 + block, c))
+        volumes = []
+        for (fl, fr, weights), corr in zip(prepared, corrs):
+            fb = fl[chans]
+            vol = np.empty((fb.shape[0], len(weights)) + fb.shape[1:], dtype=fl.dtype)
+            for n, wts in enumerate(weights):
+                matched = _apply_row_weights(fr[chans], wts)
+                np.subtract(fb, matched, out=vol[:, n])
+                matched *= fb
+                for product in matched:
+                    corr[n] += product
+            volumes.append(vol)
+        out = regularize(*volumes)
+        np.abs(out, out=out)
+        for channel in out:
+            total += channel
+        del out  # before the next block is built
+    corr = regularize(*(acc[None] / c for acc in corrs))[0]
+    cost = -w_group * corr.astype(DTYPE, copy=False) + w_absdiff * (total / c)
+    return ScoreVolume(cost, inputs[0][2], scale)
 
 
 def soft_argmin(score: ScoreVolume) -> np.ndarray:

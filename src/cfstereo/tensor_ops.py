@@ -66,20 +66,37 @@ def _sample_rows(a: np.ndarray, src: np.ndarray) -> np.ndarray:
     the frame read 0. This is the x - d warp of every cost volume and of the
     synthetic stereograms.
     """
-    h, w = a.shape[-2:]
+    return _apply_row_weights(a, _row_weights(src, a.shape[-1], a.dtype))
+
+
+def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
+    """`_sample_rows`'s gather indices and weights for (H, W) columns `src` in
+    rows of width `w`: flat indices of the two bracketing columns and their
+    weights in `dtype`, so a float32 gather multiplies in float32. Indices are
+    int32 when they fit, which keeps a table of them at 16 B per pixel."""
+    h = src.shape[0]
     base = np.floor(src)
     t = src - base
     i0 = base.astype(np.int64)
     i1 = i0 + 1
-    # weights in a's dtype, so a float32 gather multiplies in float32
-    w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(a.dtype, copy=False)
-    w1 = (t * ((i1 >= 0) & (i1 < w))).astype(a.dtype, copy=False)
-    # out = w0 * a0 + w1 * a1, with a0/a1 gathered from the flat rows
-    flat = a.reshape(a.shape[:-2] + (h * w,))
-    row_start = np.arange(h)[:, None] * w
-    out = np.take(flat, np.clip(i0, 0, w - 1) + row_start, axis=-1)
+    w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(dtype, copy=False)
+    w1 = (t * ((i1 >= 0) & (i1 < w))).astype(dtype, copy=False)
+    index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
+    row_start = np.arange(h, dtype=index)[:, None] * w
+    j0 = np.clip(i0, 0, w - 1).astype(index) + row_start
+    j1 = np.clip(i1, 0, w - 1).astype(index) + row_start
+    return j0, w0, j1, w1
+
+
+def _apply_row_weights(a: np.ndarray, weights: tuple) -> np.ndarray:
+    """w0 * a0 + w1 * a1 per channel of a (..., H, W) grid, with a0/a1 gathered
+    from the flat rows at `_row_weights`'s indices. Each channel is computed
+    alone, so a slice of channels gives that slice of the whole result."""
+    j0, w0, j1, w1 = weights
+    flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    out = np.take(flat, j0, axis=-1)
     out *= w0
-    a1 = np.take(flat, np.clip(i1, 0, w - 1) + row_start, axis=-1)
+    a1 = np.take(flat, j1, axis=-1)
     a1 *= w1
     out += a1
     return out

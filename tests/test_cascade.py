@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,9 +242,9 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "name, call, tag",
         [
-            ("build_dense_volume", 1, "stage 3"),
-            ("build_sparse_volume", 1, "stage 2"),
-            ("build_sparse_volume", 2, "stage 1"),
+            ("stream_cost", 1, "stage 3"),
+            ("stream_cost", 2, "stage 2"),
+            ("stream_cost", 3, "stage 1"),
             # two per refinement step in next_range, then the output's first
             ("bilinear_upsample2x", 5, "output"),
         ],
@@ -278,6 +283,36 @@ class TestPipeline:
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 64)), replace(desk_config(), **change))
 
 
+class TestMemory:
+    # The pair runs in a fresh process of its own: RUSAGE_CHILDREN would
+    # report the largest of all the test run's child processes.
+    PROGRAM = textwrap.dedent("""
+        import resource
+        from dataclasses import replace
+        from cfstereo.benchmarks import desk_config
+        from cfstereo.cascade import run_pipeline
+        from cfstereo.synth import random_dot_stereogram
+        scene = random_dot_stereogram(512, 1024, "two-plane:20,90", 5)
+        run_pipeline(scene.left, scene.right, replace(desk_config(), pipeline_dmax=256))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    def test_volumes_are_never_whole(self):
+        """A 512x1024 pair at dmax 256 stays under 280 MB max RSS. Building
+        each stage's (C+1)-channel volume whole took 371 MB; streaming the
+        channels in blocks takes about 190 MB."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROGRAM], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout.split()[-1]) / 1024
+        assert peak_mb < 280, f"max RSS {peak_mb:.0f} MB"
+
+
 class TestPrecision:
     """The pipeline's volumes are float32; its costs, planes and maps are float64."""
 
@@ -298,7 +333,7 @@ class TestPrecision:
 
     @pytest.mark.parametrize("fusion", [True, False])
     def test_volumes_float32_costs_and_maps_float64(self, monkeypatch, fusion):
-        volumes, costs = [], []
+        volumes, costs, fused = [], [], []
 
         def watch(fn, record):
             def wrapper(*args, **kwargs):
@@ -309,16 +344,15 @@ class TestPrecision:
             monkeypatch.setattr(cascade, fn.__name__, wrapper)
 
         watch(cascade.aggregate, lambda args, out: volumes.extend([args[0], out]))
-        watch(cascade.fuse_volumes, lambda args, out: volumes.extend([*args[:3], out]))
-        watch(cascade.reduce_to_cost, lambda args, out: (volumes.append(args[0]), costs.append(out.cost)))
+        watch(cascade.fuse_volumes, lambda args, out: (volumes.extend([*args[:3], out]), fused.append(out)))
+        watch(cascade.stream_cost, lambda args, out: costs.append(out.cost))
         scene = desk_scene(5)
         out = run_pipeline(scene.left, scene.right, replace(desk_config(), fusion_enabled=fusion))
-        # inputs and outputs of fuse_volumes (3 + 1) or of the stage-3
-        # aggregate (1 + 1), of the two refinement aggregates, and the three
-        # volumes reduce_to_cost reads
+        # one cost per stage; the regularizers' inputs and outputs, however
+        # many channel blocks the volumes are streamed in
         assert len(costs) == 3
-        assert len(volumes) == (4 if fusion else 2) + 2 * 2 + 3
-        assert all(v.dtype == np.float32 for v in volumes)
+        assert bool(fused) == fusion
+        assert volumes and all(v.dtype == np.float32 for v in volumes)
         maps = costs + [out.disparity, out.uncertainty]
         for stage in out.stages:
             maps += [stage.disparity, stage.uncertainty, stage.planes.values]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,12 @@ from cfstereo.cost_volume import (
     build_sparse_volume,
     reduce_to_cost,
     soft_argmin,
+    stream_cost,
     uncertainty,
 )
+from cfstereo.benchmarks import desk_config
 from cfstereo.features import normalize_channels
+from cfstereo.fusion import aggregate, fuse_volumes
 from cfstereo.synth import volume_oracle
 from cfstereo.tensor_ops import box_smooth_axis
 
@@ -319,3 +324,84 @@ class TestFloat32Volumes:
         want = reduce_to_cost(diff.astype(np.float64), vol.planes, 1, w_group=0.7, w_absdiff=1.3).cost
         assert got.dtype == np.float64
         assert np.abs(got - want).max() <= 1e-12
+
+
+class TestStreamCost:
+    """stream_cost equals reduce_to_cost of the whole regularized volume byte
+    for byte. The shapes make BLOCK_BYTES give two or more channel blocks,
+    the last one partial, in float32 and in float64."""
+
+    CONFIG = replace(desk_config(), fusion_smooth_radius=(1, 2, 1), fusion_passes=2)
+    WEIGHTS = dict(w_group=9.75, w_absdiff=0.8125)
+    CHANNELS = 13
+
+    def features(self, seed, h, w, dtype):
+        rng = np.random.default_rng(seed)
+        fl = smoothed_features(rng, self.CHANNELS, h, w)
+        fr = 0.8 * np.roll(fl, 5, axis=-1) + 0.2 * smoothed_features(rng, self.CHANNELS, h, w)
+        return fl.astype(dtype), fr.astype(dtype)
+
+    def streamed(self, inputs, scale, regularize):
+        """stream_cost's cost and the channel counts of its regularize calls."""
+        blocks = []
+
+        def counted(*volumes):
+            blocks.append(volumes[0].shape[0])
+            return regularize(*volumes)
+
+        score = stream_cost(inputs, scale, counted, **self.WEIGHTS)
+        assert score.cost.dtype == np.float64 and score.planes is inputs[0][2]
+        # channel blocks, then the correlation as one channel
+        *channel_blocks, corr = blocks
+        assert corr == 1 and sum(channel_blocks) == self.CHANNELS
+        assert len(channel_blocks) >= 2 and channel_blocks[-1] < channel_blocks[0]
+        return score.cost
+
+    def smooth(self, volume):
+        return aggregate(volume, self.CONFIG)
+
+    def fuse(self, v3, v4, v5):
+        return fuse_volumes(v3, v4, v5, self.CONFIG)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_dense_planes(self, dtype, fusion):
+        dmax, scales = 128, ((3, 4, 5) if fusion else (3,))
+        feats = {s: self.features(s, 256 >> s, 2048 >> s, dtype) for s in scales}
+        regularize = self.fuse if fusion else self.smooth
+        inputs = [(*feats[s], HypothesisPlanes.dense(dmax, s)) for s in scales]
+        got = self.streamed(inputs, 3, regularize)
+        volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
+        want = reduce_to_cost(regularize(*volumes), inputs[0][2], 3, **self.WEIGHTS)
+        assert np.array_equal(got, want.cost)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sparse_planes(self, dtype):
+        fl, fr = self.features(7, 32, 256, dtype)
+        rng = np.random.default_rng(8)
+        # fractional, integer and out-of-frame columns
+        pv = np.sort(rng.uniform(-4.0, 40.0, size=(12, 32, 256)), axis=0)
+        pv[:, :, :8] = np.round(pv[:, :, :8])
+        planes = HypothesisPlanes.per_pixel(pv)
+        got = self.streamed([(fl, fr, planes)], 1, self.smooth)
+        vol = build_sparse_volume(fl, fr, planes, 1, 1)
+        want = reduce_to_cost(self.smooth(vol.data), planes, 1, **self.WEIGHTS)
+        assert np.array_equal(got, want.cost)
+
+    def test_feature_counts_must_agree(self):
+        fl, fr = self.features(0, 4, 8, np.float64)
+        inputs = [
+            (fl, fr, HypothesisPlanes.dense(32, 3)),
+            (fl[:5, :2, :4], fr[:5, :2, :4], HypothesisPlanes.dense(32, 4)),
+        ]
+        with pytest.raises(ValueError, match="feature counts differ"):
+            stream_cost(inputs, 3, self.fuse)
+
+    def test_nonfinite_planes_rejected(self):
+        fl, fr = self.features(0, 4, 8, np.float64)
+        pv = np.zeros((2, 4, 8))
+        pv[1] = 1.0
+        planes = HypothesisPlanes(pv)
+        pv[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN or inf"):
+            stream_cost([(fl, fr, planes)], 1, self.smooth)

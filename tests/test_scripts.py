@@ -1,6 +1,8 @@
-"""The experiment scripts run end to end on one seed and print their summary."""
+"""The scripts run end to end: the experiments on one seed print their
+summary, and the output digest prints its line."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -18,12 +29,14 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, summary):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--seeds", "1"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_script(script, "--seeds", "1")
     assert proc.returncode == 0, proc.stderr
     assert "seed=  0" in proc.stdout
     assert proc.stdout.splitlines()[-1].startswith(summary), proc.stdout
+
+
+def test_output_digest_runs():
+    """The byte-identity gate: one SHA-256 over all 61 runs' output maps."""
+    proc = run_script("output_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"[0-9a-f]{64}  \(61 runs, [0-9.]+ s\)\n", proc.stdout), proc.stdout

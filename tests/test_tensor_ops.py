@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cfstereo.tensor_ops import (
+    _apply_row_weights,
+    _row_weights,
     _sample_rows,
     as_grid,
     avgpool_volume,
@@ -275,6 +277,22 @@ class TestSampleRows:
         a = np.arange(1.0, 13.0).reshape(3, 4)
         src = np.array([[-1.0, -0.5, 4.0, 3.5]] * 3)
         assert np.array_equal(_sample_rows(a, src), np.array([[0.0, 0.5, 0.0, 0.5]]) * a[:, [0, 0, 0, 3]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_apply_to_channel_slices(self, dtype):
+        """Weights computed once serve any block of channels: each slice
+        equals that slice of the whole stack's result, byte for byte."""
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(7, 5, 9)).astype(dtype)
+        src = rng.uniform(-3.0, 12.0, size=(5, 9))
+        src[0, :4] = [-1.0, 0.0, 8.0, 9.0]
+        weights = _row_weights(src, 9, dtype)
+        assert weights[1].dtype == dtype and weights[3].dtype == dtype
+        whole = _apply_row_weights(a, weights)
+        assert whole.dtype == dtype
+        assert np.array_equal(whole, _sample_rows(a, src))
+        for chans in (slice(0, 3), slice(3, 7), slice(6, 7), slice(0, 7)):
+            assert np.array_equal(_apply_row_weights(a[chans], weights), whole[chans])
 
 
 # Float32 grids stay float32, within float32 rounding of the float64 result
