@@ -4,18 +4,19 @@ CFNet's combination volume concatenates left features, right features
 matched at x - d, and one normalized inner-product channel per group. Every
 stage before the cost is linear, so the concatenation reaches the cost only
 as left - matched. The builders therefore write left - matched per channel
-(the right side sampled by `tensor_ops._sample_rows`) followed by the group
-correlations, and `reduce_to_cost` applies `|.|`. A score volume holds one
-cost per plane; softmax of the negated cost is the disparity distribution.
+followed by the group correlations, and `reduce_to_cost` applies `|.|`. A
+score volume holds one cost per plane; softmax of the negated cost is the
+disparity distribution.
 
 The pipeline never holds such a volume whole. Every step before `|.|` acts
 on each channel alone, so `stream_cost` builds, regularizes and reduces one
-block of channels at a time (`BLOCK_BYTES` of volume): it computes the x - d
-sampler weights once per plane, adds |.| of each regularized block into the
-cost, and regularizes the correlation last. Its cost is byte-identical to
-`reduce_to_cost` of the whole regularized volume. The builders and
-`reduce_to_cost` stay as the reference: the tests check `stream_cost`
-against them, and them against `synth.volume_oracle`.
+block of channels at a time (`BLOCK_BYTES` of volume), adding |.| of each
+regularized block into the cost and regularizing the correlation last. Its
+cost is byte-identical to `reduce_to_cost` of the whole regularized volume.
+The builders and `stream_cost` share one fill (`_plane_weights`, `_fill`),
+so `synth.volume_oracle` checks the fill the pipeline runs, and the builders
+stay the whole-volume reference for `stream_cost`'s blocking,
+regularization order and reduction.
 
 Volumes take the features' float dtype: float32 features (the pipeline's)
 give float32 volumes, float64 features give the float64 reference. The cost,
@@ -34,7 +35,6 @@ from .tensor_ops import (
     DTYPE,
     _apply_row_weights,
     _row_weights,
-    _sample_rows,
     as_grid,
     softmax_along_planes,
 )
@@ -144,22 +144,25 @@ def _check_feature_pair(left_feats, right_feats, n_groups):
     return fl, fr
 
 
-def _fill_volume(fl, fr, pv, n_groups):
-    """(C+G, N, H, W) volume: left minus the right features sampled at x - pv[n],
-    then the group correlations, one plane at a time."""
-    c, h, w = fl.shape
-    group_size = c // n_groups
-    data = np.empty((c + n_groups, pv.shape[0], h, w), dtype=fl.dtype)
+def _plane_weights(fl, planes):
+    """`_row_weights` of the x - d sampling for each plane, in the features' dtype."""
+    h, w = fl.shape[1:]
+    pv = planes.values_at(h, w)
+    if not np.isfinite(pv).all():
+        raise ValueError("hypothesis planes contain NaN or inf")
     xs = np.arange(w, dtype=DTYPE)
-    for n in range(pv.shape[0]):
-        matched = _sample_rows(fr, xs[None, :] - pv[n])
-        np.subtract(fl, matched, out=data[:c, n])
-        for g in range(n_groups):
-            acc = np.zeros((h, w), dtype=fl.dtype)
-            for ch in range(g * group_size, (g + 1) * group_size):
-                acc += fl[ch] * matched[ch]
-            data[c + g, n] = acc / group_size
-    return data
+    return [_row_weights(xs[None, :] - pv[n], w, fl.dtype) for n in range(pv.shape[0])]
+
+
+def _fill(fl, fr, weights, out, corr):
+    """For a slice of channels, write left - matched into the (B, N, H, W) `out`
+    and add each channel's left * matched into the (N, H, W) `corr`, in channel order."""
+    for n, wts in enumerate(weights):
+        matched = _apply_row_weights(fr, wts)
+        np.subtract(fl, matched, out=out[:, n])
+        matched *= fl
+        for product in matched:
+            corr[n] += product
 
 
 def build_dense_volume(
@@ -169,12 +172,9 @@ def build_dense_volume(
     scale: int,
     n_groups: int,
 ) -> CombinationVolume:
-    """Volume over every integer disparity 0 .. dmax/2^scale - 1, sampled as
-    `build_sparse_volume` samples uniform planes."""
-    fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
-    planes = HypothesisPlanes.dense(dmax, scale)
-    data = _fill_volume(fl, fr, planes.values_at(*fl.shape[1:]), n_groups)
-    return CombinationVolume(data, planes, scale, n_groups)
+    """Volume over every integer disparity 0 .. dmax/2^scale - 1: the sparse
+    volume on `HypothesisPlanes.dense(dmax, scale)`."""
+    return build_sparse_volume(left_feats, right_feats, HypothesisPlanes.dense(dmax, scale), scale, n_groups)
 
 
 def build_sparse_volume(
@@ -184,13 +184,19 @@ def build_sparse_volume(
     scale: int,
     n_groups: int,
 ) -> CombinationVolume:
-    """Volume over per-pixel fractional planes; the matched side is
-    `tensor_ops._sample_rows` of the right features at x - plane."""
+    """Volume over per-pixel fractional planes; the matched side is the right
+    features sampled at x - plane (`tensor_ops._row_weights`)."""
     fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
-    pv = planes.values_at(*fl.shape[1:])
-    if not np.isfinite(pv).all():
-        raise ValueError("hypothesis planes contain NaN or inf")
-    return CombinationVolume(_fill_volume(fl, fr, pv, n_groups), planes, scale, n_groups)
+    weights = _plane_weights(fl, planes)
+    c = fl.shape[0]
+    group_size = c // n_groups
+    data = np.empty((c + n_groups, len(weights)) + fl.shape[1:], dtype=fl.dtype)
+    data[c:] = 0
+    for g in range(n_groups):
+        chans = slice(g * group_size, (g + 1) * group_size)
+        _fill(fl[chans], fr[chans], weights, data[chans], data[c + g])
+    data[c:] /= group_size
+    return CombinationVolume(data, planes, scale, n_groups)
 
 
 def reduce_to_cost(
@@ -236,13 +242,7 @@ def stream_cost(
     prepared = []
     for left, right, planes in inputs:
         fl, fr = _check_feature_pair(left, right, 1)
-        h, w = fl.shape[1:]
-        pv = planes.values_at(h, w)
-        if not np.isfinite(pv).all():
-            raise ValueError("hypothesis planes contain NaN or inf")
-        xs = np.arange(w, dtype=DTYPE)
-        weights = [_row_weights(xs[None, :] - pv[n], w, fl.dtype) for n in range(pv.shape[0])]
-        prepared.append((fl, fr, weights))
+        prepared.append((fl, fr, _plane_weights(fl, planes)))
     counts = {fl.shape[0] for fl, _, _ in prepared}
     if len(counts) != 1:
         raise ValueError(f"feature counts differ across inputs: {sorted(counts)}")
@@ -257,12 +257,7 @@ def stream_cost(
         for (fl, fr, weights), corr in zip(prepared, corrs):
             fb = fl[chans]
             vol = np.empty((fb.shape[0], len(weights)) + fb.shape[1:], dtype=fl.dtype)
-            for n, wts in enumerate(weights):
-                matched = _apply_row_weights(fr[chans], wts)
-                np.subtract(fb, matched, out=vol[:, n])
-                matched *= fb
-                for product in matched:
-                    corr[n] += product
+            _fill(fb, fr[chans], weights, vol, corr)
             volumes.append(vol)
         out = regularize(*volumes)
         np.abs(out, out=out)

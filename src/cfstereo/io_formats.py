@@ -156,10 +156,14 @@ def read_image(path) -> tuple[np.ndarray, int]:
 
 
 def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
-    """Write [0, 1] values as binary PGM, quantized to maxval steps."""
+    """Write [0, 1] values as binary PGM, quantized to maxval steps; values
+    outside [0, 1] are clipped, and a non-finite value is an error."""
     a = np.asarray(values, dtype=DTYPE)
     if a.ndim != 2:
         raise FormatError(f"PGM writer needs a 2D map, got shape {a.shape}")
+    bad = int(np.count_nonzero(~np.isfinite(a)))
+    if bad:
+        raise FormatError(f"PGM writer got {bad} non-finite values")
     if not 1 <= maxval <= 65535:
         raise FormatError(f"maxval must be in [1, 65535], got {maxval}")
     q = np.rint(np.clip(a, 0.0, 1.0) * maxval)

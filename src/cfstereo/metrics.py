@@ -2,7 +2,8 @@
 
 Ground truth follows the sparse-map convention: a pixel is valid iff its
 value is finite and strictly positive; everything else is excluded from
-every denominator.
+every denominator. A non-finite prediction at a valid pixel is an error of
+every size: the outlier tests count an error unless it is within bounds.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ def bad_tau(pred: np.ndarray, gt: np.ndarray, tau: float) -> float:
     """Fraction of valid pixels with absolute error above tau pixels."""
     p, g, m = _checked_pair(pred, gt)
     err = np.abs(p - g)[m]
-    return float(np.count_nonzero(err > tau)) / err.size
+    return float(np.count_nonzero(~(err <= tau))) / err.size
 
 
 def _d1_outliers(err, gt_vals):
-    return (err > 3.0) & (err > 0.05 * gt_vals)
+    return ~((err <= 3.0) | (err <= 0.05 * gt_vals))
 
 
 def d1_all(pred: np.ndarray, gt: np.ndarray) -> float:

@@ -75,6 +75,8 @@ def random_dot_stereogram(h: int, w: int, spec: str, seed: int) -> SyntheticScen
     rng = np.random.default_rng(seed)
     right = box_smooth_axis(box_smooth_axis(rng.random((h, w)), 0, 1), 1, 1)
     field = disparity_field(spec, (h, w), rng)
+    if not np.isfinite(field).all():
+        raise ValueError("disparity must be finite")
     if field.max() >= w / 4:
         raise ValueError(f"max disparity {field.max()} must stay below W/4 = {w / 4}")
     if field.min() < 0:

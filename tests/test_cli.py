@@ -40,6 +40,15 @@ def test_synth_outputs_exist(workdir):
         assert (workdir / "scene" / name).exists()
 
 
+def test_synth_nonfinite_disparity_is_data_error(tmp_path, capsys):
+    # NaN passes both range checks, and would give a scene with no valid pixel
+    out = tmp_path / "scene"
+    assert cli_main(["synth", "--spec", "constant:nan", "--seed", "0", "--out", str(out),
+                     "--height", "32", "--width", "64"]) == 2
+    assert "disparity must be finite" in capsys.readouterr().err
+    assert not (out / "gt.pfm").exists()
+
+
 def test_match_outputs_and_stage_dumps(workdir):
     assert read_pfm(workdir / "out" / "disp.pfm").shape == (64, 128)
     assert read_pfm(workdir / "out" / "unc.pfm").min() >= 0.0

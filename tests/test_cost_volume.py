@@ -328,8 +328,10 @@ class TestFloat32Volumes:
 
 class TestStreamCost:
     """stream_cost equals reduce_to_cost of the whole regularized volume byte
-    for byte. The shapes make BLOCK_BYTES give two or more channel blocks,
-    the last one partial, in float32 and in float64."""
+    for byte. Each case streams twice against one reference: at the default
+    BLOCK_BYTES, where the shapes give two or more channel blocks with the
+    last one partial, in float32 and in float64; and at BLOCK_BYTES = 1, the
+    one-channel floor that a channel over 4 MiB reaches."""
 
     CONFIG = replace(desk_config(), fusion_smooth_radius=(1, 2, 1), fusion_passes=2)
     WEIGHTS = dict(w_group=9.75, w_absdiff=0.8125)
@@ -341,21 +343,29 @@ class TestStreamCost:
         fr = 0.8 * np.roll(fl, 5, axis=-1) + 0.2 * smoothed_features(rng, self.CHANNELS, h, w)
         return fl.astype(dtype), fr.astype(dtype)
 
-    def streamed(self, inputs, scale, regularize):
-        """stream_cost's cost and the channel counts of its regularize calls."""
-        blocks = []
+    def streamed(self, monkeypatch, inputs, scale, regularize):
+        """stream_cost's costs at the default BLOCK_BYTES and at 1, checking
+        the channel counts of the regularize calls."""
+        costs = []
+        for block_bytes in (cost_volume.BLOCK_BYTES, 1):
+            monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
+            blocks = []
 
-        def counted(*volumes):
-            blocks.append(volumes[0].shape[0])
-            return regularize(*volumes)
+            def counted(*volumes):
+                blocks.append(volumes[0].shape[0])
+                return regularize(*volumes)
 
-        score = stream_cost(inputs, scale, counted, **self.WEIGHTS)
-        assert score.cost.dtype == np.float64 and score.planes is inputs[0][2]
-        # channel blocks, then the correlation as one channel
-        *channel_blocks, corr = blocks
-        assert corr == 1 and sum(channel_blocks) == self.CHANNELS
-        assert len(channel_blocks) >= 2 and channel_blocks[-1] < channel_blocks[0]
-        return score.cost
+            score = stream_cost(inputs, scale, counted, **self.WEIGHTS)
+            assert score.cost.dtype == np.float64 and score.planes is inputs[0][2]
+            # channel blocks, then the correlation as one channel
+            *channel_blocks, corr = blocks
+            assert corr == 1 and sum(channel_blocks) == self.CHANNELS
+            if block_bytes == 1:
+                assert channel_blocks == [1] * self.CHANNELS
+            else:
+                assert len(channel_blocks) >= 2 and channel_blocks[-1] < channel_blocks[0]
+            costs.append(score.cost)
+        return costs
 
     def smooth(self, volume):
         return aggregate(volume, self.CONFIG)
@@ -365,28 +375,28 @@ class TestStreamCost:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("fusion", [True, False])
-    def test_dense_planes(self, dtype, fusion):
+    def test_dense_planes(self, monkeypatch, dtype, fusion):
         dmax, scales = 128, ((3, 4, 5) if fusion else (3,))
         feats = {s: self.features(s, 256 >> s, 2048 >> s, dtype) for s in scales}
         regularize = self.fuse if fusion else self.smooth
         inputs = [(*feats[s], HypothesisPlanes.dense(dmax, s)) for s in scales]
-        got = self.streamed(inputs, 3, regularize)
         volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
         want = reduce_to_cost(regularize(*volumes), inputs[0][2], 3, **self.WEIGHTS)
-        assert np.array_equal(got, want.cost)
+        for got in self.streamed(monkeypatch, inputs, 3, regularize):
+            assert np.array_equal(got, want.cost)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sparse_planes(self, dtype):
+    def test_sparse_planes(self, monkeypatch, dtype):
         fl, fr = self.features(7, 32, 256, dtype)
         rng = np.random.default_rng(8)
         # fractional, integer and out-of-frame columns
         pv = np.sort(rng.uniform(-4.0, 40.0, size=(12, 32, 256)), axis=0)
         pv[:, :, :8] = np.round(pv[:, :, :8])
         planes = HypothesisPlanes.per_pixel(pv)
-        got = self.streamed([(fl, fr, planes)], 1, self.smooth)
         vol = build_sparse_volume(fl, fr, planes, 1, 1)
         want = reduce_to_cost(self.smooth(vol.data), planes, 1, **self.WEIGHTS)
-        assert np.array_equal(got, want.cost)
+        for got in self.streamed(monkeypatch, [(fl, fr, planes)], 1, self.smooth):
+            assert np.array_equal(got, want.cost)
 
     def test_feature_counts_must_agree(self):
         fl, fr = self.features(0, 4, 8, np.float64)

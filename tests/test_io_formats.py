@@ -153,6 +153,15 @@ class TestPgm:
         values, mv = read_pgm(path)
         assert values[0, 1] == 1.0
 
+    def test_nonfinite_values_rejected(self, tmp_path):
+        path = tmp_path / "n.pgm"
+        with pytest.raises(FormatError, match="2 non-finite values"):
+            write_pgm(path, np.array([[np.nan, 0.5, np.inf]]))
+        assert not path.exists()
+        # finite values outside [0, 1] still clip
+        write_pgm(path, np.array([[-3.0, 0.5, 7.0]]))
+        assert path.read_bytes().endswith(bytes([0, 128, 255]))
+
 
 class TestPpm:
     def test_pure_red_luma(self, tmp_path):

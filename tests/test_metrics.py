@@ -144,3 +144,15 @@ def test_float32_prediction_scores_as_its_float64_copy():
         assert bad_tau(pred, gt, tau) == bad_tau(pred.astype(np.float64), gt, tau)
     assert d1_all(pred, gt) == d1_all(pred.astype(np.float64), gt)
     assert 0.0 < d1_all(pred, gt) < 1.0
+
+
+def test_nonfinite_prediction_is_an_outlier():
+    # NaN compares false, so an "err > tau" test would score an all-NaN map as perfect
+    gt = grid([10.0, 20.0, 0.0])
+    nan = grid([np.nan] * 3)
+    assert bad_tau(nan, gt, 2.0) == 1.0
+    assert d1_all(nan, gt) == 1.0
+    assert filtered_metrics(nan, gt, grid([0.0] * 3), 2.5).d1_kept == 1.0
+    mixed = grid([10.0, np.inf, 5.0])
+    assert bad_tau(mixed, gt, 2.0) == 0.5
+    assert d1_all(mixed, gt) == 0.5
