@@ -204,7 +204,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
 
     def stage3():
         scales = (3, 4, 5) if config.fusion_enabled else (3,)
-        inputs = [(feat_l[s], feat_r[s], HypothesisPlanes.dense(dmax, s)) for s in scales]
+        inputs = [(feat_l[s], feat_r[s], HypothesisPlanes.dense(dmax, s, feat_l[s].shape[1:])) for s in scales]
         return decode(inputs, 3, fuse if config.fusion_enabled else smooth)
 
     results = [_stage("stage 3", stage3)]

@@ -46,61 +46,53 @@ BLOCK_BYTES = 4 << 20
 
 @dataclass(frozen=True, eq=False)
 class HypothesisPlanes:
-    """Per-pixel candidate disparity values, ascending along the plane axis.
+    """Per-pixel candidate disparity values in scale-local pixel units.
 
-    `values` is (N,) for uniform integer planes shared by every pixel, or
-    (N, H, W) for per-pixel planes in scale-local pixel units.
+    `values` is (N, H, W) with N >= 2, finite and non-decreasing along N.
+    The constructor checks this and keeps a read-only float64 copy, so
+    planes stay valid whatever later happens to the caller's array.
     """
 
     values: np.ndarray
 
-    @classmethod
-    def uniform(cls, count: int) -> "HypothesisPlanes":
-        if count < 2:
-            raise ValueError("need at least 2 hypothesis planes")
-        return cls(np.arange(count, dtype=DTYPE))
-
-    @classmethod
-    def dense(cls, dmax: int, scale: int) -> "HypothesisPlanes":
-        """Every integer disparity 0 .. dmax/2^scale - 1 at `scale`."""
-        if dmax % (1 << scale):
-            raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
-        if dmax >> scale < 2:
-            raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
-        return cls.uniform(dmax >> scale)
-
-    @classmethod
-    def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
-        v = as_grid(values, 3, "plane values").astype(DTYPE, copy=False)
+    def __post_init__(self):
+        v = as_grid(self.values, 3, "plane values").astype(DTYPE)
         if v.shape[0] < 2:
             raise ValueError("need at least 2 hypothesis planes")
         if not np.isfinite(v).all():
             raise ValueError("hypothesis planes contain NaN or inf")
         if (np.diff(v, axis=0) < -1e-9).any():
             raise ValueError("plane values must be non-decreasing per pixel")
-        return cls(v)
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def uniform(cls, count: int, shape: tuple[int, int]) -> "HypothesisPlanes":
+        """Integer planes 0 .. count - 1 at every pixel of an (H, W) grid."""
+        return cls(np.arange(count, dtype=DTYPE)[:, None, None] + np.zeros(shape))
+
+    @classmethod
+    def dense(cls, dmax: int, scale: int, shape: tuple[int, int]) -> "HypothesisPlanes":
+        """Every integer disparity 0 .. dmax/2^scale - 1 at `scale`."""
+        if dmax % (1 << scale):
+            raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
+        if dmax >> scale < 2:
+            raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
+        return cls.uniform(dmax >> scale, shape)
+
+    @classmethod
+    def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
+        return cls(values)
 
     @property
     def count(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def is_uniform(self) -> bool:
-        return self.values.ndim == 1
-
     def values_at(self, h: int, w: int) -> np.ndarray:
-        """Plane values broadcast to (N, H, W)."""
-        if self.is_uniform:
-            return np.broadcast_to(self.values[:, None, None], (self.count, h, w))
+        """The (N, H, W) values, checked against an (h, w) grid."""
         if self.values.shape[1:] != (h, w):
             raise ValueError(f"planes shaped {self.values.shape} do not match ({h}, {w})")
         return self.values
-
-    def min_map(self, h: int, w: int) -> np.ndarray:
-        return self.values_at(h, w)[0]
-
-    def max_map(self, h: int, w: int) -> np.ndarray:
-        return self.values_at(h, w)[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +114,10 @@ class ScoreVolume:
     cost: np.ndarray
     planes: HypothesisPlanes
     scale: int
+
+    def __post_init__(self):
+        if self.cost.shape != self.planes.values.shape:
+            raise ValueError(f"cost shaped {self.cost.shape} does not match planes {self.planes.values.shape}")
 
     @cached_property
     def _distribution(self) -> np.ndarray:
@@ -148,8 +144,6 @@ def _plane_weights(fl, planes):
     """`_row_weights` of the x - d sampling for each plane, in the features' dtype."""
     h, w = fl.shape[1:]
     pv = planes.values_at(h, w)
-    if not np.isfinite(pv).all():
-        raise ValueError("hypothesis planes contain NaN or inf")
     xs = np.arange(w, dtype=DTYPE)
     return [_row_weights(xs[None, :] - pv[n], w, fl.dtype) for n in range(pv.shape[0])]
 
@@ -173,8 +167,9 @@ def build_dense_volume(
     n_groups: int,
 ) -> CombinationVolume:
     """Volume over every integer disparity 0 .. dmax/2^scale - 1: the sparse
-    volume on `HypothesisPlanes.dense(dmax, scale)`."""
-    return build_sparse_volume(left_feats, right_feats, HypothesisPlanes.dense(dmax, scale), scale, n_groups)
+    volume on `HypothesisPlanes.dense` over the left features' grid."""
+    planes = HypothesisPlanes.dense(dmax, scale, np.shape(left_feats)[1:])
+    return build_sparse_volume(left_feats, right_feats, planes, scale, n_groups)
 
 
 def build_sparse_volume(
@@ -271,28 +266,22 @@ def stream_cost(
 
 def soft_argmin(score: ScoreVolume) -> np.ndarray:
     """Expected plane value under softmax(-cost); stays within plane bounds."""
-    cost = score.cost
-    if cost.shape[0] < 2:
-        raise ValueError("need at least 2 planes")
     p = score._distribution
-    h, w = cost.shape[1:]
-    pv = score.planes.values_at(h, w)
-    d_hat = np.zeros((h, w), dtype=DTYPE)
-    for n in range(cost.shape[0]):
+    pv = score.planes.values
+    d_hat = np.zeros(pv.shape[1:], dtype=DTYPE)
+    for n in range(pv.shape[0]):
         d_hat += pv[n] * p[n]
-    return np.clip(d_hat, score.planes.min_map(h, w), score.planes.max_map(h, w))
+    return np.clip(d_hat, pv[0], pv[-1])
 
 
 def uncertainty(score: ScoreVolume, d_hat: np.ndarray) -> np.ndarray:
     """Variance of the plane-value distribution around d_hat; zero iff degenerate."""
-    cost = score.cost
-    h, w = cost.shape[1:]
-    if d_hat.shape != (h, w):
-        raise ValueError(f"disparity shape {d_hat.shape} does not match cost {cost.shape}")
+    pv = score.planes.values
+    if d_hat.shape != pv.shape[1:]:
+        raise ValueError(f"disparity shape {d_hat.shape} does not match cost {score.cost.shape}")
     p = score._distribution
-    pv = score.planes.values_at(h, w)
-    u = np.zeros((h, w), dtype=DTYPE)
-    for n in range(cost.shape[0]):
+    u = np.zeros(pv.shape[1:], dtype=DTYPE)
+    for n in range(pv.shape[0]):
         diff = pv[n] - d_hat
         u += diff * diff * p[n]
     return u

@@ -51,8 +51,10 @@ def d1_all(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def avg_error(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Mean absolute error over valid pixels; inf if any is predicted non-finite."""
     p, g, m = _checked_pair(pred, gt)
-    return float(np.abs(p - g)[m].mean())
+    err = np.abs(p - g)[m]
+    return float(err.mean()) if np.isfinite(err).all() else np.inf
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,6 @@ def coverage_rate(gt: np.ndarray, planes: HypothesisPlanes) -> float:
     m = valid_mask(g)
     if not m.any():
         raise ValueError("no valid ground-truth pixels")
-    h, w = g.shape
-    lo = planes.min_map(h, w)
-    hi = planes.max_map(h, w)
-    inside = (g >= lo) & (g <= hi) & m
+    pv = planes.values_at(*g.shape)
+    inside = (g >= pv[0]) & (g <= pv[-1]) & m
     return float(np.count_nonzero(inside)) / float(np.count_nonzero(m))

@@ -19,6 +19,8 @@ def _as_groups(ballot) -> list[list[str]]:
             groups.append([entry])
         else:
             groups.append([str(x) for x in entry])
+    if not groups or not all(groups):
+        raise ValueError("a ballot or tie group names no method")
     return groups
 
 
@@ -64,11 +66,14 @@ def schulze_rank(ballots: Iterable[Sequence]) -> list[list[str]]:
 def parse_ballots(text: str) -> list[list[str]]:
     """One ballot per line, comma-separated method names, best first."""
     ballots = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        ballots.append([part.strip() for part in line.split(",") if part.strip()])
+        names = [part.strip() for part in line.split(",") if part.strip()]
+        if not names:
+            raise ValueError(f"ballot on line {number} names no method: {line!r}")
+        ballots.append(names)
     if not ballots:
         raise ValueError("ballot file holds no ballots")
     return ballots

@@ -72,6 +72,8 @@ def disparity_field(spec: str, shape: tuple[int, int], rng: np.random.Generator)
 def random_dot_stereogram(h: int, w: int, spec: str, seed: int) -> SyntheticScene:
     """Seeded random-dot pair warped by the disparity field given by `spec`;
     the right image is noise under a 3x3 box blur."""
+    if h < 1 or w < 1:
+        raise ValueError(f"image size {h}x{w} must be positive")
     rng = np.random.default_rng(seed)
     right = box_smooth_axis(box_smooth_axis(rng.random((h, w)), 0, 1), 1, 1)
     field = disparity_field(spec, (h, w), rng)

@@ -204,9 +204,7 @@ class TestPipeline:
         scene = random_dot_stereogram(128, 256, "slanted:6,20", 2)
         out = run_pipeline(scene.left, scene.right, desk_config())
         for stage in out.stages:
-            h, w = stage.disparity.shape
-            lo = stage.planes.min_map(h, w)
-            hi = stage.planes.max_map(h, w)
+            lo, hi = stage.planes.values[0], stage.planes.values[-1]
             assert np.all(stage.disparity >= lo - 1e-9)
             assert np.all(stage.disparity <= hi + 1e-9)
 

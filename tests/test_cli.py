@@ -49,6 +49,15 @@ def test_synth_nonfinite_disparity_is_data_error(tmp_path, capsys):
     assert not (out / "gt.pfm").exists()
 
 
+@pytest.mark.parametrize("height", ["0", "-4"])
+def test_synth_nonpositive_size_is_data_error(tmp_path, capsys, height):
+    out = tmp_path / "scene"
+    assert cli_main(["synth", "--spec", "constant:0", "--seed", "0", "--out", str(out),
+                     "--height", height]) == 2
+    assert f"image size {height}x256 must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_match_outputs_and_stage_dumps(workdir):
     assert read_pfm(workdir / "out" / "disp.pfm").shape == (64, 128)
     assert read_pfm(workdir / "out" / "unc.pfm").min() >= 0.0
@@ -111,6 +120,16 @@ def test_rank_subcommand(tmp_path, capsys):
         "5 AANet",
         "6 GANet",
     ]
+
+
+@pytest.mark.parametrize("text", [",\n", "A,B\n,\n"])
+def test_rank_ballot_naming_no_method_is_data_error(tmp_path, capsys, text):
+    ballots = tmp_path / "ballots.txt"
+    ballots.write_text(text)
+    assert cli_main(["rank", "--ballots", str(ballots)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "names no method" in captured.err
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):

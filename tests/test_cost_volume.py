@@ -43,6 +43,50 @@ def smoothed_features(rng, c, h, w):
     return normalize_channels(raw)
 
 
+class TestHypothesisPlanes:
+    @staticmethod
+    def ramp(n, h=2, w=3):
+        return np.broadcast_to(np.arange(n, dtype=float)[:, None, None], (n, h, w)).copy()
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            (np.arange(4.0).reshape(2, 2), "3-dimensional"),
+            (np.zeros((1, 2, 3)), "at least 2 hypothesis planes"),
+            (np.where(np.arange(3)[:, None, None] == 1, np.nan, np.zeros((3, 2, 3))), "NaN or inf"),
+            (np.arange(3.0)[::-1, None, None] + np.zeros((3, 2, 3)), "non-decreasing"),
+        ],
+        ids=["2-D", "one plane", "NaN", "decreasing"],
+    )
+    def test_constructor_rejects(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            HypothesisPlanes(values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_are_a_frozen_float64_copy(self, dtype):
+        source = self.ramp(4).astype(dtype)
+        planes = HypothesisPlanes(source)
+        source[2] = -7.0
+        assert planes.values.dtype == np.float64
+        assert np.array_equal(planes.values, self.ramp(4))
+        assert not planes.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            planes.values[0, 0, 0] = 1.0
+
+    def test_uniform_and_dense_are_per_pixel(self):
+        assert np.array_equal(HypothesisPlanes.uniform(4, (2, 3)).values, self.ramp(4))
+        assert np.array_equal(HypothesisPlanes.dense(32, 3, (2, 3)).values, self.ramp(4))
+
+    @pytest.mark.parametrize("n_planes", [4, 8])
+    def test_score_volume_rejects_other_plane_count(self, n_planes):
+        with pytest.raises(ValueError, match="does not match planes"):
+            ScoreVolume(np.zeros((5, 2, 3)), HypothesisPlanes(self.ramp(n_planes)), 1)
+
+    def test_score_volume_rejects_other_grid(self):
+        with pytest.raises(ValueError, match="does not match planes"):
+            ScoreVolume(np.zeros((4, 2, 3)), HypothesisPlanes(self.ramp(4, 3, 2)), 1)
+
+
 class TestDenseVolume:
     def test_hand_example(self):
         # two channels, one group, identical unit features
@@ -230,13 +274,13 @@ class TestSoftArgmin:
         assert soft_argmin(ScoreVolume(cost, planes, 1))[0, 0] == 6.0
 
     def test_uniform_cost_symmetry(self):
-        sv = ScoreVolume(np.zeros((4, 2, 2)), HypothesisPlanes.uniform(4), 1)
+        sv = ScoreVolume(np.zeros((4, 2, 2)), HypothesisPlanes.uniform(4, (2, 2)), 1)
         assert np.allclose(soft_argmin(sv), 1.5)
 
     def test_dot_product(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
         cost = -np.log(p).reshape(4, 1, 1)
-        sv = ScoreVolume(cost, HypothesisPlanes.uniform(4), 1)
+        sv = ScoreVolume(cost, HypothesisPlanes.uniform(4, (1, 1)), 1)
         assert abs(soft_argmin(sv)[0, 0] - 2.0) < 1e-12
 
     @given(st.floats(-20, 20))
@@ -244,7 +288,7 @@ class TestSoftArgmin:
     def test_per_pixel_cost_shift_invariance(self, const):
         rng = np.random.default_rng(8)
         cost = rng.normal(size=(5, 3, 4))
-        planes = HypothesisPlanes.uniform(5)
+        planes = HypothesisPlanes.uniform(5, (3, 4))
         a = soft_argmin(ScoreVolume(cost, planes, 1))
         b = soft_argmin(ScoreVolume(cost + const, planes, 1))
         assert np.allclose(a, b, atol=1e-9)
@@ -257,8 +301,9 @@ class TestSoftArgmin:
         assert np.all(d >= pv[0]) and np.all(d <= pv[-1])
 
     def test_rejects_single_plane(self):
-        with pytest.raises(ValueError, match="2 planes"):
-            soft_argmin(ScoreVolume(np.zeros((1, 2, 2)), HypothesisPlanes(np.zeros(1)), 1))
+        # a one-plane ScoreVolume cannot be made: its planes are rejected first
+        with pytest.raises(ValueError, match="at least 2 hypothesis planes"):
+            HypothesisPlanes(np.zeros((1, 2, 2)))
 
 
 class TestDecode:
@@ -271,7 +316,7 @@ class TestDecode:
 
         softmax = cost_volume.softmax_along_planes
         monkeypatch.setattr(cost_volume, "softmax_along_planes", counting)
-        sv = ScoreVolume(np.random.default_rng(10).normal(size=(5, 3, 4)), HypothesisPlanes.uniform(5), 1)
+        sv = ScoreVolume(np.random.default_rng(10).normal(size=(5, 3, 4)), HypothesisPlanes.uniform(5, (3, 4)), 1)
         uncertainty(sv, soft_argmin(sv))
         assert calls == [(5, 3, 4)]
 
@@ -279,7 +324,7 @@ class TestDecode:
     def test_nonfinite_cost_names_the_pixel(self, bad):
         cost = np.zeros((4, 3, 5))
         cost[2, 1, 3] = bad
-        planes = HypothesisPlanes.uniform(4)
+        planes = HypothesisPlanes.uniform(4, (3, 5))
         with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
             soft_argmin(ScoreVolume(cost, planes, 1))
         with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
@@ -379,7 +424,7 @@ class TestStreamCost:
         dmax, scales = 128, ((3, 4, 5) if fusion else (3,))
         feats = {s: self.features(s, 256 >> s, 2048 >> s, dtype) for s in scales}
         regularize = self.fuse if fusion else self.smooth
-        inputs = [(*feats[s], HypothesisPlanes.dense(dmax, s)) for s in scales]
+        inputs = [(*feats[s], HypothesisPlanes.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
         volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
         want = reduce_to_cost(regularize(*volumes), inputs[0][2], 3, **self.WEIGHTS)
         for got in self.streamed(monkeypatch, inputs, 3, regularize):
@@ -401,17 +446,19 @@ class TestStreamCost:
     def test_feature_counts_must_agree(self):
         fl, fr = self.features(0, 4, 8, np.float64)
         inputs = [
-            (fl, fr, HypothesisPlanes.dense(32, 3)),
-            (fl[:5, :2, :4], fr[:5, :2, :4], HypothesisPlanes.dense(32, 4)),
+            (fl, fr, HypothesisPlanes.dense(32, 3, (4, 8))),
+            (fl[:5, :2, :4], fr[:5, :2, :4], HypothesisPlanes.dense(32, 4, (2, 4))),
         ]
         with pytest.raises(ValueError, match="feature counts differ"):
             stream_cost(inputs, 3, self.fuse)
 
     def test_nonfinite_planes_rejected(self):
-        fl, fr = self.features(0, 4, 8, np.float64)
+        # planes keep their own copy, so a NaN written into the source array
+        # after construction cannot reach stream_cost
         pv = np.zeros((2, 4, 8))
         pv[1] = 1.0
         planes = HypothesisPlanes(pv)
         pv[1, 2, 3] = np.nan
+        assert np.isfinite(planes.values).all()
         with pytest.raises(ValueError, match="NaN or inf"):
-            stream_cost([(fl, fr, planes)], 1, self.smooth)
+            HypothesisPlanes(pv)

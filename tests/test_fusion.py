@@ -32,7 +32,7 @@ def mean_correlation(vol):
 
 def scale3_cost(diff, w_group=1.0, w_absdiff=1.0):
     """Cost of a scale-3 difference volume over uniform integer planes."""
-    return reduce_to_cost(diff, HypothesisPlanes.uniform(diff.shape[1]), 3, w_group, w_absdiff).cost
+    return reduce_to_cost(diff, HypothesisPlanes.uniform(diff.shape[1], diff.shape[2:]), 3, w_group, w_absdiff).cost
 
 
 class TestAggregate:
@@ -177,7 +177,7 @@ class TestInitialDisparity:
     """Stage 3 decodes its cost with soft_argmin and uncertainty."""
 
     def _decode(self, cost):
-        sv = ScoreVolume(cost, HypothesisPlanes.uniform(cost.shape[0]), 3)
+        sv = ScoreVolume(cost, HypothesisPlanes.uniform(cost.shape[0], cost.shape[1:]), 3)
         d = soft_argmin(sv)
         return d, uncertainty(sv, d)
 

@@ -61,6 +61,13 @@ class TestAvgError:
         with pytest.raises(ValueError, match="valid"):
             avg_error(grid([1.0]), grid([np.nan]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_prediction_is_inf(self, bad):
+        # a non-finite prediction at a valid pixel is an error of every size
+        assert avg_error(grid([bad, 10.0]), grid([10.0, 10.0])) == np.inf
+        # at an invalid pixel it is excluded, like the pixel
+        assert avg_error(grid([bad, 11.0]), grid([0.0, 10.0])) == 1.0
+
 
 class TestFilteredMetrics:
     def test_infinite_threshold_is_identity(self):
@@ -101,7 +108,7 @@ class TestCoverage:
 
     def test_uniform_planes(self):
         gt = np.array([[3.0, 9.0]])
-        assert coverage_rate(gt, HypothesisPlanes.uniform(8)) == 0.5
+        assert coverage_rate(gt, HypothesisPlanes.uniform(8, gt.shape)) == 0.5
 
     def test_per_pixel_planes_of_another_shape_rejected(self):
         planes = HypothesisPlanes.per_pixel(np.stack([np.full((4, 4), 4.0), np.full((4, 4), 6.0)]))

@@ -62,6 +62,17 @@ def test_renaming_invariance():
     assert renamed == [mapping[n] for n in OVERALL]
 
 
+def test_empty_ballot_or_tie_group_rejected():
+    for ballot in ([], ["a", []], [["a", "b"], []]):
+        with pytest.raises(ValueError, match="names no method"):
+            schulze_rank([["a", "b"], ballot])
+
+
+def test_parse_ballots_names_a_line_without_methods():
+    with pytest.raises(ValueError, match=r"line 3 names no method: ', ,'"):
+        parse_ballots("a, b\n# comment\n, ,\n")
+
+
 def test_parse_ballots_roundtrip():
     text = "a, b, c\n\n# comment\nc,b,a\n"
     assert parse_ballots(text) == [["a", "b", "c"], ["c", "b", "a"]]

@@ -42,6 +42,11 @@ class TestStereogram:
         assert a.left.tobytes() == b.left.tobytes()
         assert a.gt.tobytes() == b.gt.tobytes()
 
+    @pytest.mark.parametrize("h, w", [(0, 64), (-4, 64), (16, 0)])
+    def test_rejects_nonpositive_size(self, h, w):
+        with pytest.raises(ValueError, match=f"image size {h}x{w} must be positive"):
+            random_dot_stereogram(h, w, "constant:0", 0)
+
     def test_rejects_oversized_disparity(self):
         with pytest.raises(ValueError, match="W/4"):
             random_dot_stereogram(16, 64, "constant:20", 0)
