@@ -2,20 +2,23 @@
 
 Stage 3 decodes the fused dense volumes; stages 2 and 1 re-match inside a
 per-pixel search window derived from the previous stage's estimate and its
-variance, sampled with uniformly spaced hypothesis planes.
+variance, sampled with uniformly spaced hypothesis planes. The window's
+parameters are `config.RangeParams` (re-exported here), which checks them;
+the image size is checked by `build_pyramid` and the planes by
+`HypothesisPlanes`, so the pipeline does not check them again.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RangeParams, RunConfig
 from .cost_volume import HypothesisPlanes, soft_argmin, stream_cost, uncertainty
 from .errors import PipelineError
-from .features import LEVELS, build_pyramid
+from .features import build_pyramid
 from .fusion import aggregate, fuse_volumes
 from .tensor_ops import DTYPE, as_grid, bilinear_upsample2x
 
@@ -29,41 +32,6 @@ __all__ = [
     "sample_planes",
     "run_pipeline",
 ]
-
-
-@dataclass(frozen=True)
-class RangeParams:
-    """Search-window parameters per refinement step (stage 3->2, then 2->1).
-
-    alpha scales the sqrt-variance term, beta adds constant slack; both
-    default to 0 so the window is exactly one standard deviation wide each
-    side. min_step keeps the sampled planes distinct when the variance
-    collapses.
-    """
-
-    alpha: tuple[float, float] = (0.0, 0.0)
-    beta: tuple[float, float] = (0.0, 0.0)
-    min_step: float = 0.25
-    plane_counts: tuple[int, int] = (16, 12)  # planes at stage 2, stage 1
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (*self.alpha, *self.beta, self.min_step)):
-            raise ValueError("alpha, beta and min_step must be finite")
-        if any(a < -1.0 for a in self.alpha):
-            raise ValueError("alpha must be >= -1")
-        if any(b < 0.0 for b in self.beta):
-            raise ValueError("beta must be >= 0")
-        if self.min_step <= 0.0:
-            raise ValueError("min_step must be > 0")
-        if any(n < 2 for n in self.plane_counts):
-            raise ValueError("plane counts must be >= 2")
-
-    def for_stage(self, stage: int) -> tuple[float, float, int]:
-        """(alpha, beta, next-stage plane count) for the step leaving `stage`."""
-        if stage not in (3, 2):
-            raise ValueError(f"no refinement step leaves stage {stage}")
-        k = 0 if stage == 3 else 1
-        return self.alpha[k], self.beta[k], self.plane_counts[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,21 +102,22 @@ def next_range(
 
 
 def sample_planes(d_min: np.ndarray, d_max: np.ndarray, n: int) -> HypothesisPlanes:
-    """N values linearly spaced from d_min to d_max inclusive, per pixel."""
-    if n < 2:
-        raise ValueError("need at least 2 planes")
+    """N values linearly spaced from d_min to d_max inclusive, per pixel.
+
+    `HypothesisPlanes` rejects n < 2 and d_min > d_max.
+    """
     lo = as_grid(d_min, 2, "d_min")
     hi = as_grid(d_max, 2, "d_max")
     if lo.shape != hi.shape:
         raise ValueError(f"shape mismatch: {lo.shape} vs {hi.shape}")
-    if (hi < lo).any():
-        raise ValueError("d_min must not exceed d_max")
     return HypothesisPlanes.per_pixel(np.linspace(lo, hi, n, axis=0))
 
 
-def _stage(tag: str, fn):
+@contextmanager
+def _stage(tag: str):
+    """Re-raise a failure inside the block as a PipelineError tagged `tag`."""
     try:
-        return fn()
+        yield
     except PipelineError:
         raise
     except Exception as exc:
@@ -165,30 +134,20 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     ri = as_grid(right, 2, "right image").astype(DTYPE, copy=False)
     if li.shape != ri.shape:
         raise PipelineError(f"input: image shapes differ: {li.shape} vs {ri.shape}")
-    step = 1 << LEVELS
-    if li.shape[0] % step or li.shape[1] % step:
-        raise PipelineError(f"input: image dims {li.shape} must be divisible by {step}")
     dmax = config.pipeline_dmax
-    params = RangeParams(
-        alpha=config.cascade_alpha,
-        beta=config.cascade_beta,
-        min_step=config.cascade_min_step,
-        plane_counts=(config.cascade_n2, config.cascade_n1),
-    )
+    params = RangeParams.from_config(config)
     w_g, w_a = config.cost_w_group, config.cost_w_absdiff
 
-    def feats():
+    with _stage("features"):
         kw = dict(
             census_radius=config.features_census_radius,
             stat_radius=config.features_stat_radius,
         )
         # features in float64, cast once: every volume below is float32
-        return tuple(
+        feat_l, feat_r = (
             {s: f.astype(np.float32) for s, f in build_pyramid(img, **kw).items()}
             for img in (li, ri)
         )
-
-    feat_l, feat_r = _stage("features", feats)
 
     def smooth(volume):
         return aggregate(volume, config)
@@ -202,28 +161,21 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         d = soft_argmin(sv)
         return StageResult(scale, d, uncertainty(sv, d), sv.planes)
 
-    def stage3():
+    with _stage("stage 3"):
         scales = (3, 4, 5) if config.fusion_enabled else (3,)
         inputs = [(feat_l[s], feat_r[s], HypothesisPlanes.dense(dmax, s, feat_l[s].shape[1:])) for s in scales]
-        return decode(inputs, 3, fuse if config.fusion_enabled else smooth)
-
-    results = [_stage("stage 3", stage3)]
+        results = [decode(inputs, 3, fuse if config.fusion_enabled else smooth)]
 
     for stage in (3, 2):
-        def refine(stage=stage):
+        with _stage(f"stage {stage - 1}"):
             prev = results[-1]
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
             planes = sample_planes(lo, hi, params.for_stage(stage)[2])
             scale = stage - 1
-            return decode([(feat_l[scale], feat_r[scale], planes)], scale, smooth)
+            results.append(decode([(feat_l[scale], feat_r[scale], planes)], scale, smooth))
 
-        results.append(_stage(f"stage {stage - 1}", refine))
-
-    def output():
+    with _stage("output"):
         final = results[-1]
         disp = 2.0 * bilinear_upsample2x(final.disparity)
         unc = 4.0 * bilinear_upsample2x(final.uncertainty)
-        return disp, unc
-
-    disp, unc = _stage("output", output)
     return PipelineOutput(tuple(results), disp, unc)

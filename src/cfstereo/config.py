@@ -7,6 +7,8 @@ reproducibility.
 
 `RunConfig` is the schema: each field is one key, named by turning the
 field's first '_' into '.', and its annotation gives the value type.
+`RangeParams` holds the five `cascade.*` keys as the cascade reads them and
+is the only check of their rules; `validate_config` builds one to check them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,47 @@ from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+
+
+@dataclass(frozen=True)
+class RangeParams:
+    """Search-window parameters per refinement step (stage 3->2, then 2->1).
+
+    alpha scales the sqrt-variance term, beta adds constant slack; both
+    default to 0 so the window is exactly one standard deviation wide each
+    side. min_step keeps the sampled planes distinct when the variance
+    collapses. Messages name the config keys, since a config is where the
+    values usually come from.
+    """
+
+    alpha: tuple[float, float] = (0.0, 0.0)
+    beta: tuple[float, float] = (0.0, 0.0)
+    min_step: float = 0.25
+    plane_counts: tuple[int, int] = (16, 12)  # planes at stage 2, stage 1
+
+    def __post_init__(self):
+        for key, values in (("alpha", self.alpha), ("beta", self.beta), ("min_step", (self.min_step,))):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"cascade.{key} must be finite")
+        if any(a < -1.0 for a in self.alpha):
+            raise ValueError("cascade.alpha must be >= -1")
+        if any(b < 0.0 for b in self.beta):
+            raise ValueError("cascade.beta must be >= 0")
+        if self.min_step <= 0.0:
+            raise ValueError("cascade.min_step must be > 0")
+        if any(n < 2 for n in self.plane_counts):
+            raise ValueError("cascade.n1 and cascade.n2 must be >= 2")
+
+    @classmethod
+    def from_config(cls, cfg: "RunConfig") -> "RangeParams":
+        return cls(cfg.cascade_alpha, cfg.cascade_beta, cfg.cascade_min_step, (cfg.cascade_n2, cfg.cascade_n1))
+
+    def for_stage(self, stage: int) -> tuple[float, float, int]:
+        """(alpha, beta, next-stage plane count) for the step leaving `stage`."""
+        if stage not in (3, 2):
+            raise ValueError(f"no refinement step leaves stage {stage}")
+        k = 0 if stage == 3 else 1
+        return self.alpha[k], self.beta[k], self.plane_counts[k]
 
 
 @dataclass(frozen=True)
@@ -74,16 +117,13 @@ def _format(value) -> str:
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     c = cfg
-    float_values = {
-        "cost.w_group": (c.cost_w_group,),
-        "cost.w_absdiff": (c.cost_w_absdiff,),
-        "cascade.alpha": c.cascade_alpha,
-        "cascade.beta": c.cascade_beta,
-        "cascade.min_step": (c.cascade_min_step,),
-    }
-    for key, values in float_values.items():
-        if not all(math.isfinite(v) for v in values):
+    for key, value in (("cost.w_group", c.cost_w_group), ("cost.w_absdiff", c.cost_w_absdiff)):
+        if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite")
+    try:
+        RangeParams.from_config(c)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # a level has 5 + (2r+1)^2-1 feature channels: 53 at r = 3
     if not 1 <= c.features_census_radius <= 3:
         raise ConfigError("features.census_radius must be 1, 2 or 3")
@@ -95,14 +135,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("fusion.smooth_radius entries must be >= 0")
     if c.fusion_passes < 1 or c.fusion_hourglass_passes < 1:
         raise ConfigError("fusion pass counts must be >= 1")
-    if any(a < -1.0 for a in c.cascade_alpha):
-        raise ConfigError("cascade.alpha must be >= -1")
-    if any(b < 0.0 for b in c.cascade_beta):
-        raise ConfigError("cascade.beta must be >= 0")
-    if c.cascade_n1 < 2 or c.cascade_n2 < 2:
-        raise ConfigError("cascade.n1 and cascade.n2 must be >= 2")
-    if c.cascade_min_step <= 0.0:
-        raise ConfigError("cascade.min_step must be > 0")
     # Smoothing work is linear in each radius and pass count, so each is capped.
     # The caps bound each key, not their product: all four at their caps took
     # 20.6 s on desk_scene(1) on a 2-core host, against 0.17 s at the desk config.

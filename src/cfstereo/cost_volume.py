@@ -61,7 +61,8 @@ class HypothesisPlanes:
             raise ValueError("need at least 2 hypothesis planes")
         if not np.isfinite(v).all():
             raise ValueError("hypothesis planes contain NaN or inf")
-        if (np.diff(v, axis=0) < -1e-9).any():
+        # one plane pair at a time: np.diff would allocate an (N-1, H, W) temporary
+        if any((v[i + 1] - v[i] < -1e-9).any() for i in range(v.shape[0] - 1)):
             raise ValueError("plane values must be non-decreasing per pixel")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

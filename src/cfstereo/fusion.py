@@ -37,18 +37,16 @@ def aggregate(data: np.ndarray, config: RunConfig) -> np.ndarray:
 
 
 def _check_pyramid_ratios(v3: np.ndarray, v4: np.ndarray, v5: np.ndarray):
+    """Same leading axes at every scale; trailing (planes, H, W) halve per scale."""
     s3, s4, s5 = v3.shape, v4.shape, v5.shape
-    if s3[0] != s4[0] or s3[0] != s5[0]:
-        raise ValueError(f"feature counts differ across scales: {s3[0]}, {s4[0]}, {s5[0]}")
-    for axis in (1, 2, 3):
-        if s3[axis] != 2 * s4[axis] or s4[axis] != 2 * s5[axis]:
-            raise ValueError(
-                f"plane/space ratios must halve per scale, got {s3} / {s4} / {s5}"
-            )
+    if s3[:-3] != s4[:-3] or s3[:-3] != s5[:-3]:
+        raise ValueError(f"feature counts differ across scales: {s3[:-3]}, {s4[:-3]}, {s5[:-3]}")
+    if any(a != 2 * b or b != 2 * c for a, b, c in zip(s3[-3:], s4[-3:], s5[-3:])):
+        raise ValueError(f"plane/space ratios must halve per scale, got {s3} / {s4} / {s5}")
 
 
 def fuse_volumes(v3: np.ndarray, v4: np.ndarray, v5: np.ndarray, config: RunConfig) -> np.ndarray:
-    """Merge the (F, N, H, W) volumes of scales 3, 4 and 5 into one scale-3 volume.
+    """Merge the (F, N, H, W) or (N, H, W) volumes of scales 3, 4 and 5 into one scale-3 volume.
 
     Encoder: regularize, pool to the next scale, average with that scale's
     regularized volume. Decoder: trilinear upsample plus skip mixing, then

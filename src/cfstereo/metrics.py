@@ -21,21 +21,32 @@ def valid_mask(gt: np.ndarray) -> np.ndarray:
     return np.isfinite(g) & (g > 0)
 
 
-def _checked_pair(pred, gt):
-    p = as_grid(pred, 2, "prediction")
+def _checked_gt(gt):
     g = as_grid(gt, 2, "ground truth")
-    if p.shape != g.shape:
-        raise ValueError(f"shape mismatch: prediction {p.shape} vs ground truth {g.shape}")
     m = valid_mask(g)
     if not m.any():
         raise ValueError("no valid ground-truth pixels")
+    return g, m
+
+
+def _checked_pair(pred, gt):
+    p = as_grid(pred, 2, "prediction")
+    g, m = _checked_gt(gt)
+    if p.shape != g.shape:
+        raise ValueError(f"shape mismatch: prediction {p.shape} vs ground truth {g.shape}")
     return p, g, m
+
+
+def _errors(p, g, m):
+    """|p - g| and g at the pixels of `m`. Masking first keeps invalid
+    pixels (an infinite truth, say) out of the subtraction."""
+    gm = g[m]
+    return np.abs(p[m] - gm), gm
 
 
 def bad_tau(pred: np.ndarray, gt: np.ndarray, tau: float) -> float:
     """Fraction of valid pixels with absolute error above tau pixels."""
-    p, g, m = _checked_pair(pred, gt)
-    err = np.abs(p - g)[m]
+    err, _ = _errors(*_checked_pair(pred, gt))
     return float(np.count_nonzero(~(err <= tau))) / err.size
 
 
@@ -45,15 +56,13 @@ def _d1_outliers(err, gt_vals):
 
 def d1_all(pred: np.ndarray, gt: np.ndarray) -> float:
     """Fraction of valid pixels whose error exceeds both 3 px and 5% of truth."""
-    p, g, m = _checked_pair(pred, gt)
-    err = np.abs(p - g)[m]
-    return float(np.count_nonzero(_d1_outliers(err, g[m]))) / err.size
+    err, gm = _errors(*_checked_pair(pred, gt))
+    return float(np.count_nonzero(_d1_outliers(err, gm))) / err.size
 
 
 def avg_error(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean absolute error over valid pixels; inf if any is predicted non-finite."""
-    p, g, m = _checked_pair(pred, gt)
-    err = np.abs(p - g)[m]
+    err, _ = _errors(*_checked_pair(pred, gt))
     return float(err.mean()) if np.isfinite(err).all() else np.inf
 
 
@@ -77,8 +86,8 @@ def filtered_metrics(
     kept = m & keep
     if not kept.any():
         raise ValueError("uncertainty filter dropped every valid pixel")
-    err = np.abs(p - g)[kept]
-    d1 = float(np.count_nonzero(_d1_outliers(err, g[kept]))) / err.size
+    err, gk = _errors(p, g, kept)
+    d1 = float(np.count_nonzero(_d1_outliers(err, gk))) / err.size
     return FilteredMetrics(
         kept_fraction=float(np.count_nonzero(kept)) / float(np.count_nonzero(m)),
         d1_kept=d1,
@@ -103,10 +112,7 @@ def coverage_rate(gt: np.ndarray, planes: HypothesisPlanes) -> float:
     `gt` must already be at the planes' resolution and in the same
     scale-local pixel units.
     """
-    g = as_grid(gt, 2, "ground truth")
-    m = valid_mask(g)
-    if not m.any():
-        raise ValueError("no valid ground-truth pixels")
+    g, m = _checked_gt(gt)
     pv = planes.values_at(*g.shape)
     inside = (g >= pv[0]) & (g <= pv[-1]) & m
     return float(np.count_nonzero(inside)) / float(np.count_nonzero(m))

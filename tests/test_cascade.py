@@ -179,11 +179,11 @@ class TestSamplePlanes:
         assert np.all(planes.values == 4.0)
 
     def test_rejects_single_plane(self):
-        with pytest.raises(ValueError, match="2 planes"):
+        with pytest.raises(ValueError, match="at least 2"):
             sample_planes(np.zeros((1, 1)), np.ones((1, 1)), 1)
 
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError, match="exceed"):
+        with pytest.raises(ValueError, match="non-decreasing"):
             sample_planes(np.ones((1, 1)), np.zeros((1, 1)), 4)
 
 

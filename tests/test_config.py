@@ -2,9 +2,10 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cfstereo.config import RunConfig, format_config, parse_config, validate_config
+from cfstereo.config import RangeParams, RunConfig, format_config, parse_config, validate_config
 from cfstereo.errors import ConfigError
 
 
@@ -83,6 +84,34 @@ def test_validation_failures(line):
 def test_nonfinite_floats_rejected(key, value):
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
         parse_config(f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "line, change, message",
+    [
+        ("cascade.alpha = 0,-1.5", {"alpha": (0.0, -1.5)}, "cascade.alpha must be >= -1"),
+        ("cascade.alpha = nan,0", {"alpha": (np.nan, 0.0)}, "cascade.alpha must be finite"),
+        ("cascade.beta = -0.5", {"beta": (-0.5, -0.5)}, "cascade.beta must be >= 0"),
+        ("cascade.beta = 0,inf", {"beta": (0.0, np.inf)}, "cascade.beta must be finite"),
+        ("cascade.min_step = -1", {"min_step": -1.0}, "cascade.min_step must be > 0"),
+        ("cascade.min_step = -inf", {"min_step": -np.inf}, "cascade.min_step must be finite"),
+        ("cascade.n1 = 1", {"plane_counts": (16, 1)}, "cascade.n1 and cascade.n2 must be >= 2"),
+        ("cascade.n2 = 0", {"plane_counts": (0, 12)}, "cascade.n1 and cascade.n2 must be >= 2"),
+    ],
+)
+def test_window_rules_have_one_message(line, change, message):
+    """The config and RangeParams reject a bad window value with the same text."""
+    with pytest.raises(ConfigError) as from_config:
+        parse_config(line + "\n")
+    with pytest.raises(ValueError) as from_params:
+        RangeParams(**change)
+    assert str(from_config.value) == str(from_params.value) == message
+
+
+def test_range_params_from_config():
+    cfg = RunConfig(cascade_alpha=(0.5, 1.0), cascade_beta=(2.0, 3.0), cascade_n1=5, cascade_n2=7, cascade_min_step=0.125)
+    assert RangeParams.from_config(cfg) == RangeParams((0.5, 1.0), (2.0, 3.0), 0.125, (7, 5))
+    assert RangeParams.from_config(RunConfig()) == RangeParams()
 
 
 def test_validate_direct():

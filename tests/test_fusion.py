@@ -122,6 +122,23 @@ class TestFuseVolumes:
         with pytest.raises(ValueError, match="feature counts"):
             fuse_volumes(v3, v4, np.zeros((3, 2, 1, 2)), RunConfig())
 
+    def test_three_dimensional_volumes_fuse_per_channel(self):
+        """Fusion acts on each channel alone, so fusing one (N, H, W) channel
+        gives that channel of the (F, N, H, W) fuse."""
+        vols = self._pyramid_volumes()
+        cfg = replace(RunConfig(), fusion_smooth_radius=(1, 2, 1), fusion_hourglass_passes=2)
+        whole = fuse_volumes(*vols, cfg)
+        for c in (0, 5, vols[0].shape[0] - 1):
+            alone = fuse_volumes(*(v[c] for v in vols), cfg)
+            assert alone.tobytes() == whole[c].tobytes(), c
+
+    def test_mismatched_three_dimensional_volumes_rejected(self):
+        v3, v4 = np.zeros((8, 4, 8)), np.zeros((4, 2, 4))
+        with pytest.raises(ValueError, match="ratio"):
+            fuse_volumes(v3, v4, np.zeros((3, 1, 2)), RunConfig())
+        with pytest.raises(ValueError, match="feature counts"):
+            fuse_volumes(v3, v4, np.zeros((1, 2, 1, 2)), RunConfig())
+
 
 def paper_layout(fl, vol):
     """The paper's (2C+G, N, H, W) concat volume: left features in every plane,

@@ -163,3 +163,22 @@ def test_nonfinite_prediction_is_an_outlier():
     mixed = grid([10.0, np.inf, 5.0])
     assert bad_tau(mixed, gt, 2.0) == 0.5
     assert d1_all(mixed, gt) == 0.5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "score, want",
+    [
+        (lambda p, g: bad_tau(p, g, 1.0), 0.0),
+        (lambda p, g: bad_tau(p, g, 0.5), 0.5),
+        (d1_all, 0.0),
+        (avg_error, 0.5),
+        (lambda p, g: filtered_metrics(p, g, grid([0.0, 0.0, 0.0, 9.0]), 2.0).kept_fraction, 0.5),
+    ],
+    ids=["bad_tau_1", "bad_tau_0.5", "d1_all", "avg_error", "filtered_metrics"],
+)
+def test_infinite_prediction_at_infinite_truth_is_masked_before_subtracting(score, want):
+    """An infinite truth marks an invalid pixel; scoring must not compute inf - inf there."""
+    pred = grid([np.inf, 10.0, -np.inf, 21.0])
+    gt = grid([np.inf, 10.0, -np.inf, 20.0])
+    assert score(pred, gt) == want
