@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import DTYPE, as_grid, box_smooth_axis, require_finite, weighted_smooth_axis
+from .tensor_ops import DTYPE, _edge_pad, as_grid, box_smooth_axis, require_finite, weighted_smooth_axis
 
 # binomial 5-tap, the usual pyramid antialias kernel
 _BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -19,10 +19,13 @@ LEVELS = 5
 
 
 def blur_decimate2(image: np.ndarray) -> np.ndarray:
-    """Separable binomial blur followed by 2x decimation (even samples)."""
-    sm = weighted_smooth_axis(image, 0, _BLUR_KERNEL)
+    """Separable binomial blur followed by 2x decimation (even samples).
+
+    The odd rows are dropped before the blur along x, which treats each row
+    alone, so it runs on half of them."""
+    sm = weighted_smooth_axis(image, 0, _BLUR_KERNEL)[::2]
     sm = weighted_smooth_axis(sm, 1, _BLUR_KERNEL)
-    return sm[::2, ::2]
+    return sm[:, ::2]
 
 
 def box_mean2d(image: np.ndarray, radius: int) -> np.ndarray:
@@ -42,15 +45,13 @@ def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 
     std = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
     channels = [image, gx, gy, mean, std]
     h, w = image.shape
-    rows = np.arange(h)
-    cols = np.arange(w)
-    for dy in range(-census_radius, census_radius + 1):
-        ry = np.clip(rows + dy, 0, h - 1)
-        for dx in range(-census_radius, census_radius + 1):
+    r = census_radius
+    padded = _edge_pad(_edge_pad(image, 0, r), 1, r)
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
             if dy == 0 and dx == 0:
                 continue
-            rx = np.clip(cols + dx, 0, w - 1)
-            neighbor = image[ry][:, rx]
+            neighbor = padded[r + dy : r + dy + h, r + dx : r + dx + w]
             channels.append(np.where(image > neighbor, 1.0, -1.0))
     return np.stack(channels, axis=0)
 

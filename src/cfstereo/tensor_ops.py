@@ -42,20 +42,31 @@ def softmax_along_planes(volume: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def _add_shifted(acc: np.ndarray, a: np.ndarray, axis: int, off: int, weight=None) -> None:
-    """acc[i] += a[clip(i + off, 0, n - 1)] along `axis`, times `weight` if given,
-    by slicing: the cells that the shift pushes off the end read the length-1
-    edge slice, broadcast."""
+def _edge_pad(a: np.ndarray, axis: int, r: int) -> np.ndarray:
+    """A copy of `a` with r copies of its first slice before and of its last
+    slice after, along `axis`. The edge-clamped shift by `off` in [-r, r],
+    a[clip(i + off, 0, n - 1)], is then the plain slice [r + off, r + off + n)."""
+    axis %= a.ndim
     n = a.shape[axis]
-    k = min(abs(off), n)
-    if off >= 0:
-        spans = ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(n - 1, n)))
-    else:
-        spans = ((slice(k, n), slice(0, n - k)), (slice(0, k), slice(0, 1)))
-    lead = (slice(None),) * (axis % a.ndim)
-    for dst, src in spans:
-        part = a[lead + (src,)]
-        acc[lead + (dst,)] += part if weight is None else weight * part
+    shape = list(a.shape)
+    shape[axis] = n + 2 * r
+    out = np.empty(shape, a.dtype)
+    lead = (slice(None),) * axis
+    out[lead + (slice(r, r + n),)] = a
+    if n:  # an empty axis has no edge, and its shifts are empty slices
+        out[lead + (slice(0, r),)] = a[lead + (slice(0, 1),)]
+        out[lead + (slice(r + n, None),)] = a[lead + (slice(n - 1, n),)]
+    return out
+
+
+def _shifts(a: np.ndarray, axis: int, r: int) -> list:
+    """The 2r+1 edge-clamped shifts of `a` along `axis`, offsets -r..r in
+    order, each a view into one `_edge_pad` copy."""
+    axis %= a.ndim
+    n = a.shape[axis]
+    padded = _edge_pad(a, axis, r)
+    lead = (slice(None),) * axis
+    return [padded[lead + (slice(k, k + n),)] for k in range(2 * r + 1)]
 
 
 def _sample_rows(a: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -73,32 +84,39 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
     """`_sample_rows`'s gather indices and weights for (H, W) columns `src` in
     rows of width `w`: flat indices of the two bracketing columns and their
     weights in `dtype`, so a float32 gather multiplies in float32. Indices are
-    int32 when they fit, which keeps a table of them at 16 B per pixel."""
+    int32 when they fit, which keeps a table of them at 16 B per pixel.
+
+    When every column is an integer the second weight is zero everywhere, so
+    its index and weight are None and the gather reads one column."""
     h = src.shape[0]
     base = np.floor(src)
     t = src - base
     i0 = base.astype(np.int64)
-    i1 = i0 + 1
     w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(dtype, copy=False)
-    w1 = (t * ((i1 >= 0) & (i1 < w))).astype(dtype, copy=False)
     index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
     row_start = np.arange(h, dtype=index)[:, None] * w
     j0 = np.clip(i0, 0, w - 1).astype(index) + row_start
+    if not t.any():
+        return j0, w0, None, None
+    i1 = i0 + 1
+    w1 = (t * ((i1 >= 0) & (i1 < w))).astype(dtype, copy=False)
     j1 = np.clip(i1, 0, w - 1).astype(index) + row_start
     return j0, w0, j1, w1
 
 
 def _apply_row_weights(a: np.ndarray, weights: tuple) -> np.ndarray:
     """w0 * a0 + w1 * a1 per channel of a (..., H, W) grid, with a0/a1 gathered
-    from the flat rows at `_row_weights`'s indices. Each channel is computed
-    alone, so a slice of channels gives that slice of the whole result."""
+    from the flat rows at `_row_weights`'s indices (w0 * a0 alone when there
+    is no second column). Each channel is computed alone, so a slice of
+    channels gives that slice of the whole result."""
     j0, w0, j1, w1 = weights
     flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
     out = np.take(flat, j0, axis=-1)
     out *= w0
-    a1 = np.take(flat, j1, axis=-1)
-    a1 *= w1
-    out += a1
+    if j1 is not None:
+        a1 = np.take(flat, j1, axis=-1)
+        a1 *= w1
+        out += a1
     return out
 
 
@@ -108,11 +126,16 @@ def _upsample2x_axis(a: np.ndarray, axis: int) -> np.ndarray:
     Output sample 2k sits a quarter cell left of input cell k, sample 2k+1 a
     quarter cell right, so each output is 0.75/0.25 blend of neighbors.
     """
-    out = np.repeat(a, 2, axis=axis)
-    out *= 0.75
-    lead = (slice(None),) * (axis % a.ndim)
-    for parity, off in ((0, -1), (1, 1)):
-        _add_shifted(out[lead + (slice(parity, None, 2),)], a, axis, off, 0.25)
+    axis %= a.ndim
+    lo, _, hi = _shifts(a, axis, 1)
+    shape = list(a.shape)
+    shape[axis] *= 2
+    out = np.empty(shape, a.dtype)
+    lead = (slice(None),) * axis
+    for parity, side in ((0, lo), (1, hi)):
+        half = out[lead + (slice(parity, None, 2),)]
+        np.multiply(a, 0.75, out=half)
+        half += 0.25 * side
     return out
 
 
@@ -146,19 +169,26 @@ def avgpool_volume(volume: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"avgpool needs (planes, H, W) divisible by 2, got {(n, h, w)}; pad the volume first"
         )
-    blocks = v.reshape(v.shape[:-3] + (n // 2, 2, h // 2, 2, w // 2, 2))
-    return blocks.mean(axis=(-5, -3, -1))
+    # pairwise sums of whole slices: x pairs, then y pairs, then plane pairs
+    v = v[..., 0::2] + v[..., 1::2]
+    v = v[..., 0::2, :] + v[..., 1::2, :]
+    v = v[..., 0::2, :, :] + v[..., 1::2, :, :]
+    v *= 0.125
+    return v
 
 
 def box_smooth_axis(a: np.ndarray, axis: int, radius: int) -> np.ndarray:
     """Edge-clamped box mean along one axis."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    a = as_grid(a)
     if radius == 0:
         return a.copy()
-    acc = np.zeros_like(a)
-    for off in range(-radius, radius + 1):
-        _add_shifted(acc, a, axis, off)
+    taps = _shifts(a, axis, radius)
+    # + 0.0 turns a leading -0.0 into 0.0, as a sum started from zero would
+    acc = taps[0] + 0.0
+    for tap in taps[1:]:
+        acc += tap
     acc /= 2 * radius + 1
     return acc
 
@@ -170,7 +200,10 @@ def weighted_smooth_axis(a: np.ndarray, axis: int, weights) -> np.ndarray:
         raise ValueError("kernel must be 1D with odd length")
     radius = weights.size // 2
     a = as_grid(a)
-    acc = np.zeros_like(a)
-    for weight, off in zip(weights.astype(a.dtype), range(-radius, radius + 1)):
-        _add_shifted(acc, a, axis, off, weight)
+    taps = _shifts(a, axis, radius)
+    weights = weights.astype(a.dtype)
+    acc = weights[0] * taps[0]
+    acc += 0.0  # as in box_smooth_axis
+    for weight, tap in zip(weights[1:], taps[1:]):
+        acc += weight * tap
     return acc

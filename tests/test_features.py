@@ -70,3 +70,84 @@ def test_levels_match_truncated_full_stack(census_radius, channels):
         assert pyr[level].tobytes() == normalize_channels(raw).tobytes()
         # normalization is per channel, so it commutes with truncation
         assert pyr[level][:channels].tobytes() == normalize_channels(raw[:channels]).tobytes()
+
+
+# The census neighbours and the blur taps are slices of edge-padded copies.
+# These references write the same formulas with clipped np.take indices, so
+# the two must agree bit for bit, including where the radius reaches past
+# the image (a 4x8 image is desk's scale 5).
+
+
+def take_clamped(a, axis, off):
+    n = a.shape[axis]
+    return np.take(a, np.clip(np.arange(n) + off, 0, n - 1), axis=axis)
+
+
+def blur_reference(a, axis):
+    kernel = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    acc = np.zeros_like(a)
+    for weight, off in zip(kernel, range(-2, 3)):
+        acc += weight * take_clamped(a, axis, off)
+    return acc
+
+
+def box_reference(a, axis, radius):
+    acc = np.zeros_like(a)
+    for off in range(-radius, radius + 1):
+        acc += take_clamped(a, axis, off)
+    return acc / (2 * radius + 1)
+
+
+def channel_stack_reference(image, census_radius, stat_radius=2):
+    gy, gx = np.gradient(image)
+    mean = box_reference(box_reference(image, 0, stat_radius), 1, stat_radius)
+    sq_mean = box_reference(box_reference(image * image, 0, stat_radius), 1, stat_radius)
+    std = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
+    channels = [image, gx, gy, mean, std]
+    h, w = image.shape
+    for dy in range(-census_radius, census_radius + 1):
+        ry = np.clip(np.arange(h) + dy, 0, h - 1)
+        for dx in range(-census_radius, census_radius + 1):
+            if dy == 0 and dx == 0:
+                continue
+            rx = np.clip(np.arange(w) + dx, 0, w - 1)
+            channels.append(np.where(image > image[ry][:, rx], 1.0, -1.0))
+    return np.stack(channels, axis=0)
+
+
+PADDED_IMAGES = {
+    "random 64x128": np.random.default_rng(6).random((64, 128)),
+    "ties 16x32": np.random.default_rng(7).integers(0, 3, size=(16, 32)).astype(np.float64),
+    "4x8": np.random.default_rng(8).random((4, 8)),
+    "2x4": np.random.default_rng(9).random((2, 4)),
+}
+
+
+@pytest.mark.parametrize("census_radius", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PADDED_IMAGES))
+def test_channel_stack_matches_clipped_index_census(census_radius, name):
+    image = PADDED_IMAGES[name]
+    got, want = channel_stack(image, census_radius), channel_stack_reference(image, census_radius)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PADDED_IMAGES))
+def test_blur_decimate2_matches_blur_then_decimate(name):
+    image = PADDED_IMAGES[name]
+    want = blur_reference(blur_reference(image, 0), 1)[::2, ::2]
+    got = blur_decimate2(image)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("census_radius", [1, 2, 3])
+def test_pyramid_levels_match_clipped_index_references(census_radius):
+    """Down to the 4x8 level of a 128x256 image, every raw stack is the
+    reference's, byte for byte."""
+    current = want = np.random.default_rng(10).random((128, 256))
+    for level in range(1, 6):
+        current = blur_decimate2(current)
+        want = blur_reference(blur_reference(want, 0), 1)[::2, ::2]
+        assert current.tobytes() == want.tobytes()
+        raw = channel_stack(current, census_radius)
+        assert raw.tobytes() == channel_stack_reference(want, census_radius).tobytes()
+    assert current.shape == (4, 8)

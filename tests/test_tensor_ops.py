@@ -181,6 +181,27 @@ def grids():
 LENGTH_ONE = np.array([[-0.0], [2.5], [-1.25]])  # axis 1 has length 1
 
 
+finite32 = st.floats(-50, 50, allow_nan=False, width=32)
+NEG_ZERO_32 = np.array([[-0.0, -0.0, 1.5], [-0.0, 0.0, -2.25]], np.float32)
+
+
+def grids32():
+    return arrays(np.float32, array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5), elements=finite32)
+
+
+def kernels():
+    return st.sampled_from([1, 3, 5, 9, 13]).flatmap(lambda n: st.lists(finite, min_size=n, max_size=n))
+
+
+def any_axis(axis, ndim):
+    """A drawn axis in [-4, 4) as a valid axis of an ndim grid, keeping its sign."""
+    return axis % ndim - (ndim if axis < 0 else 0)
+
+
+def upsample_axis_reference32(a, axis):
+    return upsample_axis_reference(a, axis).astype(np.float32)
+
+
 class TestSliceShiftsMatchGathers:
     @given(grids(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -207,6 +228,12 @@ class TestSliceShiftsMatchGathers:
         for radius in (1, 6):
             assert_bitwise_equal(box_smooth_axis(LENGTH_ONE, axis, radius), box_reference(LENGTH_ONE, axis, radius))
 
+    def test_empty_axis_gives_empty_result(self):
+        a = np.zeros((0, 3))
+        assert_bitwise_equal(box_smooth_axis(a, 0, 2), box_reference(a, 0, 2))
+        assert_bitwise_equal(weighted_smooth_axis(a, 0, [1.0, 2.0, 1.0]), weighted_reference(a, 0, [1.0, 2.0, 1.0]))
+        assert_bitwise_equal(bilinear_upsample2x(a), np.zeros((0, 6)))
+
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5), elements=finite))
     @settings(max_examples=80, deadline=None)
     @example(LENGTH_ONE)
@@ -222,6 +249,85 @@ class TestSliceShiftsMatchGathers:
         for axis in (-3, -2, -1):
             want = upsample_axis_reference(want, axis)
         assert_bitwise_equal(trilinear_upsample2x(v), want)
+
+    # The pipeline feeds float32 volumes through the same taps. The float32
+    # draws run against the same np.take references: the weighted reference
+    # gets the kernel in float32, as the library multiplies in the grid's
+    # dtype, and each upsampled axis is cast back to float32, which is exact
+    # since the reference computes it in float32 before storing it in float64.
+
+    @given(grids32(), st.integers(-4, 3), st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    @example(NEG_ZERO_32, 0, 1)
+    @example(NEG_ZERO_32, -1, 2)
+    @example(NEG_ZERO_32, 1, 0)
+    def test_box_smooth_axis_float32(self, a, axis, radius):
+        axis = any_axis(axis, a.ndim)
+        assert_bitwise_equal(box_smooth_axis(a, axis, radius), box_reference(a, axis, radius))
+
+    @given(grids32(), st.integers(-4, 3), kernels())
+    @settings(max_examples=150, deadline=None)
+    @example(NEG_ZERO_32, 0, [1.0, 2.0, 1.0])
+    @example(NEG_ZERO_32, -1, [0.25, -0.5, 1.0, 0.0, 2.0])
+    def test_weighted_smooth_axis_float32(self, a, axis, weights):
+        axis = any_axis(axis, a.ndim)
+        weights = np.asarray(weights)
+        want = weighted_reference(a, axis, weights.astype(np.float32))
+        assert_bitwise_equal(weighted_smooth_axis(a, axis, weights), want)
+
+    @given(arrays(np.float32, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5), elements=finite32))
+    @settings(max_examples=80, deadline=None)
+    @example(NEG_ZERO_32)
+    @example(np.array([[-0.0]], np.float32))
+    def test_bilinear_upsample2x_float32(self, m):
+        want = upsample_axis_reference32(upsample_axis_reference32(m, 0), 1)
+        assert_bitwise_equal(bilinear_upsample2x(m), want)
+
+    @given(arrays(np.float32, array_shapes(min_dims=3, max_dims=4, min_side=1, max_side=4), elements=finite32))
+    @settings(max_examples=80, deadline=None)
+    @example(NEG_ZERO_32.reshape(1, 2, 3))
+    def test_trilinear_upsample2x_float32(self, v):
+        want = v
+        for axis in (-3, -2, -1):
+            want = upsample_axis_reference32(want, axis)
+        assert_bitwise_equal(trilinear_upsample2x(v), want)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize(
+    "a",
+    [np.arange(5), np.arange(-6, 6, dtype=np.int32).reshape(3, 4), np.linspace(-2, 2, 12).astype(np.float16).reshape(3, 4)],
+    ids=["int64", "int32", "float16"],
+)
+def test_box_smooth_axis_upcasts_like_as_grid(a, radius):
+    want = box_smooth_axis(a.astype(np.float64), 0, radius)
+    assert want.dtype == np.float64
+    assert_bitwise_equal(box_smooth_axis(a, 0, radius), want)
+
+
+def blocks_mean(v):
+    n, h, w = v.shape[-3:]
+    return v.reshape(v.shape[:-3] + (n // 2, 2, h // 2, 2, w // 2, 2)).mean(axis=(-5, -3, -1))
+
+
+class TestAvgpoolSumsSlices:
+    """`avgpool_volume` adds x pairs, then y pairs, then plane pairs; only the
+    summation order differs from the strided block mean."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_integer_values_equal_block_mean(self, dtype):
+        v = np.random.default_rng(7).integers(-1000, 1000, size=(3, 4, 6, 8)).astype(dtype)
+        assert_bitwise_equal(avgpool_volume(v), blocks_mean(v))
+
+    @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 6, 10), (2, 4, 8, 16)])
+    def test_random_values_within_rounding_of_block_mean(self, dtype, rel, shape):
+        v = np.random.default_rng(8).normal(size=shape).astype(dtype)
+        got, want = avgpool_volume(v), blocks_mean(v)
+        assert got.dtype == want.dtype == dtype
+        # relative to each block's mean magnitude, which bounds the rounding
+        scale = blocks_mean(np.abs(v).astype(np.float64))
+        assert np.all(np.abs(got.astype(np.float64) - want) <= rel * scale)
 
 
 # The row sampler against the per-pixel formula that `synth.volume_oracle`
@@ -293,6 +399,55 @@ class TestSampleRows:
         assert np.array_equal(whole, _sample_rows(a, src))
         for chans in (slice(0, 3), slice(3, 7), slice(6, 7), slice(0, 7)):
             assert np.array_equal(_apply_row_weights(a[chans], weights), whole[chans])
+
+
+def two_gather(a, src):
+    """`_apply_row_weights` with the second column's gather kept: the column
+    right of each integer source, at weight 0, as before integer planes took
+    one gather."""
+    h, w = src.shape
+    j0, w0, j1, w1 = _row_weights(src, w, a.dtype)
+    assert j1 is None and w1 is None
+    j1 = np.clip(src.astype(np.int64) + 1, 0, w - 1).astype(j0.dtype) + np.arange(h, dtype=j0.dtype)[:, None] * w
+    return _apply_row_weights(a, (j0, w0, j1, np.zeros_like(w0)))
+
+
+class TestIntegerColumnsTakeOneGather:
+    """Integer columns give `_row_weights` no second table, so the gather
+    reads one column. The second gather added (+0.0) * neighbour: that is
+    the value unchanged, except that it turns an exact lookup of -0.0 into
+    0.0 when the neighbour is not negative. So the one gather equals the two
+    byte for byte except at -0.0 lookups, where it keeps the -0.0 it read."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_gather_equals_two(self, dtype, data):
+        elements = finite32 if dtype == np.float32 else finite
+        a = data.draw(arrays(dtype, array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=5), elements=elements))
+        h, w = a.shape[-2:]
+        cols = data.draw(arrays(np.int64, (h, w), elements=st.integers(-w - 2, 2 * w + 2)), label="cols")
+        src = cols.astype(np.float64)
+        got, want = _sample_rows(a, src), two_gather(a, src)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        # equal values differ in bytes only by the sign of a zero
+        assert np.all((np.signbit(got) == np.signbit(want)) | ((got == 0) & np.signbit(got)))
+        # byte for byte the in-frame lookup, zero outside [0, W)
+        inside = ((cols >= 0) & (cols < w)).astype(dtype)
+        lookup = np.take_along_axis(a, np.broadcast_to(np.clip(cols, 0, w - 1), a.shape), axis=-1) * inside
+        assert got.tobytes() == lookup.tobytes()
+
+    def test_negative_zero_lookup_is_kept(self):
+        a = np.array([[-0.0, 1.0, -2.0]])
+        got, want = _sample_rows(a, np.array([[0.0, 1.0, -1.0]])), two_gather(a, np.array([[0.0, 1.0, -1.0]]))
+        assert np.signbit(got[0, 0]) and not np.signbit(want[0, 0])
+        assert got.tolist() == want.tolist() == [[0.0, 1.0, 0.0]]
+
+    def test_fractional_plane_keeps_both_gathers(self):
+        src = np.array([[0.0, 1.5, 2.0]])
+        j0, w0, j1, w1 = _row_weights(src, 3, np.float64)
+        assert j1 is not None and w1.tolist() == [[0.0, 0.5, 0.0]]
 
 
 # Float32 grids stay float32, within float32 rounding of the float64 result
