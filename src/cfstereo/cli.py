@@ -49,6 +49,14 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # flag errors come before any file is read or any metric is printed
+    if args.unc is not None and args.filter_sqrtu is None:
+        raise CfStereoError("--unc requires --filter-sqrtu")
+    if args.filter_sqrtu is not None:
+        if args.unc is None:
+            raise CfStereoError("--filter-sqrtu requires --unc")
+        if not args.filter_sqrtu > 0:
+            raise CfStereoError(f"--filter-sqrtu must be a number > 0, got {args.filter_sqrtu}")
     pred = read_pfm(args.pred)
     gt = read_pfm(args.gt)
     _warn_nonfinite("prediction", pred)
@@ -58,14 +66,10 @@ def _cmd_eval(args) -> int:
     print(f"d1_all={d1_all(pred, gt):.6f}")
     print(f"avg_error={avg_error(pred, gt):.6f}")
     if args.unc is not None:
-        if args.filter_sqrtu is None:
-            raise CfStereoError("--unc requires --filter-sqrtu")
         unc = read_pfm(args.unc)
         filt = filtered_metrics(pred, gt, unc, args.filter_sqrtu)
         print(f"kept_fraction={filt.kept_fraction:.6f}")
         print(f"d1_kept={filt.d1_kept:.6f}")
-    elif args.filter_sqrtu is not None:
-        raise CfStereoError("--filter-sqrtu requires --unc")
     return 0
 
 

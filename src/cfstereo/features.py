@@ -58,15 +58,12 @@ def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 
 
 def normalize_channels(stack: np.ndarray) -> np.ndarray:
     """Zero mean / unit variance per channel; constant channels become zero."""
-    out = np.empty_like(stack)
-    for c in range(stack.shape[0]):
-        ch = stack[c]
-        mu = ch.mean()
-        sigma = ch.std()
-        if sigma < 1e-12:
-            out[c] = 0.0
-        else:
-            out[c] = (ch - mu) / sigma
+    mu = stack.mean(axis=(1, 2), keepdims=True)
+    sigma = stack.std(axis=(1, 2), keepdims=True)
+    flat = sigma < 1e-12
+    out = stack - mu
+    out /= np.where(flat, 1.0, sigma)
+    out[flat[:, 0, 0]] = 0.0
     return out
 
 

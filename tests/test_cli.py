@@ -88,6 +88,30 @@ def test_eval_prints_metric_lines(workdir, capsys):
     assert values["d1_kept"] <= values["d1_all"] + 1e-9
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--unc", "UNC"], "--unc requires --filter-sqrtu", id="unc-alone"),
+        pytest.param(["--filter-sqrtu", "2.5"], "--filter-sqrtu requires --unc", id="filter-alone"),
+        pytest.param(["--unc", "UNC", "--filter-sqrtu", "nan"], "--filter-sqrtu must be a number > 0", id="nan"),
+        pytest.param(["--unc", "UNC", "--filter-sqrtu", "-1"], "--filter-sqrtu must be a number > 0", id="negative"),
+        pytest.param(["--unc", "UNC", "--filter-sqrtu", "0"], "--filter-sqrtu must be a number > 0", id="zero"),
+    ],
+)
+def test_eval_flag_errors_come_before_output(workdir, capsys, flags, message):
+    unc = str(workdir / "out" / "unc.pfm")
+    rc = cli_main([
+        "eval",
+        "--pred", str(workdir / "out" / "disp.pfm"),
+        "--gt", str(workdir / "scene" / "gt.pfm"),
+        *[unc if flag == "UNC" else flag for flag in flags],
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_match_is_byte_deterministic(workdir):
     out2 = workdir / "out2"
     rc = cli_main([

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from cfstereo.cost_volume import (
     uncertainty,
 )
 from cfstereo.features import build_pyramid
+from cfstereo import fusion
 from cfstereo.fusion import aggregate, box_smooth_volume, fuse_volumes
 from cfstereo.synth import random_dot_stereogram
 from cfstereo.tensor_ops import avgpool_volume, box_smooth_axis
@@ -72,6 +74,65 @@ class TestAggregate:
         for out in (smoothed, mixed):
             assert not np.shares_memory(out, v)
         assert v.tobytes() == keep.tobytes()
+
+    # Tiles of one slab, of two slabs over an odd slab count (a partial last
+    # tile), and the default, which tiles the last shape 8 + 2.
+    @pytest.mark.parametrize("tile", ["one", "two", "default"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize(
+        "radii, passes, shape",
+        [
+            pytest.param((0, 2, 2), 1, (3, 3, 6, 7), id="desk-4d"),
+            pytest.param((1, 1, 2), 1, (5, 6, 7), id="planes-3d"),
+            pytest.param((2, 0, 1), 2, (3, 3, 6, 7), id="planes-2pass-4d"),
+            pytest.param((1, 2, 0), 2, (5, 6, 7), id="planes-2pass-3d"),
+            pytest.param((0, 0, 0), 1, (3, 3, 6, 7), id="zero-4d"),
+            pytest.param((0, 0, 0), 2, (5, 6, 7), id="zero-2pass-3d"),
+            pytest.param((1, 2, 2), 2, (2, 5, 64, 128), id="ten-slabs-2pass"),
+        ],
+    )
+    def test_tiles_match_axis_chain(self, monkeypatch, tile, dtype, radii, passes, shape):
+        slab_bytes = shape[-2] * shape[-1] * np.dtype(dtype).itemsize
+        if tile != "default":
+            monkeypatch.setattr(fusion, "TILE_BYTES", 1 if tile == "one" else 2 * slab_bytes)
+        v = np.random.default_rng(11).normal(size=shape).astype(dtype)
+        v[..., 0, :] = -0.0
+        v[..., :, -1] = -0.0
+        keep = v.copy()
+        want = v
+        for _ in range(passes):
+            for axis, radius in ((-3, radii[0]), (-1, radii[1]), (-2, radii[2])):
+                want = box_smooth_axis(want, axis, radius)
+        cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
+        out = aggregate(v, cfg)
+        assert out.dtype == dtype
+        assert out.tobytes() == (0.5 * (v + want)).tobytes()
+        assert not np.shares_memory(out, v)
+        assert v.tobytes() == keep.tobytes()
+
+    @pytest.mark.parametrize("radii", [(0, 0, 0), (1, 2, 1)], ids=["zero", "nonzero"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16], ids=["int64", "float16"])
+    def test_upcasts_like_as_grid(self, radii, dtype):
+        v = np.random.default_rng(2).integers(-9, 9, size=(2, 3, 4, 5)).astype(dtype)
+        cfg = replace(RunConfig(), fusion_smooth_radius=radii)
+        out = aggregate(v, cfg)
+        assert out.dtype == np.float64
+        assert out.tobytes() == aggregate(v.astype(np.float64), cfg).tobytes()
+
+    def test_peak_memory_is_result_plus_tiles(self):
+        """A streamed block at the desk radii: beyond its result, `aggregate`
+        holds only a few tiles' worth of temporaries at once."""
+        v = np.random.default_rng(4).random((2, 12, 128, 256), dtype=np.float32)
+        cfg = replace(RunConfig(), fusion_smooth_radius=(0, 2, 2))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = aggregate(v, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * fusion.TILE_BYTES
 
 
 class TestFuseVolumes:
