@@ -16,7 +16,7 @@ from .cascade import run_pipeline
 from .config import RunConfig, format_config, load_config
 from .errors import CfStereoError
 from .io_formats import read_image, read_pfm, write_pfm, write_pgm
-from .metrics import avg_error, bad_tau, d1_all, filtered_metrics
+from .metrics import avg_error, bad_tau, check_threshold, d1_all, filtered_metrics
 from .ranking import parse_ballots, schulze_rank
 from .synth import random_dot_stereogram
 
@@ -55,8 +55,7 @@ def _cmd_eval(args) -> int:
     if args.filter_sqrtu is not None:
         if args.unc is None:
             raise CfStereoError("--filter-sqrtu requires --unc")
-        if not args.filter_sqrtu > 0:
-            raise CfStereoError(f"--filter-sqrtu must be a number > 0, got {args.filter_sqrtu}")
+        check_threshold(args.filter_sqrtu, "--filter-sqrtu")
     pred = read_pfm(args.pred)
     gt = read_pfm(args.gt)
     _warn_nonfinite("prediction", pred)

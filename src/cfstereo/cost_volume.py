@@ -85,6 +85,13 @@ class HypothesisPlanes:
     def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
         return cls(values)
 
+    def rows(self, a: int, b: int) -> "HypothesisPlanes":
+        """Rows [a, b) of every plane: a read-only view of values already
+        checked, so it is not checked again."""
+        band = object.__new__(HypothesisPlanes)
+        object.__setattr__(band, "values", self.values[:, a:b])
+        return band
+
     @property
     def count(self) -> int:
         return self.values.shape[0]
@@ -151,9 +158,11 @@ def _plane_weights(fl, planes):
 
 def _fill(fl, fr, weights, out, corr):
     """For a slice of channels, write left - matched into the (B, N, H, W) `out`
-    and add each channel's left * matched into the (N, H, W) `corr`, in channel order."""
+    and add each channel's left * matched into the (N, H, W) `corr`, in channel order.
+    Every plane's gathers reuse the same two scratch arrays."""
+    matched, spare = np.empty(fl.shape, fl.dtype), np.empty(fl.shape, fl.dtype)
     for n, wts in enumerate(weights):
-        matched = _apply_row_weights(fr, wts)
+        _apply_row_weights(fr, wts, matched, spare)
         np.subtract(fl, matched, out=out[:, n])
         matched *= fl
         for product in matched:

@@ -70,6 +70,14 @@ def aggregate(data: np.ndarray, config: RunConfig) -> np.ndarray:
     return out
 
 
+def aggregate_reach(config: RunConfig) -> int:
+    """Rows on each side of an output row that `aggregate` reads: its y box,
+    once per pass. Its x and plane boxes and its mix stay within a row, so
+    rows [a, b) of `aggregate` over rows [a - reach, b + reach), clipped at
+    the grid's edge, equal rows [a, b) of `aggregate` over the whole grid."""
+    return config.fusion_passes * config.fusion_smooth_radius[2]
+
+
 def _check_pyramid_ratios(v3: np.ndarray, v4: np.ndarray, v5: np.ndarray):
     """Same leading axes at every scale; trailing (planes, H, W) halve per scale."""
     s3, s4, s5 = v3.shape, v4.shape, v5.shape

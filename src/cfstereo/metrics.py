@@ -66,6 +66,13 @@ def avg_error(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(err.mean()) if np.isfinite(err).all() else np.inf
 
 
+def check_threshold(threshold: float, name: str = "threshold") -> None:
+    """Reject a sqrt-variance threshold that is not a number > 0 (inf is
+    valid), naming it: NaN, zero or a negative value would drop every pixel."""
+    if not threshold > 0:
+        raise ValueError(f"{name} must be a number > 0, got {threshold}")
+
+
 @dataclass(frozen=True)
 class FilteredMetrics:
     kept_fraction: float
@@ -76,6 +83,7 @@ def filtered_metrics(
     pred: np.ndarray, gt: np.ndarray, unc: np.ndarray, threshold: float
 ) -> FilteredMetrics:
     """Drop pixels whose sqrt-variance reaches `threshold`, then re-measure D1."""
+    check_threshold(threshold)
     p, g, m = _checked_pair(pred, gt)
     u = as_grid(unc, 2, "uncertainty")
     if u.shape != p.shape:

@@ -91,30 +91,40 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
     h = src.shape[0]
     base = np.floor(src)
     t = src - base
-    i0 = base.astype(np.int64)
-    w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(dtype, copy=False)
     index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
+    # the left column clipped to [-2, w]: both columns' frame tests and
+    # clipped indices are the same on it as on the unclipped column
+    i0 = np.clip(base, -2, w).astype(index)
     row_start = np.arange(h, dtype=index)[:, None] * w
-    j0 = np.clip(i0, 0, w - 1).astype(index) + row_start
+    # 1 - t > 0 and t >= +0.0, so zeroing a weight after the cast to `dtype`
+    # gives the same +0.0 as zeroing it before
+    w0 = (1.0 - t).astype(dtype, copy=False)
+    w0 *= (i0 >= 0) & (i0 < w)
+    j0 = np.clip(i0, 0, w - 1) + row_start
     if not t.any():
         return j0, w0, None, None
-    i1 = i0 + 1
-    w1 = (t * ((i1 >= 0) & (i1 < w))).astype(dtype, copy=False)
-    j1 = np.clip(i1, 0, w - 1).astype(index) + row_start
+    w1 = t.astype(dtype, copy=False)
+    w1 *= (i0 >= -1) & (i0 < w - 1)
+    j1 = np.clip(i0 + 1, 0, w - 1) + row_start
     return j0, w0, j1, w1
 
 
-def _apply_row_weights(a: np.ndarray, weights: tuple) -> np.ndarray:
+def _apply_row_weights(a: np.ndarray, weights: tuple, out=None, spare=None) -> np.ndarray:
     """w0 * a0 + w1 * a1 per channel of a (..., H, W) grid, with a0/a1 gathered
     from the flat rows at `_row_weights`'s indices (w0 * a0 alone when there
     is no second column). Each channel is computed alone, so a slice of
-    channels gives that slice of the whole result."""
+    channels gives that slice of the whole result.
+
+    `out` and `spare`, arrays of the result's shape and dtype, receive the
+    two gathers in place of fresh arrays; `out` is returned. The gathers use
+    mode "clip", which writes straight into them, and clip nothing, since
+    `_row_weights` clips every index into the grid."""
     j0, w0, j1, w1 = weights
     flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
-    out = np.take(flat, j0, axis=-1)
+    out = np.take(flat, j0, axis=-1, out=out, mode="clip")
     out *= w0
     if j1 is not None:
-        a1 = np.take(flat, j1, axis=-1)
+        a1 = np.take(flat, j1, axis=-1, out=spare, mode="clip")
         a1 *= w1
         out += a1
     return out

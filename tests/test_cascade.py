@@ -20,11 +20,13 @@ from cfstereo.cascade import (
     sample_planes,
     uncertainty,
 )
-from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume
+from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume, stream_cost
 from cfstereo.errors import ConfigError, PipelineError
 from cfstereo.synth import random_dot_stereogram
 
 BIG = 1000.0
+# Bytes of desk stage 1's float64 (N, H, W) map: 12 planes of 64x128.
+DESK_STAGE1_BYTES = 12 * 64 * 128 * 8
 
 
 def score_from_probs(probs, plane_values):
@@ -238,16 +240,20 @@ class TestPipeline:
             run_pipeline(img, np.zeros((64, 64)), desk_config())
 
     @pytest.mark.parametrize(
-        "name, call, tag",
+        "name, call, tag, budget",
         [
-            ("stream_cost", 1, "stage 3"),
-            ("stream_cost", 2, "stage 2"),
-            ("stream_cost", 3, "stage 1"),
+            pytest.param("stream_cost", 1, "stage 3", None, id="stream_cost-1-stage 3"),
+            pytest.param("stream_cost", 2, "stage 2", None, id="stream_cost-2-stage 2"),
+            pytest.param("stream_cost", 3, "stage 1", None, id="stream_cost-3-stage 1"),
+            # the last of stage 1's three bands: its map is 3 budgets of bytes
+            pytest.param("stream_cost", 5, "stage 1", DESK_STAGE1_BYTES // 3, id="stream_cost-5-stage 1-band 3"),
             # two per refinement step in next_range, then the output's first
-            ("bilinear_upsample2x", 5, "output"),
+            pytest.param("bilinear_upsample2x", 5, "output", None, id="bilinear_upsample2x-5-output"),
         ],
     )
-    def test_failure_inside_a_stage_carries_its_tag(self, monkeypatch, name, call, tag):
+    def test_failure_inside_a_stage_carries_its_tag(self, monkeypatch, name, call, tag, budget):
+        if budget is not None:
+            monkeypatch.setattr(cascade, "BAND_BYTES", budget)
         real = getattr(cascade, name)
         calls = []
 
@@ -281,34 +287,128 @@ class TestPipeline:
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 64)), replace(desk_config(), **change))
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
 class TestMemory:
     # The pair runs in a fresh process of its own: RUSAGE_CHILDREN would
     # report the largest of all the test run's child processes.
     PROGRAM = textwrap.dedent("""
-        import resource
+        import resource, sys
         from dataclasses import replace
         from cfstereo.benchmarks import desk_config
         from cfstereo.cascade import run_pipeline
         from cfstereo.synth import random_dot_stereogram
-        scene = random_dot_stereogram(512, 1024, "two-plane:20,90", 5)
+        scene = random_dot_stereogram(int(sys.argv[1]), int(sys.argv[2]), "two-plane:20,90", 5)
         run_pipeline(scene.left, scene.right, replace(desk_config(), pipeline_dmax=256))
         print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     """)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
-    def test_volumes_are_never_whole(self):
-        """A 512x1024 pair at dmax 256 stays under 280 MB max RSS. Building
-        each stage's (C+1)-channel volume whole took 371 MB; streaming the
-        channels in blocks takes about 190 MB."""
+    def max_rss_mb(self, h, w):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROGRAM], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", self.PROGRAM, str(h), str(w)],
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        peak_mb = int(proc.stdout.split()[-1]) / 1024
+        return int(proc.stdout.split()[-1]) / 1024
+
+    def test_volumes_are_never_whole(self):
+        """A 512x1024 pair at dmax 256 stays under 280 MB max RSS. Building
+        each stage's (C+1)-channel volume whole took 371 MB; streaming the
+        channels in blocks took about 190 MB, and decoding stages 2 and 1 in
+        row bands as well takes about 120 MB."""
+        peak_mb = self.max_rss_mb(512, 1024)
         assert peak_mb < 280, f"max RSS {peak_mb:.0f} MB"
+
+    def test_refinement_maps_are_never_whole(self):
+        """A 1024x2048 pair at dmax 256 stays under 450 MB max RSS. With
+        stages 2 and 1 decoded whole it took about 660 MB; in row bands (8
+        and 24 bands) it takes about 330 MB."""
+        peak_mb = self.max_rss_mb(1024, 2048)
+        assert peak_mb < 450, f"max RSS {peak_mb:.0f} MB"
+
+
+def banded_run(monkeypatch, scene, config, budget):
+    """run_pipeline with `budget` as the refinement stages' byte budget, and
+    how many times it called stream_cost."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return stream_cost(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cascade, "BAND_BYTES", budget)
+        patch.setattr(cascade, "stream_cost", counted)
+        return run_pipeline(scene.left, scene.right, config), len(calls)
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got.stages, want.stages, strict=True):
+        for name in ("disparity", "uncertainty"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.scale, name)
+        assert a.planes.values.tobytes() == b.planes.values.tobytes(), a.scale
+    for name in ("disparity", "uncertainty"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestBands:
+    """Stages 2 and 1 decode in row bands with `aggregate_reach` rows of halo;
+    every band count gives the one-band run's bytes."""
+
+    WHOLE = 1 << 62
+    whole_runs: dict = {}  # one-band runs, shared by the budgets of one config
+
+    @pytest.mark.parametrize("h, count", [(1, 1), (7, 1), (7, 3), (64, 40), (32, 32), (256, 3)])
+    def test_bands_split_rows_evenly(self, h, count):
+        bands = cascade._bands(h, count)
+        sizes = [b - a for a, b in bands]
+        assert len(bands) == count and bands[0][0] == 0 and bands[-1][1] == h
+        assert all(p[1] == q[0] for p, q in zip(bands, bands[1:]))
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+
+    # Desk stage 2 is 16 planes of 32x64 (256 KiB), stage 1 is 12 of 64x128 (768 KiB).
+    @pytest.mark.parametrize(
+        "budget, calls",
+        [
+            # every band one row, shorter than the desk halo of 2 rows
+            pytest.param(1, 1 + 32 + 64, id="one-row"),
+            # stage 2: 4 bands of 3 rows and 10 of 2; stage 1: 24 of 2 and 16 of 1
+            pytest.param(20000, 1 + 14 + 40, id="last-band-one-row"),
+            pytest.param(200000, 1 + 2 + 4, id="few-bands"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({}, id="desk"),
+            pytest.param({"fusion_passes": 2, "fusion_smooth_radius": (1, 1, 1)}, id="two-pass"),
+            pytest.param({"fusion_smooth_radius": (0, 2, 0)}, id="no-y"),
+            pytest.param({"fusion_enabled": False}, id="fusion-off"),
+        ],
+    )
+    def test_banded_decode_is_exact(self, monkeypatch, budget, calls, change):
+        scene = desk_scene(6)
+        config = replace(desk_config(), **change)
+        key = tuple(sorted(change.items()))
+        if key not in self.whole_runs:
+            self.whole_runs[key] = banded_run(monkeypatch, scene, config, self.WHOLE)
+        want, whole_calls = self.whole_runs[key]
+        got, band_calls = banded_run(monkeypatch, scene, config, budget)
+        assert (whole_calls, band_calls) == (3, calls)
+        assert_same_bytes(got, want)
+
+    def test_large_pair_splits_at_the_default_budget(self, monkeypatch):
+        """512x1024 at dmax 256 and 2 MiB bands: stage 2 (16 x 128x256, 4 MiB)
+        is two bands and stage 1 (12 x 256x512, 12 MiB) is six."""
+        assert cascade.BAND_BYTES == 2 << 20
+        scene = random_dot_stereogram(512, 1024, "two-plane:20,90", 5)
+        config = replace(desk_config(), pipeline_dmax=256)
+        got, band_calls = banded_run(monkeypatch, scene, config, cascade.BAND_BYTES)
+        want, whole_calls = banded_run(monkeypatch, scene, config, self.WHOLE)
+        assert (whole_calls, band_calls) == (3, 1 + 2 + 6)
+        assert_same_bytes(got, want)
 
 
 class TestPrecision:

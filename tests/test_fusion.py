@@ -18,7 +18,7 @@ from cfstereo.cost_volume import (
 )
 from cfstereo.features import build_pyramid
 from cfstereo import fusion
-from cfstereo.fusion import aggregate, box_smooth_volume, fuse_volumes
+from cfstereo.fusion import aggregate, aggregate_reach, box_smooth_volume, fuse_volumes
 from cfstereo.synth import random_dot_stereogram
 from cfstereo.tensor_ops import avgpool_volume, box_smooth_axis
 
@@ -133,6 +133,42 @@ class TestAggregate:
         finally:
             tracemalloc.stop()
         assert peak <= out.nbytes + 4 * fusion.TILE_BYTES
+
+
+RADII_AND_PASSES = [
+    pytest.param((0, 2, 2), 1, id="desk"),
+    pytest.param((1, 1, 1), 2, id="two-pass"),
+    pytest.param((1, 2, 0), 2, id="no-y"),
+    pytest.param((0, 0, 3), 1, id="y-only"),
+    pytest.param((2, 1, 3), 2, id="wide-two-pass"),
+]
+
+
+class TestAggregateReach:
+    """`aggregate_reach` is the halo of a refinement stage's row bands."""
+
+    @pytest.mark.parametrize("radii, passes", RADII_AND_PASSES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_one_input_row_reaches_exactly_reach_rows(self, radii, passes, dtype):
+        cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
+        reach = aggregate_reach(cfg)
+        v = np.random.default_rng(8).normal(size=(2, 3, 24, 7)).astype(dtype)
+        row = 11
+        bumped = v.copy()
+        bumped[..., row, :] += 1.0
+        changed = (aggregate(bumped, cfg) != aggregate(v, cfg)).any(axis=(0, 1, 3))
+        assert np.flatnonzero(changed).tolist() == list(range(row - reach, row + reach + 1))
+
+    @pytest.mark.parametrize("radii, passes", RADII_AND_PASSES)
+    @pytest.mark.parametrize("span", [(0, 1), (0, 5), (3, 4), (6, 13), (20, 24), (23, 24), (0, 24)])
+    def test_band_with_reach_rows_of_halo_is_exact(self, radii, passes, span):
+        cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
+        reach = aggregate_reach(cfg)
+        v = np.random.default_rng(9).normal(size=(2, 3, 24, 7)).astype(np.float32)
+        a, b = span
+        a0, b0 = max(0, a - reach), min(24, b + reach)
+        band = aggregate(v[..., a0:b0, :], cfg)[..., a - a0 : b - a0, :]
+        assert band.tobytes() == aggregate(v, cfg)[..., a:b, :].tobytes()
 
 
 class TestFuseVolumes:

@@ -8,6 +8,7 @@ from cfstereo.cost_volume import HypothesisPlanes
 from cfstereo.metrics import (
     avg_error,
     bad_tau,
+    check_threshold,
     coverage_rate,
     d1_all,
     downsample_gt,
@@ -90,6 +91,17 @@ class TestFilteredMetrics:
     def test_all_dropped_errors(self):
         with pytest.raises(ValueError, match="dropped"):
             filtered_metrics(grid([1.0]), grid([1.0]), grid([100.0]), 2.5)
+
+    @pytest.mark.parametrize("threshold, shown", [(np.nan, "nan"), (0.0, "0.0"), (-1.0, "-1.0")])
+    def test_threshold_not_above_zero_is_rejected(self, threshold, shown):
+        with pytest.raises(ValueError, match=f"threshold must be a number > 0, got {shown}$"):
+            filtered_metrics(grid([1.0]), grid([1.0]), grid([0.0]), threshold)
+        with pytest.raises(ValueError, match=f"^--flag must be a number > 0, got {shown}$"):
+            check_threshold(threshold, "--flag")
+
+    def test_infinite_threshold_is_valid(self):
+        check_threshold(np.inf)
+        assert filtered_metrics(grid([1.0]), grid([1.0]), grid([1e300]), np.inf).kept_fraction == 1.0
 
 
 class TestCoverage:

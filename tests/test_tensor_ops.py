@@ -401,6 +401,30 @@ class TestSampleRows:
             assert np.array_equal(_apply_row_weights(a[chans], weights), whole[chans])
 
 
+    @pytest.mark.parametrize("h, w", [(3, 5), (4, 1), (1, 8)])
+    def test_indices_stay_in_their_row_far_outside_the_frame(self, h, w):
+        """The gathers take mode "clip" and write into scratch arrays, which
+        is exact only because every index is already inside its own row."""
+        far = [-1e9, -1e6, -10.0 * w - 0.5, -w - 1.0, -1.5, 2.0 * w + 0.25, 10.0 * w, 1e6 + 0.5, 1e9]
+        src = np.resize(np.array(far), (h, w))
+        rows = np.arange(h)[:, None] * w
+        for table in _row_weights(src, w, np.float64)[::2]:
+            assert ((table >= rows) & (table < rows + w)).all()
+            assert ((table >= 0) & (table < h * w)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fractional", [True, False])
+    def test_scratch_gathers_equal_fresh_ones(self, dtype, fractional):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 6, 9)).astype(dtype)
+        src = rng.uniform(-12.0, 20.0, size=(6, 9))
+        weights = _row_weights(src if fractional else np.round(src), 9, dtype)
+        out, spare = np.full(a.shape, np.nan, dtype), np.full(a.shape, np.nan, dtype)
+        got = _apply_row_weights(a, weights, out, spare)
+        assert got is out
+        assert got.tobytes() == _apply_row_weights(a, weights).tobytes()
+
+
 def two_gather(a, src):
     """`_apply_row_weights` with the second column's gather kept: the column
     right of each integer source, at weight 0, as before integer planes took
