@@ -34,10 +34,10 @@ __all__ = [
 ]
 
 # A refinement stage decodes in row bands of at most about this many bytes of
-# float64 (N, H, W) map. At half a block, `stream_cost` streams about three
-# channels of a band's float32 volume per block: a 512x1024 pair's stage 1
-# took 0.40 s in 6 such bands and 0.44 s in 3 bands of BLOCK_BYTES (2-core
-# host, CPU time).
+# float64 (N, H, W) map. Half a block, not a whole one: a 512x1024 pair's
+# stage 1 then takes 6 bands, not 3, and perfbench's large `pair_ref.p50`
+# was lower in 10 of 10 interleaved pairs (1.84 -> 1.70); a 256x512 pair's
+# stage 1 takes 2 bands, not 1, and mid's was no worse (2.36 -> 2.29).
 BAND_BYTES = BLOCK_BYTES // 2
 
 
@@ -178,22 +178,19 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     # A refinement stage decodes in BAND_BYTES row bands. Only aggregate's y
     # box couples rows, so a band read with aggregate_reach rows of halo on
     # each side gives its own rows' bytes exactly. A stage within the budget
-    # is one band on the whole arrays.
+    # is one band, whose feature rows are the whole arrays, not copies.
     def refine(scale, planes):
         fl, fr = feat_l[scale], feat_r[scale]
         h, w = planes.values.shape[1:]
         count = min(h, -(-planes.values.nbytes // BAND_BYTES))
-        if count == 1:
-            return decode([(fl, fr, planes)], scale, smooth)
         halo = aggregate_reach(config)
         disp, unc = np.empty((h, w), DTYPE), np.empty((h, w), DTYPE)
         for a, b in _bands(h, count):
             a0, b0 = max(0, a - halo), min(h, b + halo)
-            band = [(fl[:, a0:b0].copy(), fr[:, a0:b0].copy(), planes.rows(a0, b0))]
-            sv = stream_cost(band, scale, smooth, w_g, w_a)
-            d = soft_argmin(sv)
-            u = uncertainty(sv, d)
-            disp[a:b], unc[a:b] = d[a - a0 : b - a0], u[a - a0 : b - a0]
+            fl_rows, fr_rows = (np.ascontiguousarray(f[:, a0:b0]) for f in (fl, fr))
+            part = decode([(fl_rows, fr_rows, HypothesisPlanes(planes.values[:, a0:b0]))], scale, smooth)
+            disp[a:b] = part.disparity[a - a0 : b - a0]
+            unc[a:b] = part.uncertainty[a - a0 : b - a0]
         return StageResult(scale, disp, unc, planes)
 
     with _stage("stage 3"):

@@ -85,13 +85,6 @@ class HypothesisPlanes:
     def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
         return cls(values)
 
-    def rows(self, a: int, b: int) -> "HypothesisPlanes":
-        """Rows [a, b) of every plane: a read-only view of values already
-        checked, so it is not checked again."""
-        band = object.__new__(HypothesisPlanes)
-        object.__setattr__(band, "values", self.values[:, a:b])
-        return band
-
     @property
     def count(self) -> int:
         return self.values.shape[0]

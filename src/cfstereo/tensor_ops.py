@@ -91,21 +91,16 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
     h = src.shape[0]
     base = np.floor(src)
     t = src - base
+    i0 = base.astype(np.int64)
+    w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(dtype, copy=False)
     index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
-    # the left column clipped to [-2, w]: both columns' frame tests and
-    # clipped indices are the same on it as on the unclipped column
-    i0 = np.clip(base, -2, w).astype(index)
     row_start = np.arange(h, dtype=index)[:, None] * w
-    # 1 - t > 0 and t >= +0.0, so zeroing a weight after the cast to `dtype`
-    # gives the same +0.0 as zeroing it before
-    w0 = (1.0 - t).astype(dtype, copy=False)
-    w0 *= (i0 >= 0) & (i0 < w)
-    j0 = np.clip(i0, 0, w - 1) + row_start
+    j0 = np.clip(i0, 0, w - 1).astype(index) + row_start
     if not t.any():
         return j0, w0, None, None
-    w1 = t.astype(dtype, copy=False)
-    w1 *= (i0 >= -1) & (i0 < w - 1)
-    j1 = np.clip(i0 + 1, 0, w - 1) + row_start
+    i1 = i0 + 1
+    w1 = (t * ((i1 >= 0) & (i1 < w))).astype(dtype, copy=False)
+    j1 = np.clip(i1, 0, w - 1).astype(index) + row_start
     return j0, w0, j1, w1
 
 

@@ -73,14 +73,6 @@ class TestHypothesisPlanes:
         with pytest.raises(ValueError, match="read-only"):
             planes.values[0, 0, 0] = 1.0
 
-    def test_rows_is_an_unchecked_read_only_view(self, monkeypatch):
-        planes = HypothesisPlanes(self.ramp(4, 5, 3) + np.arange(5.0)[:, None])
-        monkeypatch.setattr(HypothesisPlanes, "__post_init__", lambda self: pytest.fail("checked again"))
-        band = planes.rows(1, 4)
-        assert np.shares_memory(band.values, planes.values)
-        assert band.values.tobytes() == planes.values[:, 1:4].tobytes()
-        assert not band.values.flags.writeable
-
     def test_uniform_and_dense_are_per_pixel(self):
         assert np.array_equal(HypothesisPlanes.uniform(4, (2, 3)).values, self.ramp(4))
         assert np.array_equal(HypothesisPlanes.dense(32, 3, (2, 3)).values, self.ramp(4))
