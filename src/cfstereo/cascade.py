@@ -19,7 +19,7 @@ from .config import RangeParams, RunConfig
 from .cost_volume import BLOCK_BYTES, HypothesisPlanes, soft_argmin, stream_cost, uncertainty
 from .errors import PipelineError
 from .features import build_pyramid
-from .fusion import aggregate, aggregate_reach, fuse_volumes
+from .fusion import aggregate, aggregate_plane_reach, aggregate_reach, fuse_volumes
 from .tensor_ops import DTYPE, as_grid, bilinear_upsample2x
 
 __all__ = [
@@ -170,8 +170,8 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         return fuse_volumes(v3, v4, v5, config)
 
     # One correlation group: stream_cost reduces the C+1 layout block by block.
-    def decode(inputs, scale, regularize):
-        sv = stream_cost(inputs, scale, regularize, w_g, w_a)
+    def decode(inputs, scale, regularize, plane_reach=None):
+        sv = stream_cost(inputs, scale, regularize, w_g, w_a, plane_reach)
         d = soft_argmin(sv)
         return StageResult(scale, d, uncertainty(sv, d), sv.planes)
 
@@ -183,12 +183,13 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         fl, fr = feat_l[scale], feat_r[scale]
         h, w = planes.values.shape[1:]
         count = min(h, -(-planes.values.nbytes // BAND_BYTES))
-        halo = aggregate_reach(config)
+        halo, plane_reach = aggregate_reach(config), aggregate_plane_reach(config)
         disp, unc = np.empty((h, w), DTYPE), np.empty((h, w), DTYPE)
         for a, b in _bands(h, count):
             a0, b0 = max(0, a - halo), min(h, b + halo)
             fl_rows, fr_rows = (np.ascontiguousarray(f[:, a0:b0]) for f in (fl, fr))
-            part = decode([(fl_rows, fr_rows, HypothesisPlanes(planes.values[:, a0:b0]))], scale, smooth)
+            band_planes = HypothesisPlanes(planes.values[:, a0:b0])
+            part = decode([(fl_rows, fr_rows, band_planes)], scale, smooth, plane_reach)
             disp[a:b] = part.disparity[a - a0 : b - a0]
             unc[a:b] = part.uncertainty[a - a0 : b - a0]
         return StageResult(scale, disp, unc, planes)

@@ -11,8 +11,12 @@ disparity distribution.
 The pipeline never holds such a volume whole. Every step before `|.|` acts
 on each channel alone, so `stream_cost` builds, regularizes and reduces one
 block of channels at a time (`BLOCK_BYTES` of volume), adding |.| of each
-regularized block into the cost and regularizing the correlation last. Its
-cost is byte-identical to `reduce_to_cost` of the whole regularized volume.
+regularized block into the cost and regularizing the correlation last. When
+the regularizer reads no neighbouring plane (plane reach 0, as in the
+refinement stages under `desk_config`), it does so one plane at a time: a
+block is then one plane's slabs of the channels that fit `BLOCK_BYTES`, and
+it stays in cache from its gather to its sum. Its cost is byte-identical to
+`reduce_to_cost` of the whole regularized volume either way.
 The builders and `stream_cost` share one fill (`_plane_weights`, `_fill`),
 so `synth.volume_oracle` checks the fill the pipeline runs, and the builders
 stay the whole-volume reference for `stream_cost`'s blocking,
@@ -141,12 +145,12 @@ def _check_feature_pair(left_feats, right_feats, n_groups):
     return fl, fr
 
 
-def _plane_weights(fl, planes):
-    """`_row_weights` of the x - d sampling for each plane, in the features' dtype."""
-    h, w = fl.shape[1:]
-    pv = planes.values_at(h, w)
+def _plane_weights(fl, values):
+    """`_row_weights` of the x - d sampling for each of the (N, H, W) plane
+    `values`, in the features' dtype."""
+    w = fl.shape[2]
     xs = np.arange(w, dtype=DTYPE)
-    return [_row_weights(xs[None, :] - pv[n], w, fl.dtype) for n in range(pv.shape[0])]
+    return [_row_weights(xs[None, :] - v, w, fl.dtype) for v in values]
 
 
 def _fill(fl, fr, weights, out, corr):
@@ -185,7 +189,7 @@ def build_sparse_volume(
     """Volume over per-pixel fractional planes; the matched side is the right
     features sampled at x - plane (`tensor_ops._row_weights`)."""
     fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
-    weights = _plane_weights(fl, planes)
+    weights = _plane_weights(fl, planes.values_at(*fl.shape[1:]))
     c = fl.shape[0]
     group_size = c // n_groups
     data = np.empty((c + n_groups, len(weights)) + fl.shape[1:], dtype=fl.dtype)
@@ -223,6 +227,7 @@ def stream_cost(
     regularize: Callable[..., np.ndarray],
     w_group: float = 1.0,
     w_absdiff: float = 1.0,
+    plane_reach: int | None = None,
 ) -> ScoreVolume:
     """`reduce_to_cost` of a regularized one-group volume, built and
     regularized a block of channels at a time.
@@ -236,32 +241,46 @@ def stream_cost(
     regularized block is added into a float64 sum in channel order, and the
     correlation accumulates over all channels in the builders' order and is
     regularized last, as one channel.
+
+    `plane_reach` is how many planes on each side of a plane `regularize`
+    reads (`fusion.aggregate_plane_reach`), or None for every plane. At 0,
+    with one input, each plane is a span of its own: its weights, its
+    channel blocks and its sum are made one plane at a time, so a block
+    stays in cache from its gather to its sum. Otherwise every plane is one
+    span. A span's blocks are the channels whose planes fit `BLOCK_BYTES`.
     """
     prepared = []
     for left, right, planes in inputs:
         fl, fr = _check_feature_pair(left, right, 1)
-        prepared.append((fl, fr, _plane_weights(fl, planes)))
+        prepared.append((fl, fr, planes.values_at(*fl.shape[1:])))
     counts = {fl.shape[0] for fl, _, _ in prepared}
     if len(counts) != 1:
         raise ValueError(f"feature counts differ across inputs: {sorted(counts)}")
     c = counts.pop()
-    channel_bytes = sum(len(wts) * fl[0].nbytes for fl, _, wts in prepared)
-    block = max(1, BLOCK_BYTES // channel_bytes)
-    corrs = [np.zeros((len(wts),) + fl.shape[1:], dtype=fl.dtype) for fl, _, wts in prepared]
+    if plane_reach == 0 and len(prepared) > 1:
+        raise ValueError(f"plane reach 0 takes one input, got {len(prepared)}")
+    corrs = [np.zeros(pv.shape, dtype=fl.dtype) for fl, _, pv in prepared]
     total = np.zeros(corrs[0].shape, dtype=DTYPE)
-    for c0 in range(0, c, block):
-        chans = slice(c0, min(c0 + block, c))
-        volumes = []
-        for (fl, fr, weights), corr in zip(prepared, corrs):
-            fb = fl[chans]
-            vol = np.empty((fb.shape[0], len(weights)) + fb.shape[1:], dtype=fl.dtype)
-            _fill(fb, fr[chans], weights, vol, corr)
-            volumes.append(vol)
-        out = regularize(*volumes)
-        np.abs(out, out=out)
-        for channel in out:
-            total += channel
-        del out  # before the next block is built
+    n_planes = len(prepared[0][2])
+    spans = [slice(n, n + 1) for n in range(n_planes)] if plane_reach == 0 else [slice(None)]
+    for span in spans:
+        parts = [(fl, fr, _plane_weights(fl, pv[span]), corr[span]) for (fl, fr, pv), corr in zip(prepared, corrs)]
+        channel_bytes = sum(len(wts) * fl[0].nbytes for fl, _, wts, _ in parts)
+        block = max(1, BLOCK_BYTES // channel_bytes)
+        total_span = total[span]
+        for c0 in range(0, c, block):
+            chans = slice(c0, min(c0 + block, c))
+            volumes = []
+            for fl, fr, weights, corr in parts:
+                fb = fl[chans]
+                vol = np.empty((fb.shape[0], len(weights)) + fb.shape[1:], dtype=fl.dtype)
+                _fill(fb, fr[chans], weights, vol, corr)
+                volumes.append(vol)
+            out = regularize(*volumes)
+            np.abs(out, out=out)
+            for channel in out:
+                total_span += channel
+            del out  # before the next block is built
     corr = regularize(*(acc[None] / c for acc in corrs))[0]
     cost = -w_group * corr.astype(DTYPE, copy=False) + w_absdiff * (total / c)
     return ScoreVolume(cost, inputs[0][2], scale)

@@ -39,29 +39,42 @@ def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 
     Neighbors are clamped at the border, so border pixels compare against
     themselves there and read -1.
     """
-    gy, gx = np.gradient(image)
-    mean = box_mean2d(image, stat_radius)
-    sq_mean = box_mean2d(image * image, stat_radius)
-    std = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
-    channels = [image, gx, gy, mean, std]
     h, w = image.shape
     r = census_radius
+    # float64, as the census channels are
+    stack = np.empty((5 + (2 * r + 1) ** 2 - 1, h, w), DTYPE)
+    stack[0] = image
+    stack[2], stack[1] = np.gradient(image)
+    mean = box_mean2d(image, stat_radius)
+    sq_mean = box_mean2d(image * image, stat_radius)
+    stack[3] = mean
+    stack[4] = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
     padded = _edge_pad(_edge_pad(image, 0, r), 1, r)
+    k = 5
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
             if dy == 0 and dx == 0:
                 continue
             neighbor = padded[r + dy : r + dy + h, r + dx : r + dx + w]
-            channels.append(np.where(image > neighbor, 1.0, -1.0))
-    return np.stack(channels, axis=0)
+            stack[k] = np.where(image > neighbor, 1.0, -1.0)
+            k += 1
+    return stack
 
 
 def normalize_channels(stack: np.ndarray) -> np.ndarray:
-    """Zero mean / unit variance per channel; constant channels become zero."""
-    mu = stack.mean(axis=(1, 2), keepdims=True)
-    sigma = stack.std(axis=(1, 2), keepdims=True)
+    """Zero mean / unit variance per channel; constant channels become zero.
+
+    σ comes from the one mean-subtracted copy, squared a channel at a time
+    into one scratch plane and summed as `np.std` sums, so the result is
+    byte-equal to dividing by `np.std`."""
+    out = stack - stack.mean(axis=(1, 2), keepdims=True)
+    square = np.empty(out.shape[1:], out.dtype)
+    sigma = np.empty((out.shape[0], 1, 1), out.dtype)
+    for k, channel in enumerate(out):
+        sigma[k] = np.square(channel, out=square).sum()
+    sigma /= square.size
+    np.sqrt(sigma, out=sigma)
     flat = sigma < 1e-12
-    out = stack - mu
     out /= np.where(flat, 1.0, sigma)
     out[flat[:, 0, 0]] = 0.0
     return out
@@ -82,8 +95,12 @@ def build_pyramid(
     require_finite(img, "image")
     h, w = img.shape
     step = 1 << LEVELS
-    if h % step or w % step:
-        raise ValueError(f"image dims {(h, w)} must be divisible by {step}; pad the input")
+    # np.gradient needs two pixels per axis at the coarsest scale
+    if h % step or w % step or min(h, w) < 2 * step:
+        raise ValueError(
+            f"image dims {(h, w)} must be divisible by {step} and at least {2 * step} "
+            f"(two pixels at scale {LEVELS}); pad the input"
+        )
 
     maps: dict[int, np.ndarray] = {}
     current = img

@@ -78,6 +78,13 @@ def aggregate_reach(config: RunConfig) -> int:
     return config.fusion_passes * config.fusion_smooth_radius[2]
 
 
+def aggregate_plane_reach(config: RunConfig) -> int:
+    """Planes on each side of an output plane that `aggregate` reads: its
+    plane box, once per pass. At 0, `aggregate` of one plane's slabs equals
+    that plane of `aggregate` over every plane."""
+    return config.fusion_passes * config.fusion_smooth_radius[0]
+
+
 def _check_pyramid_ratios(v3: np.ndarray, v4: np.ndarray, v5: np.ndarray):
     """Same leading axes at every scale; trailing (planes, H, W) halve per scale."""
     s3, s4, s5 = v3.shape, v4.shape, v5.shape

@@ -84,23 +84,25 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
     """`_sample_rows`'s gather indices and weights for (H, W) columns `src` in
     rows of width `w`: flat indices of the two bracketing columns and their
     weights in `dtype`, so a float32 gather multiplies in float32. Indices are
-    int32 when they fit, which keeps a table of them at 16 B per pixel.
+    `np.intp`, which `np.take` reads without a cast, so a float32 table is
+    24 B per pixel (two 8 B indices, two 4 B weights).
 
     When every column is an integer the second weight is zero everywhere, so
     its index and weight are None and the gather reads one column."""
     h = src.shape[0]
     base = np.floor(src)
     t = src - base
-    i0 = base.astype(np.int64)
+    # The left column clipped once to [-2, w]: a column beyond that is out of
+    # frame either way, as is the one right of it. Both frame tests and both
+    # clipped indices come from this one small-integer column.
+    i0 = np.clip(base, -2, w).astype(np.int32)
+    row_start = np.arange(h, dtype=np.intp)[:, None] * w
     w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(dtype, copy=False)
-    index = np.int32 if h * w <= np.iinfo(np.int32).max else np.int64
-    row_start = np.arange(h, dtype=index)[:, None] * w
-    j0 = np.clip(i0, 0, w - 1).astype(index) + row_start
+    j0 = np.clip(i0, 0, w - 1) + row_start
     if not t.any():
         return j0, w0, None, None
-    i1 = i0 + 1
-    w1 = (t * ((i1 >= 0) & (i1 < w))).astype(dtype, copy=False)
-    j1 = np.clip(i1, 0, w - 1).astype(index) + row_start
+    w1 = (t * ((i0 >= -1) & (i0 < w - 1))).astype(dtype, copy=False)
+    j1 = np.clip(i0, -1, w - 2) + (row_start + 1)
     return j0, w0, j1, w1
 
 
@@ -132,15 +134,17 @@ def _upsample2x_axis(a: np.ndarray, axis: int) -> np.ndarray:
     quarter cell right, so each output is 0.75/0.25 blend of neighbors.
     """
     axis %= a.ndim
-    lo, _, hi = _shifts(a, axis, 1)
+    n = a.shape[axis]
+    near = a * 0.75
+    # 0.25 times the edge-padded copy: its slices are both parities' far taps
+    far = _edge_pad(a, axis, 1)
+    far *= 0.25
     shape = list(a.shape)
     shape[axis] *= 2
     out = np.empty(shape, a.dtype)
     lead = (slice(None),) * axis
-    for parity, side in ((0, lo), (1, hi)):
-        half = out[lead + (slice(parity, None, 2),)]
-        np.multiply(a, 0.75, out=half)
-        half += 0.25 * side
+    for parity, start in ((0, 0), (1, 2)):
+        np.add(near, far[lead + (slice(start, start + n),)], out=out[lead + (slice(parity, None, 2),)])
     return out
 
 

@@ -287,19 +287,23 @@ class TestPipeline:
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 64)), replace(desk_config(), **change))
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is in /proc/self/status on Linux only")
 class TestMemory:
-    # The pair runs in a fresh process of its own: RUSAGE_CHILDREN would
-    # report the largest of all the test run's child processes.
+    # The pair runs in a fresh process of its own, which reports the peak of
+    # its own address space (VmHWM, in KiB). RUSAGE_CHILDREN would report the
+    # largest of all the test run's child processes, and the child's own
+    # ru_maxrss counts the test process's peak too: a child started by vfork
+    # and exec inherits the high-water mark of the address space it left.
     PROGRAM = textwrap.dedent("""
-        import resource, sys
+        import sys
         from dataclasses import replace
         from cfstereo.benchmarks import desk_config
         from cfstereo.cascade import run_pipeline
         from cfstereo.synth import random_dot_stereogram
         scene = random_dot_stereogram(int(sys.argv[1]), int(sys.argv[2]), "two-plane:20,90", 5)
         run_pipeline(scene.left, scene.right, replace(desk_config(), pipeline_dmax=256))
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        with open("/proc/self/status") as status:
+            print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
     """)
 
     def max_rss_mb(self, h, w):

@@ -220,6 +220,14 @@ def test_wide_census_config_is_data_error(tmp_path, capsys):
     assert "features.census_radius" in capsys.readouterr().err
 
 
+def test_image_too_small_for_the_pyramid_is_data_error(tmp_path, capsys):
+    # 32 rows leave one row at scale 5, where np.gradient cannot run
+    assert match_with_config(tmp_path, DESK_CFG) == 2
+    err = capsys.readouterr().err
+    assert "features: image dims (32, 64)" in err and "at least 64" in err
+    assert "numerical gradient" not in err
+
+
 @pytest.mark.parametrize("magic, reader", [(b"P2", read_pgm), (b"P3", read_ppm)])
 def test_ascii_image_gets_the_readers_guidance(tmp_path, capsys, magic, reader):
     image = tmp_path / "ascii.pnm"

@@ -18,7 +18,7 @@ from cfstereo.cost_volume import (
 )
 from cfstereo.benchmarks import desk_config
 from cfstereo.features import normalize_channels
-from cfstereo.fusion import aggregate, fuse_volumes
+from cfstereo.fusion import aggregate, aggregate_plane_reach, fuse_volumes
 from cfstereo.synth import volume_oracle
 from cfstereo.tensor_ops import box_smooth_axis
 
@@ -442,6 +442,60 @@ class TestStreamCost:
         want = reduce_to_cost(self.smooth(vol.data), planes, 1, **self.WEIGHTS)
         for got in self.streamed(monkeypatch, [(fl, fr, planes)], 1, self.smooth):
             assert np.array_equal(got, want.cost)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("radii", [(0, 2, 2), (0, 1, 0)])
+    @pytest.mark.parametrize("planes", ["dense", "sparse"])
+    def test_plane_reach_zero_streams_plane_by_plane(self, monkeypatch, planes, radii, passes, dtype):
+        """At plane reach 0 each plane is regularized alone, a block of
+        channels at a time, then the correlation once. 96x1024 planes give
+        two or more blocks per plane at the default BLOCK_BYTES, the last
+        one partial, in float32 and in float64."""
+        config = replace(desk_config(), fusion_smooth_radius=radii, fusion_passes=passes)
+        assert aggregate_plane_reach(config) == 0
+        h, w = 96, 1024
+        fl, fr = self.features(12, h, w, dtype)
+        if planes == "dense":
+            vol = build_dense_volume(fl, fr, 16, 3, 1)
+        else:
+            # fractional, integer and out-of-frame columns
+            pv = np.sort(np.random.default_rng(13).uniform(-4.0, 40.0, size=(3, h, w)), axis=0)
+            pv[:, :, :8] = np.round(pv[:, :, :8])
+            vol = build_sparse_volume(fl, fr, HypothesisPlanes.per_pixel(pv), 3, 1)
+        n = vol.planes.count
+
+        def smooth(volume):
+            return aggregate(volume, config)
+
+        want = reduce_to_cost(smooth(vol.data), vol.planes, 3, **self.WEIGHTS)
+        for block_bytes in (cost_volume.BLOCK_BYTES, 1):
+            monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
+            calls = []
+
+            def counted(volume):
+                calls.append(volume.shape[:2])
+                return smooth(volume)
+
+            score = stream_cost([(fl, fr, vol.planes)], 3, counted, plane_reach=0, **self.WEIGHTS)
+            assert np.array_equal(score.cost, want.cost)
+            block = max(1, block_bytes // fl[0].nbytes)
+            chunks = [(min(block, self.CHANNELS - c0), 1) for c0 in range(0, self.CHANNELS, block)]
+            if block_bytes == 1:
+                assert chunks == [(1, 1)] * self.CHANNELS
+            else:
+                assert len(chunks) >= 2 and chunks[-1] < chunks[0]
+            # a (channel chunk, one plane) call per chunk of each plane, then the correlation
+            assert calls == chunks * n + [(1, n)]
+
+    def test_plane_reach_zero_takes_one_input(self):
+        fl, fr = self.features(0, 4, 8, np.float64)
+        inputs = [
+            (fl, fr, HypothesisPlanes.dense(32, 3, (4, 8))),
+            (fl[:, :2, :4], fr[:, :2, :4], HypothesisPlanes.dense(32, 4, (2, 4))),
+        ]
+        with pytest.raises(ValueError, match="plane reach 0 takes one input"):
+            stream_cost(inputs, 3, self.fuse, plane_reach=0)
 
     def test_feature_counts_must_agree(self):
         fl, fr = self.features(0, 4, 8, np.float64)

@@ -55,6 +55,42 @@ def test_rejects_misaligned_dims():
         build_pyramid(np.zeros((60, 64)))
 
 
+@pytest.mark.parametrize("shape", [(32, 32), (32, 64), (64, 32)])
+def test_rejects_a_side_under_two_pixels_at_scale_5(shape):
+    with pytest.raises(ValueError, match=r"at least 64 \(two pixels at scale 5\)"):
+        build_pyramid(np.random.default_rng(0).random(shape))
+
+
+def test_smallest_sides_still_run():
+    pyr = build_pyramid(np.random.default_rng(0).random((64, 64)))
+    assert pyr[5].shape == (13, 2, 2)
+    assert all(np.isfinite(f).all() for f in pyr.values())
+
+
+def std_normalized(stack):
+    """`normalize_channels` as written with `np.std`: constant channels become zero."""
+    sigma = stack.std(axis=(1, 2), keepdims=True)
+    flat = sigma[:, 0, 0] < 1e-12
+    out = (stack - stack.mean(axis=(1, 2), keepdims=True)) / np.where(sigma < 1e-12, 1.0, sigma)
+    out[flat] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("shape", [(6, 1, 1), (6, 2, 3), (6, 17, 33), (13, 64, 128), (13, 128, 256)])
+def test_normalize_is_byte_equal_to_dividing_by_std(shape):
+    rng = np.random.default_rng(shape[1])
+    stack = rng.normal(size=shape) * rng.uniform(0.0, 50.0, size=(shape[0], 1, 1)) + 3.0
+    stack[1] = -0.0
+    stack[2] = 7.25
+    stack[3, ..., 0] = -0.0  # a -0.0 column in a varying channel
+    stack[4] = rng.choice([-1.0, 1.0], size=shape[1:])
+    got = normalize_channels(stack)
+    assert got.tobytes() == std_normalized(stack).tobytes()
+    assert not got[1:3].any()
+    if shape[1] * shape[2] > 1:
+        assert got[0].any() and got[4].any()
+
+
 @pytest.mark.parametrize("census_radius", [1, 2, 3])
 @pytest.mark.parametrize("channels", [1, 4, 8, 13, 16, 30, 60])
 def test_levels_match_truncated_full_stack(census_radius, channels):

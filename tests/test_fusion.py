@@ -18,7 +18,7 @@ from cfstereo.cost_volume import (
 )
 from cfstereo.features import build_pyramid
 from cfstereo import fusion
-from cfstereo.fusion import aggregate, aggregate_reach, box_smooth_volume, fuse_volumes
+from cfstereo.fusion import aggregate, aggregate_plane_reach, aggregate_reach, box_smooth_volume, fuse_volumes
 from cfstereo.synth import random_dot_stereogram
 from cfstereo.tensor_ops import avgpool_volume, box_smooth_axis
 
@@ -169,6 +169,31 @@ class TestAggregateReach:
         a0, b0 = max(0, a - reach), min(24, b + reach)
         band = aggregate(v[..., a0:b0, :], cfg)[..., a - a0 : b - a0, :]
         assert band.tobytes() == aggregate(v, cfg)[..., a:b, :].tobytes()
+
+
+class TestAggregatePlaneReach:
+    """`aggregate_plane_reach` says when `stream_cost` may work plane by plane."""
+
+    @pytest.mark.parametrize("radii, passes", RADII_AND_PASSES)
+    def test_one_input_plane_reaches_exactly_reach_planes(self, radii, passes):
+        cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
+        reach = aggregate_plane_reach(cfg)
+        v = np.random.default_rng(10).normal(size=(2, 15, 6, 7))
+        plane = 7
+        bumped = v.copy()
+        bumped[:, plane] += 1.0
+        changed = (aggregate(bumped, cfg) != aggregate(v, cfg)).any(axis=(0, 2, 3))
+        assert np.flatnonzero(changed).tolist() == list(range(plane - reach, plane + reach + 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("radii, passes", [((0, 2, 2), 1), ((0, 1, 0), 2), ((0, 0, 3), 3)])
+    def test_at_reach_zero_each_plane_aggregates_alone(self, radii, passes, dtype):
+        cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
+        assert aggregate_plane_reach(cfg) == 0
+        v = np.random.default_rng(11).normal(size=(3, 5, 24, 40)).astype(dtype)
+        whole = aggregate(v, cfg)
+        for n in range(v.shape[1]):
+            assert aggregate(v[:, n : n + 1], cfg).tobytes() == whole[:, n : n + 1].tobytes()
 
 
 class TestFuseVolumes:
