@@ -41,8 +41,9 @@ def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 
     """
     h, w = image.shape
     r = census_radius
+    offsets = [(dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1) if dy or dx]
     # float64, as the census channels are
-    stack = np.empty((5 + (2 * r + 1) ** 2 - 1, h, w), DTYPE)
+    stack = np.empty((5 + len(offsets), h, w), DTYPE)
     stack[0] = image
     stack[2], stack[1] = np.gradient(image)
     mean = box_mean2d(image, stat_radius)
@@ -50,14 +51,9 @@ def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 
     stack[3] = mean
     stack[4] = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
     padded = _edge_pad(_edge_pad(image, 0, r), 1, r)
-    k = 5
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if dy == 0 and dx == 0:
-                continue
-            neighbor = padded[r + dy : r + dy + h, r + dx : r + dx + w]
-            stack[k] = np.where(image > neighbor, 1.0, -1.0)
-            k += 1
+    for k, (dy, dx) in enumerate(offsets, start=5):
+        neighbor = padded[r + dy : r + dy + h, r + dx : r + dx + w]
+        stack[k] = np.where(image > neighbor, 1.0, -1.0)
     return stack
 
 
