@@ -292,8 +292,9 @@ class TestMemory:
     # The pair runs in a fresh process of its own, which reports the peak of
     # its own address space (VmHWM, in KiB). RUSAGE_CHILDREN would report the
     # largest of all the test run's child processes, and the child's own
-    # ru_maxrss counts the test process's peak too: a child started by vfork
-    # and exec inherits the high-water mark of the address space it left.
+    # ru_maxrss counts the test process's memory too: exec keeps the
+    # high-water mark of the address space the child leaves, which subprocess
+    # shares with the test process until then.
     PROGRAM = textwrap.dedent("""
         import sys
         from dataclasses import replace
