@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RangeParams, RunConfig
-from .cost_volume import BLOCK_BYTES, HypothesisPlanes, soft_argmin, stream_cost, uncertainty
+from .cost_volume import HypothesisPlanes, soft_argmin, stream_cost, uncertainty
 from .errors import PipelineError
 from .features import build_pyramid
 from .fusion import aggregate, aggregate_plane_reach, aggregate_reach, fuse_volumes
@@ -34,11 +34,11 @@ __all__ = [
 ]
 
 # A refinement stage decodes in row bands of at most about this many bytes of
-# float64 (N, H, W) map. Half a block, not a whole one: a 512x1024 pair's
-# stage 1 then takes 6 bands, not 3, and perfbench's large `pair_ref.p50`
-# was lower in 10 of 10 interleaved pairs (1.84 -> 1.70); a 256x512 pair's
-# stage 1 takes 2 bands, not 1, and mid's was no worse (2.36 -> 2.29).
-BAND_BYTES = BLOCK_BYTES // 2
+# float64 (N, H, W) map. At 2 MiB, a 512x1024 pair's stage 1 takes 6 bands,
+# not 3 as at 4 MiB, and perfbench's large `pair_ref.p50` was lower in 10 of
+# 10 interleaved pairs (1.84 -> 1.70); a 256x512 pair's stage 1 takes 2
+# bands, not 1, and mid's was no worse (2.36 -> 2.29).
+BAND_BYTES = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +144,11 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     Output disparity and uncertainty are at full resolution in full-resolution
     pixel units (uncertainty scales by 4 as a variance).
     """
-    li = as_grid(left, 2, "left image").astype(DTYPE, copy=False)
-    ri = as_grid(right, 2, "right image").astype(DTYPE, copy=False)
-    if li.shape != ri.shape:
-        raise PipelineError(f"input: image shapes differ: {li.shape} vs {ri.shape}")
+    with _stage("input"):
+        li = as_grid(left, 2, "left image").astype(DTYPE, copy=False)
+        ri = as_grid(right, 2, "right image").astype(DTYPE, copy=False)
+        if li.shape != ri.shape:
+            raise ValueError(f"image shapes differ: {li.shape} vs {ri.shape}")
     dmax = config.pipeline_dmax
     params = RangeParams.from_config(config)
     w_g, w_a = config.cost_w_group, config.cost_w_absdiff

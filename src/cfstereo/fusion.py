@@ -8,16 +8,10 @@ never amplified, and the whole fusion is a linear map on the volumes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import RunConfig
 from .tensor_ops import as_grid, avgpool_volume, box_smooth_axis, trilinear_upsample2x
-
-# `aggregate` finishes this many bytes of (H, W) slabs at a time (at least
-# one slab): a tile, its edge-pad copy and its accumulators fit in L2.
-TILE_BYTES = 256 << 10
 
 
 def box_smooth_volume(data: np.ndarray, radii: tuple[int, int, int], passes: int = 1) -> np.ndarray:
@@ -33,40 +27,15 @@ def box_smooth_volume(data: np.ndarray, radii: tuple[int, int, int], passes: int
 
 
 def aggregate(data: np.ndarray, config: RunConfig) -> np.ndarray:
-    """Regularize a (…, planes, H, W) grid: smoothed half-mixed with the input.
-
-    The same operations in the same order as `box_smooth_volume` then the
-    mix, but the x and y boxes and the mix run one tile of `TILE_BYTES` of
-    (H, W) slabs at a time, so each tile stays in cache between its passes.
-    The plane box couples slabs, so it runs on the whole grid, once per pass.
-    """
+    """Regularize a (…, planes, H, W) grid: `box_smooth_volume` half-mixed
+    with the input. The pipeline calls it on one `stream_cost` block
+    (`cost_volume.BLOCK_BYTES`) at a time, so it needs no tiling of its own."""
     data = as_grid(data)
     if data.ndim not in (3, 4):
         raise ValueError(f"expected 3D or 4D volume, got shape {data.shape}")
-    r_d, r_x, r_y = config.fusion_smooth_radius
-    passes = config.fusion_passes
-    h, w = data.shape[-2:]
-    slabs = (math.prod(data.shape[:-2]), h, w)
-    out = np.empty(data.shape, data.dtype)
-    slabs_in, slabs_out = data.reshape(slabs), out.reshape(slabs)
-    tile = max(1, TILE_BYTES // max(1, h * w * data.itemsize))
-    src = data
-    for p in range(passes):
-        if r_d:
-            src = box_smooth_axis(src, -3, r_d)
-        slabs_src = src.reshape(slabs)
-        for start in range(0, slabs[0], tile):
-            span = slice(start, start + tile)
-            t = slabs_src[span]
-            for axis, radius in ((-1, r_x), (-2, r_y)):
-                if radius:
-                    t = box_smooth_axis(t, axis, radius)
-            if p < passes - 1:
-                slabs_out[span] = t
-            else:
-                np.add(t, slabs_in[span], out=slabs_out[span])
-                slabs_out[span] *= 0.5
-        src = out
+    out = box_smooth_volume(data, config.fusion_smooth_radius, config.fusion_passes)
+    out += data
+    out *= 0.5
     return out
 
 

@@ -56,9 +56,11 @@ def disparity_field(spec: str, shape: tuple[int, int], rng: np.random.Generator)
         if len(args) not in (2, 3):
             raise ValueError(f"piecewise spec needs lo,hi[,slabs], got {spec!r}")
         lo, hi = args[0], args[1]
-        slabs = int(args[2]) if len(args) == 3 else 4
-        if slabs < 1:
-            raise ValueError("piecewise spec needs at least one slab")
+        slabs = args[2] if len(args) == 3 else 4
+        # at most one slab per column; inf, NaN and 2.5 are not counts
+        if not (math.isfinite(slabs) and slabs == int(slabs) and 1 <= slabs <= w):
+            raise ValueError(f"piecewise slab count must be a whole number from 1 to {w}, got {slabs:g}")
+        slabs = int(slabs)
         cuts = np.sort(rng.choice(np.arange(1, w), size=slabs - 1, replace=False)) if slabs > 1 else []
         field = np.empty(shape, dtype=DTYPE)
         start = 0

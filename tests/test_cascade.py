@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfstereo import cascade
+from cfstereo import cascade, cost_volume
 from cfstereo.benchmarks import desk_config, desk_scene, evaluate_scene, stagewise_bad2
 from cfstereo.cascade import (
     RangeParams,
@@ -226,8 +226,20 @@ class TestPipeline:
         assert good >= 18
 
     def test_mismatched_shapes_tagged(self):
-        with pytest.raises(PipelineError, match="input"):
+        with pytest.raises(PipelineError, match=r"^input: image shapes differ: \(64, 64\) vs \(64, 96\)$"):
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 96)), desk_config())
+
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            pytest.param(np.zeros((64, 64, 3)), "left image must be 2-dimensional", id="rgb"),
+            pytest.param(np.full((64, 64), "a"), "could not convert string to float", id="strings"),
+        ],
+    )
+    def test_bad_image_tagged_as_input(self, image, message):
+        with pytest.raises(PipelineError, match=f"^input: {message}") as info:
+            run_pipeline(image, np.zeros((64, 64)), desk_config())
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_bad_dims_tagged(self):
         with pytest.raises(PipelineError, match="divisible by 32"):
@@ -360,7 +372,8 @@ def assert_same_bytes(got, want):
 
 class TestBands:
     """Stages 2 and 1 decode in row bands with `aggregate_reach` rows of halo;
-    every band count gives the one-band run's bytes."""
+    every band count, with any channel block size, gives the bytes of the
+    one-band run at the default block size."""
 
     WHOLE = 1 << 62
     whole_runs: dict = {}  # one-band runs, shared by the budgets of one config
@@ -393,13 +406,17 @@ class TestBands:
             pytest.param({"fusion_enabled": False}, id="fusion-off"),
         ],
     )
-    def test_banded_decode_is_exact(self, monkeypatch, budget, calls, change):
+    # stream_cost's default channel blocks, and one channel per block
+    @pytest.mark.parametrize("block", [None, 1], ids=["block-default", "block-one"])
+    def test_banded_decode_is_exact(self, monkeypatch, budget, calls, change, block):
         scene = desk_scene(6)
         config = replace(desk_config(), **change)
         key = tuple(sorted(change.items()))
         if key not in self.whole_runs:
             self.whole_runs[key] = banded_run(monkeypatch, scene, config, self.WHOLE)
         want, whole_calls = self.whole_runs[key]
+        if block is not None:
+            monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block)
         got, band_calls = banded_run(monkeypatch, scene, config, budget)
         assert (whole_calls, band_calls) == (3, calls)
         assert_same_bytes(got, want)

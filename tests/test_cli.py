@@ -49,6 +49,15 @@ def test_synth_nonfinite_disparity_is_data_error(tmp_path, capsys):
     assert not (out / "gt.pfm").exists()
 
 
+@pytest.mark.parametrize("count", ["inf", "1e400", "2.5"])
+def test_synth_bad_slab_count_is_data_error(tmp_path, capsys, count):
+    out = tmp_path / "scene"
+    assert cli_main(["synth", "--spec", f"piecewise:0,10,{count}", "--seed", "0", "--out", str(out),
+                     "--height", "32", "--width", "64"]) == 2
+    assert "slab count must be a whole number from 1 to 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("height", ["0", "-4"])
 def test_synth_nonpositive_size_is_data_error(tmp_path, capsys, height):
     out = tmp_path / "scene"

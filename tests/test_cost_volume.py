@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -376,7 +377,7 @@ class TestStreamCost:
     for byte. Each case streams twice against one reference: at the default
     BLOCK_BYTES, where the shapes give two or more channel blocks with the
     last one partial, in float32 and in float64; and at BLOCK_BYTES = 1, the
-    one-channel floor that a channel over 4 MiB reaches."""
+    one-channel floor that a channel over 256 KiB reaches."""
 
     CONFIG = replace(desk_config(), fusion_smooth_radius=(1, 2, 1), fusion_passes=2)
     WEIGHTS = dict(w_group=9.75, w_absdiff=0.8125)
@@ -422,7 +423,7 @@ class TestStreamCost:
     @pytest.mark.parametrize("fusion", [True, False])
     def test_dense_planes(self, monkeypatch, dtype, fusion):
         dmax, scales = 128, ((3, 4, 5) if fusion else (3,))
-        feats = {s: self.features(s, 256 >> s, 2048 >> s, dtype) for s in scales}
+        feats = {s: self.features(s, 64 >> s, 512 >> s, dtype) for s in scales}
         regularize = self.fuse if fusion else self.smooth
         inputs = [(*feats[s], HypothesisPlanes.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
         volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
@@ -432,10 +433,10 @@ class TestStreamCost:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sparse_planes(self, monkeypatch, dtype):
-        fl, fr = self.features(7, 32, 256, dtype)
+        fl, fr = self.features(7, 16, 64, dtype)
         rng = np.random.default_rng(8)
         # fractional, integer and out-of-frame columns
-        pv = np.sort(rng.uniform(-4.0, 40.0, size=(12, 32, 256)), axis=0)
+        pv = np.sort(rng.uniform(-4.0, 40.0, size=(12, 16, 64)), axis=0)
         pv[:, :, :8] = np.round(pv[:, :, :8])
         planes = HypothesisPlanes.per_pixel(pv)
         vol = build_sparse_volume(fl, fr, planes, 1, 1)
@@ -449,12 +450,12 @@ class TestStreamCost:
     @pytest.mark.parametrize("planes", ["dense", "sparse"])
     def test_plane_reach_zero_streams_plane_by_plane(self, monkeypatch, planes, radii, passes, dtype):
         """At plane reach 0 each plane is regularized alone, a block of
-        channels at a time, then the correlation once. 96x1024 planes give
+        channels at a time, then the correlation once. 32x256 planes give
         two or more blocks per plane at the default BLOCK_BYTES, the last
         one partial, in float32 and in float64."""
         config = replace(desk_config(), fusion_smooth_radius=radii, fusion_passes=passes)
         assert aggregate_plane_reach(config) == 0
-        h, w = 96, 1024
+        h, w = 32, 256
         fl, fr = self.features(12, h, w, dtype)
         if planes == "dense":
             vol = build_dense_volume(fl, fr, 16, 3, 1)
@@ -487,6 +488,31 @@ class TestStreamCost:
                 assert len(chunks) >= 2 and chunks[-1] < chunks[0]
             # a (channel chunk, one plane) call per chunk of each plane, then the correlation
             assert calls == chunks * n + [(1, n)]
+
+    def test_peak_memory_is_cost_maps_plus_blocks(self):
+        """A desk refinement band (stage 1: 12 planes of 64x128, plane reach
+        0): beyond its inputs, `stream_cost` holds at most five float64
+        (N, H, W) maps (the sum, the cost and their temporaries) plus a few
+        blocks. Whole-span gather weights alone would take 3 maps more."""
+        config = desk_config()
+        fl, fr = self.features(3, 64, 128, np.float32)
+        pv = np.sort(np.random.default_rng(4).uniform(0.0, 30.0, size=(12, 64, 128)), axis=0)
+        planes = HypothesisPlanes.per_pixel(pv)
+        reach = aggregate_plane_reach(config)
+        assert reach == 0
+
+        def smooth(volume):
+            return aggregate(volume, config)
+
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            score = stream_cost([(fl, fr, planes)], 1, smooth, plane_reach=reach, **self.WEIGHTS)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * score.cost.nbytes + 4 * cost_volume.BLOCK_BYTES
 
     def test_plane_reach_zero_takes_one_input(self):
         fl, fr = self.features(0, 4, 8, np.float64)

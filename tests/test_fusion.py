@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,6 @@ from cfstereo.cost_volume import (
     uncertainty,
 )
 from cfstereo.features import build_pyramid
-from cfstereo import fusion
 from cfstereo.fusion import aggregate, aggregate_plane_reach, aggregate_reach, box_smooth_volume, fuse_volumes
 from cfstereo.synth import random_dot_stereogram
 from cfstereo.tensor_ops import avgpool_volume, box_smooth_axis
@@ -75,9 +73,6 @@ class TestAggregate:
             assert not np.shares_memory(out, v)
         assert v.tobytes() == keep.tobytes()
 
-    # Tiles of one slab, of two slabs over an odd slab count (a partial last
-    # tile), and the default, which tiles the last shape 8 + 2.
-    @pytest.mark.parametrize("tile", ["one", "two", "default"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize(
         "radii, passes, shape",
@@ -91,10 +86,7 @@ class TestAggregate:
             pytest.param((1, 2, 2), 2, (2, 5, 64, 128), id="ten-slabs-2pass"),
         ],
     )
-    def test_tiles_match_axis_chain(self, monkeypatch, tile, dtype, radii, passes, shape):
-        slab_bytes = shape[-2] * shape[-1] * np.dtype(dtype).itemsize
-        if tile != "default":
-            monkeypatch.setattr(fusion, "TILE_BYTES", 1 if tile == "one" else 2 * slab_bytes)
+    def test_tiles_match_axis_chain(self, dtype, radii, passes, shape):
         v = np.random.default_rng(11).normal(size=shape).astype(dtype)
         v[..., 0, :] = -0.0
         v[..., :, -1] = -0.0
@@ -118,21 +110,6 @@ class TestAggregate:
         out = aggregate(v, cfg)
         assert out.dtype == np.float64
         assert out.tobytes() == aggregate(v.astype(np.float64), cfg).tobytes()
-
-    def test_peak_memory_is_result_plus_tiles(self):
-        """A streamed block at the desk radii: beyond its result, `aggregate`
-        holds only a few tiles' worth of temporaries at once."""
-        v = np.random.default_rng(4).random((2, 12, 128, 256), dtype=np.float32)
-        cfg = replace(RunConfig(), fusion_smooth_radius=(0, 2, 2))
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = aggregate(v, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.nbytes + 4 * fusion.TILE_BYTES
 
 
 RADII_AND_PASSES = [

@@ -69,6 +69,17 @@ class TestDisparityField:
         f = disparity_field("piecewise:2,10,5", (4, 64), np.random.default_rng(1))
         assert f.min() >= 2.0 and f.max() <= 10.0
 
+    @pytest.mark.parametrize("count", ["inf", "1e400", "nan", "2.5", "0", "-3", "65", "1e300"])
+    def test_piecewise_slab_count_must_be_whole_and_fit(self, count):
+        with pytest.raises(ValueError, match="slab count must be a whole number from 1 to 64"):
+            disparity_field(f"piecewise:0,10,{count}", (4, 64), np.random.default_rng(1))
+
+    @pytest.mark.parametrize("count", [1, 5, 64])
+    def test_piecewise_slab_count_gives_that_many_slabs(self, count):
+        f = disparity_field(f"piecewise:0,10,{count}.0", (4, 64), np.random.default_rng(1))
+        assert np.count_nonzero(np.diff(f[0])) + 1 == count
+        assert (f == f[0]).all()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             disparity_field("spiral:1", (4, 4), np.random.default_rng(0))
