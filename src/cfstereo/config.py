@@ -86,6 +86,10 @@ def _key(name: str) -> str:
     return name.replace("_", ".", 1)
 
 
+# config key -> (RunConfig field, annotated type)
+_KINDS = {_key(name): (name, kind) for name, kind in get_type_hints(RunConfig).items()}
+
+
 def _parse(kind, text: str):
     """Parse `text` as the annotated type `kind`; a tuple takes 1 value
     (broadcast) or one per item."""
@@ -150,7 +154,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    kinds = {_key(name): (name, kind) for name, kind in get_type_hints(RunConfig).items()}
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -161,9 +164,9 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in kinds:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        name, kind = kinds[key]
+        name, kind = _KINDS[key]
         if name in seen:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         try:

@@ -15,9 +15,10 @@ cost and regularizing the correlation last. A block is `BLOCK_BYTES`
 (256 KiB) of volume, or one channel if a channel is larger: small enough
 that it, its edge-pad copies and its box sums stay in L2 from its gather to
 its sum. When the regularizer reads no neighbouring plane (plane reach 0,
-as in the refinement stages under `desk_config`), blocks are cut one plane
-at a time. Its cost is byte-identical to `reduce_to_cost` of the whole
-regularized volume either way.
+as in the refinement stages under `desk_config`), blocks are cut from spans
+of as many whole planes as fit a block with every channel, at least one.
+Its cost is byte-identical to `reduce_to_cost` of the whole regularized
+volume either way.
 The builders and `stream_cost` share one fill (`_plane_weights`, `_fill`),
 so `synth.volume_oracle` checks the fill the pipeline runs, and the builders
 stay the whole-volume reference for `stream_cost`'s blocking,
@@ -245,12 +246,18 @@ def stream_cost(
     regularized last, as one channel.
 
     `plane_reach` is how many planes on each side of a plane `regularize`
-    reads (`fusion.aggregate_plane_reach`), or None for every plane. At 0,
-    with one input, each plane is a span of its own: its weights, its
-    channel blocks and its sum are made one plane at a time. Otherwise every
-    plane is one span. A span's blocks are the channels whose planes fit
-    `BLOCK_BYTES` (at least one channel), so a block, which `regularize`
-    works on whole, stays in L2 from its gather to its sum.
+    reads (`fusion.aggregate_plane_reach`), or None for every plane; a
+    negative reach is a `ValueError`. At 0, with one input, a span holds as
+    many whole planes as fit `BLOCK_BYTES` with every channel, and at least
+    one: its weights, its channel blocks and its sum are made a span at a
+    time, so small planes share a block and large ones go one at a time.
+    Otherwise every plane is one span. A span's blocks are the channels
+    whose planes fit `BLOCK_BYTES` (at least one channel), so a block, which
+    `regularize` works on whole, stays in L2 from its gather to its sum.
+
+    The cost is made in place of the float64 sum: divided, scaled, and the
+    weighted float64 correlation subtracted, which gives the bytes that
+    `reduce_to_cost`'s `-w_group * corr + w_absdiff * mean` does.
     """
     prepared = []
     for left, right, planes in inputs:
@@ -260,12 +267,19 @@ def stream_cost(
     if len(counts) != 1:
         raise ValueError(f"feature counts differ across inputs: {sorted(counts)}")
     c = counts.pop()
+    if plane_reach is not None and plane_reach < 0:
+        raise ValueError(f"plane reach must be None or >= 0, got {plane_reach}")
     if plane_reach == 0 and len(prepared) > 1:
         raise ValueError(f"plane reach 0 takes one input, got {len(prepared)}")
     corrs = [np.zeros(pv.shape, dtype=fl.dtype) for fl, _, pv in prepared]
     total = np.zeros(corrs[0].shape, dtype=DTYPE)
     n_planes = len(prepared[0][2])
-    spans = [slice(n, n + 1) for n in range(n_planes)] if plane_reach == 0 else [slice(None)]
+    if plane_reach == 0:
+        # whole planes with every channel, prepared[0][0] being (C, H, W)
+        step = max(1, BLOCK_BYTES // prepared[0][0].nbytes)
+        spans = [slice(n, n + step) for n in range(0, n_planes, step)]
+    else:
+        spans = [slice(None)]
     for span in spans:
         parts = [(fl, fr, _plane_weights(fl, pv[span]), corr[span]) for (fl, fr, pv), corr in zip(prepared, corrs)]
         channel_bytes = sum(len(wts) * fl[0].nbytes for fl, _, wts, _ in parts)
@@ -284,9 +298,15 @@ def stream_cost(
             for channel in out:
                 total_span += channel
             del out  # before the next block is built
-    corr = regularize(*(acc[None] / c for acc in corrs))[0]
-    cost = -w_group * corr.astype(DTYPE, copy=False) + w_absdiff * (total / c)
-    return ScoreVolume(cost, inputs[0][2], scale)
+    # the correlation, averaged in place, is regularized last as one channel;
+    # the cost takes the sum's place: a - w * x is a + (-w) * x exactly
+    for corr in corrs:
+        corr /= c
+    corr = regularize(*(acc[None] for acc in corrs))[0]
+    total /= c
+    total *= w_absdiff
+    total -= np.multiply(corr, w_group, dtype=DTYPE)
+    return ScoreVolume(total, inputs[0][2], scale)
 
 
 def soft_argmin(score: ScoreVolume) -> np.ndarray:

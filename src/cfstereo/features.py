@@ -50,10 +50,23 @@ def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 
     sq_mean = box_mean2d(image * image, stat_radius)
     stack[3] = mean
     stack[4] = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
+    # Each neighbour is a flat run of the padded image, as in
+    # `tensor_ops._shifts`: its rows are w + 2r long, so the run that starts
+    # at (r + dy, r + dx) lines up with the centre's run at (r, r), and the
+    # comparisons between two rows land in the padding columns of `greater`.
     padded = _edge_pad(_edge_pad(image, 0, r), 1, r)
+    row = w + 2 * r
+    flat = padded.reshape(-1)
+    size = (h - 1) * row + w
+    centre = flat[r * row + r :][:size]
+    greater = np.empty((h, row), bool)
     for k, (dy, dx) in enumerate(offsets, start=5):
-        neighbor = padded[r + dy : r + dy + h, r + dx : r + dx + w]
-        stack[k] = np.where(image > neighbor, 1.0, -1.0)
+        start = (r + dy) * row + r + dx
+        np.greater(centre, flat[start : start + size], out=greater.reshape(-1)[:size])
+        stack[k] = greater[:, :w]
+    # +1 where the centre is greater, else -1
+    stack[5:] *= 2.0
+    stack[5:] -= 1.0
     return stack
 
 

@@ -5,6 +5,13 @@ float32 grid stays float32 and anything else becomes float64 (`DTYPE`). The
 pipeline feeds float32 cost volumes through here and keeps its maps and
 hypothesis planes in float64. Per-pixel reductions accumulate in a fixed
 ascending order, so results are bit-stable from run to run.
+
+The stencils read their edge-clamped taps from one edge-padded copy of the
+grid (`_edge_pad`, `_shifts`). Along the last axis a tap is one flat run
+over all the padded rows, not a view with one short row per NumPy inner
+loop, and the results between two rows fall into padding columns that the
+returned view leaves out. So a last-axis result is a view of a fresh
+buffer, not C-contiguous, and never shares memory with its input.
 """
 
 from __future__ import annotations
@@ -59,14 +66,32 @@ def _edge_pad(a: np.ndarray, axis: int, r: int) -> np.ndarray:
     return out
 
 
-def _shifts(a: np.ndarray, axis: int, r: int) -> list:
+def _shifts(a: np.ndarray, axis: int, r: int) -> tuple:
     """The 2r+1 edge-clamped shifts of `a` along `axis`, offsets -r..r in
-    order, each a view into one `_edge_pad` copy."""
+    order, read from one `_edge_pad` copy, with `acc`, a fresh array shaped
+    as one tap, and `out`, the view of `acc`'s buffer in `a`'s shape. A
+    stencil writes its result into `acc` and returns `out`, which shares
+    no memory with `a`.
+
+    Along a leading axis the taps are slices of the copy, shaped as `a`, and
+    `out` is `acc`. Along the last axis, of length n, they are 1-D slices of
+    the flattened copy, whose rows are n + 2r long: tap k starts k elements
+    in, so it holds every row's shift by k - r in one run, and each NumPy
+    call loops once over the grid, not once per row. The 2r results between
+    two rows mix the end of one padded row with the start of the next; they
+    land in the padding columns of `acc`'s (..., n + 2r) buffer, and `out`,
+    its first n columns, drops them."""
     axis %= a.ndim
     n = a.shape[axis]
     padded = _edge_pad(a, axis, r)
-    lead = (slice(None),) * axis
-    return [padded[lead + (slice(k, k + n),)] for k in range(2 * r + 1)]
+    if axis < a.ndim - 1 or not a.size:  # an empty grid has no padding to read
+        lead = (slice(None),) * axis
+        acc = np.empty(a.shape, a.dtype)
+        return [padded[lead + (slice(k, k + n),)] for k in range(2 * r + 1)], acc, acc
+    flat = padded.reshape(-1)
+    size = flat.size - 2 * r
+    buffer = np.empty(padded.shape, a.dtype)
+    return [flat[k : k + size] for k in range(2 * r + 1)], buffer.reshape(-1)[:size], buffer[..., :n]
 
 
 def _sample_rows(a: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -135,17 +160,31 @@ def _upsample2x_axis(a: np.ndarray, axis: int) -> np.ndarray:
     """
     axis %= a.ndim
     n = a.shape[axis]
-    near = a * 0.75
-    # 0.25 times the edge-padded copy: its slices are both parities' far taps
+    # the edge-padded copy: its slices are both parities' far taps (and, along
+    # the last axis, the near tap too)
     far = _edge_pad(a, axis, 1)
+    if axis < a.ndim - 1 or not a.size:  # an empty grid has no padding to read
+        near = a * 0.75
+        far *= 0.25
+        shape = list(a.shape)
+        shape[axis] *= 2
+        out = np.empty(shape, a.dtype)
+        lead = (slice(None),) * axis
+        for parity, start in ((0, 0), (1, 2)):
+            np.add(near, far[lead + (slice(start, start + n),)], out=out[lead + (slice(parity, None, 2),)])
+        return out
+    # Along the last axis the taps are flat runs over the padded rows, as in
+    # `_shifts`. Both parities go into one (..., n + 2, 2) buffer as stride-2
+    # runs, and the result is its first n cells of each row.
+    near = far * 0.75
     far *= 0.25
-    shape = list(a.shape)
-    shape[axis] *= 2
-    out = np.empty(shape, a.dtype)
-    lead = (slice(None),) * axis
+    near, far = near.reshape(-1), far.reshape(-1)
+    size = far.size - 2
+    out = np.empty(a.shape[:-1] + (n + 2, 2), a.dtype)
+    flat = out.reshape(-1)
     for parity, start in ((0, 0), (1, 2)):
-        np.add(near, far[lead + (slice(start, start + n),)], out=out[lead + (slice(parity, None, 2),)])
-    return out
+        np.add(near[1 : 1 + size], far[start : start + size], out=flat[parity : 2 * size : 2])
+    return out[..., :n, :].reshape(a.shape[:-1] + (2 * n,))
 
 
 def bilinear_upsample2x(grid: np.ndarray) -> np.ndarray:
@@ -193,13 +232,13 @@ def box_smooth_axis(a: np.ndarray, axis: int, radius: int) -> np.ndarray:
     a = as_grid(a)
     if radius == 0:
         return a.copy()
-    taps = _shifts(a, axis, radius)
+    taps, acc, out = _shifts(a, axis, radius)
     # + 0.0 turns a leading -0.0 into 0.0, as a sum started from zero would
-    acc = taps[0] + 0.0
+    np.add(taps[0], 0.0, out=acc)
     for tap in taps[1:]:
         acc += tap
     acc /= 2 * radius + 1
-    return acc
+    return out
 
 
 def weighted_smooth_axis(a: np.ndarray, axis: int, weights) -> np.ndarray:
@@ -209,10 +248,10 @@ def weighted_smooth_axis(a: np.ndarray, axis: int, weights) -> np.ndarray:
         raise ValueError("kernel must be 1D with odd length")
     radius = weights.size // 2
     a = as_grid(a)
-    taps = _shifts(a, axis, radius)
+    taps, acc, out = _shifts(a, axis, radius)
     weights = weights.astype(a.dtype)
-    acc = weights[0] * taps[0]
+    np.multiply(weights[0], taps[0], out=acc)
     acc += 0.0  # as in box_smooth_axis
     for weight, tap in zip(weights[1:], taps[1:]):
         acc += weight * tap
-    return acc
+    return out

@@ -489,6 +489,55 @@ class TestStreamCost:
             # a (channel chunk, one plane) call per chunk of each plane, then the correlation
             assert calls == chunks * n + [(1, n)]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("planes", ["dense", "sparse"])
+    def test_plane_reach_zero_fills_a_block_with_small_planes(self, monkeypatch, planes, dtype):
+        """A 16x32 plane with its 13 channels is 26 KiB in float32 and 52 KiB
+        in float64, so a 256 KiB block holds 9 or 4 whole planes: each span
+        of planes is one (13, planes) call, the last span partial, then the
+        correlation. At BLOCK_BYTES = 1 every channel of every plane is a
+        call of its own."""
+        config = desk_config()
+        assert aggregate_plane_reach(config) == 0
+        h, w = 16, 32
+        fl, fr = self.features(14, h, w, dtype)
+        if planes == "dense":
+            vol = build_dense_volume(fl, fr, 128, 3, 1)
+        else:
+            # fractional, integer and out-of-frame columns
+            pv = np.sort(np.random.default_rng(15).uniform(-4.0, 40.0, size=(16, h, w)), axis=0)
+            pv[:, :, :8] = np.round(pv[:, :, :8])
+            vol = build_sparse_volume(fl, fr, HypothesisPlanes.per_pixel(pv), 3, 1)
+        n = vol.planes.count
+        assert n == 16
+
+        def smooth(volume):
+            return aggregate(volume, config)
+
+        want = reduce_to_cost(smooth(vol.data), vol.planes, 3, **self.WEIGHTS)
+        for block_bytes in (cost_volume.BLOCK_BYTES, 1):
+            monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
+            calls = []
+
+            def counted(volume):
+                calls.append(volume.shape[:2])
+                return smooth(volume)
+
+            score = stream_cost([(fl, fr, vol.planes)], 3, counted, plane_reach=0, **self.WEIGHTS)
+            assert score.cost.tobytes() == want.cost.tobytes()
+            if block_bytes == 1:
+                assert calls == [(1, 1)] * (self.CHANNELS * n) + [(1, n)]
+            else:
+                span = {np.float32: 9, np.float64: 4}[dtype]
+                assert calls == [(self.CHANNELS, min(span, n - n0)) for n0 in range(0, n, span)] + [(1, n)]
+
+    @pytest.mark.parametrize("reach", [-1, -4])
+    def test_negative_plane_reach_rejected(self, reach):
+        fl, fr = self.features(0, 4, 8, np.float64)
+        inputs = [(fl, fr, HypothesisPlanes.dense(32, 3, (4, 8)))]
+        with pytest.raises(ValueError, match=f"^plane reach must be None or >= 0, got {reach}$"):
+            stream_cost(inputs, 3, self.smooth, plane_reach=reach)
+
     def test_peak_memory_is_cost_maps_plus_blocks(self):
         """A desk refinement band (stage 1: 12 planes of 64x128, plane reach
         0): beyond its inputs, `stream_cost` holds at most five float64

@@ -187,3 +187,38 @@ def test_pyramid_levels_match_clipped_index_references(census_radius):
         raw = channel_stack(current, census_radius)
         assert raw.tobytes() == channel_stack_reference(want, census_radius).tobytes()
     assert current.shape == (4, 8)
+
+
+def census_where(image, census_radius):
+    """The census channels as `np.where` over slices of the edge-padded
+    image, one fresh array per neighbour."""
+    r = census_radius
+    h, w = image.shape
+    padded = np.pad(image, r, mode="edge")
+    return np.stack([
+        np.where(image > padded[r + dy : r + dy + h, r + dx : r + dx + w], 1.0, -1.0)
+        for dy in range(-r, r + 1)
+        for dx in range(-r, r + 1)
+        if dy or dx
+    ])
+
+
+CENSUS_IMAGES = {
+    "random 24x40": np.random.default_rng(11).normal(size=(24, 40)),
+    "constant 8x16": np.full((8, 16), 3.5),
+    # ties, and +0.0 against -0.0, which compare equal and so give -1
+    "ties 16x33": np.random.default_rng(12).choice([-1.0, -0.0, 0.0, 2.0], size=(16, 33)),
+    "signed zeros 4x8": np.random.default_rng(13).choice([-0.0, 0.0], size=(4, 8)),
+}
+
+
+@pytest.mark.parametrize("census_radius", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CENSUS_IMAGES))
+def test_census_channels_match_where_form(census_radius, name):
+    """The census compares flat runs of one padded image and writes
+    2 * (centre > neighbour) - 1 into the stack: +1 and -1 exactly where
+    `np.where` puts them."""
+    image = CENSUS_IMAGES[name]
+    got = channel_stack(image, census_radius)[5:]
+    want = census_where(image, census_radius)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -185,6 +185,33 @@ finite32 = st.floats(-50, 50, allow_nan=False, width=32)
 NEG_ZERO_32 = np.array([[-0.0, -0.0, 1.5], [-0.0, 0.0, -2.25]], np.float32)
 
 
+def uniform(shape, seed):
+    return np.random.default_rng(seed).uniform(-50.0, 50.0, size=shape)
+
+
+# Rows longer than any drawn grid's (sides of at most 5), and inputs that are
+# not C-contiguous: along the last axis the taps are flat runs over whole
+# padded rows, so these check rows that start at every offset of such a run.
+WIDE = uniform((3, 2, 37), 20)
+WIDE_ROW = uniform((1, 1, 129), 21)
+TRANSPOSED = uniform((37, 2, 3), 22).T  # (3, 2, 37), its last axis strided
+STEPPED = uniform((3, 5, 80), 23)[:, ::2, 1::2]  # (3, 3, 40)
+WIDE_32, TRANSPOSED_32 = WIDE.astype(np.float32), uniform((37, 2, 3), 22).astype(np.float32).T
+STEPPED_32 = uniform((3, 5, 80), 23).astype(np.float32)[:, ::2, 1::2]
+assert not any(a.flags.c_contiguous for a in (TRANSPOSED, STEPPED, TRANSPOSED_32, STEPPED_32))
+
+
+# even (planes, H, W), as avgpool needs: wide rows, a transposed view and a stepped view
+EVEN_WIDE = uniform((2, 2, 130), 24)
+EVEN_WIDE_4D = uniform((2, 4, 2, 38), 25)
+EVEN_TRANSPOSED = uniform((38, 2, 4), 26).T
+EVEN_STEPPED = uniform((4, 8, 80), 27)[:, ::2, 1::2]
+
+
+def even_shapes():
+    return st.lists(st.sampled_from([2, 4, 6]), min_size=3, max_size=4).map(tuple)
+
+
 def grids32():
     return arrays(np.float32, array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5), elements=finite32)
 
@@ -203,19 +230,29 @@ def upsample_axis_reference32(a, axis):
 
 
 class TestSliceShiftsMatchGathers:
-    @given(grids(), st.data())
+    @given(grids(), st.integers(-4, 3), st.integers(0, 7))
     @settings(max_examples=150, deadline=None)
-    def test_box_smooth_axis(self, a, data):
-        axis = data.draw(st.integers(-a.ndim, a.ndim - 1), label="axis")
-        radius = data.draw(st.integers(0, 7), label="radius")
+    @example(WIDE, -1, 2)
+    @example(WIDE, 0, 1)
+    @example(WIDE_ROW, -1, 7)
+    @example(TRANSPOSED, -1, 3)
+    @example(TRANSPOSED, 1, 2)
+    @example(STEPPED, -1, 1)
+    @example(STEPPED, -2, 2)
+    def test_box_smooth_axis(self, a, axis, radius):
+        axis = any_axis(axis, a.ndim)
         assert_bitwise_equal(box_smooth_axis(a, axis, radius), box_reference(a, axis, radius))
 
-    @given(grids(), st.data())
+    @given(grids(), st.integers(-4, 3), kernels())
     @settings(max_examples=150, deadline=None)
-    def test_weighted_smooth_axis(self, a, data):
-        axis = data.draw(st.integers(-a.ndim, a.ndim - 1), label="axis")
-        size = data.draw(st.sampled_from([1, 3, 5, 9, 13]), label="kernel size")
-        weights = np.asarray(data.draw(st.lists(finite, min_size=size, max_size=size), label="weights"))
+    @example(WIDE, -1, [1.0, 4.0, 6.0, 4.0, 1.0])
+    @example(WIDE_ROW, -1, [0.25, -0.5, 1.0, 0.0, 2.0, -3.0, 0.75, 1.5, -0.125])
+    @example(TRANSPOSED, -1, [1.0, 2.0, 1.0])
+    @example(TRANSPOSED, 0, [1.0, 2.0, 1.0])
+    @example(STEPPED, -1, [-1.0, 0.5, 3.0, 0.5, -1.0])
+    def test_weighted_smooth_axis(self, a, axis, weights):
+        axis = any_axis(axis, a.ndim)
+        weights = np.asarray(weights)
         assert_bitwise_equal(weighted_smooth_axis(a, axis, weights), weighted_reference(a, axis, weights))
 
     @pytest.mark.parametrize("axis", [0, 1, -1, -2])
@@ -238,12 +275,21 @@ class TestSliceShiftsMatchGathers:
     @settings(max_examples=80, deadline=None)
     @example(LENGTH_ONE)
     @example(np.array([[-0.0]]))
+    @example(WIDE[0])
+    @example(WIDE_ROW[0])
+    @example(TRANSPOSED[:, 0])
+    @example(STEPPED[1])
     def test_bilinear_upsample2x(self, m):
         want = upsample_axis_reference(upsample_axis_reference(m, 0), 1)
         assert_bitwise_equal(bilinear_upsample2x(m), want)
 
     @given(arrays(np.float64, array_shapes(min_dims=3, max_dims=4, min_side=1, max_side=4), elements=finite))
     @settings(max_examples=80, deadline=None)
+    @example(WIDE)
+    @example(WIDE_ROW)
+    @example(TRANSPOSED)
+    @example(STEPPED)
+    @example(STEPPED[None])
     def test_trilinear_upsample2x(self, v):
         want = v
         for axis in (-3, -2, -1):
@@ -261,6 +307,10 @@ class TestSliceShiftsMatchGathers:
     @example(NEG_ZERO_32, 0, 1)
     @example(NEG_ZERO_32, -1, 2)
     @example(NEG_ZERO_32, 1, 0)
+    @example(WIDE_32, -1, 2)
+    @example(WIDE_ROW.astype(np.float32), -1, 5)
+    @example(TRANSPOSED_32, -1, 2)
+    @example(STEPPED_32, -1, 1)
     def test_box_smooth_axis_float32(self, a, axis, radius):
         axis = any_axis(axis, a.ndim)
         assert_bitwise_equal(box_smooth_axis(a, axis, radius), box_reference(a, axis, radius))
@@ -269,6 +319,9 @@ class TestSliceShiftsMatchGathers:
     @settings(max_examples=150, deadline=None)
     @example(NEG_ZERO_32, 0, [1.0, 2.0, 1.0])
     @example(NEG_ZERO_32, -1, [0.25, -0.5, 1.0, 0.0, 2.0])
+    @example(WIDE_32, -1, [1.0, 4.0, 6.0, 4.0, 1.0])
+    @example(TRANSPOSED_32, -1, [1.0, 2.0, 1.0])
+    @example(STEPPED_32, -1, [0.25, -0.5, 1.0, 0.0, 2.0])
     def test_weighted_smooth_axis_float32(self, a, axis, weights):
         axis = any_axis(axis, a.ndim)
         weights = np.asarray(weights)
@@ -279,6 +332,9 @@ class TestSliceShiftsMatchGathers:
     @settings(max_examples=80, deadline=None)
     @example(NEG_ZERO_32)
     @example(np.array([[-0.0]], np.float32))
+    @example(WIDE_32[0])
+    @example(TRANSPOSED_32[:, 0])
+    @example(STEPPED_32[1])
     def test_bilinear_upsample2x_float32(self, m):
         want = upsample_axis_reference32(upsample_axis_reference32(m, 0), 1)
         assert_bitwise_equal(bilinear_upsample2x(m), want)
@@ -286,11 +342,67 @@ class TestSliceShiftsMatchGathers:
     @given(arrays(np.float32, array_shapes(min_dims=3, max_dims=4, min_side=1, max_side=4), elements=finite32))
     @settings(max_examples=80, deadline=None)
     @example(NEG_ZERO_32.reshape(1, 2, 3))
+    @example(WIDE_32)
+    @example(TRANSPOSED_32)
+    @example(STEPPED_32[None])
     def test_trilinear_upsample2x_float32(self, v):
         want = v
         for axis in (-3, -2, -1):
             want = upsample_axis_reference32(want, axis)
         assert_bitwise_equal(trilinear_upsample2x(v), want)
+
+    @given(arrays(np.float64, even_shapes(), elements=finite))
+    @settings(max_examples=60, deadline=None)
+    @example(EVEN_WIDE)
+    @example(EVEN_WIDE_4D)
+    @example(EVEN_TRANSPOSED)
+    @example(EVEN_STEPPED)
+    def test_avgpool_volume(self, v):
+        assert_bitwise_equal(avgpool_volume(v), avgpool_reference(v))
+
+    @given(arrays(np.float32, even_shapes(), elements=finite32))
+    @settings(max_examples=60, deadline=None)
+    @example(EVEN_WIDE.astype(np.float32))
+    @example(EVEN_TRANSPOSED.astype(np.float32, order="K"))
+    @example(uniform((4, 8, 80), 27).astype(np.float32)[:, ::2, 1::2])
+    def test_avgpool_volume_float32(self, v):
+        assert_bitwise_equal(avgpool_volume(v), avgpool_reference(v))
+
+
+def avgpool_reference(v):
+    """x pairs, then y pairs, then plane pairs, gathered with np.take."""
+    for axis in (-1, -2, -3):
+        n = v.shape[axis]
+        v = np.take(v, np.arange(0, n, 2), axis=axis) + np.take(v, np.arange(1, n, 2), axis=axis)
+    return v * 0.125
+
+
+# A stencil's result is a fresh array, or a view of one: writing into it
+# must change neither the input nor another result of the same call.
+STENCILS = {
+    "box x": lambda a: box_smooth_axis(a, -1, 2),
+    "box y": lambda a: box_smooth_axis(a, -2, 1),
+    "box planes": lambda a: box_smooth_axis(a, -3, 1),
+    "box radius 0": lambda a: box_smooth_axis(a, -1, 0),
+    "weighted x": lambda a: weighted_smooth_axis(a, -1, [1.0, 2.0, 1.0]),
+    "weighted y": lambda a: weighted_smooth_axis(a, -2, [1.0, 2.0, 1.0]),
+    "bilinear": lambda a: bilinear_upsample2x(a[0, 0]),
+    "trilinear": trilinear_upsample2x,
+    "avgpool": avgpool_volume,
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(STENCILS))
+def test_result_does_not_alias_input(name, dtype):
+    a = np.random.default_rng(28).normal(size=(2, 4, 6, 10)).astype(dtype)
+    before = a.copy()
+    first, second = STENCILS[name](a), STENCILS[name](a)
+    kept = second.copy()
+    first[...] = 7.0
+    assert a.tobytes() == before.tobytes()
+    assert second.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, a) and not np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
