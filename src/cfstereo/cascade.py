@@ -6,12 +6,18 @@ variance, sampled with uniformly spaced hypothesis planes. The window's
 parameters are `config.RangeParams` (re-exported here), which checks them;
 the image size is checked by `build_pyramid` and the planes by
 `HypothesisPlanes`, so the pipeline does not check them again.
+
+Stages 2 and 1 decode in row bands, and each band samples only its own
+rows of the planes, so no stage's (N, H, W) planes are ever whole in the
+pipeline. A `StageResult` keeps the window (`lo`, `hi` and the plane
+count) and builds its planes only when they are read.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +49,20 @@ BAND_BYTES = 2 << 20
 
 @dataclass(frozen=True, eq=False)
 class StageResult:
+    """One stage's maps and the window it searched: `count` planes spaced
+    from `lo` to `hi` per pixel. `planes` builds them (`sample_planes`) the
+    first time it is read; their first plane is `lo` and their last `hi`."""
+
     scale: int
     disparity: np.ndarray
     uncertainty: np.ndarray
-    planes: HypothesisPlanes
+    lo: np.ndarray
+    hi: np.ndarray
+    count: int
+
+    @cached_property
+    def planes(self) -> HypothesisPlanes:
+        return sample_planes(self.lo, self.hi, self.count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +133,7 @@ def sample_planes(d_min: np.ndarray, d_max: np.ndarray, n: int) -> HypothesisPla
     hi = as_grid(d_max, 2, "d_max")
     if lo.shape != hi.shape:
         raise ValueError(f"shape mismatch: {lo.shape} vs {hi.shape}")
-    return HypothesisPlanes.per_pixel(np.linspace(lo, hi, n, axis=0))
+    return HypothesisPlanes.spaced(lo, hi, n)
 
 
 def _bands(h: int, count: int) -> list[tuple[int, int]]:
@@ -158,11 +174,8 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             census_radius=config.features_census_radius,
             stat_radius=config.features_stat_radius,
         )
-        # features in float64, cast once: every volume below is float32
-        feat_l, feat_r = (
-            {s: f.astype(np.float32) for s, f in build_pyramid(img, **kw).items()}
-            for img in (li, ri)
-        )
+        # features in float64, each level cast as it is made: every volume below is float32
+        feat_l, feat_r = (build_pyramid(img, dtype=np.float32, **kw) for img in (li, ri))
 
     def smooth(volume):
         return aggregate(volume, config)
@@ -174,38 +187,46 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     def decode(inputs, scale, regularize, plane_reach=None):
         sv = stream_cost(inputs, scale, regularize, w_g, w_a, plane_reach)
         d = soft_argmin(sv)
-        return StageResult(scale, d, uncertainty(sv, d), sv.planes)
+        return d, uncertainty(sv, d)
 
     # A refinement stage decodes in BAND_BYTES row bands. Only aggregate's y
     # box couples rows, so a band read with aggregate_reach rows of halo on
-    # each side gives its own rows' bytes exactly. A stage within the budget
-    # is one band, whose feature rows are the whole arrays, not copies.
-    def refine(scale, planes):
+    # each side gives its own rows' bytes exactly. A band samples its own
+    # planes from its rows of the window; linspace works per element, so they
+    # are the rows of the whole stage's planes, which never exist. A stage
+    # within the budget is one band, whose feature rows are the whole
+    # arrays, not copies.
+    def refine(scale, lo, hi, n):
         fl, fr = feat_l[scale], feat_r[scale]
-        h, w = planes.values.shape[1:]
-        count = min(h, -(-planes.values.nbytes // BAND_BYTES))
+        h, w = lo.shape
+        # bands of the stage's float64 (N, H, W) map: n planes of lo's bytes
+        count = min(h, -(-n * lo.nbytes // BAND_BYTES))
         halo, plane_reach = aggregate_reach(config), aggregate_plane_reach(config)
         disp, unc = np.empty((h, w), DTYPE), np.empty((h, w), DTYPE)
         for a, b in _bands(h, count):
             a0, b0 = max(0, a - halo), min(h, b + halo)
             fl_rows, fr_rows = (np.ascontiguousarray(f[:, a0:b0]) for f in (fl, fr))
-            band_planes = HypothesisPlanes(planes.values[:, a0:b0])
-            part = decode([(fl_rows, fr_rows, band_planes)], scale, smooth, plane_reach)
-            disp[a:b] = part.disparity[a - a0 : b - a0]
-            unc[a:b] = part.uncertainty[a - a0 : b - a0]
-        return StageResult(scale, disp, unc, planes)
+            planes = sample_planes(lo[a0:b0], hi[a0:b0], n)
+            d, u = decode([(fl_rows, fr_rows, planes)], scale, smooth, plane_reach)
+            disp[a:b] = d[a - a0 : b - a0]
+            unc[a:b] = u[a - a0 : b - a0]
+        return StageResult(scale, disp, unc, lo, hi, n)
 
     with _stage("stage 3"):
         scales = (3, 4, 5) if config.fusion_enabled else (3,)
         inputs = [(feat_l[s], feat_r[s], HypothesisPlanes.dense(dmax, s, feat_l[s].shape[1:])) for s in scales]
-        results = [decode(inputs, 3, fuse if config.fusion_enabled else smooth)]
+        d, u = decode(inputs, 3, fuse if config.fusion_enabled else smooth)
+        # the dense planes 0 .. n - 1 are exactly linspace(0, n - 1, n), so
+        # they need not outlive the decode
+        n = inputs[0][2].count
+        del inputs
+        results = [StageResult(3, d, u, np.zeros(d.shape), np.full(d.shape, n - 1.0), n)]
 
     for stage in (3, 2):
         with _stage(f"stage {stage - 1}"):
             prev = results[-1]
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
-            planes = sample_planes(lo, hi, params.for_stage(stage)[2])
-            results.append(refine(stage - 1, planes))
+            results.append(refine(stage - 1, lo, hi, params.for_stage(stage)[2]))
 
     with _stage("output"):
         final = results[-1]

@@ -26,7 +26,11 @@ regularization order and reduction.
 
 Volumes take the features' float dtype: float32 features (the pipeline's)
 give float32 volumes, float64 features give the float64 reference. The cost,
-the planes and every decoded map are float64 either way.
+the planes and every decoded map are float64 either way. Past the channel
+sum, the decode adds two (N, H, W) float64 arrays to the cost: its negation
+and the softmax's one buffer; the cost tail subtracts the correlation a
+plane at a time, and planes that `HypothesisPlanes` makes itself are not
+copied again.
 """
 
 from __future__ import annotations
@@ -51,6 +55,22 @@ from .tensor_ops import (
 BLOCK_BYTES = 256 << 10
 
 
+def _checked_planes(v: np.ndarray) -> np.ndarray:
+    """`v`, a float64 array of plane values that nothing else holds, checked
+    and made read-only."""
+    if v.ndim != 3:
+        raise ValueError(f"plane values must be 3-dimensional, got shape {v.shape}")
+    if v.shape[0] < 2:
+        raise ValueError("need at least 2 hypothesis planes")
+    if not np.isfinite(v).all():
+        raise ValueError("hypothesis planes contain NaN or inf")
+    # one plane pair at a time: np.diff would allocate an (N-1, H, W) temporary
+    if any((v[i + 1] - v[i] < -1e-9).any() for i in range(v.shape[0] - 1)):
+        raise ValueError("plane values must be non-decreasing per pixel")
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class HypothesisPlanes:
     """Per-pixel candidate disparity values in scale-local pixel units.
@@ -58,26 +78,32 @@ class HypothesisPlanes:
     `values` is (N, H, W) with N >= 2, finite and non-decreasing along N.
     The constructor checks this and keeps a read-only float64 copy, so
     planes stay valid whatever later happens to the caller's array.
+    `uniform` and `spaced` make their own array, so they check it and keep
+    it without a second copy.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = as_grid(self.values, 3, "plane values").astype(DTYPE)
-        if v.shape[0] < 2:
-            raise ValueError("need at least 2 hypothesis planes")
-        if not np.isfinite(v).all():
-            raise ValueError("hypothesis planes contain NaN or inf")
-        # one plane pair at a time: np.diff would allocate an (N-1, H, W) temporary
-        if any((v[i + 1] - v[i] < -1e-9).any() for i in range(v.shape[0] - 1)):
-            raise ValueError("plane values must be non-decreasing per pixel")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _checked_planes(as_grid(self.values).astype(DTYPE)))
+
+    @classmethod
+    def _owning(cls, values: np.ndarray) -> "HypothesisPlanes":
+        """Planes on a fresh float64 array that nothing else holds, uncopied."""
+        planes = cls.__new__(cls)
+        object.__setattr__(planes, "values", _checked_planes(values))
+        return planes
+
+    @classmethod
+    def spaced(cls, lo: np.ndarray, hi: np.ndarray, count: int) -> "HypothesisPlanes":
+        """`count` values linearly spaced from `lo` to `hi` inclusive per
+        pixel: `np.linspace(lo, hi, count, axis=0)`, in float64."""
+        return cls._owning(np.linspace(lo, hi, count, axis=0).astype(DTYPE, copy=False))
 
     @classmethod
     def uniform(cls, count: int, shape: tuple[int, int]) -> "HypothesisPlanes":
         """Integer planes 0 .. count - 1 at every pixel of an (H, W) grid."""
-        return cls(np.arange(count, dtype=DTYPE)[:, None, None] + np.zeros(shape))
+        return cls._owning(np.arange(count, dtype=DTYPE)[:, None, None] + np.zeros(shape))
 
     @classmethod
     def dense(cls, dmax: int, scale: int, shape: tuple[int, int]) -> "HypothesisPlanes":
@@ -256,8 +282,9 @@ def stream_cost(
     `regularize` works on whole, stays in L2 from its gather to its sum.
 
     The cost is made in place of the float64 sum: divided, scaled, and the
-    weighted float64 correlation subtracted, which gives the bytes that
-    `reduce_to_cost`'s `-w_group * corr + w_absdiff * mean` does.
+    weighted float64 correlation subtracted a plane at a time, which gives
+    the bytes that `reduce_to_cost`'s `-w_group * corr + w_absdiff * mean`
+    does.
     """
     prepared = []
     for left, right, planes in inputs:
@@ -305,7 +332,10 @@ def stream_cost(
     corr = regularize(*(acc[None] for acc in corrs))[0]
     total /= c
     total *= w_absdiff
-    total -= np.multiply(corr, w_group, dtype=DTYPE)
+    # one plane at a time, so the weighted correlation needs no (N, H, W) float64 copy
+    weighted = np.empty(total.shape[1:], DTYPE)
+    for plane, k in zip(total, corr):
+        plane -= np.multiply(k, w_group, out=weighted, dtype=DTYPE)
     return ScoreVolume(total, inputs[0][2], scale)
 
 

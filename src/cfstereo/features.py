@@ -4,6 +4,9 @@ Each pyramid level stacks, in fixed order: intensity, horizontal gradient,
 vertical gradient, local mean, local standard deviation, and census-sign
 channels for the (2r+1)^2-1 neighborhood. Channels are normalized to zero
 mean / unit variance over the image; constant channels are left at zero.
+`build_pyramid` normalizes each level's own stack in place and casts it to
+the dtype asked for as it is made; `normalize_channels` leaves its input
+as it was.
 """
 
 from __future__ import annotations
@@ -75,8 +78,13 @@ def normalize_channels(stack: np.ndarray) -> np.ndarray:
 
     σ comes from the one mean-subtracted copy, squared a channel at a time
     into one scratch plane and summed as `np.std` sums, so the result is
-    byte-equal to dividing by `np.std`."""
-    out = stack - stack.mean(axis=(1, 2), keepdims=True)
+    byte-equal to dividing by `np.std`. `stack` is left as it was."""
+    return _scale_centred(stack - stack.mean(axis=(1, 2), keepdims=True))
+
+
+def _scale_centred(out: np.ndarray) -> np.ndarray:
+    """Divide each channel of a mean-subtracted stack by its σ in place, or
+    zero it if constant; `normalize_channels` without the copy."""
     square = np.empty(out.shape[1:], out.dtype)
     sigma = np.empty((out.shape[0], 1, 1), out.dtype)
     for k, channel in enumerate(out):
@@ -94,12 +102,20 @@ def build_pyramid(
     *,
     census_radius: int = 1,
     stat_radius: int = 2,
+    dtype=DTYPE,
 ) -> dict[int, np.ndarray]:
     """Normalized feature maps, scale i -> (C, H/2^i, W/2^i) for i in 1..LEVELS.
 
     Level i is the normalized channel stack of the i-th image in the
     blur-then-decimate chain, so C = 5 + (2r+1)^2-1 for census radius r.
+    Each level is computed in float64 and cast to `dtype` (float32 or
+    float64) as soon as it is normalized, which gives the bytes of casting
+    `normalize_channels` of the stack: the stack is the pyramid's own, so it
+    is normalized in place, and only one float64 level exists at a time.
     """
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"feature dtype must be float32 or float64, got {dtype}")
     img = as_grid(image, 2, "image").astype(DTYPE, copy=False)
     require_finite(img, "image")
     h, w = img.shape
@@ -115,5 +131,8 @@ def build_pyramid(
     current = img
     for i in range(1, LEVELS + 1):
         current = blur_decimate2(current)
-        maps[i] = normalize_channels(channel_stack(current, census_radius, stat_radius))
+        stack = channel_stack(current, census_radius, stat_radius)
+        stack -= stack.mean(axis=(1, 2), keepdims=True)
+        maps[i] = _scale_centred(stack).astype(dtype, copy=False)
+        del stack  # so the next level's stack is made after this one is gone
     return maps

@@ -40,13 +40,16 @@ def require_finite(a: np.ndarray, name: str = "input") -> None:
 def softmax_along_planes(volume: np.ndarray) -> np.ndarray:
     """Per-pixel softmax over axis 0 of a (planes, H, W) grid.
 
-    Stabilized by max subtraction; every per-pixel slice sums to 1.
+    Stabilized by max subtraction; every per-pixel slice sums to 1. The
+    subtraction makes the one fresh array, and the exp and the division
+    work in place on it, so `volume` is left as it was.
     """
     v = as_grid(volume, 3, "softmax input")
     require_finite(v, "softmax input")
-    shifted = v - v.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    out = v - v.max(axis=0, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+    return out
 
 
 def _edge_pad(a: np.ndarray, axis: int, r: int) -> np.ndarray:

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -299,6 +301,75 @@ class TestPipeline:
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 64)), replace(desk_config(), **change))
 
 
+def stage_bytes(out):
+    """Every array of a PipelineOutput, as bytes, the planes included."""
+    maps = [out.disparity, out.uncertainty]
+    for stage in out.stages:
+        maps += [stage.disparity, stage.uncertainty, stage.lo, stage.hi, stage.planes.values]
+    return [m.tobytes() for m in maps]
+
+
+class TestStagePlanes:
+    """A StageResult keeps its window's bounds and plane count, and builds
+    its planes only when they are read."""
+
+    def test_planes_are_sampled_from_the_window_once(self, monkeypatch):
+        scene = desk_scene(2)
+        out = run_pipeline(scene.left, scene.right, desk_config())
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return sample_planes(*args)
+
+        monkeypatch.setattr(cascade, "sample_planes", counted)
+        for stage in out.stages:
+            want = sample_planes(stage.lo, stage.hi, stage.count).values
+            first = stage.planes
+            assert stage.planes is first
+            assert first.values.tobytes() == want.tobytes()
+            assert first.count == stage.count
+            assert np.array_equal(first.values[0], stage.lo)
+            assert np.array_equal(first.values[-1], stage.hi)
+        assert len(calls) == len(out.stages)
+
+    def test_stage3_planes_are_the_dense_planes(self):
+        scene = desk_scene(2)
+        config = desk_config()
+        stage3 = run_pipeline(scene.left, scene.right, config).stages[0]
+        dense = HypothesisPlanes.dense(config.pipeline_dmax, 3, stage3.disparity.shape)
+        assert stage3.planes.values.tobytes() == dense.values.tobytes()
+
+    def test_no_stage_samples_its_planes_whole(self, monkeypatch):
+        """With small bands, every refinement call samples a band's rows, and
+        no plane array is built until a stage's planes are read."""
+        shapes = []
+
+        def recorded(lo, hi, n):
+            shapes.append(np.shape(lo))
+            return sample_planes(lo, hi, n)
+
+        monkeypatch.setattr(cascade, "sample_planes", recorded)
+        monkeypatch.setattr(cascade, "BAND_BYTES", 200000)
+        scene = desk_scene(2)
+        run_pipeline(scene.left, scene.right, desk_config())
+        # stage 2 (32x64) in 2 bands and stage 1 (64x128) in 4, halo 2 rows
+        assert shapes == [(18, 64), (18, 64), (18, 128), (20, 128), (20, 128), (18, 128)]
+
+    def test_a_repeated_pair_is_unchanged_by_a_pair_between(self):
+        """The pipeline's in-place steps touch only arrays it made: a pair
+        run again after another pair gives the same bytes, and the first
+        run's arrays are left as they were."""
+        config = desk_config()
+        a, b = desk_scene(7), desk_scene(8)
+        first = run_pipeline(a.left, a.right, config)
+        want = stage_bytes(first)
+        run_pipeline(b.left, b.right, config)
+        again = run_pipeline(a.left, a.right, config)
+        assert stage_bytes(again) == want
+        assert stage_bytes(first) == want
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is in /proc/self/status on Linux only")
 class TestMemory:
     # The pair runs in a fresh process of its own, which reports the peak of
@@ -346,25 +417,73 @@ class TestMemory:
         assert peak_mb < 450, f"max RSS {peak_mb:.0f} MB"
 
 
+def stage_peaks_mb(monkeypatch, scene, config):
+    """run_pipeline's traced peak in each `_stage` block, in MB above what
+    was allocated when the block began."""
+    peaks = {}
+    real = cascade._stage
+
+    @contextmanager
+    def traced(tag):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with real(tag):
+            yield
+        peaks[tag] = (tracemalloc.get_traced_memory()[1] - held) / 1e6
+
+    monkeypatch.setattr(cascade, "_stage", traced)
+    tracemalloc.start()
+    try:
+        run_pipeline(scene.left, scene.right, config)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+class TestTracedPeak:
+    def test_banded_stage1_peak(self, monkeypatch):
+        """A 256x512 pair at dmax 256 decodes stage 1 (12 planes of 128x256,
+        3 MB of float64 map) in 2 bands. Each band samples only its own
+        planes and the softmax makes one array, so the stage's peak above
+        held is about 10.2 MB; with the stage's planes sampled whole and
+        copied, and a four-array softmax, it was 17.6 MB."""
+        scene = random_dot_stereogram(256, 512, "two-plane:20,90", 5)
+        peaks = stage_peaks_mb(monkeypatch, scene, replace(desk_config(), pipeline_dmax=256))
+        assert peaks["stage 1"] < 12.0, peaks
+
+
 def banded_run(monkeypatch, scene, config, budget):
     """run_pipeline with `budget` as the refinement stages' byte budget, and
-    how many times it called stream_cost."""
+    the first input's plane values of each stream_cost call, in call order."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args[0][0][2].values)
         return stream_cost(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(cascade, "BAND_BYTES", budget)
         patch.setattr(cascade, "stream_cost", counted)
-        return run_pipeline(scene.left, scene.right, config), len(calls)
+        return run_pipeline(scene.left, scene.right, config), calls
+
+
+def assert_band_planes(band_planes, want, config):
+    """Each refinement band's planes are its rows, halo included, of the
+    planes of the whole stage in `want`."""
+    halo = cascade.aggregate_reach(config)
+    for stage in want.stages[1:]:
+        h, w = stage.disparity.shape
+        bands = [pv for pv in band_planes if pv.shape[2] == w]
+        for (a, b), pv in zip(cascade._bands(h, len(bands)), bands, strict=True):
+            rows = stage.planes.values[:, max(0, a - halo) : min(h, b + halo)]
+            assert pv.tobytes() == rows.tobytes(), (stage.scale, a, b)
 
 
 def assert_same_bytes(got, want):
     for a, b in zip(got.stages, want.stages, strict=True):
-        for name in ("disparity", "uncertainty"):
+        for name in ("disparity", "uncertainty", "lo", "hi"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.scale, name)
+        assert a.count == b.count
         assert a.planes.values.tobytes() == b.planes.values.tobytes(), a.scale
     for name in ("disparity", "uncertainty"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -418,8 +537,9 @@ class TestBands:
         if block is not None:
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block)
         got, band_calls = banded_run(monkeypatch, scene, config, budget)
-        assert (whole_calls, band_calls) == (3, calls)
+        assert (len(whole_calls), len(band_calls)) == (3, calls)
         assert_same_bytes(got, want)
+        assert_band_planes(band_calls[1:], want, config)
 
     def test_large_pair_splits_at_the_default_budget(self, monkeypatch):
         """512x1024 at dmax 256 and 2 MiB bands: stage 2 (16 x 128x256, 4 MiB)
@@ -429,8 +549,9 @@ class TestBands:
         config = replace(desk_config(), pipeline_dmax=256)
         got, band_calls = banded_run(monkeypatch, scene, config, cascade.BAND_BYTES)
         want, whole_calls = banded_run(monkeypatch, scene, config, self.WHOLE)
-        assert (whole_calls, band_calls) == (3, 1 + 2 + 6)
+        assert (len(whole_calls), len(band_calls)) == (3, 1 + 2 + 6)
         assert_same_bytes(got, want)
+        assert_band_planes(band_calls[1:], want, config)
 
 
 class TestPrecision:

@@ -74,9 +74,39 @@ class TestHypothesisPlanes:
         with pytest.raises(ValueError, match="read-only"):
             planes.values[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [2, 5, 12])
+    def test_spaced_is_the_checked_linspace(self, dtype, count):
+        """`spaced` keeps the one array it makes: the bytes of the constructor
+        given the same linspace, read-only, and not a view of its bounds."""
+        rng = np.random.default_rng(count)
+        lo = rng.uniform(0.0, 40.0, size=(3, 7)).astype(dtype)
+        hi = lo + rng.uniform(0.0, 9.0, size=(3, 7)).astype(dtype)
+        planes = HypothesisPlanes.spaced(lo, hi, count)
+        want = HypothesisPlanes(np.linspace(lo, hi, count, axis=0))
+        assert planes.values.dtype == np.float64
+        assert planes.values.tobytes() == want.values.tobytes()
+        assert not planes.values.flags.writeable
+        assert not np.shares_memory(planes.values, lo) and not np.shares_memory(planes.values, hi)
+
+    @pytest.mark.parametrize(
+        "lo, hi, count, match",
+        [
+            (np.zeros((2, 3)), np.ones((2, 3)), 1, "at least 2 hypothesis planes"),
+            (np.ones((2, 3)), np.zeros((2, 3)), 4, "non-decreasing"),
+            (np.zeros((2, 3)), np.full((2, 3), np.nan), 4, "NaN or inf"),
+            (np.zeros(3), np.ones(3), 4, "3-dimensional"),
+        ],
+        ids=["one plane", "decreasing", "NaN", "1-D bounds"],
+    )
+    def test_spaced_rejects(self, lo, hi, count, match):
+        with pytest.raises(ValueError, match=match):
+            HypothesisPlanes.spaced(lo, hi, count)
+
     def test_uniform_and_dense_are_per_pixel(self):
         assert np.array_equal(HypothesisPlanes.uniform(4, (2, 3)).values, self.ramp(4))
         assert np.array_equal(HypothesisPlanes.dense(32, 3, (2, 3)).values, self.ramp(4))
+        assert not HypothesisPlanes.uniform(4, (2, 3)).values.flags.writeable
 
     @pytest.mark.parametrize("n_planes", [4, 8])
     def test_score_volume_rejects_other_plane_count(self, n_planes):

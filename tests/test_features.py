@@ -91,6 +91,36 @@ def test_normalize_is_byte_equal_to_dividing_by_std(shape):
         assert got[0].any() and got[4].any()
 
 
+def test_normalize_leaves_its_input():
+    stack = np.random.default_rng(2).normal(size=(6, 17, 33)) * 4.0 + 1.5
+    stack[2] = 7.25
+    before = stack.tobytes()
+    got = normalize_channels(stack)
+    assert stack.tobytes() == before
+    assert not np.shares_memory(got, stack)
+
+
+@pytest.mark.parametrize("census_radius", [1, 2])
+def test_float32_levels_are_the_cast_float64_levels(census_radius):
+    """Levels cast as they are made equal the float64 pyramid cast after the
+    fact, byte for byte, and building them leaves the image as it was."""
+    img = np.random.default_rng(6).random((64, 128))
+    before = img.tobytes()
+    got = build_pyramid(img, census_radius=census_radius, dtype=np.float32)
+    want = build_pyramid(img, census_radius=census_radius)
+    assert img.tobytes() == before
+    assert sorted(got) == sorted(want)
+    for level, feats in got.items():
+        assert feats.dtype == np.float32 and feats.flags.c_contiguous
+        assert feats.tobytes() == want[level].astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int32, complex])
+def test_rejects_other_feature_dtypes(dtype):
+    with pytest.raises(ValueError, match="feature dtype must be float32 or float64"):
+        build_pyramid(np.zeros((64, 64)), dtype=dtype)
+
+
 @pytest.mark.parametrize("census_radius", [1, 2, 3])
 @pytest.mark.parametrize("channels", [1, 4, 8, 13, 16, 30, 60])
 def test_levels_match_truncated_full_stack(census_radius, channels):

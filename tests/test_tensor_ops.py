@@ -53,6 +53,22 @@ class TestSoftmax:
         assert np.all(p > 0) and np.all(p < 1 + 1e-12)
         assert np.allclose(p.sum(axis=0), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 3, 4), (12, 20, 64)])
+    def test_one_buffer_form_keeps_bytes_and_input(self, dtype, shape):
+        """The subtract makes the one fresh array and the exp and divide work
+        in place on it: the input is untouched, the result shares no memory
+        with it, and the bytes are those of the three-temporary form."""
+        rng = np.random.default_rng(shape[0])
+        v = (rng.normal(size=shape) * 20.0).astype(dtype)
+        before = v.tobytes()
+        p = softmax_along_planes(v)
+        e = np.exp(v - v.max(axis=0, keepdims=True))
+        want = e / e.sum(axis=0, keepdims=True)
+        assert v.tobytes() == before
+        assert not np.shares_memory(p, v)
+        assert p.dtype == want.dtype and p.tobytes() == want.tobytes()
+
 
 class TestBilinearUpsample:
     def test_constant(self):
