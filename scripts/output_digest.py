@@ -4,8 +4,8 @@
 Two trees give the same digest only if every run's disparity and
 uncertainty maps are byte-identical, so comparing the line printed at two
 commits checks that a change kept the outputs exactly. The digest pins the
-float32-volume pipeline (float32 cost volumes, float64 cost and maps); it
-is not the digest of an all-float64 run. The set covers desk
+float32-volume pipeline (float32 cost volumes and cost sums, a float64
+decode and maps); it is not the digest of an all-float64 run. The set covers desk
 scenes 0-19 under `desk_config()` with fusion on, with fusion off, and with
 (1,1,1) smoothing over two passes, plus one 256x512 two-plane scene at
 dmax 256.

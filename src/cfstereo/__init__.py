@@ -34,6 +34,7 @@ from .metrics import (
     downsample_gt,
     filtered_metrics,
     valid_mask,
+    window_coverage,
 )
 from .ranking import parse_ballots, schulze_rank
 from .synth import SyntheticScene, block_match_oracle, disparity_field, random_dot_stereogram, volume_oracle

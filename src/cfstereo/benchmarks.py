@@ -16,10 +16,10 @@ from .config import RunConfig
 from .metrics import (
     FilteredMetrics,
     bad_tau,
-    coverage_rate,
     d1_all,
     downsample_gt,
     filtered_metrics,
+    window_coverage,
 )
 from .synth import SyntheticScene, block_match_oracle, random_dot_stereogram
 
@@ -102,9 +102,10 @@ def evaluate_scene(scene: SyntheticScene, config: RunConfig) -> tuple[SceneRepor
     d1 = d1_all(out.disparity, gt_interior)
     filt = filtered_metrics(out.disparity, gt_interior, out.uncertainty, SQRT_U_THRESHOLD)
 
+    # stage 1's window bounds, without building its planes
     stage1 = out.stages[-1]
     gt_half = downsample_gt(np.where(scene.valid, scene.gt, 0.0), 2)
-    coverage = coverage_rate(gt_half, stage1.planes)
+    coverage = window_coverage(gt_half, stage1.lo, stage1.hi)
 
     report = SceneReport(
         spec=scene.spec,

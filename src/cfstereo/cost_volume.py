@@ -25,12 +25,12 @@ stay the whole-volume reference for `stream_cost`'s blocking,
 regularization order and reduction.
 
 Volumes take the features' float dtype: float32 features (the pipeline's)
-give float32 volumes, float64 features give the float64 reference. The cost,
-the planes and every decoded map are float64 either way. Past the channel
-sum, the decode adds two (N, H, W) float64 arrays to the cost: its negation
-and the softmax's one buffer; the cost tail subtracts the correlation a
-plane at a time, and planes that `HypothesisPlanes` makes itself are not
-copied again.
+give float32 volumes, float64 features give the float64 reference. The
+channel sum and the cost tail (a plane at a time) run in the volume's dtype
+too, and float64 starts at the decode: the cost is cast once, and the
+planes and every decoded map are float64 either way. The decode adds one
+(N, H, W) float64 array to the cost, the softmax's one buffer, and planes
+that `HypothesisPlanes` makes itself are not copied again.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ class ScoreVolume:
     @cached_property
     def _distribution(self) -> np.ndarray:
         """softmax(-cost) over planes, shared by soft_argmin and uncertainty.
-        The softmax rejects a non-finite cost, naming its index."""
-        return softmax_along_planes(-self.cost)
+        The softmax rejects a non-finite cost, naming its index, and makes
+        its one fresh array from the cost with no negated copy."""
+        return softmax_along_planes(self.cost, negate=True)
 
 
 def _check_feature_pair(left_feats, right_feats, n_groups):
@@ -230,6 +231,24 @@ def build_sparse_volume(
     return CombinationVolume(data, planes, scale, n_groups)
 
 
+def _cost_from_sums(total, corr, c, w_group, w_absdiff) -> np.ndarray:
+    """The float64 cost from `total`, the channel-order sum of |diff| over
+    `c` channels, and `corr`, the correlation channel, both (N, H, W) in the
+    volume's dtype: w_absdiff * total / c - w_group * corr, worked out in
+    that dtype a plane at a time, with `total` as scratch. Each plane's
+    last subtraction writes its float64 cost plane, the one cast."""
+    w_group, w_absdiff = total.dtype.type(w_group), total.dtype.type(w_absdiff)
+    cost = np.empty(total.shape, DTYPE)
+    weighted = np.empty(total.shape[1:], total.dtype)
+    for plane, k, out in zip(total, corr, cost):
+        plane /= c
+        plane *= w_absdiff
+        # a - w * x is -w * x + a exactly; NumPy picks the loop from the
+        # inputs, so the difference is rounded in their dtype, then cast
+        np.subtract(plane, np.multiply(k, w_group, out=weighted), out=out)
+    return cost
+
+
 def reduce_to_cost(
     diff: np.ndarray,
     planes: HypothesisPlanes,
@@ -241,13 +260,16 @@ def reduce_to_cost(
 
     `diff` has the layout of a one-group `CombinationVolume.data`, usually
     after aggregation: cost = -w_group * diff[C] + w_absdiff * mean_c |diff[c]|.
-    The cost is float64 for a float32 volume too: the mean accumulates in
-    float64 and the correlation channel is upcast.
+    The sum of |diff[c]| runs in channel order, and it and the rest of the
+    cost are worked out in the volume's dtype (float32 for the pipeline's
+    volumes); the cost is then float64, cast once for the decode.
     """
+    diff = as_grid(diff)
     c = diff.shape[0] - 1
-    corr = diff[c].astype(DTYPE, copy=False)
-    cost = -w_group * corr + w_absdiff * np.abs(diff[:c]).mean(axis=0, dtype=DTYPE)
-    return ScoreVolume(cost, planes, scale)
+    total = np.zeros(diff.shape[1:], diff.dtype)
+    for channel in diff[:c]:
+        total += np.abs(channel)
+    return ScoreVolume(_cost_from_sums(total, diff[c], c, w_group, w_absdiff), planes, scale)
 
 
 def stream_cost(
@@ -267,9 +289,10 @@ def stream_cost(
     and `fuse_volumes` do). The result equals
     `reduce_to_cost(regularize(*(v.data for v in volumes)), ...)` for the
     one-group volumes the builders give, byte for byte: |.| of each
-    regularized block is added into a float64 sum in channel order, and the
-    correlation accumulates over all channels in the builders' order and is
-    regularized last, as one channel.
+    regularized block is added in channel order into a sum of the
+    regularized volume's dtype, and the correlation accumulates over all
+    channels in the builders' order and is regularized last, as one
+    channel.
 
     `plane_reach` is how many planes on each side of a plane `regularize`
     reads (`fusion.aggregate_plane_reach`), or None for every plane; a
@@ -281,10 +304,9 @@ def stream_cost(
     whose planes fit `BLOCK_BYTES` (at least one channel), so a block, which
     `regularize` works on whole, stays in L2 from its gather to its sum.
 
-    The cost is made in place of the float64 sum: divided, scaled, and the
-    weighted float64 correlation subtracted a plane at a time, which gives
-    the bytes that `reduce_to_cost`'s `-w_group * corr + w_absdiff * mean`
-    does.
+    The cost is made from the sum and the correlation as `reduce_to_cost`
+    makes it (`_cost_from_sums`): in the volume's dtype a plane at a time,
+    cast to float64 as each plane is written.
     """
     prepared = []
     for left, right, planes in inputs:
@@ -299,7 +321,8 @@ def stream_cost(
     if plane_reach == 0 and len(prepared) > 1:
         raise ValueError(f"plane reach 0 takes one input, got {len(prepared)}")
     corrs = [np.zeros(pv.shape, dtype=fl.dtype) for fl, _, pv in prepared]
-    total = np.zeros(corrs[0].shape, dtype=DTYPE)
+    # the regularized volume's dtype: float64 if any input is
+    total = np.zeros(corrs[0].shape, dtype=np.result_type(*corrs))
     n_planes = len(prepared[0][2])
     if plane_reach == 0:
         # whole planes with every channel, prepared[0][0] being (C, H, W)
@@ -325,18 +348,11 @@ def stream_cost(
             for channel in out:
                 total_span += channel
             del out  # before the next block is built
-    # the correlation, averaged in place, is regularized last as one channel;
-    # the cost takes the sum's place: a - w * x is a + (-w) * x exactly
+    # the correlation, averaged in place, is regularized last as one channel
     for corr in corrs:
         corr /= c
     corr = regularize(*(acc[None] for acc in corrs))[0]
-    total /= c
-    total *= w_absdiff
-    # one plane at a time, so the weighted correlation needs no (N, H, W) float64 copy
-    weighted = np.empty(total.shape[1:], DTYPE)
-    for plane, k in zip(total, corr):
-        plane -= np.multiply(k, w_group, out=weighted, dtype=DTYPE)
-    return ScoreVolume(total, inputs[0][2], scale)
+    return ScoreVolume(_cost_from_sums(total, corr, c, w_group, w_absdiff), inputs[0][2], scale)
 
 
 def soft_argmin(score: ScoreVolume) -> np.ndarray:

@@ -114,13 +114,24 @@ def downsample_gt(gt: np.ndarray, factor: int) -> np.ndarray:
     return g[::factor, ::factor] / factor
 
 
+def window_coverage(gt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Fraction of valid pixels whose truth lies inside [lo, hi].
+
+    `gt`, `lo` and `hi` are (H, W) maps at one resolution, in the same
+    scale-local pixel units.
+    """
+    g, m = _checked_gt(gt)
+    if np.shape(lo) != g.shape or np.shape(hi) != g.shape:
+        raise ValueError(f"window shaped {np.shape(lo)}/{np.shape(hi)} does not match ground truth {g.shape}")
+    inside = (g >= lo) & (g <= hi) & m
+    return float(np.count_nonzero(inside)) / float(np.count_nonzero(m))
+
+
 def coverage_rate(gt: np.ndarray, planes: HypothesisPlanes) -> float:
     """Fraction of valid pixels whose truth lies inside [min plane, max plane].
 
     `gt` must already be at the planes' resolution and in the same
     scale-local pixel units.
     """
-    g, m = _checked_gt(gt)
-    pv = planes.values_at(*g.shape)
-    inside = (g >= pv[0]) & (g <= pv[-1]) & m
-    return float(np.count_nonzero(inside)) / float(np.count_nonzero(m))
+    pv = planes.values_at(*as_grid(gt, 2, "ground truth").shape)
+    return window_coverage(gt, pv[0], pv[-1])

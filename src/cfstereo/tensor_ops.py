@@ -37,16 +37,19 @@ def require_finite(a: np.ndarray, name: str = "input") -> None:
         raise ValueError(f"{name} has a non-finite value at index {idx}")
 
 
-def softmax_along_planes(volume: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax over axis 0 of a (planes, H, W) grid.
+def softmax_along_planes(volume: np.ndarray, negate: bool = False) -> np.ndarray:
+    """Per-pixel softmax over axis 0 of a (planes, H, W) grid, or of its
+    negation when `negate` is set (the softmin that decodes a cost).
 
     Stabilized by max subtraction; every per-pixel slice sums to 1. The
     subtraction makes the one fresh array, and the exp and the division
-    work in place on it, so `volume` is left as it was.
+    work in place on it, so `volume` is left as it was. Negated, the
+    subtraction is min(volume) - volume, which is (-volume) - max(-volume)
+    byte for byte, so no negated copy is made.
     """
     v = as_grid(volume, 3, "softmax input")
     require_finite(v, "softmax input")
-    out = v - v.max(axis=0, keepdims=True)
+    out = v.min(axis=0, keepdims=True) - v if negate else v - v.max(axis=0, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=0, keepdims=True)
     return out
@@ -120,17 +123,24 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
     h = src.shape[0]
     base = np.floor(src)
     t = src - base
-    # The left column clipped once to [-2, w]: a column beyond that is out of
-    # frame either way, as is the one right of it. Both frame tests and both
-    # clipped indices come from this one small-integer column.
-    i0 = np.clip(base, -2, w).astype(np.int32)
+    # The left column clipped once, in place, to [-2, w]: a column beyond that
+    # is out of frame either way, as is the one right of it. Both frame tests
+    # and both clipped indices come from this one small-integer column; read
+    # as unsigned, a negative column is huge, so one compare tests 0 <= i < w.
+    np.clip(base, -2, w, out=base)
+    i0 = base.astype(np.int32)
     row_start = np.arange(h, dtype=np.intp)[:, None] * w
-    w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(dtype, copy=False)
+    # a weight times its 0/1 frame mask is the weight or +0 in any float
+    # dtype, so casting first gives the bytes of masking first
+    w0 = (1.0 - t).astype(dtype, copy=False)
+    w0 *= i0.view(np.uint32) < w
     j0 = np.clip(i0, 0, w - 1) + row_start
     if not t.any():
         return j0, w0, None, None
-    w1 = (t * ((i0 >= -1) & (i0 < w - 1))).astype(dtype, copy=False)
-    j1 = np.clip(i0, -1, w - 2) + (row_start + 1)
+    i0 += 1  # the right column from here on
+    w1 = t.astype(dtype, copy=False)
+    w1 *= i0.view(np.uint32) < w
+    j1 = np.clip(i0, 0, w - 1) + row_start
     return j0, w0, j1, w1
 
 
@@ -142,14 +152,14 @@ def _apply_row_weights(a: np.ndarray, weights: tuple, out=None, spare=None) -> n
 
     `out` and `spare`, arrays of the result's shape and dtype, receive the
     two gathers in place of fresh arrays; `out` is returned. The gathers use
-    mode "clip", which writes straight into them, and clip nothing, since
-    `_row_weights` clips every index into the grid."""
+    mode "wrap", which writes straight into them and, since `_row_weights`
+    clips every index into the grid, wraps nothing."""
     j0, w0, j1, w1 = weights
     flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
-    out = np.take(flat, j0, axis=-1, out=out, mode="clip")
+    out = np.take(flat, j0, axis=-1, out=out, mode="wrap")
     out *= w0
     if j1 is not None:
-        a1 = np.take(flat, j1, axis=-1, out=spare, mode="clip")
+        a1 = np.take(flat, j1, axis=-1, out=spare, mode="wrap")
         a1 *= w1
         out += a1
     return out

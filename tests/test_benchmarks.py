@@ -1,8 +1,8 @@
 import numpy as np
 
-from cfstereo import benchmarks
+from cfstereo import benchmarks, cascade
 from cfstereo.benchmarks import ORACLE_RADIUS, desk_config, desk_scene, evaluate_scene, interior_mask
-from cfstereo.metrics import bad_tau
+from cfstereo.metrics import bad_tau, coverage_rate, downsample_gt
 from cfstereo.synth import block_match_oracle
 
 
@@ -24,3 +24,27 @@ def test_oracle_runs_only_when_read(monkeypatch):
     assert rep.oracle_bad2 == eager
     assert rep.oracle_bad2 == eager
     assert len(calls) == 1
+
+
+def test_coverage_reads_the_stage_window_without_building_planes(monkeypatch):
+    """evaluate_scene takes stage 1's coverage from its `lo`/`hi` bounds: it
+    samples no planes beyond the pipeline's own, and gives the coverage of
+    the stage's planes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return sample_planes(*args)
+
+    sample_planes = cascade.sample_planes
+    monkeypatch.setattr(cascade, "sample_planes", counted)
+    scene, cfg = desk_scene(0), desk_config()
+    cascade.run_pipeline(scene.left, scene.right, cfg)
+    pipeline_calls = len(calls)
+    assert pipeline_calls > 0
+    calls.clear()
+    rep, out = evaluate_scene(scene, cfg)
+    assert len(calls) == pipeline_calls
+    stage1 = out.stages[-1]
+    gt_half = downsample_gt(np.where(scene.valid, scene.gt, 0.0), 2)
+    assert rep.coverage == coverage_rate(gt_half, stage1.planes)

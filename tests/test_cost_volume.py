@@ -21,7 +21,7 @@ from cfstereo.benchmarks import desk_config
 from cfstereo.features import normalize_channels
 from cfstereo.fusion import aggregate, aggregate_plane_reach, fuse_volumes
 from cfstereo.synth import volume_oracle
-from cfstereo.tensor_ops import box_smooth_axis
+from cfstereo.tensor_ops import box_smooth_axis, softmax_along_planes
 
 BIG = 1000.0
 
@@ -341,15 +341,42 @@ class TestDecode:
     def test_softmax_runs_once_per_decode(self, monkeypatch):
         calls = []
 
-        def counting(volume):
+        def counting(volume, **kwargs):
             calls.append(volume.shape)
-            return softmax(volume)
+            return softmax(volume, **kwargs)
 
         softmax = cost_volume.softmax_along_planes
         monkeypatch.setattr(cost_volume, "softmax_along_planes", counting)
         sv = ScoreVolume(np.random.default_rng(10).normal(size=(5, 3, 4)), HypothesisPlanes.uniform(5, (3, 4)), 1)
         uncertainty(sv, soft_argmin(sv))
         assert calls == [(5, 3, 4)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distribution_is_the_softmax_of_the_negated_cost(self, seed):
+        rng = np.random.default_rng(seed)
+        cost = rng.normal(scale=20.0, size=(9, 5, 7))
+        cost[:, 0, 0] = 3.0  # ties, where min - cost is +0
+        cost[4, 1] = cost.min(axis=0)[1]
+        sv = ScoreVolume(cost, HypothesisPlanes.uniform(9, (5, 7)), 1)
+        want = softmax_along_planes(-cost)
+        assert sv._distribution.tobytes() == want.tobytes()
+        assert softmax_along_planes(cost, negate=True).tobytes() == want.tobytes()
+
+    def test_distribution_makes_one_map_beside_the_cost(self):
+        """The decode holds the cost and the softmax's one buffer, with no
+        negated copy: the peak above the cost is one (N, H, W) map plus
+        per-pixel reductions."""
+        cost = np.random.default_rng(6).normal(size=(12, 64, 128))
+        sv = ScoreVolume(cost, HypothesisPlanes.uniform(12, (64, 128)), 1)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sv._distribution
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= cost.nbytes + 3 * cost[0].nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_cost_names_the_pixel(self, bad):
@@ -392,14 +419,27 @@ class TestFloat32Volumes:
             assert vol.data.dtype == np.float64
             assert vol.data.tobytes() == want.data.tobytes()
 
-    def test_float32_volume_gives_float64_cost(self):
+    @pytest.mark.parametrize("weights", [(0.7, 1.3), (9.75, 9.75)])
+    def test_float32_volume_sums_the_cost_in_float32(self, weights):
+        """A float32 volume's cost is summed in channel order and finished
+        in float32, then cast to float64 once; it stays within float32
+        rounding of the float64 sum."""
+        w_group, w_absdiff = weights
         fl, fr = self.feature_pair(4)
         vol = build_dense_volume(fl, fr, 16, 1, 2)
         diff = mean_correlation(vol)
-        got = reduce_to_cost(diff, vol.planes, 1, w_group=0.7, w_absdiff=1.3).cost
-        want = reduce_to_cost(diff.astype(np.float64), vol.planes, 1, w_group=0.7, w_absdiff=1.3).cost
+        assert diff.dtype == np.float32
+        got = reduce_to_cost(diff, vol.planes, 1, w_group=w_group, w_absdiff=w_absdiff).cost
         assert got.dtype == np.float64
-        assert np.abs(got - want).max() <= 1e-12
+        c = diff.shape[0] - 1
+        total = np.zeros(diff.shape[1:], np.float32)
+        for channel in diff[:c]:
+            total += np.abs(channel)
+        want = total / np.float32(c) * np.float32(w_absdiff) - np.float32(w_group) * diff[c]
+        assert want.dtype == np.float32
+        assert got.tobytes() == want.astype(np.float64).tobytes()
+        wide = reduce_to_cost(diff.astype(np.float64), vol.planes, 1, w_group=w_group, w_absdiff=w_absdiff).cost
+        assert np.all(np.abs(got - wide) <= 1e-5 * np.maximum(1.0, np.abs(wide)))
 
 
 class TestStreamCost:
@@ -460,6 +500,18 @@ class TestStreamCost:
         want = reduce_to_cost(regularize(*volumes), inputs[0][2], 3, **self.WEIGHTS)
         for got in self.streamed(monkeypatch, inputs, 3, regularize):
             assert np.array_equal(got, want.cost)
+
+    def test_mixed_dtype_inputs(self, monkeypatch):
+        """float32 features at scale 3 fused with float64 ones at 4 and 5
+        regularize to float64, and the sum follows: still byte-equal."""
+        dmax, scales = 128, (3, 4, 5)
+        feats = {s: self.features(s, 64 >> s, 512 >> s, np.float32 if s == 3 else np.float64) for s in scales}
+        inputs = [(*feats[s], HypothesisPlanes.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
+        fused = self.fuse(*(build_dense_volume(*feats[s], dmax, s, 1).data for s in scales))
+        assert fused.dtype == np.float64
+        want = reduce_to_cost(fused, inputs[0][2], 3, **self.WEIGHTS)
+        for got in self.streamed(monkeypatch, inputs, 3, self.fuse):
+            assert got.tobytes() == want.cost.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sparse_planes(self, monkeypatch, dtype):
@@ -571,8 +623,9 @@ class TestStreamCost:
     def test_peak_memory_is_cost_maps_plus_blocks(self):
         """A desk refinement band (stage 1: 12 planes of 64x128, plane reach
         0): beyond its inputs, `stream_cost` holds at most five float64
-        (N, H, W) maps (the sum, the cost and their temporaries) plus a few
-        blocks. Whole-span gather weights alone would take 3 maps more."""
+        (N, H, W) maps (the float32 sum and correlation, the cost and their
+        temporaries) plus a few blocks. Whole-span gather weights alone
+        would take 3 maps more."""
         config = desk_config()
         fl, fr = self.features(3, 64, 128, np.float32)
         pv = np.sort(np.random.default_rng(4).uniform(0.0, 30.0, size=(12, 64, 128)), axis=0)

@@ -14,6 +14,7 @@ from cfstereo.metrics import (
     downsample_gt,
     filtered_metrics,
     valid_mask,
+    window_coverage,
 )
 
 
@@ -126,6 +127,19 @@ class TestCoverage:
         planes = HypothesisPlanes.per_pixel(np.stack([np.full((4, 4), 4.0), np.full((4, 4), 6.0)]))
         with pytest.raises(ValueError, match="do not match"):
             coverage_rate(np.full((4, 8), 5.0), planes)
+
+
+    def test_window_coverage_is_the_planes_coverage(self):
+        rng = np.random.default_rng(2)
+        gt = rng.uniform(0.0, 12.0, size=(6, 9))
+        gt[0, :3] = [0.0, np.nan, np.inf]  # invalid pixels count nowhere
+        lo, hi = np.sort(rng.uniform(0.0, 12.0, size=(2, 6, 9)), axis=0)
+        planes = HypothesisPlanes.spaced(lo, hi, 5)
+        assert window_coverage(gt, lo, hi) == coverage_rate(gt, planes)
+
+    def test_window_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="does not match ground truth"):
+            window_coverage(np.full((4, 8), 5.0), np.zeros((4, 4)), np.ones((4, 8)))
 
 
 class TestDownsample:

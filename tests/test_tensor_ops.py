@@ -531,7 +531,7 @@ class TestSampleRows:
 
     @pytest.mark.parametrize("h, w", [(3, 5), (4, 1), (1, 8)])
     def test_indices_stay_in_their_row_far_outside_the_frame(self, h, w):
-        """The gathers take mode "clip" and write into scratch arrays, which
+        """The gathers take mode "wrap" and write into scratch arrays, which
         is exact only because every index is already inside its own row."""
         far = [-1e9, -1e6, -10.0 * w - 0.5, -w - 1.0, -1.5, 2.0 * w + 0.25, 10.0 * w, 1e6 + 0.5, 1e9]
         src = np.resize(np.array(far), (h, w))
@@ -551,6 +551,83 @@ class TestSampleRows:
         got = _apply_row_weights(a, weights, out, spare)
         assert got is out
         assert got.tobytes() == _apply_row_weights(a, weights).tobytes()
+
+
+def parent_row_weights(src, w, dtype):
+    """The float64/int64 form of `_row_weights` that the leaner tables must
+    reproduce byte for byte: masks from two signed compares each, weights
+    masked in float64 and then cast, indices clipped to each tap's range."""
+    h = src.shape[0]
+    base = np.floor(src)
+    t = src - base
+    i0 = np.clip(base, -2, w).astype(np.int32)
+    row_start = np.arange(h, dtype=np.intp)[:, None] * w
+    w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(dtype, copy=False)
+    j0 = np.clip(i0, 0, w - 1) + row_start
+    if not t.any():
+        return j0, w0, None, None
+    w1 = (t * ((i0 >= -1) & (i0 < w - 1))).astype(dtype, copy=False)
+    j1 = np.clip(i0, -1, w - 2) + (row_start + 1)
+    return j0, w0, j1, w1
+
+
+class TestRowWeightTables:
+    """`_row_weights` builds its tables in fewer passes (an in-place clip,
+    unsigned frame compares, weights cast before masking) and gives the
+    parent formula's bytes: every column from -3 to w + 2, whole and
+    fractional, in float32 and float64."""
+
+    @staticmethod
+    def assert_tables_equal(got, want):
+        for g, x in zip(got, want):
+            if x is None:
+                assert g is None
+            else:
+                assert g.dtype == x.dtype and g.shape == x.shape
+                assert g.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("w", [1, 2, 7, 16])
+    def test_every_column_near_the_frame(self, dtype, w):
+        cols = np.arange(-3, w + 3, dtype=np.float64)
+        whole = np.resize(cols, (3, cols.size))
+        rng = np.random.default_rng(w)
+        # fractional rows: each column plus a random fraction, and its halves
+        fractional = np.stack([cols + rng.uniform(0.0, 1.0, cols.size), cols + 0.5, cols - 0.25])
+        for src in (whole, fractional, np.concatenate([whole, fractional])):
+            got = _row_weights(src, w, dtype)
+            want = parent_row_weights(src, w, dtype)
+            assert (got[2] is None) == (src is whole)
+            self.assert_tables_equal(got, want)
+            assert got[0].dtype == np.intp and got[1].dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_columns(self, dtype, data):
+        h = data.draw(st.integers(1, 4), label="h")
+        w = data.draw(st.integers(1, 9), label="w")
+        src = data.draw(arrays(np.float64, (h, w), elements=st.floats(-w - 3.0, 2.0 * w + 3.0)), label="src")
+        if data.draw(st.booleans(), label="integer"):
+            src = np.floor(src)
+        self.assert_tables_equal(_row_weights(src, w, dtype), parent_row_weights(src, w, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fractional", [True, False])
+    def test_wrap_gathers_equal_clip_ones(self, dtype, fractional):
+        """Every index is inside the grid, so mode "wrap" (what the gathers
+        use) reads what mode "clip" reads."""
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(3, 5, 8)).astype(dtype)
+        src = rng.uniform(-4.0, 12.0, size=(5, 8))
+        j0, w0, j1, w1 = _row_weights(src if fractional else np.round(src), 8, dtype)
+        flat = a.reshape(3, 40)
+        for j in (j0, j1) if fractional else (j0,):
+            assert np.take(flat, j, axis=-1, mode="wrap").tobytes() == np.take(flat, j, axis=-1, mode="clip").tobytes()
+        clipped = np.take(flat, j0, axis=-1, mode="clip") * w0
+        if fractional:
+            clipped += np.take(flat, j1, axis=-1, mode="clip") * w1
+        assert _apply_row_weights(a, (j0, w0, j1, w1)).tobytes() == clipped.tobytes()
 
 
 def two_gather(a, src):
