@@ -235,8 +235,8 @@ def _cost_from_sums(total, corr, c, w_group, w_absdiff) -> np.ndarray:
     """The float64 cost from `total`, the channel-order sum of |diff| over
     `c` channels, and `corr`, the correlation channel, both (N, H, W) in the
     volume's dtype: w_absdiff * total / c - w_group * corr, worked out in
-    that dtype a plane at a time, with `total` as scratch. Each plane's
-    last subtraction writes its float64 cost plane, the one cast."""
+    that dtype a plane at a time, in place in `total`. Each plane's last
+    subtraction writes its float64 cost plane, the one cast."""
     w_group, w_absdiff = total.dtype.type(w_group), total.dtype.type(w_absdiff)
     cost = np.empty(total.shape, DTYPE)
     weighted = np.empty(total.shape[1:], total.dtype)

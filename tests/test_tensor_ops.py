@@ -553,10 +553,10 @@ class TestSampleRows:
         assert got.tobytes() == _apply_row_weights(a, weights).tobytes()
 
 
-def parent_row_weights(src, w, dtype):
-    """The float64/int64 form of `_row_weights` that the leaner tables must
-    reproduce byte for byte: masks from two signed compares each, weights
-    masked in float64 and then cast, indices clipped to each tap's range."""
+def reference_row_weights(src, w, dtype):
+    """The plain form of `_row_weights`, which its tables must equal byte for
+    byte: masks from two signed compares each, weights masked in float64
+    and then cast, and each index clipped to its own tap's range."""
     h = src.shape[0]
     base = np.floor(src)
     t = src - base
@@ -574,8 +574,8 @@ def parent_row_weights(src, w, dtype):
 class TestRowWeightTables:
     """`_row_weights` builds its tables in fewer passes (an in-place clip,
     unsigned frame compares, weights cast before masking) and gives the
-    parent formula's bytes: every column from -3 to w + 2, whole and
-    fractional, in float32 and float64."""
+    bytes of `reference_row_weights`: every column from -3 to w + 2, whole
+    and fractional, in float32 and float64."""
 
     @staticmethod
     def assert_tables_equal(got, want):
@@ -596,7 +596,7 @@ class TestRowWeightTables:
         fractional = np.stack([cols + rng.uniform(0.0, 1.0, cols.size), cols + 0.5, cols - 0.25])
         for src in (whole, fractional, np.concatenate([whole, fractional])):
             got = _row_weights(src, w, dtype)
-            want = parent_row_weights(src, w, dtype)
+            want = reference_row_weights(src, w, dtype)
             assert (got[2] is None) == (src is whole)
             self.assert_tables_equal(got, want)
             assert got[0].dtype == np.intp and got[1].dtype == dtype
@@ -610,7 +610,7 @@ class TestRowWeightTables:
         src = data.draw(arrays(np.float64, (h, w), elements=st.floats(-w - 3.0, 2.0 * w + 3.0)), label="src")
         if data.draw(st.booleans(), label="integer"):
             src = np.floor(src)
-        self.assert_tables_equal(_row_weights(src, w, dtype), parent_row_weights(src, w, dtype))
+        self.assert_tables_equal(_row_weights(src, w, dtype), reference_row_weights(src, w, dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("fractional", [True, False])
