@@ -7,7 +7,6 @@ stdout as `key=value` lines so runs are easy to script against.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -128,13 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# parse_args leaves its parser as it was, so one parser serves every call
-_parser = functools.cache(build_parser)
-
-
 def cli_main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -321,8 +321,7 @@ def stream_cost(
     if plane_reach == 0 and len(prepared) > 1:
         raise ValueError(f"plane reach 0 takes one input, got {len(prepared)}")
     corrs = [np.zeros(pv.shape, dtype=fl.dtype) for fl, _, pv in prepared]
-    # the regularized volume's dtype: float64 if any input is
-    total = np.zeros(corrs[0].shape, dtype=np.result_type(*corrs))
+    total = None  # made at the first block, in the regularized volume's dtype
     n_planes = len(prepared[0][2])
     if plane_reach == 0:
         # whole planes with every channel, prepared[0][0] being (C, H, W)
@@ -334,7 +333,6 @@ def stream_cost(
         parts = [(fl, fr, _plane_weights(fl, pv[span]), corr[span]) for (fl, fr, pv), corr in zip(prepared, corrs)]
         channel_bytes = sum(len(wts) * fl[0].nbytes for fl, _, wts, _ in parts)
         block = max(1, BLOCK_BYTES // channel_bytes)
-        total_span = total[span]
         for c0 in range(0, c, block):
             chans = slice(c0, min(c0 + block, c))
             volumes = []
@@ -345,6 +343,9 @@ def stream_cost(
                 volumes.append(vol)
             out = regularize(*volumes)
             np.abs(out, out=out)
+            if total is None:
+                total = np.zeros(corrs[0].shape, dtype=out.dtype)
+            total_span = total[span]
             for channel in out:
                 total_span += channel
             del out  # before the next block is built

@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 
 from cfstereo import cli
@@ -251,44 +249,3 @@ def test_ascii_image_gets_the_readers_guidance(tmp_path, capsys, magic, reader):
     ])
     assert rc == 2
     assert capsys.readouterr().err.strip() == f"error: {direct.value}"
-
-
-def test_one_parser_serves_successive_calls(workdir, tmp_path, capsys, monkeypatch):
-    """cli_main builds its parser once per process; match, eval and bad-flag
-    calls made one after another on it return what the same calls return
-    each on a fresh parser."""
-    scene, out = workdir / "scene", tmp_path / "out"
-    calls = [
-        ["match", "--left", str(scene / "left.pgm"), "--right", str(scene / "right.pgm"),
-         "--config", str(workdir / "desk.cfg"), "--out-disp", str(out / "d.pfm"), "--out-unc", str(out / "u.pfm")],
-        ["eval", "--pred", str(out / "d.pfm"), "--gt", str(scene / "gt.pfm")],
-        ["eval", "--pred", str(out / "d.pfm"), "--gt", str(scene / "gt.pfm"), "--unc", str(out / "u.pfm")],
-        ["match", "--left", "x"],
-        ["eval", "--pred", str(out / "d.pfm"), "--gt", str(scene / "gt.pfm"), "--unc", str(out / "u.pfm"),
-         "--filter-sqrtu", "2.5"],
-        ["match", "--bogus"],
-        [],
-    ]
-
-    def run_all():
-        results = []
-        for argv in calls:
-            code = cli_main(argv)
-            captured = capsys.readouterr()
-            results.append((code, captured.out, captured.err, read_pfm(out / "d.pfm").tobytes()))
-        return results
-
-    built = []
-
-    def counted_build():
-        built.append(1)
-        return cli.build_parser()
-
-    assert cli._parser() is cli._parser()
-    monkeypatch.setattr(cli, "_parser", functools.cache(counted_build))
-    shared = run_all()
-    assert len(built) == 1
-    monkeypatch.setattr(cli, "_parser", counted_build)
-    assert run_all() == shared
-    assert len(built) == 1 + len(calls)
-    assert [code for code, *_ in shared] == [0, 0, 2, 1, 0, 1, 1]

@@ -513,6 +513,19 @@ class TestStreamCost:
         for got in self.streamed(monkeypatch, inputs, 3, self.fuse):
             assert got.tobytes() == want.cost.tobytes()
 
+    def test_sum_takes_the_regularized_dtype(self, monkeypatch):
+        """A regularize that turns float32 blocks into float64 ones gets a
+        float64 sum, as reduce_to_cost of its float64 volume does."""
+        fl, fr = self.features(3, 8, 64, np.float32)
+        planes = HypothesisPlanes.dense(128, 3, fl.shape[1:])
+
+        def widened(volume):
+            return self.smooth(volume).astype(np.float64)
+
+        want = reduce_to_cost(widened(build_dense_volume(fl, fr, 128, 3, 1).data), planes, 3, **self.WEIGHTS)
+        for got in self.streamed(monkeypatch, [(fl, fr, planes)], 3, widened):
+            assert got.tobytes() == want.cost.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sparse_planes(self, monkeypatch, dtype):
         fl, fr = self.features(7, 16, 64, dtype)
