@@ -2,10 +2,11 @@
 
 Stage 3 decodes the fused dense volumes; stages 2 and 1 re-match inside a
 per-pixel search window derived from the previous stage's estimate and its
-variance, sampled with uniformly spaced hypothesis planes. The window's
-parameters are `config.RangeParams` (re-exported here), which checks them;
-the image size is checked by `build_pyramid` and the planes by
-`HypothesisPlanes`, so the pipeline does not check them again.
+variance, sampled with uniformly spaced hypothesis planes by
+`cost_volume.sample_planes`. It and the window's parameters,
+`config.RangeParams`, are re-exported here, and each checks its own input;
+the image size is checked by `build_pyramid`, so the pipeline does not
+check them again.
 
 Stages 2 and 1 decode in row bands, and each band samples only its own
 rows of the planes, so no stage's (N, H, W) planes are ever whole in the
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import RangeParams, RunConfig
-from .cost_volume import HypothesisPlanes, soft_argmin, stream_cost, uncertainty
+from .cost_volume import HypothesisPlanes, sample_planes, soft_argmin, stream_cost, uncertainty
 from .errors import PipelineError
 from .features import build_pyramid
 from .fusion import aggregate, aggregate_plane_reach, aggregate_reach, fuse_volumes
@@ -124,18 +125,6 @@ def next_range(
     return np.maximum(lo, 0.0), hi
 
 
-def sample_planes(d_min: np.ndarray, d_max: np.ndarray, n: int) -> HypothesisPlanes:
-    """N values linearly spaced from d_min to d_max inclusive, per pixel.
-
-    `HypothesisPlanes` rejects n < 2 and d_min > d_max.
-    """
-    lo = as_grid(d_min, 2, "d_min")
-    hi = as_grid(d_max, 2, "d_max")
-    if lo.shape != hi.shape:
-        raise ValueError(f"shape mismatch: {lo.shape} vs {hi.shape}")
-    return HypothesisPlanes.spaced(lo, hi, n)
-
-
 def _bands(h: int, count: int) -> list[tuple[int, int]]:
     """`count` row spans [a, b) that split h rows evenly, longer ones first."""
     q, r = divmod(h, count)
@@ -216,8 +205,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         scales = (3, 4, 5) if config.fusion_enabled else (3,)
         inputs = [(feat_l[s], feat_r[s], HypothesisPlanes.dense(dmax, s, feat_l[s].shape[1:])) for s in scales]
         d, u = decode(inputs, 3, fuse if config.fusion_enabled else smooth)
-        # the dense planes 0 .. n - 1 are exactly linspace(0, n - 1, n), so
-        # they need not outlive the decode
+        # the dense planes are sample_planes over [0, n - 1]: they need not outlive the decode
         n = inputs[0][2].count
         del inputs
         results = [StageResult(3, d, u, np.zeros(d.shape), np.full(d.shape, n - 1.0), n)]

@@ -6,7 +6,8 @@ stage before the cost is linear, so the concatenation reaches the cost only
 as left - matched. The builders therefore write left - matched per channel
 followed by the group correlations, and `reduce_to_cost` applies `|.|`. A
 score volume holds one cost per plane; softmax of the negated cost is the
-disparity distribution.
+disparity distribution. `sample_planes` makes every plane set, the dense
+planes included: they are the window [0, n - 1] at unit spacing.
 
 The pipeline never holds such a volume whole. Every step before `|.|` acts
 on each channel alone, so `stream_cost` builds, regularizes and reduces one
@@ -30,7 +31,7 @@ channel sum and the cost tail (a plane at a time) run in the volume's dtype
 too, and float64 starts at the decode: the cost is cast once, and the
 planes and every decoded map are float64 either way. The decode adds one
 (N, H, W) float64 array to the cost, the softmax's one buffer, and planes
-that `HypothesisPlanes` makes itself are not copied again.
+that `sample_planes` makes are not copied again.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class HypothesisPlanes:
     `values` is (N, H, W) with N >= 2, finite and non-decreasing along N.
     The constructor checks this and keeps a read-only float64 copy, so
     planes stay valid whatever later happens to the caller's array.
-    `uniform` and `spaced` make their own array, so they check it and keep
-    it without a second copy.
+    `sample_planes` makes every spaced and dense plane set: it checks the
+    array it makes and keeps it without that copy.
     """
 
     values: np.ndarray
@@ -88,31 +89,15 @@ class HypothesisPlanes:
         object.__setattr__(self, "values", _checked_planes(as_grid(self.values).astype(DTYPE)))
 
     @classmethod
-    def _owning(cls, values: np.ndarray) -> "HypothesisPlanes":
-        """Planes on a fresh float64 array that nothing else holds, uncopied."""
-        planes = cls.__new__(cls)
-        object.__setattr__(planes, "values", _checked_planes(values))
-        return planes
-
-    @classmethod
-    def spaced(cls, lo: np.ndarray, hi: np.ndarray, count: int) -> "HypothesisPlanes":
-        """`count` values linearly spaced from `lo` to `hi` inclusive per
-        pixel: `np.linspace(lo, hi, count, axis=0)`, in float64."""
-        return cls._owning(np.linspace(lo, hi, count, axis=0).astype(DTYPE, copy=False))
-
-    @classmethod
-    def uniform(cls, count: int, shape: tuple[int, int]) -> "HypothesisPlanes":
-        """Integer planes 0 .. count - 1 at every pixel of an (H, W) grid."""
-        return cls._owning(np.arange(count, dtype=DTYPE)[:, None, None] + np.zeros(shape))
-
-    @classmethod
     def dense(cls, dmax: int, scale: int, shape: tuple[int, int]) -> "HypothesisPlanes":
-        """Every integer disparity 0 .. dmax/2^scale - 1 at `scale`."""
+        """Every integer disparity 0 .. n - 1 at `scale`, n = dmax/2^scale:
+        `sample_planes` over [0, n - 1], whose linspace is those integers exactly."""
         if dmax % (1 << scale):
             raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
-        if dmax >> scale < 2:
+        n = dmax >> scale
+        if n < 2:
             raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
-        return cls.uniform(dmax >> scale, shape)
+        return sample_planes(np.zeros(shape), np.full(shape, n - 1.0), n)
 
     @classmethod
     def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
@@ -127,6 +112,20 @@ class HypothesisPlanes:
         if self.values.shape[1:] != (h, w):
             raise ValueError(f"planes shaped {self.values.shape} do not match ({h}, {w})")
         return self.values
+
+
+def sample_planes(d_min: np.ndarray, d_max: np.ndarray, n: int) -> HypothesisPlanes:
+    """N values linearly spaced from d_min to d_max inclusive, per pixel:
+    `np.linspace(d_min, d_max, n, axis=0)` in float64, checked and kept
+    without a copy. `_checked_planes` rejects n < 2 and d_min > d_max."""
+    lo = as_grid(d_min, 2, "d_min")
+    hi = as_grid(d_max, 2, "d_max")
+    if lo.shape != hi.shape:
+        raise ValueError(f"shape mismatch: {lo.shape} vs {hi.shape}")
+    values = np.linspace(lo, hi, n, axis=0).astype(DTYPE, copy=False)
+    planes = HypothesisPlanes.__new__(HypothesisPlanes)
+    object.__setattr__(planes, "values", _checked_planes(values))
+    return planes
 
 
 @dataclass(frozen=True, eq=False)

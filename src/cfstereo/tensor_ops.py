@@ -127,20 +127,25 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
     # is out of frame either way, as is the one right of it. Both frame tests
     # and both clipped indices come from this one small-integer column; read
     # as unsigned, a negative column is huge, so one compare tests 0 <= i < w.
-    np.clip(base, -2, w, out=base)
+    # np.clip's wrapper costs more than these small clips: the float clip is
+    # maximum/minimum in place, and int32 bounds skip the int clips' np.iinfo
+    # checks (int32 maximum/minimum ran 2-3x slower than clip at 8k values).
+    np.maximum(base, -2, out=base)
+    np.minimum(base, w, out=base)
     i0 = base.astype(np.int32)
+    first, last = np.int32(0), np.int32(w - 1)
     row_start = np.arange(h, dtype=np.intp)[:, None] * w
     # a weight times its 0/1 frame mask is the weight or +0 in any float
     # dtype, so casting first gives the bytes of masking first
     w0 = (1.0 - t).astype(dtype, copy=False)
     w0 *= i0.view(np.uint32) < w
-    j0 = np.clip(i0, 0, w - 1) + row_start
+    j0 = i0.clip(first, last) + row_start
     if not t.any():
         return j0, w0, None, None
     i0 += 1  # the right column from here on
     w1 = t.astype(dtype, copy=False)
     w1 *= i0.view(np.uint32) < w
-    j1 = np.clip(i0, 0, w - 1) + row_start
+    j1 = i0.clip(first, last) + row_start
     return j0, w0, j1, w1
 
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfstereo import cost_volume, parallel
+from cfstereo import cost_volume
 from cfstereo.cost_volume import (
     HypothesisPlanes,
     ScoreVolume,
     build_dense_volume,
     build_sparse_volume,
     reduce_to_cost,
+    sample_planes,
     soft_argmin,
     stream_cost,
     uncertainty,
@@ -77,12 +78,13 @@ class TestHypothesisPlanes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("count", [2, 5, 12])
     def test_spaced_is_the_checked_linspace(self, dtype, count):
-        """`spaced` keeps the one array it makes: the bytes of the constructor
-        given the same linspace, read-only, and not a view of its bounds."""
+        """`sample_planes` keeps the one array it makes: the bytes of the
+        constructor given the same linspace, read-only, and not a view of its
+        bounds."""
         rng = np.random.default_rng(count)
         lo = rng.uniform(0.0, 40.0, size=(3, 7)).astype(dtype)
         hi = lo + rng.uniform(0.0, 9.0, size=(3, 7)).astype(dtype)
-        planes = HypothesisPlanes.spaced(lo, hi, count)
+        planes = sample_planes(lo, hi, count)
         want = HypothesisPlanes(np.linspace(lo, hi, count, axis=0))
         assert planes.values.dtype == np.float64
         assert planes.values.tobytes() == want.values.tobytes()
@@ -95,18 +97,20 @@ class TestHypothesisPlanes:
             (np.zeros((2, 3)), np.ones((2, 3)), 1, "at least 2 hypothesis planes"),
             (np.ones((2, 3)), np.zeros((2, 3)), 4, "non-decreasing"),
             (np.zeros((2, 3)), np.full((2, 3), np.nan), 4, "NaN or inf"),
-            (np.zeros(3), np.ones(3), 4, "3-dimensional"),
+            (np.zeros(3), np.ones(3), 4, "d_min must be 2-dimensional"),
         ],
         ids=["one plane", "decreasing", "NaN", "1-D bounds"],
     )
     def test_spaced_rejects(self, lo, hi, count, match):
         with pytest.raises(ValueError, match=match):
-            HypothesisPlanes.spaced(lo, hi, count)
+            sample_planes(lo, hi, count)
 
-    def test_uniform_and_dense_are_per_pixel(self):
-        assert np.array_equal(HypothesisPlanes.uniform(4, (2, 3)).values, self.ramp(4))
-        assert np.array_equal(HypothesisPlanes.dense(32, 3, (2, 3)).values, self.ramp(4))
-        assert not HypothesisPlanes.uniform(4, (2, 3)).values.flags.writeable
+    def test_dense_is_per_pixel(self):
+        """`sample_planes` over [0, n - 1] gives the integers 0 .. n - 1 exactly."""
+        assert HypothesisPlanes.dense(32, 3, (2, 3)).values.tobytes() == self.ramp(4).tobytes()
+        for n in range(2, 513):
+            assert HypothesisPlanes.dense(n, 0, (2, 3)).values.tobytes() == self.ramp(n).tobytes()
+        assert not HypothesisPlanes.dense(32, 3, (2, 3)).values.flags.writeable
 
     @pytest.mark.parametrize("n_planes", [4, 8])
     def test_score_volume_rejects_other_plane_count(self, n_planes):
@@ -235,12 +239,9 @@ def sparse_reference(fl, fr, pv, n_groups):
     return data
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_sparse_volume_matches_per_channel_gather(monkeypatch, threads):
-    # the builder fills all 7 rows at once whatever CFSTEREO_THREADS says; each
-    # row's flat gather indices need that row's own offset
-    monkeypatch.setenv("CFSTEREO_THREADS", threads)
-    assert parallel.thread_count() == 1
+def test_sparse_volume_matches_per_channel_gather():
+    # the builder fills all 7 rows at once; each row's flat gather indices
+    # need that row's own offset
     rng = np.random.default_rng(11)
     c, h, w = 4, 7, 9
     fl = rng.normal(size=(c, h, w))
@@ -305,13 +306,13 @@ class TestSoftArgmin:
         assert soft_argmin(ScoreVolume(cost, planes, 1))[0, 0] == 6.0
 
     def test_uniform_cost_symmetry(self):
-        sv = ScoreVolume(np.zeros((4, 2, 2)), HypothesisPlanes.uniform(4, (2, 2)), 1)
+        sv = ScoreVolume(np.zeros((4, 2, 2)), HypothesisPlanes.dense(4, 0, (2, 2)), 1)
         assert np.allclose(soft_argmin(sv), 1.5)
 
     def test_dot_product(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
         cost = -np.log(p).reshape(4, 1, 1)
-        sv = ScoreVolume(cost, HypothesisPlanes.uniform(4, (1, 1)), 1)
+        sv = ScoreVolume(cost, HypothesisPlanes.dense(4, 0, (1, 1)), 1)
         assert abs(soft_argmin(sv)[0, 0] - 2.0) < 1e-12
 
     @given(st.floats(-20, 20))
@@ -319,7 +320,7 @@ class TestSoftArgmin:
     def test_per_pixel_cost_shift_invariance(self, const):
         rng = np.random.default_rng(8)
         cost = rng.normal(size=(5, 3, 4))
-        planes = HypothesisPlanes.uniform(5, (3, 4))
+        planes = HypothesisPlanes.dense(5, 0, (3, 4))
         a = soft_argmin(ScoreVolume(cost, planes, 1))
         b = soft_argmin(ScoreVolume(cost + const, planes, 1))
         assert np.allclose(a, b, atol=1e-9)
@@ -347,7 +348,7 @@ class TestDecode:
 
         softmax = cost_volume.softmax_along_planes
         monkeypatch.setattr(cost_volume, "softmax_along_planes", counting)
-        sv = ScoreVolume(np.random.default_rng(10).normal(size=(5, 3, 4)), HypothesisPlanes.uniform(5, (3, 4)), 1)
+        sv = ScoreVolume(np.random.default_rng(10).normal(size=(5, 3, 4)), HypothesisPlanes.dense(5, 0, (3, 4)), 1)
         uncertainty(sv, soft_argmin(sv))
         assert calls == [(5, 3, 4)]
 
@@ -357,7 +358,7 @@ class TestDecode:
         cost = rng.normal(scale=20.0, size=(9, 5, 7))
         cost[:, 0, 0] = 3.0  # ties, where min - cost is +0
         cost[4, 1] = cost.min(axis=0)[1]
-        sv = ScoreVolume(cost, HypothesisPlanes.uniform(9, (5, 7)), 1)
+        sv = ScoreVolume(cost, HypothesisPlanes.dense(9, 0, (5, 7)), 1)
         want = softmax_along_planes(-cost)
         assert sv._distribution.tobytes() == want.tobytes()
         assert softmax_along_planes(cost, negate=True).tobytes() == want.tobytes()
@@ -367,7 +368,7 @@ class TestDecode:
         negated copy: the peak above the cost is one (N, H, W) map plus
         per-pixel reductions."""
         cost = np.random.default_rng(6).normal(size=(12, 64, 128))
-        sv = ScoreVolume(cost, HypothesisPlanes.uniform(12, (64, 128)), 1)
+        sv = ScoreVolume(cost, HypothesisPlanes.dense(12, 0, (64, 128)), 1)
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -382,7 +383,7 @@ class TestDecode:
     def test_nonfinite_cost_names_the_pixel(self, bad):
         cost = np.zeros((4, 3, 5))
         cost[2, 1, 3] = bad
-        planes = HypothesisPlanes.uniform(4, (3, 5))
+        planes = HypothesisPlanes.dense(4, 0, (3, 5))
         with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
             soft_argmin(ScoreVolume(cost, planes, 1))
         with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):

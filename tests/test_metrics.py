@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cfstereo.cost_volume import HypothesisPlanes
+from cfstereo.cost_volume import HypothesisPlanes, sample_planes
 from cfstereo.metrics import (
     avg_error,
     bad_tau,
@@ -121,7 +121,7 @@ class TestCoverage:
 
     def test_uniform_planes(self):
         gt = np.array([[3.0, 9.0]])
-        assert coverage_rate(gt, HypothesisPlanes.uniform(8, gt.shape)) == 0.5
+        assert coverage_rate(gt, HypothesisPlanes.dense(8, 0, gt.shape)) == 0.5
 
     def test_per_pixel_planes_of_another_shape_rejected(self):
         planes = HypothesisPlanes.per_pixel(np.stack([np.full((4, 4), 4.0), np.full((4, 4), 6.0)]))
@@ -134,7 +134,7 @@ class TestCoverage:
         gt = rng.uniform(0.0, 12.0, size=(6, 9))
         gt[0, :3] = [0.0, np.nan, np.inf]  # invalid pixels count nowhere
         lo, hi = np.sort(rng.uniform(0.0, 12.0, size=(2, 6, 9)), axis=0)
-        planes = HypothesisPlanes.spaced(lo, hi, 5)
+        planes = sample_planes(lo, hi, 5)
         assert window_coverage(gt, lo, hi) == coverage_rate(gt, planes)
 
     def test_window_of_another_shape_rejected(self):
