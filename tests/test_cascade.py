@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfstereo
 from cfstereo import cascade, cost_volume
 from cfstereo.benchmarks import desk_config, desk_scene, evaluate_scene, stagewise_bad2
 from cfstereo.cascade import (
@@ -168,6 +169,13 @@ class TestNextRange:
 
 
 class TestSamplePlanes:
+    def test_is_the_one_sampler(self):
+        """`cascade` and the package re-export `cost_volume.sample_planes`
+        itself, not a wrapper, so patching `cascade.sample_planes` reaches
+        every spaced plane set the pipeline builds."""
+        assert cascade.sample_planes is cost_volume.sample_planes
+        assert cfstereo.sample_planes is cost_volume.sample_planes
+
     def test_hand_spacing(self):
         planes = sample_planes(np.array([[5.6]]), np.array([[7.2]]), 5)
         assert np.allclose(planes.values[:, 0, 0], [5.6, 6.0, 6.4, 6.8, 7.2], atol=1e-9)
