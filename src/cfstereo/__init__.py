@@ -24,7 +24,7 @@ from .cost_volume import (
 from .errors import CfStereoError, ConfigError, FormatError, PipelineError
 from .features import build_pyramid
 from .fusion import aggregate, fuse_volumes
-from .io_formats import read_image, read_pfm, read_pgm, read_ppm, write_pfm, write_pgm
+from .io_formats import read_image, read_pfm, read_pgm, write_pfm, write_pgm
 from .metrics import (
     FilteredMetrics,
     avg_error,

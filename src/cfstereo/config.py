@@ -48,6 +48,10 @@ class RangeParams:
             raise ValueError("cascade.min_step must be > 0")
         if any(n < 2 for n in self.plane_counts):
             raise ValueError("cascade.n1 and cascade.n2 must be >= 2")
+        # Sparse volumes grow linearly with the plane count; 100000 planes got
+        # a desk pair killed for memory.
+        if any(n > 256 for n in self.plane_counts):
+            raise ValueError("cascade.n1 and cascade.n2 must be <= 256")
 
     @classmethod
     def from_config(cls, cfg: "RunConfig") -> "RangeParams":

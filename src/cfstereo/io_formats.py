@@ -145,11 +145,6 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return _read_netpbm(path, (b"P5",))
 
 
-def read_ppm(path) -> tuple[np.ndarray, int]:
-    """Read binary PPM (P6) and convert to grayscale with BT.601 luma weights."""
-    return _read_netpbm(path, (b"P6",))
-
-
 def read_image(path) -> tuple[np.ndarray, int]:
     """Read a P5 or P6 file as a grayscale map in [0, 1]."""
     return _read_netpbm(path, (b"P5", b"P6"))

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import cfstereo
 from cfstereo import cascade, cost_volume
-from cfstereo.benchmarks import desk_config, desk_scene, evaluate_scene, stagewise_bad2
+from cfstereo.benchmarks import DESK_SPECS, desk_config, desk_scene, evaluate_scene, stagewise_bad2
 from cfstereo.cascade import (
     RangeParams,
     next_range,
@@ -307,6 +308,41 @@ class TestPipeline:
     def test_invalid_config_is_config_error(self, change):
         with pytest.raises(ConfigError):
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 64)), replace(desk_config(), **change))
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gain_and_bias_keep_the_bytes(self, seed):
+        # features are normalized per level, so a global a*I + b cancels exactly
+        scene = desk_scene(seed)
+        want = run_pipeline(scene.left, scene.right, desk_config())
+        pairs = [(a * scene.left + b, a * scene.right + b) for a, b in ((0.5, 0.2), (0.7, 0.13), (1.3, -0.05))]
+        pairs.append((0.7 * scene.left + 0.13, scene.right))
+        for left, right in pairs:
+            out = run_pipeline(left, right, desk_config())
+            assert out.disparity.tobytes() == want.disparity.tobytes()
+            assert out.uncertainty.tobytes() == want.uncertainty.tobytes()
+
+    def test_cascade_follows_a_disparity_offset(self):
+        """Cropping the right image s columns further on adds s to the truth;
+        columns 96 and up keep x - d - s in frame. At s = 0, 32 and 64 the
+        means were 0.107, 0.105 and 0.107 px, and bad-2 0.018, 0.013 and 0.012."""
+        cfg = replace(desk_config(), pipeline_dmax=128)
+        scores = {}
+        for shift in (0, 32, 64):
+            medians, bad2 = [], []
+            for seed in range(12):
+                scene = random_dot_stereogram(128, 320, DESK_SPECS[seed % 3], seed)
+                out = run_pipeline(scene.left[:, :256], scene.right[:, shift : shift + 256], cfg)
+                valid = scene.valid[:, :256].copy()
+                valid[:, :96] = False
+                err = np.abs(out.disparity - (scene.gt[:, :256] + shift))[valid]
+                medians.append(np.median(err))
+                bad2.append(np.mean(err > 2.0))
+            scores[shift] = np.mean(medians), np.mean(bad2)
+        for shift in (32, 64):
+            assert abs(scores[shift][0] - scores[0][0]) <= 0.02, scores
+            assert abs(scores[shift][1] - scores[0][1]) <= 0.01, scores
 
 
 def stage_bytes(out):
@@ -606,3 +642,19 @@ class TestPrecision:
         for stage in out.stages:
             maps += [stage.disparity, stage.uncertainty, stage.planes.values]
         assert all(m.dtype == np.float64 for m in maps)
+
+    def test_float32_within_stated_tolerance_of_float64(self, monkeypatch):
+        """README's tolerance: 1e-2 px in disparity and 1e-3*max(1, |u|) in
+        uncertainty against float64 pyramid levels, over the digest's runs."""
+        path = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+        spec = importlib.util.spec_from_file_location("output_digest", path)
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        cases = list(digest.cases())
+        got = [run_pipeline(scene.left, scene.right, cfg) for scene, cfg in cases]
+        build = cascade.build_pyramid
+        monkeypatch.setattr(cascade, "build_pyramid", lambda image, dtype, **kw: build(image, dtype=np.float64, **kw))
+        for (scene, cfg), a in zip(cases, got):
+            b = run_pipeline(scene.left, scene.right, cfg)
+            assert np.abs(a.disparity - b.disparity).max() <= 1e-2
+            assert (np.abs(a.uncertainty - b.uncertainty) / np.maximum(1.0, np.abs(b.uncertainty))).max() <= 1e-3

@@ -4,7 +4,7 @@ from cfstereo import cli
 from cfstereo.cli import cli_main
 from cfstereo.config import load_config, parse_config
 from cfstereo.errors import FormatError
-from cfstereo.io_formats import read_pfm, read_pgm, read_ppm
+from cfstereo.io_formats import read_image, read_pfm, read_pgm
 
 DESK_CFG = """\
 pipeline.dmax = 64
@@ -229,6 +229,13 @@ def test_wide_census_config_is_data_error(tmp_path, capsys):
     assert "features.census_radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["cascade.n1", "cascade.n2"])
+def test_plane_count_past_the_cap_is_data_error(tmp_path, capsys, key):
+    # sparse volumes grow with the plane count; uncapped, 100000 planes ran out of memory
+    assert match_with_config(tmp_path, f"{key} = 257\n") == 2
+    assert "cascade.n1 and cascade.n2 must be <= 256" in capsys.readouterr().err
+
+
 def test_image_too_small_for_the_pyramid_is_data_error(tmp_path, capsys):
     # 32 rows leave one row at scale 5, where np.gradient cannot run
     assert match_with_config(tmp_path, DESK_CFG) == 2
@@ -237,7 +244,7 @@ def test_image_too_small_for_the_pyramid_is_data_error(tmp_path, capsys):
     assert "numerical gradient" not in err
 
 
-@pytest.mark.parametrize("magic, reader", [(b"P2", read_pgm), (b"P3", read_ppm)])
+@pytest.mark.parametrize("magic, reader", [(b"P2", read_pgm), (b"P3", read_image)])
 def test_ascii_image_gets_the_readers_guidance(tmp_path, capsys, magic, reader):
     image = tmp_path / "ascii.pnm"
     image.write_bytes(magic + b"\n1 1\n255\n0 0 0\n")

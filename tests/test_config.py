@@ -97,6 +97,8 @@ def test_nonfinite_floats_rejected(key, value):
         ("cascade.min_step = -inf", {"min_step": -np.inf}, "cascade.min_step must be finite"),
         ("cascade.n1 = 1", {"plane_counts": (16, 1)}, "cascade.n1 and cascade.n2 must be >= 2"),
         ("cascade.n2 = 0", {"plane_counts": (0, 12)}, "cascade.n1 and cascade.n2 must be >= 2"),
+        ("cascade.n1 = 257", {"plane_counts": (16, 257)}, "cascade.n1 and cascade.n2 must be <= 256"),
+        ("cascade.n2 = 257", {"plane_counts": (257, 12)}, "cascade.n1 and cascade.n2 must be <= 256"),
     ],
 )
 def test_window_rules_have_one_message(line, change, message):
@@ -117,6 +119,14 @@ def test_range_params_from_config():
 def test_validate_direct():
     with pytest.raises(ConfigError, match="n1"):
         validate_config(RunConfig(cascade_n1=1))
+
+
+def test_plane_counts_capped_at_256():
+    cfg = replace(RunConfig(), cascade_n1=256, cascade_n2=256)
+    assert RangeParams.from_config(cfg).plane_counts == (256, 256)
+    for name in ("cascade_n1", "cascade_n2"):
+        with pytest.raises(ConfigError, match=name.replace("_", ".")):
+            replace(RunConfig(), **{name: 257})
 
 
 # One valid non-default value per field; a new field must be added here.

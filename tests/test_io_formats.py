@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cfstereo.errors import FormatError
-from cfstereo.io_formats import _HEADER_MAX, read_image, read_pfm, read_pgm, read_ppm, write_pfm, write_pgm
+from cfstereo.io_formats import _HEADER_MAX, read_image, read_pfm, read_pgm, write_pfm, write_pgm
 
 f32 = st.floats(-1e6, 1e6, allow_nan=False, width=32)
 
@@ -167,14 +167,14 @@ class TestPpm:
     def test_pure_red_luma(self, tmp_path):
         path = tmp_path / "r.ppm"
         path.write_bytes(b"P6\n1 1\n255\n\xff\x00\x00")
-        gray, mv = read_ppm(path)
+        gray, mv = read_image(path)
         assert gray[0, 0] == 0.299
 
     def test_oversized_header_rejected_before_reading(self, tmp_path):
         path = tmp_path / "huge.ppm"
         path.write_bytes(b"P6\n1000000 1000000\n255\n" + b"\x00" * 6)
         with pytest.raises(FormatError, match="truncated payload: expected 3000000000000 bytes, got 6"):
-            read_ppm(path)
+            read_image(path)
 
     def test_read_image_dispatch(self, tmp_path):
         pgm = tmp_path / "x.pgm"
@@ -272,15 +272,13 @@ P3_GUIDANCE = "ASCII PPM (P3) not supported; convert to binary P6"
     [
         (b"P2", read_pgm, P2_GUIDANCE),
         (b"P2", read_image, P2_GUIDANCE),
-        (b"P3", read_ppm, P3_GUIDANCE),
         (b"P3", read_image, P3_GUIDANCE),
         (b"P6", read_pgm, "not a binary PGM file (magic b'P6'); expected P5"),
-        (b"P5", read_ppm, "not a binary PPM file (magic b'P5'); expected P6"),
         (b"Pf", read_image, "not a binary PGM or PPM file (magic b'Pf'); expected P5 or P6"),
     ],
 )
 def test_netpbm_readers_share_one_magic_check(tmp_path, magic, reader, message):
-    # the three readers differ only in the magics they accept
+    # the readers differ only in the magics they accept
     path = tmp_path / "m"
     path.write_bytes(magic + b"\n1 1\n255\n\x00\x00\x00")
     with pytest.raises(FormatError) as err:
@@ -349,7 +347,7 @@ def headers(draw):
 def test_fuzzed_headers_read_or_raise_format_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "h"
     path.write_bytes(data)
-    for reader in (read_pfm, read_pgm, read_ppm, read_image):
+    for reader in (read_pfm, read_pgm, read_image):
         try:
             out = reader(path)
         except FormatError:
