@@ -15,6 +15,7 @@ from .cost_volume import (
     CombinationVolume,
     HypothesisPlanes,
     ScoreVolume,
+    Window,
     build_dense_volume,
     build_sparse_volume,
     reduce_to_cost,

@@ -1,17 +1,19 @@
 """Uncertainty-driven coarse-to-fine disparity refinement.
 
-Stage 3 decodes the fused dense volumes; stages 2 and 1 re-match inside a
-per-pixel search window derived from the previous stage's estimate and its
-variance, sampled with uniformly spaced hypothesis planes by
-`cost_volume.sample_planes`. It and the window's parameters,
-`config.RangeParams`, are re-exported here, and each checks its own input;
-the image size is checked by `build_pyramid`, so the pipeline does not
-check them again.
+Every stage decodes a `cost_volume.Window`: n planes evenly spaced from
+`lo` to `hi` per pixel. Stage 3's window is the dense [0, n - 1], fused
+with the dense windows of scales 4 and 5; stages 2 and 1 re-match inside a
+per-pixel window derived from the previous stage's estimate and its
+variance. `config.RangeParams`, the window's parameters, is re-exported
+here, and so is `cost_volume.sample_planes`; each checks its own input,
+and a `Window` checks its bounds. The image size is checked by
+`build_pyramid`, so the pipeline does not check them again.
 
-Stages 2 and 1 decode in row bands, and each band samples only its own
-rows of the planes, so no stage's (N, H, W) planes are ever whole in the
-pipeline. A `StageResult` keeps the window (`lo`, `hi` and the plane
-count) and builds its planes only when they are read.
+One loop decodes every stage, in row bands for stages 2 and 1 and in one
+band for stage 3. A band's window is its rows of the stage's bounds, and
+the fill and the decode make no (N, H, W) plane array. A `StageResult`
+keeps the window (`lo`, `hi` and the plane count) and builds its planes
+only when they are read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import RangeParams, RunConfig
-from .cost_volume import HypothesisPlanes, sample_planes, soft_argmin, stream_cost, uncertainty
+from .cost_volume import HypothesisPlanes, Window, sample_planes, soft_argmin, stream_cost, uncertainty
 from .errors import PipelineError
 from .features import build_pyramid
 from .fusion import aggregate, aggregate_plane_reach, aggregate_reach, fuse_volumes
@@ -51,8 +53,10 @@ BAND_BYTES = 2 << 20
 @dataclass(frozen=True, eq=False)
 class StageResult:
     """One stage's maps and the window it searched: `count` planes spaced
-    from `lo` to `hi` per pixel. `planes` builds them (`sample_planes`) the
-    first time it is read; their first plane is `lo` and their last `hi`."""
+    from `lo` to `hi` per pixel. The pipeline makes no plane array; `planes`
+    builds them (`sample_planes`) the first time it is read, for callers
+    that read plane values, such as the benchmark's stage statistics. Their
+    first plane is `lo` and their last `hi`."""
 
     scale: int
     disparity: np.ndarray
@@ -172,49 +176,45 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     def fuse(v3, v4, v5):
         return fuse_volumes(v3, v4, v5, config)
 
-    # One correlation group: stream_cost reduces the C+1 layout block by block.
-    def decode(inputs, scale, regularize, plane_reach=None):
-        sv = stream_cost(inputs, scale, regularize, w_g, w_a, plane_reach)
-        d = soft_argmin(sv)
-        return d, uncertainty(sv, d)
-
-    # A refinement stage decodes in BAND_BYTES row bands. Only aggregate's y
-    # box couples rows, so a band read with aggregate_reach rows of halo on
-    # each side gives its own rows' bytes exactly. A band samples its own
-    # planes from its rows of the window; linspace works per element, so they
-    # are the rows of the whole stage's planes, which never exist. A stage
-    # within the budget is one band, whose feature rows are the whole
-    # arrays, not copies.
-    def refine(scale, lo, hi, n):
+    # Every stage decodes a window of n planes from lo to hi, in BAND_BYTES
+    # row bands of its float64 (N, H, W) map when `banded`. Only aggregate's
+    # y box couples rows, so a band read with aggregate_reach rows of halo on
+    # each side gives its own rows' bytes exactly; a band's window is its
+    # rows of lo and hi, whose planes are those rows of the stage's planes,
+    # since linspace works per element. `coarser` holds the inputs fused in
+    # from scales 4 and 5 (one band: fusion's row reach is not worked out).
+    # A one-band stage reads the whole feature arrays, not copies.
+    def decode_window(scale, lo, hi, n, regularize, coarser=(), banded=True):
         fl, fr = feat_l[scale], feat_r[scale]
         h, w = lo.shape
-        # bands of the stage's float64 (N, H, W) map: n planes of lo's bytes
-        count = min(h, -(-n * lo.nbytes // BAND_BYTES))
-        halo, plane_reach = aggregate_reach(config), aggregate_plane_reach(config)
+        count = min(h, -(-n * lo.nbytes // BAND_BYTES)) if banded else 1
+        halo = aggregate_reach(config)
+        plane_reach = None if coarser else aggregate_plane_reach(config)
         disp, unc = np.empty((h, w), DTYPE), np.empty((h, w), DTYPE)
         for a, b in _bands(h, count):
             a0, b0 = max(0, a - halo), min(h, b + halo)
             fl_rows, fr_rows = (np.ascontiguousarray(f[:, a0:b0]) for f in (fl, fr))
-            planes = sample_planes(lo[a0:b0], hi[a0:b0], n)
-            d, u = decode([(fl_rows, fr_rows, planes)], scale, smooth, plane_reach)
+            inputs = [(fl_rows, fr_rows, Window(lo[a0:b0], hi[a0:b0], n)), *coarser]
+            sv = stream_cost(inputs, scale, regularize, w_g, w_a, plane_reach)
+            d = soft_argmin(sv)
             disp[a:b] = d[a - a0 : b - a0]
-            unc[a:b] = u[a - a0 : b - a0]
+            unc[a:b] = uncertainty(sv, d)[a - a0 : b - a0]
+            # the band's cost, softmax and window, before the next band's are made
+            del inputs, sv
         return StageResult(scale, disp, unc, lo, hi, n)
 
     with _stage("stage 3"):
-        scales = (3, 4, 5) if config.fusion_enabled else (3,)
-        inputs = [(feat_l[s], feat_r[s], HypothesisPlanes.dense(dmax, s, feat_l[s].shape[1:])) for s in scales]
-        d, u = decode(inputs, 3, fuse if config.fusion_enabled else smooth)
-        # the dense planes are sample_planes over [0, n - 1]: they need not outlive the decode
-        n = inputs[0][2].count
-        del inputs
-        results = [StageResult(3, d, u, np.zeros(d.shape), np.full(d.shape, n - 1.0), n)]
+        dense = Window.dense(dmax, 3, feat_l[3].shape[1:])
+        fused = config.fusion_enabled
+        coarser = [(feat_l[s], feat_r[s], Window.dense(dmax, s, feat_l[s].shape[1:])) for s in (4, 5) if fused]
+        regularize = fuse if fused else smooth
+        results = [decode_window(3, dense.lo, dense.hi, dense.n, regularize, coarser, banded=False)]
 
     for stage in (3, 2):
         with _stage(f"stage {stage - 1}"):
             prev = results[-1]
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
-            results.append(refine(stage - 1, lo, hi, params.for_stage(stage)[2]))
+            results.append(decode_window(stage - 1, lo, hi, params.for_stage(stage)[2], smooth))
 
     with _stage("output"):
         final = results[-1]

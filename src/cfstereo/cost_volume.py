@@ -6,32 +6,38 @@ stage before the cost is linear, so the concatenation reaches the cost only
 as left - matched. The builders therefore write left - matched per channel
 followed by the group correlations, and `reduce_to_cost` applies `|.|`. A
 score volume holds one cost per plane; softmax of the negated cost is the
-disparity distribution. `sample_planes` makes every plane set, the dense
-planes included: they are the window [0, n - 1] at unit spacing.
+disparity distribution. Every stage searches a `Window`: n planes evenly
+spaced from `lo` to `hi` per pixel, the dense planes being [0, n - 1]. A
+window makes each (H, W) plane only when it is reached, with the bytes of
+`np.linspace(lo, hi, n, axis=0)`; `HypothesisPlanes` holds whole (N, H, W)
+planes for the reference builders, and `sample_planes` makes them.
 
-The pipeline never holds such a volume whole. Every step before `|.|` acts
-on each channel alone, so `stream_cost` builds, regularizes and reduces one
-block of channels at a time, adding |.| of each regularized block into the
-cost and regularizing the correlation last. A block is `BLOCK_BYTES`
-(256 KiB) of volume, or one channel if a channel is larger: small enough
-that it, its edge-pad copies and its box sums stay in L2 from its gather to
-its sum. When the regularizer reads no neighbouring plane (plane reach 0,
-as in the refinement stages under `desk_config`), blocks are cut from spans
-of as many whole planes as fit a block with every channel, at least one.
-Its cost is byte-identical to `reduce_to_cost` of the whole regularized
-volume either way.
-The builders and `stream_cost` share one fill (`_plane_weights`, `_fill`),
-so `synth.volume_oracle` checks the fill the pipeline runs, and the builders
+The pipeline never holds a volume or a plane array whole. Every step before
+`|.|` acts on each channel alone, so `stream_cost` builds, regularizes and
+reduces one block of channels at a time, adding |.| of each regularized
+block into the cost and regularizing the correlation last. A block is
+`BLOCK_BYTES` (256 KiB) of volume, or one channel if a channel is larger:
+small enough that it, its edge-pad copies and its box sums stay in L2 from
+its fill to its sum. When the regularizer reads no neighbouring plane
+(plane reach 0, as in the refinement stages under `desk_config`), blocks
+are cut from spans of as many whole planes as fit a block with every
+channel, at least one. Its cost is byte-identical to `reduce_to_cost` of
+the whole regularized volume either way.
+The builders and `stream_cost` share one fill (`_plane_weights`, `_fill`):
+a dense plane d reads the right features shifted d columns as slices, and
+any other plane gathers through `_row_weights` tables. So
+`synth.volume_oracle` checks both fills the pipeline runs, and the builders
 stay the whole-volume reference for `stream_cost`'s blocking,
-regularization order and reduction.
+regularization order and reduction. Plane k's value is lo + k * step, so
+soft argmin is lo + step * E[k] and the variance step^2 * Var[k] under
+p = softmax(-cost): the decode reads no plane values.
 
 Volumes take the features' float dtype: float32 features (the pipeline's)
 give float32 volumes, float64 features give the float64 reference. The
 channel sum and the cost tail (a plane at a time) run in the volume's dtype
 too, and float64 starts at the decode: the cost is cast once, and the
-planes and every decoded map are float64 either way. The decode adds one
-(N, H, W) float64 array to the cost, the softmax's one buffer, and planes
-that `sample_planes` makes are not copied again.
+windows and every decoded map are float64 either way. The decode adds one
+(N, H, W) float64 array to the cost, the softmax's one buffer.
 """
 
 from __future__ import annotations
@@ -73,14 +79,82 @@ def _checked_planes(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Window:
+    """`n` planes evenly spaced from `lo` to `hi` per pixel, in scale-local
+    pixel units; `plane(k)` makes plane k when it is needed. The (H, W)
+    bounds are held as float64 without a copy, and checked in O(H * W): one
+    shape, finite, lo <= hi and n >= 2, so the planes are finite and
+    non-decreasing per pixel."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        lo = as_grid(self.lo, 2, "window lo").astype(DTYPE, copy=False)
+        hi = as_grid(self.hi, 2, "window hi").astype(DTYPE, copy=False)
+        if lo.shape != hi.shape:
+            raise ValueError(f"window bounds differ in shape: {lo.shape} vs {hi.shape}")
+        if self.n < 2:
+            raise ValueError("need at least 2 hypothesis planes")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("window bounds contain NaN or inf")
+        if (lo > hi).any():
+            raise ValueError("window lo must not exceed hi")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def dense(cls, dmax: int, scale: int, shape: tuple[int, int]) -> "Window":
+        """Every integer disparity 0 .. n - 1 at `scale`, n = dmax/2^scale:
+        the window [0, n - 1], whose planes are those integers exactly."""
+        if dmax % (1 << scale):
+            raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
+        n = dmax >> scale
+        if n < 2:
+            raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
+        return cls(np.zeros(shape), np.full(shape, n - 1.0), n)
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        """(hi - lo) / (n - 1): the spacing of the planes at each pixel."""
+        return (self.hi - self.lo) / (self.n - 1)
+
+    @cached_property
+    def shifts(self) -> bool:
+        """Whether plane k is the integer k at every pixel, as in a dense
+        window, so that its fill reads slices of the matched rows."""
+        return not self.lo.any() and bool((self.hi == self.n - 1).all())
+
+    @cached_property
+    def _any_zero_step(self) -> bool:
+        return not self.step.all()
+
+    def plane(self, k: int) -> np.ndarray:
+        """Plane k, (H, W) float64, with the bytes of `np.linspace(lo, hi, n,
+        axis=0)[k]`: k * step + lo, except that plane n - 1 is `hi` itself
+        and that, if any step is 0, every plane is (k / (n - 1)) * (hi - lo)
+        + lo, as linspace then computes it."""
+        if k == self.n - 1:
+            return self.hi
+        if self._any_zero_step:
+            out = (k / (self.n - 1)) * (self.hi - self.lo)
+        else:
+            out = k * self.step
+        out += self.lo
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class HypothesisPlanes:
-    """Per-pixel candidate disparity values in scale-local pixel units.
+    """Per-pixel candidate disparity values in scale-local pixel units, the
+    input of the reference builders and `synth.volume_oracle`.
 
     `values` is (N, H, W) with N >= 2, finite and non-decreasing along N.
     The constructor checks this and keeps a read-only float64 copy, so
     planes stay valid whatever later happens to the caller's array.
-    `sample_planes` makes every spaced and dense plane set: it checks the
-    array it makes and keeps it without that copy.
+    `sample_planes` makes the planes of a window: it checks the array it
+    makes and keeps it without that copy.
     """
 
     values: np.ndarray
@@ -90,14 +164,9 @@ class HypothesisPlanes:
 
     @classmethod
     def dense(cls, dmax: int, scale: int, shape: tuple[int, int]) -> "HypothesisPlanes":
-        """Every integer disparity 0 .. n - 1 at `scale`, n = dmax/2^scale:
-        `sample_planes` over [0, n - 1], whose linspace is those integers exactly."""
-        if dmax % (1 << scale):
-            raise ValueError(f"dmax {dmax} not divisible by 2**scale at scale {scale}")
-        n = dmax >> scale
-        if n < 2:
-            raise ValueError(f"dmax {dmax} leaves fewer than 2 planes at scale {scale}")
-        return sample_planes(np.zeros(shape), np.full(shape, n - 1.0), n)
+        """The planes of `Window.dense`: the integers 0 .. n - 1."""
+        window = Window.dense(dmax, scale, shape)
+        return sample_planes(window.lo, window.hi, window.n)
 
     @classmethod
     def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
@@ -112,6 +181,15 @@ class HypothesisPlanes:
         if self.values.shape[1:] != (h, w):
             raise ValueError(f"planes shaped {self.values.shape} do not match ({h}, {w})")
         return self.values
+
+    def window(self) -> Window:
+        """The window from the first plane to the last. The planes must be
+        its planes, to within 1e-9 * max(1, |value|), since a decode reads
+        only the window; other planes are a ValueError."""
+        window = Window(self.values[0], self.values[-1], self.count)
+        if not all(np.allclose(v, window.plane(k), rtol=1e-9, atol=1e-9) for k, v in enumerate(self.values)):
+            raise ValueError("planes are not evenly spaced, so they are no window to decode")
+        return window
 
 
 def sample_planes(d_min: np.ndarray, d_max: np.ndarray, n: int) -> HypothesisPlanes:
@@ -142,15 +220,20 @@ class CombinationVolume:
 
 @dataclass(frozen=True, eq=False)
 class ScoreVolume:
-    """(N, H, W) matching cost; lower is a better match."""
+    """(N, H, W) matching cost over the N planes of `window`; lower is a
+    better match. `HypothesisPlanes` given as the window are taken as
+    their `window()`."""
 
     cost: np.ndarray
-    planes: HypothesisPlanes
+    window: Window
     scale: int
 
     def __post_init__(self):
-        if self.cost.shape != self.planes.values.shape:
-            raise ValueError(f"cost shaped {self.cost.shape} does not match planes {self.planes.values.shape}")
+        if isinstance(self.window, HypothesisPlanes):
+            object.__setattr__(self, "window", self.window.window())
+        planes = (self.window.n,) + self.window.lo.shape
+        if self.cost.shape != planes:
+            raise ValueError(f"cost shaped {self.cost.shape} does not match planes {planes}")
 
     @cached_property
     def _distribution(self) -> np.ndarray:
@@ -158,6 +241,25 @@ class ScoreVolume:
         The softmax rejects a non-finite cost, naming its index, and makes
         its one fresh array from the cost with no negated copy."""
         return softmax_along_planes(self.cost, negate=True)
+
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(m, var): the mean of the plane index k under the distribution,
+        capped at n - 1 (its weights sum to 1 only to rounding), and the
+        variance of k about m. Each is summed in ascending k, so on the
+        window [0, n - 1] they are the sums over plane values, byte for
+        byte."""
+        p = self._distribution
+        mean, var, term = (np.zeros(p.shape[1:], DTYPE) for _ in range(3))
+        for k, pk in enumerate(p):
+            mean += np.multiply(pk, k, out=term)
+        np.minimum(mean, len(p) - 1, out=mean)
+        for k, pk in enumerate(p):
+            np.subtract(k, mean, out=term)
+            term *= term
+            term *= pk
+            var += term
+        return mean, var
 
 
 def _check_feature_pair(left_feats, right_feats, n_groups):
@@ -174,25 +276,67 @@ def _check_feature_pair(left_feats, right_feats, n_groups):
     return fl, fr
 
 
-def _plane_weights(fl, values):
-    """`_row_weights` of the x - d sampling for each of the (N, H, W) plane
-    `values`, in the features' dtype."""
+def _gather_weights(fl, values):
+    """`_row_weights` of the x - d sampling at the (H, W) plane `values`, in
+    the features' dtype."""
     w = fl.shape[2]
-    xs = np.arange(w, dtype=DTYPE)
-    return [_row_weights(xs[None, :] - v, w, fl.dtype) for v in values]
+    return _row_weights(np.arange(w, dtype=DTYPE)[None, :] - values, w, fl.dtype)
+
+
+def _plane_weights(fl, window, ks):
+    """`_fill`'s input for each plane k in `ks` of `window`: k itself when the
+    window's planes are integer shifts, else the plane's gather tables, each
+    made from its plane as it is reached."""
+    if window.shifts:
+        return list(ks)
+    return [_gather_weights(fl, window.plane(k)) for k in ks]
+
+
+def _shift_rows(fr, d, out):
+    """Write the (..., H, W) `fr` shifted d columns along its rows into
+    `out`, a C-contiguous array of its shape, with zeros in each row's
+    first d columns, or in the whole row when d >= W: the x - d sampling
+    at an integer d, read as slices."""
+    w = fr.shape[-1]
+    if d >= w:
+        out[...] = 0
+        return
+    # one flat run: each row's last d values land in the next row's first d
+    # columns, which are then zeroed
+    flat_out = out.reshape(out.shape[:-2] + (-1,))
+    flat_in = fr.reshape(fr.shape[:-2] + (-1,))
+    flat_out[..., d:] = flat_in[..., : flat_in.shape[-1] - d]
+    out[..., :d] = 0
 
 
 def _fill(fl, fr, weights, out, corr):
     """For a slice of channels, write left - matched into the (B, N, H, W) `out`
     and add each channel's left * matched into the (N, H, W) `corr`, in channel order.
-    Every plane's gathers reuse the same two scratch arrays."""
+    A plane's weights are an integer shift (`_shift_rows`) or gather tables
+    (`_apply_row_weights`); every plane reuses the same two scratch arrays."""
     matched, spare = np.empty(fl.shape, fl.dtype), np.empty(fl.shape, fl.dtype)
     for n, wts in enumerate(weights):
-        _apply_row_weights(fr, wts, matched, spare)
+        if isinstance(wts, int):
+            _shift_rows(fr, wts, matched)
+        else:
+            _apply_row_weights(fr, wts, matched, spare)
         np.subtract(fl, matched, out=out[:, n])
         matched *= fl
         for product in matched:
             corr[n] += product
+
+
+def _build(fl, fr, weights, planes, scale, n_groups) -> CombinationVolume:
+    """The whole volume of the checked features, filled a group at a time."""
+    c = fl.shape[0]
+    group_size = c // n_groups
+    data = np.empty((c + n_groups, len(weights)) + fl.shape[1:], dtype=fl.dtype)
+    data[c:] = 0
+    for g in range(n_groups):
+        chans = slice(g * group_size, (g + 1) * group_size)
+        _fill(fl[chans], fr[chans], weights, data[chans], data[c + g])
+    data[c:] /= group_size
+    return CombinationVolume(data, planes, scale, n_groups)
 
 
 def build_dense_volume(
@@ -202,10 +346,13 @@ def build_dense_volume(
     scale: int,
     n_groups: int,
 ) -> CombinationVolume:
-    """Volume over every integer disparity 0 .. dmax/2^scale - 1: the sparse
-    volume on `HypothesisPlanes.dense` over the left features' grid."""
-    planes = HypothesisPlanes.dense(dmax, scale, np.shape(left_feats)[1:])
-    return build_sparse_volume(left_feats, right_feats, planes, scale, n_groups)
+    """Volume over every integer disparity 0 .. dmax/2^scale - 1 on the left
+    features' grid (`Window.dense`), filled by slices as `stream_cost`
+    fills a dense window; its planes are that window's `sample_planes`."""
+    fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
+    window = Window.dense(dmax, scale, fl.shape[1:])
+    planes = sample_planes(window.lo, window.hi, window.n)
+    return _build(fl, fr, _plane_weights(fl, window, range(window.n)), planes, scale, n_groups)
 
 
 def build_sparse_volume(
@@ -218,16 +365,8 @@ def build_sparse_volume(
     """Volume over per-pixel fractional planes; the matched side is the right
     features sampled at x - plane (`tensor_ops._row_weights`)."""
     fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
-    weights = _plane_weights(fl, planes.values_at(*fl.shape[1:]))
-    c = fl.shape[0]
-    group_size = c // n_groups
-    data = np.empty((c + n_groups, len(weights)) + fl.shape[1:], dtype=fl.dtype)
-    data[c:] = 0
-    for g in range(n_groups):
-        chans = slice(g * group_size, (g + 1) * group_size)
-        _fill(fl[chans], fr[chans], weights, data[chans], data[c + g])
-    data[c:] /= group_size
-    return CombinationVolume(data, planes, scale, n_groups)
+    weights = [_gather_weights(fl, v) for v in planes.values_at(*fl.shape[1:])]
+    return _build(fl, fr, weights, planes, scale, n_groups)
 
 
 def _cost_from_sums(total, corr, c, w_group, w_absdiff) -> np.ndarray:
@@ -250,12 +389,13 @@ def _cost_from_sums(total, corr, c, w_group, w_absdiff) -> np.ndarray:
 
 def reduce_to_cost(
     diff: np.ndarray,
-    planes: HypothesisPlanes,
+    window: Window,
     scale: int,
     w_group: float = 1.0,
     w_absdiff: float = 1.0,
 ) -> ScoreVolume:
-    """Collapse a (C+1, N, H, W) difference volume to one cost per plane.
+    """Collapse a (C+1, N, H, W) difference volume to one cost per plane of
+    `window` (or of evenly spaced `HypothesisPlanes`, see `ScoreVolume`).
 
     `diff` has the layout of a one-group `CombinationVolume.data`, usually
     after aggregation: cost = -w_group * diff[C] + w_absdiff * mean_c |diff[c]|.
@@ -268,11 +408,11 @@ def reduce_to_cost(
     total = np.zeros(diff.shape[1:], diff.dtype)
     for channel in diff[:c]:
         total += np.abs(channel)
-    return ScoreVolume(_cost_from_sums(total, diff[c], c, w_group, w_absdiff), planes, scale)
+    return ScoreVolume(_cost_from_sums(total, diff[c], c, w_group, w_absdiff), window, scale)
 
 
 def stream_cost(
-    inputs: Sequence[tuple[np.ndarray, np.ndarray, HypothesisPlanes]],
+    inputs: Sequence[tuple[np.ndarray, np.ndarray, Window]],
     scale: int,
     regularize: Callable[..., np.ndarray],
     w_group: float = 1.0,
@@ -282,35 +422,39 @@ def stream_cost(
     """`reduce_to_cost` of a regularized one-group volume, built and
     regularized a block of channels at a time.
 
-    `inputs` holds (left features, right features, planes) per input scale,
+    `inputs` holds (left features, right features, window) per input scale,
     and `regularize` maps one (B, N, H, W) volume per input to a volume on
     the first input's planes, acting on each channel alone (as `aggregate`
     and `fuse_volumes` do). The result equals
     `reduce_to_cost(regularize(*(v.data for v in volumes)), ...)` for the
-    one-group volumes the builders give, byte for byte: |.| of each
-    regularized block is added in channel order into a sum of the
-    regularized volume's dtype, and the correlation accumulates over all
-    channels in the builders' order and is regularized last, as one
-    channel.
+    one-group volumes the builders give on the windows' planes, byte for
+    byte: |.| of each regularized block is added in channel order into a
+    sum of the regularized volume's dtype, and the correlation accumulates
+    over all channels in the builders' order and is regularized last, as
+    one channel. A dense window is filled by slices, as `build_dense_volume`
+    fills it; any other is gathered, as `build_sparse_volume` gathers its
+    planes.
 
     `plane_reach` is how many planes on each side of a plane `regularize`
     reads (`fusion.aggregate_plane_reach`), or None for every plane; a
     negative reach is a `ValueError`. At 0, with one input, a span holds as
     many whole planes as fit `BLOCK_BYTES` with every channel, and at least
-    one: its weights, its channel blocks and its sum are made a span at a
+    one: its planes, weights, channel blocks and sum are made a span at a
     time, so small planes share a block and large ones go one at a time.
     Otherwise every plane is one span. A span's blocks are the channels
     whose planes fit `BLOCK_BYTES` (at least one channel), so a block, which
-    `regularize` works on whole, stays in L2 from its gather to its sum.
+    `regularize` works on whole, stays in L2 from its fill to its sum.
 
     The cost is made from the sum and the correlation as `reduce_to_cost`
     makes it (`_cost_from_sums`): in the volume's dtype a plane at a time,
     cast to float64 as each plane is written.
     """
     prepared = []
-    for left, right, planes in inputs:
+    for left, right, window in inputs:
         fl, fr = _check_feature_pair(left, right, 1)
-        prepared.append((fl, fr, planes.values_at(*fl.shape[1:])))
+        if window.lo.shape != fl.shape[1:]:
+            raise ValueError(f"window shaped {window.lo.shape} does not match features {fl.shape[1:]}")
+        prepared.append((fl, fr, window))
     counts = {fl.shape[0] for fl, _, _ in prepared}
     if len(counts) != 1:
         raise ValueError(f"feature counts differ across inputs: {sorted(counts)}")
@@ -319,9 +463,9 @@ def stream_cost(
         raise ValueError(f"plane reach must be None or >= 0, got {plane_reach}")
     if plane_reach == 0 and len(prepared) > 1:
         raise ValueError(f"plane reach 0 takes one input, got {len(prepared)}")
-    corrs = [np.zeros(pv.shape, dtype=fl.dtype) for fl, _, pv in prepared]
+    corrs = [np.zeros((window.n,) + fl.shape[1:], dtype=fl.dtype) for fl, _, window in prepared]
     total = None  # made at the first block, in the regularized volume's dtype
-    n_planes = len(prepared[0][2])
+    n_planes = prepared[0][2].n
     if plane_reach == 0:
         # whole planes with every channel, prepared[0][0] being (C, H, W)
         step = max(1, BLOCK_BYTES // prepared[0][0].nbytes)
@@ -329,7 +473,10 @@ def stream_cost(
     else:
         spans = [slice(None)]
     for span in spans:
-        parts = [(fl, fr, _plane_weights(fl, pv[span]), corr[span]) for (fl, fr, pv), corr in zip(prepared, corrs)]
+        parts = [
+            (fl, fr, _plane_weights(fl, window, range(window.n)[span]), corr[span])
+            for (fl, fr, window), corr in zip(prepared, corrs)
+        ]
         channel_bytes = sum(len(wts) * fl[0].nbytes for fl, _, wts, _ in parts)
         block = max(1, BLOCK_BYTES // channel_bytes)
         for c0 in range(0, c, block):
@@ -356,23 +503,26 @@ def stream_cost(
 
 
 def soft_argmin(score: ScoreVolume) -> np.ndarray:
-    """Expected plane value under softmax(-cost); stays within plane bounds."""
-    p = score._distribution
-    pv = score.planes.values
-    d_hat = np.zeros(pv.shape[1:], dtype=DTYPE)
-    for n in range(pv.shape[0]):
-        d_hat += pv[n] * p[n]
-    return np.clip(d_hat, pv[0], pv[-1])
+    """Expected plane value under softmax(-cost), lo + step * E[k], with E[k]
+    capped at n - 1 and the value at hi: it stays within [lo, hi] and reads
+    no plane values."""
+    window = score.window
+    d = window.step * score._moments[0]
+    d += window.lo
+    return np.minimum(d, window.hi, out=d)
 
 
 def uncertainty(score: ScoreVolume, d_hat: np.ndarray) -> np.ndarray:
-    """Variance of the plane-value distribution around d_hat; zero iff degenerate."""
-    pv = score.planes.values
-    if d_hat.shape != pv.shape[1:]:
+    """Variance of the plane values about d_hat under softmax(-cost):
+    step^2 * Var[k], plus (d_hat - soft argmin)^2, which is 0 for soft
+    argmin's own map. It reads no plane values, and on a window with
+    step > 0 it is 0 iff the distribution is one-hot and d_hat its plane."""
+    window = score.window
+    if d_hat.shape != window.lo.shape:
         raise ValueError(f"disparity shape {d_hat.shape} does not match cost {score.cost.shape}")
-    p = score._distribution
-    u = np.zeros(pv.shape[1:], dtype=DTYPE)
-    for n in range(pv.shape[0]):
-        diff = pv[n] - d_hat
-        u += diff * diff * p[n]
+    u = window.step * window.step
+    u *= score._moments[1]
+    off = d_hat - soft_argmin(score)
+    off *= off
+    u += off
     return u

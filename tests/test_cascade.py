@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from cfstereo.cascade import (
     sample_planes,
     uncertainty,
 )
+from cfstereo.config import RunConfig
 from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume, stream_cost
 from cfstereo.errors import ConfigError, PipelineError
 from cfstereo.synth import random_dot_stereogram
@@ -75,7 +77,7 @@ class TestUncertainty:
         from cfstereo.cost_volume import soft_argmin
 
         probs = [0.1, 0.5, 0.25, 0.15]
-        base = np.array([1.0, 2.0, 4.0, 7.0])
+        base = np.array([1.0, 2.5, 4.0, 5.5])
         sv0 = score_from_probs(probs, base)
         d0 = soft_argmin(sv0)
         u0 = uncertainty(sv0, d0)
@@ -236,6 +238,16 @@ class TestPipeline:
             good += stages_ok and final_ok
         assert good >= 18
 
+    def test_default_config_past_the_row_width(self):
+        """`RunConfig()` (dmax 256) on a 64x64 pair: stage 3 has 32 planes
+        on rows 8 px wide, and shifts at or past the width read zero rows."""
+        scene = random_dot_stereogram(64, 64, "constant:8", 3)
+        out = run_pipeline(scene.left, scene.right, RunConfig())
+        assert out.disparity.shape == out.uncertainty.shape == (64, 64)
+        for maps in [(out.disparity, out.uncertainty)] + [(s.disparity, s.uncertainty) for s in out.stages]:
+            assert all(np.isfinite(m).all() for m in maps)
+        assert out.stages[0].count == 32
+
     def test_mismatched_shapes_tagged(self):
         with pytest.raises(PipelineError, match=r"^input: image shapes differ: \(64, 64\) vs \(64, 96\)$"):
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 96)), desk_config())
@@ -385,20 +397,68 @@ class TestStagePlanes:
         assert stage3.planes.values.tobytes() == dense.values.tobytes()
 
     def test_no_stage_samples_its_planes_whole(self, monkeypatch):
-        """With small bands, every refinement call samples a band's rows, and
-        no plane array is built until a stage's planes are read."""
-        shapes = []
+        """With small bands, every refinement call decodes a window of a
+        band's rows, and stage 3 the whole dense window."""
+        scene = desk_scene(2)
+        _, windows = banded_run(monkeypatch, scene, desk_config(), 200000)
+        # stage 2 (32x64) in 2 bands and stage 1 (64x128) in 4, halo 2 rows
+        shapes = [w.lo.shape for w in windows]
+        assert shapes == [(16, 32), (18, 64), (18, 64), (18, 128), (20, 128), (20, 128), (18, 128)]
+        assert [w.n for w in windows] == [8] + [16] * 2 + [12] * 4
+        assert windows[0].shifts and not any(w.shifts for w in windows[1:])
 
-        def recorded(lo, hi, n):
-            shapes.append(np.shape(lo))
-            return sample_planes(lo, hi, n)
+    def test_a_band_frees_its_decode_before_the_next(self, monkeypatch):
+        """A band's score volume (its cost, softmax and window) is gone
+        before the next band's is made, so a stage's peak is one band's."""
+        decoded = []
 
-        monkeypatch.setattr(cascade, "sample_planes", recorded)
+        def counted(*args, **kwargs):
+            assert all(ref() is None for ref in decoded)
+            score = stream_cost(*args, **kwargs)
+            decoded.append(weakref.ref(score))
+            return score
+
         monkeypatch.setattr(cascade, "BAND_BYTES", 200000)
+        monkeypatch.setattr(cascade, "stream_cost", counted)
         scene = desk_scene(2)
         run_pipeline(scene.left, scene.right, desk_config())
-        # stage 2 (32x64) in 2 bands and stage 1 (64x128) in 4, halo 2 rows
-        assert shapes == [(18, 64), (18, 64), (18, 128), (20, 128), (20, 128), (18, 128)]
+        assert len(decoded) == 7
+
+    def test_pipeline_makes_no_plane_array(self, monkeypatch):
+        """No stage samples planes (`sample_planes`, `np.linspace`), and
+        stage 3 fills its dense windows by slices, with no gather tables
+        (`_row_weights`); the refinement stages make tables a plane at a
+        time."""
+        scene = desk_scene(2)  # the scene's own ramps use np.linspace
+        calls = []
+
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+
+            return call
+
+        monkeypatch.setattr(cascade, "sample_planes", refused("sample_planes"))
+        monkeypatch.setattr(cost_volume, "sample_planes", refused("sample_planes"))
+        monkeypatch.setattr(np, "linspace", refused("np.linspace"))
+        row_weights = cost_volume._row_weights
+
+        def tables(src, *args):
+            calls.append(len(src))
+            return row_weights(src, *args)
+
+        def counted(*args, **kwargs):
+            calls.append("stream_cost")
+            return stream_cost(*args, **kwargs)
+
+        monkeypatch.setattr(cost_volume, "_row_weights", tables)
+        monkeypatch.setattr(cascade, "stream_cost", counted)
+        run_pipeline(scene.left, scene.right, desk_config())
+        first, second, third = (i for i, c in enumerate(calls) if c == "stream_cost")
+        # no table in stage 3's call; stage 2 made 16 tables of 32 rows, stage 1 12 of 64
+        assert first == 0 and second == 1
+        assert calls[second + 1 : third] == [32] * 16
+        assert calls[third + 1 :] == [64] * 12
 
     def test_a_repeated_pair_is_unchanged_by_a_pair_between(self):
         """The pipeline's in-place steps touch only arrays it made: a pair
@@ -498,11 +558,11 @@ class TestTracedPeak:
 
 def banded_run(monkeypatch, scene, config, budget):
     """run_pipeline with `budget` as the refinement stages' byte budget, and
-    the first input's plane values of each stream_cost call, in call order."""
+    the first input's window of each stream_cost call, in call order."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0][0][2].values)
+        calls.append(args[0][0][2])
         return stream_cost(*args, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -511,16 +571,18 @@ def banded_run(monkeypatch, scene, config, budget):
         return run_pipeline(scene.left, scene.right, config), calls
 
 
-def assert_band_planes(band_planes, want, config):
-    """Each refinement band's planes are its rows, halo included, of the
-    planes of the whole stage in `want`."""
+def assert_band_windows(band_windows, want, config):
+    """Each refinement band's window is its rows, halo included, of the
+    window of the whole stage in `want`."""
     halo = cascade.aggregate_reach(config)
     for stage in want.stages[1:]:
         h, w = stage.disparity.shape
-        bands = [pv for pv in band_planes if pv.shape[2] == w]
-        for (a, b), pv in zip(cascade._bands(h, len(bands)), bands, strict=True):
-            rows = stage.planes.values[:, max(0, a - halo) : min(h, b + halo)]
-            assert pv.tobytes() == rows.tobytes(), (stage.scale, a, b)
+        bands = [win for win in band_windows if win.lo.shape[1] == w]
+        for (a, b), win in zip(cascade._bands(h, len(bands)), bands, strict=True):
+            rows = slice(max(0, a - halo), min(h, b + halo))
+            assert win.n == stage.count, (stage.scale, a, b)
+            assert win.lo.tobytes() == stage.lo[rows].tobytes(), (stage.scale, a, b)
+            assert win.hi.tobytes() == stage.hi[rows].tobytes(), (stage.scale, a, b)
 
 
 def assert_same_bytes(got, want):
@@ -583,7 +645,7 @@ class TestBands:
         got, band_calls = banded_run(monkeypatch, scene, config, budget)
         assert (len(whole_calls), len(band_calls)) == (3, calls)
         assert_same_bytes(got, want)
-        assert_band_planes(band_calls[1:], want, config)
+        assert_band_windows(band_calls[1:], want, config)
 
     def test_large_pair_splits_at_the_default_budget(self, monkeypatch):
         """512x1024 at dmax 256 and 2 MiB bands: stage 2 (16 x 128x256, 4 MiB)
@@ -595,7 +657,7 @@ class TestBands:
         want, whole_calls = banded_run(monkeypatch, scene, config, self.WHOLE)
         assert (len(whole_calls), len(band_calls)) == (3, 1 + 2 + 6)
         assert_same_bytes(got, want)
-        assert_band_planes(band_calls[1:], want, config)
+        assert_band_windows(band_calls[1:], want, config)
 
 
 class TestPrecision:

@@ -10,6 +10,7 @@ from cfstereo import cost_volume
 from cfstereo.cost_volume import (
     HypothesisPlanes,
     ScoreVolume,
+    Window,
     build_dense_volume,
     build_sparse_volume,
     reduce_to_cost,
@@ -43,6 +44,23 @@ def smoothed_features(rng, c, h, w):
     for ch in range(c):
         raw[ch] = box_smooth_axis(box_smooth_axis(raw[ch], 0, 1), 1, 1)
     return normalize_channels(raw)
+
+
+def random_window(seed, n, h, w):
+    """A window over fractional, integer and out-of-frame columns: random
+    bounds from -4 to 40, and unit steps from an integer `lo` in the first
+    8 columns, whose planes are integers."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-4.0, 30.0, size=(h, w))
+    hi = lo + rng.uniform(0.0, 10.0, size=(h, w))
+    lo[:, :8] = np.round(lo[:, :8])
+    hi[:, :8] = lo[:, :8] + (n - 1)
+    return Window(lo, hi, n)
+
+
+def window_planes(window):
+    """The reference builders' planes of `window`."""
+    return sample_planes(window.lo, window.hi, window.n)
 
 
 class TestHypothesisPlanes:
@@ -122,6 +140,104 @@ class TestHypothesisPlanes:
             ScoreVolume(np.zeros((4, 2, 3)), HypothesisPlanes(self.ramp(4, 3, 2)), 1)
 
 
+class TestWindow:
+    @staticmethod
+    def bounds(seed, h=5, w=7):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-5.0, 60.0, size=(h, w))
+        return lo, lo + rng.uniform(0.0, 25.0, size=(h, w))
+
+    @pytest.mark.parametrize("n", [2, 12, 16])
+    @pytest.mark.parametrize("zero_step", [False, True], ids=["spaced", "one-zero-step"])
+    def test_planes_are_the_linspace(self, n, zero_step):
+        """Each plane has the bytes of np.linspace's, the last one is `hi`,
+        and one zero-step pixel switches every plane to linspace's other
+        form, as it switches linspace."""
+        lo, hi = self.bounds(n)
+        if zero_step:
+            hi[2, 3] = lo[2, 3]
+        window = Window(lo, hi, n)
+        want = np.linspace(lo, hi, n, axis=0)
+        for k in range(n):
+            got = window.plane(k)
+            assert got.dtype == np.float64 and got.shape == lo.shape
+            assert got.tobytes() == want[k].tobytes(), k
+        assert window.plane(n - 1).tobytes() == hi.tobytes()
+        assert sample_planes(lo, hi, n).values.tobytes() == want.tobytes()
+
+    def test_zero_step_form_is_the_one_linspace_takes(self):
+        """With a zero step, k * step + lo would differ from linspace's
+        bytes somewhere on these bounds; the window does not."""
+        lo, hi = self.bounds(3, 40, 40)
+        hi[0, 0] = lo[0, 0]
+        n = 12
+        window = Window(lo, hi, n)
+        want = np.linspace(lo, hi, n, axis=0)
+        step = (hi - lo) / (n - 1)
+        assert any((k * step + lo).tobytes() != want[k].tobytes() for k in range(n - 1))
+        assert all(window.plane(k).tobytes() == want[k].tobytes() for k in range(n))
+
+    @pytest.mark.parametrize(
+        "lo, hi, n, match",
+        [
+            (np.zeros(3), np.ones(3), 4, "^window lo must be 2-dimensional, got shape \\(3,\\)$"),
+            (np.zeros((2, 3)), np.ones((2, 3, 1)), 4, "^window hi must be 2-dimensional"),
+            (np.zeros((2, 3)), np.ones((3, 2)), 4, "^window bounds differ in shape: \\(2, 3\\) vs \\(3, 2\\)$"),
+            (np.zeros((2, 3)), np.ones((2, 3)), 1, "^need at least 2 hypothesis planes$"),
+            (np.full((2, 3), np.nan), np.ones((2, 3)), 4, "^window bounds contain NaN or inf$"),
+            (np.zeros((2, 3)), np.full((2, 3), np.inf), 4, "^window bounds contain NaN or inf$"),
+            (np.ones((2, 3)), np.zeros((2, 3)), 4, "^window lo must not exceed hi$"),
+        ],
+        ids=["1-D lo", "3-D hi", "shapes", "one plane", "NaN", "inf", "inverted"],
+    )
+    def test_rejects(self, lo, hi, n, match):
+        with pytest.raises(ValueError, match=match):
+            Window(lo, hi, n)
+
+    def test_check_is_per_pixel_not_per_plane(self):
+        """The check reads the bounds, not the planes: a window of a million
+        planes costs a few (H, W) maps."""
+        lo, hi = self.bounds(4, 64, 128)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            Window(lo, hi, 10**6)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * lo.nbytes
+
+    def test_dense(self):
+        window = Window.dense(64, 3, (2, 3))
+        assert window.n == 8 and window.shifts
+        assert all(np.array_equal(window.plane(k), np.full((2, 3), float(k))) for k in range(8))
+        assert not Window(np.ones((2, 3)), np.full((2, 3), 8.0), 8).shifts
+        assert not Window(np.zeros((2, 3)), np.full((2, 3), 14.0), 8).shifts
+        with pytest.raises(ValueError, match="^dmax 36 not divisible by 2\\*\\*scale at scale 3$"):
+            Window.dense(36, 3, (2, 3))
+        with pytest.raises(ValueError, match="^dmax 8 leaves fewer than 2 planes at scale 3$"):
+            Window.dense(8, 3, (2, 3))
+
+    def test_evenly_spaced_planes_are_their_window(self):
+        lo, hi = self.bounds(5)
+        window = sample_planes(lo, hi, 6).window()
+        assert window.n == 6
+        assert window.lo.tobytes() == lo.tobytes() and window.hi.tobytes() == hi.tobytes()
+        sv = ScoreVolume(np.zeros((6,) + lo.shape), sample_planes(lo, hi, 6), 1)
+        assert isinstance(sv.window, Window) and sv.window.hi.tobytes() == hi.tobytes()
+
+    def test_uneven_planes_are_no_window(self):
+        pv = np.array([1.0, 2.0, 4.0, 7.0]).reshape(4, 1, 1)
+        with pytest.raises(ValueError, match="^planes are not evenly spaced, so they are no window to decode$"):
+            ScoreVolume(np.zeros((4, 1, 1)), HypothesisPlanes(pv), 1)
+
+    def test_stream_cost_rejects_a_window_of_another_grid(self):
+        fl = np.zeros((2, 4, 8))
+        with pytest.raises(ValueError, match=r"^window shaped \(4, 6\) does not match features \(4, 8\)$"):
+            stream_cost([(fl, fl, Window.dense(32, 3, (4, 6)))], 3, lambda v: v)
+
+
 class TestDenseVolume:
     def test_hand_example(self):
         # two channels, one group, identical unit features
@@ -157,6 +273,19 @@ class TestDenseVolume:
         gs = 8 // 2
         expect = sum(f[ch] * f[ch] for ch in range(gs)) / gs
         assert np.allclose(vol.data[8, 0], expect)
+
+    def test_shifts_past_the_row_width_read_zeros(self):
+        """32 planes on rows 8 wide: from plane 8 on, the match leaves the
+        frame at every column, so left - matched is the left value and the
+        correlation 0."""
+        rng = np.random.default_rng(12)
+        fl, fr = rng.normal(size=(2, 3, 2, 8))
+        vol = build_dense_volume(fl, fr, 256, 3, 1)
+        assert vol.data.shape == (4, 32, 2, 8)
+        assert np.array_equal(vol.data[:3, 8:], np.broadcast_to(fl[:, None], (3, 24, 2, 8)))
+        assert not vol.data[3, 8:].any()
+        oracle = volume_oracle(fl, fr, vol.planes, 3, 1)
+        assert np.abs(vol.data - oracle.data).max() < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
@@ -327,10 +456,10 @@ class TestSoftArgmin:
 
     def test_output_within_plane_bounds(self):
         rng = np.random.default_rng(9)
-        pv = np.sort(rng.uniform(0, 10, size=(6, 4, 4)), axis=0)
-        sv = ScoreVolume(rng.normal(size=(6, 4, 4)), HypothesisPlanes.per_pixel(pv), 1)
+        lo, hi = np.sort(rng.uniform(0, 10, size=(2, 4, 4)), axis=0)
+        sv = ScoreVolume(rng.normal(size=(6, 4, 4)), Window(lo, hi, 6), 1)
         d = soft_argmin(sv)
-        assert np.all(d >= pv[0]) and np.all(d <= pv[-1])
+        assert np.all(d >= lo) and np.all(d <= hi)
 
     def test_rejects_single_plane(self):
         # a one-plane ScoreVolume cannot be made: its planes are rejected first
@@ -388,6 +517,129 @@ class TestDecode:
             soft_argmin(ScoreVolume(cost, planes, 1))
         with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
             uncertainty(ScoreVolume(cost, planes, 1), np.zeros((3, 5)))
+
+
+def plane_decode(score):
+    """The decode that reads plane values: the sum of plane * p in ascending
+    order, clipped to the first and last plane, and the variance about it."""
+    p = score._distribution
+    pv = window_planes(score.window).values
+    d = np.zeros(pv.shape[1:])
+    for k in range(len(pv)):
+        d += pv[k] * p[k]
+    d = np.clip(d, pv[0], pv[-1])
+    u = np.zeros_like(d)
+    for k in range(len(pv)):
+        diff = pv[k] - d
+        u += diff * diff * p[k]
+    return d, u
+
+
+class TestClosedFormDecode:
+    """soft_argmin is lo + step * E[k] and uncertainty step^2 * Var[k]."""
+
+    @staticmethod
+    def cost(seed, n, h, w):
+        """Spread, peaked, tied and one-hot pixels."""
+        rng = np.random.default_rng(seed)
+        cost = rng.normal(scale=rng.uniform(0.1, 30.0, size=(h, w)), size=(n, h, w))
+        cost[:, 0, 0] = 2.0
+        cost[:, 0, 1] = BIG
+        cost[n - 1, 0, 1] = -BIG
+        cost[:, 0, 2] = BIG
+        cost[0, 0, 2] = -BIG
+        return cost
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_stage3_bytes_equal_the_plane_decode(self, n):
+        """On the window [0, n - 1], lo is 0 and step 1, so the closed form
+        does the plane decode's operations in its order."""
+        sv = ScoreVolume(self.cost(n, n, 16, 32), Window.dense(n, 0, (16, 32)), 3)
+        d = soft_argmin(sv)
+        want_d, want_u = plane_decode(sv)
+        assert d.tobytes() == want_d.tobytes()
+        assert uncertainty(sv, d).tobytes() == want_u.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_refinement_windows_agree_with_the_plane_decode(self, seed):
+        n = (2, 12, 16)[seed % 3]
+        window = random_window(seed, n, 16, 32)
+        sv = ScoreVolume(self.cost(seed, n, 16, 32), window, 1)
+        d = soft_argmin(sv)
+        u = uncertainty(sv, d)
+        want_d, want_u = plane_decode(sv)
+        assert np.abs(d - want_d).max() <= 1e-12
+        assert (np.abs(u - want_u) / np.maximum(1.0, want_u)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_estimate_stays_in_the_window(self, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(0.0, 1e6, size=(16, 32))
+        hi = lo + rng.uniform(0.0, 3.0, size=(16, 32))
+        hi[0] = lo[0]  # zero-width windows too
+        for n in (2, 12, 16):
+            sv = ScoreVolume(self.cost(seed, n, 16, 32), Window(lo, hi, n), 1)
+            d = soft_argmin(sv)
+            assert np.all(d >= lo) and np.all(d <= hi)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_index_mean_capped_at_the_last_plane(self, n):
+        """Near-one-hot weight on the last plane can sum past n - 1; the
+        decode caps the mean there, as the plane decode clips to the last
+        plane, byte for byte at stage 3."""
+        rng = np.random.default_rng(0)
+        cost = rng.normal(scale=rng.uniform(0.01, 3.0), size=(n, 64, 64))
+        cost[-1] -= rng.uniform(0.0, 40.0, size=(64, 64))
+        sv = ScoreVolume(cost, Window.dense(n, 0, (64, 64)), 3)
+        raw = np.zeros((64, 64))
+        for k, pk in enumerate(sv._distribution):
+            raw += k * pk
+        assert (raw > n - 1).any()
+        d = soft_argmin(sv)
+        want_d, want_u = plane_decode(sv)
+        assert d.tobytes() == want_d.tobytes()
+        assert uncertainty(sv, d).tobytes() == want_u.tobytes()
+
+    def test_estimate_capped_at_hi(self):
+        """lo + step * (n - 1) can round past hi, or short of it; one-hot
+        weight on the last plane decodes to hi where it rounds past, within
+        rounding of hi elsewhere, and with zero variance everywhere."""
+        rng = np.random.default_rng(2)
+        lo = rng.uniform(0.0, 1e3, size=(256, 256))
+        hi = lo + rng.uniform(0.0, 10.0, size=(256, 256))
+        n = 12
+        window = Window(lo, hi, n)
+        over = window.step * (n - 1) + lo > hi
+        assert over.any()
+        cost = np.full((n, 256, 256), BIG)
+        cost[-1] = -BIG
+        sv = ScoreVolume(cost, window, 1)
+        d = soft_argmin(sv)
+        assert np.array_equal(d[over], hi[over]) and np.all(d <= hi)
+        assert np.abs(d - hi).max() <= 1e-12 * np.abs(hi).max()
+        assert not uncertainty(sv, d).any()
+
+    def test_uncertainty_is_zero_iff_one_hot(self):
+        n, h, w = 12, 4, 6
+        window = random_window(7, n, h, w)
+        for k in range(n):
+            cost = np.full((n, h, w), BIG)
+            cost[k] = -BIG
+            sv = ScoreVolume(cost, window, 1)
+            d = soft_argmin(sv)
+            assert np.array_equal(np.minimum(window.plane(k), window.hi), d)
+            assert not uncertainty(sv, d).any()
+            # a second plane that holds any weight at all
+            cost[(k + 1) % n] = -BIG + 30.0
+            sv = ScoreVolume(cost, window, 1)
+            assert np.all(uncertainty(sv, soft_argmin(sv)) > 0.0)
+
+    def test_uncertainty_about_another_estimate(self):
+        """About d_hat + e the variance is larger by e^2."""
+        sv = ScoreVolume(self.cost(3, 12, 8, 8), random_window(3, 12, 8, 8), 1)
+        d = soft_argmin(sv)
+        u = uncertainty(sv, d)
+        assert np.allclose(uncertainty(sv, d + 0.5), u + 0.25, rtol=1e-12, atol=1e-12)
 
 
 class TestFloat32Volumes:
@@ -460,9 +712,10 @@ class TestStreamCost:
         fr = 0.8 * np.roll(fl, 5, axis=-1) + 0.2 * smoothed_features(rng, self.CHANNELS, h, w)
         return fl.astype(dtype), fr.astype(dtype)
 
-    def streamed(self, monkeypatch, inputs, scale, regularize):
+    def streamed(self, monkeypatch, inputs, scale, regularize, split=True):
         """stream_cost's costs at the default BLOCK_BYTES and at 1, checking
-        the channel counts of the regularize calls."""
+        the channel counts of the regularize calls: at the default, two or
+        more blocks if `split`, else one."""
         costs = []
         for block_bytes in (cost_volume.BLOCK_BYTES, 1):
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
@@ -473,14 +726,16 @@ class TestStreamCost:
                 return regularize(*volumes)
 
             score = stream_cost(inputs, scale, counted, **self.WEIGHTS)
-            assert score.cost.dtype == np.float64 and score.planes is inputs[0][2]
+            assert score.cost.dtype == np.float64 and score.window is inputs[0][2]
             # channel blocks, then the correlation as one channel
             *channel_blocks, corr = blocks
             assert corr == 1 and sum(channel_blocks) == self.CHANNELS
             if block_bytes == 1:
                 assert channel_blocks == [1] * self.CHANNELS
-            else:
+            elif split:
                 assert len(channel_blocks) >= 2 and channel_blocks[-1] < channel_blocks[0]
+            else:
+                assert channel_blocks == [self.CHANNELS]
             costs.append(score.cost)
         return costs
 
@@ -496,18 +751,34 @@ class TestStreamCost:
         dmax, scales = 128, ((3, 4, 5) if fusion else (3,))
         feats = {s: self.features(s, 64 >> s, 512 >> s, dtype) for s in scales}
         regularize = self.fuse if fusion else self.smooth
-        inputs = [(*feats[s], HypothesisPlanes.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
+        inputs = [(*feats[s], Window.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
         volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
         want = reduce_to_cost(regularize(*volumes), inputs[0][2], 3, **self.WEIGHTS)
         for got in self.streamed(monkeypatch, inputs, 3, regularize):
             assert np.array_equal(got, want.cost)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scales", [(3, 4, 5), (3,), (4,), (5,)], ids=["fused", "3", "4", "5"])
+    def test_dense_planes_at_or_past_the_row_width(self, monkeypatch, dtype, scales):
+        """`RunConfig()`'s dmax 256 on a 64x64 pair: 32 planes on scale-3
+        rows 8 wide, 16 on scale-4 rows 4 wide and 8 on scale-5 rows 2 wide.
+        A shift at or past the row width reads a zero row, in the builder
+        and in the stream alike."""
+        dmax = 256
+        feats = {s: self.features(s, 64 >> s, 64 >> s, dtype) for s in scales}
+        regularize = self.fuse if len(scales) == 3 else self.smooth
+        inputs = [(*feats[s], Window.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
+        volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
+        want = reduce_to_cost(regularize(*volumes), inputs[0][2], scales[0], **self.WEIGHTS)
+        for got in self.streamed(monkeypatch, inputs, scales[0], regularize, split=False):
+            assert got.tobytes() == want.cost.tobytes()
 
     def test_mixed_dtype_inputs(self, monkeypatch):
         """float32 features at scale 3 fused with float64 ones at 4 and 5
         regularize to float64, and the sum follows: still byte-equal."""
         dmax, scales = 128, (3, 4, 5)
         feats = {s: self.features(s, 64 >> s, 512 >> s, np.float32 if s == 3 else np.float64) for s in scales}
-        inputs = [(*feats[s], HypothesisPlanes.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
+        inputs = [(*feats[s], Window.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
         fused = self.fuse(*(build_dense_volume(*feats[s], dmax, s, 1).data for s in scales))
         assert fused.dtype == np.float64
         want = reduce_to_cost(fused, inputs[0][2], 3, **self.WEIGHTS)
@@ -518,26 +789,22 @@ class TestStreamCost:
         """A regularize that turns float32 blocks into float64 ones gets a
         float64 sum, as reduce_to_cost of its float64 volume does."""
         fl, fr = self.features(3, 8, 64, np.float32)
-        planes = HypothesisPlanes.dense(128, 3, fl.shape[1:])
+        window = Window.dense(128, 3, fl.shape[1:])
 
         def widened(volume):
             return self.smooth(volume).astype(np.float64)
 
-        want = reduce_to_cost(widened(build_dense_volume(fl, fr, 128, 3, 1).data), planes, 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, [(fl, fr, planes)], 3, widened):
+        want = reduce_to_cost(widened(build_dense_volume(fl, fr, 128, 3, 1).data), window, 3, **self.WEIGHTS)
+        for got in self.streamed(monkeypatch, [(fl, fr, window)], 3, widened):
             assert got.tobytes() == want.cost.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sparse_planes(self, monkeypatch, dtype):
         fl, fr = self.features(7, 16, 64, dtype)
-        rng = np.random.default_rng(8)
-        # fractional, integer and out-of-frame columns
-        pv = np.sort(rng.uniform(-4.0, 40.0, size=(12, 16, 64)), axis=0)
-        pv[:, :, :8] = np.round(pv[:, :, :8])
-        planes = HypothesisPlanes.per_pixel(pv)
-        vol = build_sparse_volume(fl, fr, planes, 1, 1)
-        want = reduce_to_cost(self.smooth(vol.data), planes, 1, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, [(fl, fr, planes)], 1, self.smooth):
+        window = random_window(8, 12, 16, 64)
+        vol = build_sparse_volume(fl, fr, window_planes(window), 1, 1)
+        want = reduce_to_cost(self.smooth(vol.data), window, 1, **self.WEIGHTS)
+        for got in self.streamed(monkeypatch, [(fl, fr, window)], 1, self.smooth):
             assert np.array_equal(got, want.cost)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -554,18 +821,17 @@ class TestStreamCost:
         h, w = 32, 256
         fl, fr = self.features(12, h, w, dtype)
         if planes == "dense":
+            window = Window.dense(16, 3, (h, w))
             vol = build_dense_volume(fl, fr, 16, 3, 1)
         else:
-            # fractional, integer and out-of-frame columns
-            pv = np.sort(np.random.default_rng(13).uniform(-4.0, 40.0, size=(3, h, w)), axis=0)
-            pv[:, :, :8] = np.round(pv[:, :, :8])
-            vol = build_sparse_volume(fl, fr, HypothesisPlanes.per_pixel(pv), 3, 1)
-        n = vol.planes.count
+            window = random_window(13, 3, h, w)
+            vol = build_sparse_volume(fl, fr, window_planes(window), 3, 1)
+        n = window.n
 
         def smooth(volume):
             return aggregate(volume, config)
 
-        want = reduce_to_cost(smooth(vol.data), vol.planes, 3, **self.WEIGHTS)
+        want = reduce_to_cost(smooth(vol.data), window, 3, **self.WEIGHTS)
         for block_bytes in (cost_volume.BLOCK_BYTES, 1):
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
             calls = []
@@ -574,7 +840,7 @@ class TestStreamCost:
                 calls.append(volume.shape[:2])
                 return smooth(volume)
 
-            score = stream_cost([(fl, fr, vol.planes)], 3, counted, plane_reach=0, **self.WEIGHTS)
+            score = stream_cost([(fl, fr, window)], 3, counted, plane_reach=0, **self.WEIGHTS)
             assert np.array_equal(score.cost, want.cost)
             block = max(1, block_bytes // fl[0].nbytes)
             chunks = [(min(block, self.CHANNELS - c0), 1) for c0 in range(0, self.CHANNELS, block)]
@@ -598,19 +864,18 @@ class TestStreamCost:
         h, w = 16, 32
         fl, fr = self.features(14, h, w, dtype)
         if planes == "dense":
+            window = Window.dense(128, 3, (h, w))
             vol = build_dense_volume(fl, fr, 128, 3, 1)
         else:
-            # fractional, integer and out-of-frame columns
-            pv = np.sort(np.random.default_rng(15).uniform(-4.0, 40.0, size=(16, h, w)), axis=0)
-            pv[:, :, :8] = np.round(pv[:, :, :8])
-            vol = build_sparse_volume(fl, fr, HypothesisPlanes.per_pixel(pv), 3, 1)
-        n = vol.planes.count
+            window = random_window(15, 16, h, w)
+            vol = build_sparse_volume(fl, fr, window_planes(window), 3, 1)
+        n = window.n
         assert n == 16
 
         def smooth(volume):
             return aggregate(volume, config)
 
-        want = reduce_to_cost(smooth(vol.data), vol.planes, 3, **self.WEIGHTS)
+        want = reduce_to_cost(smooth(vol.data), window, 3, **self.WEIGHTS)
         for block_bytes in (cost_volume.BLOCK_BYTES, 1):
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
             calls = []
@@ -619,7 +884,7 @@ class TestStreamCost:
                 calls.append(volume.shape[:2])
                 return smooth(volume)
 
-            score = stream_cost([(fl, fr, vol.planes)], 3, counted, plane_reach=0, **self.WEIGHTS)
+            score = stream_cost([(fl, fr, window)], 3, counted, plane_reach=0, **self.WEIGHTS)
             assert score.cost.tobytes() == want.cost.tobytes()
             if block_bytes == 1:
                 assert calls == [(1, 1)] * (self.CHANNELS * n) + [(1, n)]
@@ -630,7 +895,7 @@ class TestStreamCost:
     @pytest.mark.parametrize("reach", [-1, -4])
     def test_negative_plane_reach_rejected(self, reach):
         fl, fr = self.features(0, 4, 8, np.float64)
-        inputs = [(fl, fr, HypothesisPlanes.dense(32, 3, (4, 8)))]
+        inputs = [(fl, fr, Window.dense(32, 3, (4, 8)))]
         with pytest.raises(ValueError, match=f"^plane reach must be None or >= 0, got {reach}$"):
             stream_cost(inputs, 3, self.smooth, plane_reach=reach)
 
@@ -642,8 +907,7 @@ class TestStreamCost:
         would take 3 maps more."""
         config = desk_config()
         fl, fr = self.features(3, 64, 128, np.float32)
-        pv = np.sort(np.random.default_rng(4).uniform(0.0, 30.0, size=(12, 64, 128)), axis=0)
-        planes = HypothesisPlanes.per_pixel(pv)
+        window = random_window(4, 12, 64, 128)
         reach = aggregate_plane_reach(config)
         assert reach == 0
 
@@ -654,7 +918,7 @@ class TestStreamCost:
         try:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            score = stream_cost([(fl, fr, planes)], 1, smooth, plane_reach=reach, **self.WEIGHTS)
+            score = stream_cost([(fl, fr, window)], 1, smooth, plane_reach=reach, **self.WEIGHTS)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -663,8 +927,8 @@ class TestStreamCost:
     def test_plane_reach_zero_takes_one_input(self):
         fl, fr = self.features(0, 4, 8, np.float64)
         inputs = [
-            (fl, fr, HypothesisPlanes.dense(32, 3, (4, 8))),
-            (fl[:, :2, :4], fr[:, :2, :4], HypothesisPlanes.dense(32, 4, (2, 4))),
+            (fl, fr, Window.dense(32, 3, (4, 8))),
+            (fl[:, :2, :4], fr[:, :2, :4], Window.dense(32, 4, (2, 4))),
         ]
         with pytest.raises(ValueError, match="plane reach 0 takes one input"):
             stream_cost(inputs, 3, self.fuse, plane_reach=0)
@@ -672,8 +936,8 @@ class TestStreamCost:
     def test_feature_counts_must_agree(self):
         fl, fr = self.features(0, 4, 8, np.float64)
         inputs = [
-            (fl, fr, HypothesisPlanes.dense(32, 3, (4, 8))),
-            (fl[:5, :2, :4], fr[:5, :2, :4], HypothesisPlanes.dense(32, 4, (2, 4))),
+            (fl, fr, Window.dense(32, 3, (4, 8))),
+            (fl[:5, :2, :4], fr[:5, :2, :4], Window.dense(32, 4, (2, 4))),
         ]
         with pytest.raises(ValueError, match="feature counts differ"):
             stream_cost(inputs, 3, self.fuse)

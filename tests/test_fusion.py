@@ -12,6 +12,7 @@ from cfstereo.cost_volume import (
     build_dense_volume,
     build_sparse_volume,
     reduce_to_cost,
+    sample_planes,
     soft_argmin,
     uncertainty,
 )
@@ -265,11 +266,12 @@ class TestDifferenceVolume:
     def test_single_volume_path(self, g):
         rng = np.random.default_rng(20 + g)
         fl, fr = rng.normal(size=(2, self.C, 8, 16))
-        pv = np.sort(rng.uniform(-1.0, 17.0, size=(6, 8, 16)), axis=0)
+        # a score volume decodes a window, so the sparse planes are evenly spaced
+        lo, hi = np.sort(rng.uniform(-1.0, 17.0, size=(2, 8, 16)), axis=0)
         cfg = replace(RunConfig(), fusion_smooth_radius=(1, 2, 1), fusion_passes=2)
         for vol in (
             build_dense_volume(fl, fr, 64, 3, g),
-            build_sparse_volume(fl, fr, HypothesisPlanes.per_pixel(pv), 1, g),
+            build_sparse_volume(fl, fr, sample_planes(lo, hi, 6), 1, g),
         ):
             got = reduce_to_cost(aggregate(mean_correlation(vol), cfg), vol.planes, vol.scale, 3.0, 2.0)
             want = layout_cost(aggregate(paper_layout(fl, vol), cfg), self.C, g, 3.0, 2.0)
