@@ -105,7 +105,7 @@ def evaluate_scene(scene: SyntheticScene, config: RunConfig) -> tuple[SceneRepor
     # stage 1's window bounds, without building its planes
     stage1 = out.stages[-1]
     gt_half = downsample_gt(np.where(scene.valid, scene.gt, 0.0), 2)
-    coverage = window_coverage(gt_half, stage1.lo, stage1.hi)
+    coverage = window_coverage(gt_half, stage1.window.lo, stage1.window.hi)
 
     report = SceneReport(
         spec=scene.spec,

@@ -9,11 +9,11 @@ here, and so is `cost_volume.sample_planes`; each checks its own input,
 and a `Window` checks its bounds. The image size is checked by
 `build_pyramid`, so the pipeline does not check them again.
 
-One loop decodes every stage, in row bands for stages 2 and 1 and in one
-band for stage 3. A band's window is its rows of the stage's bounds, and
-the fill and the decode make no (N, H, W) plane array. A `StageResult`
-keeps the window (`lo`, `hi` and the plane count) and builds its planes
-only when they are read.
+One loop decodes every stage, in row bands of `BAND_BYTES`, except that a
+stage fused with coarser scales (stage 3 with fusion on) is one band. A
+band's window is its rows of the stage's window, and the fill and the
+decode make no (N, H, W) plane array. A `StageResult` keeps the `Window`
+it decoded and builds its planes only when they are read.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ __all__ = [
     "run_pipeline",
 ]
 
-# A refinement stage decodes in row bands of at most about this many bytes of
-# float64 (N, H, W) map. At 2 MiB, a 512x1024 pair's stage 1 takes 6 bands,
+# A stage decodes in row bands of at most about this many bytes of float64
+# (N, H, W) map. At 2 MiB, a 512x1024 pair's stage 1 takes 6 bands,
 # not 3 as at 4 MiB, and perfbench's large `pair_ref.p50` was lower in 10 of
 # 10 interleaved pairs (1.84 -> 1.70); a 256x512 pair's stage 1 takes 2
 # bands, not 1, and mid's was no worse (2.36 -> 2.29).
@@ -52,22 +52,19 @@ BAND_BYTES = 2 << 20
 
 @dataclass(frozen=True, eq=False)
 class StageResult:
-    """One stage's maps and the window it searched: `count` planes spaced
-    from `lo` to `hi` per pixel. The pipeline makes no plane array; `planes`
-    builds them (`sample_planes`) the first time it is read, for callers
-    that read plane values, such as the benchmark's stage statistics. Their
-    first plane is `lo` and their last `hi`."""
+    """One stage's maps and the `Window` it decoded. The pipeline makes no
+    plane array; `planes` builds the window's (`Window.planes`) the first
+    time it is read, for callers that read plane values, such as the
+    benchmark's stage statistics."""
 
     scale: int
     disparity: np.ndarray
     uncertainty: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    count: int
+    window: Window
 
     @cached_property
     def planes(self) -> HypothesisPlanes:
-        return sample_planes(self.lo, self.hi, self.count)
+        return self.window.planes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,45 +173,44 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     def fuse(v3, v4, v5):
         return fuse_volumes(v3, v4, v5, config)
 
-    # Every stage decodes a window of n planes from lo to hi, in BAND_BYTES
-    # row bands of its float64 (N, H, W) map when `banded`. Only aggregate's
-    # y box couples rows, so a band read with aggregate_reach rows of halo on
-    # each side gives its own rows' bytes exactly; a band's window is its
-    # rows of lo and hi, whose planes are those rows of the stage's planes,
-    # since linspace works per element. `coarser` holds the inputs fused in
-    # from scales 4 and 5 (one band: fusion's row reach is not worked out).
-    # A one-band stage reads the whole feature arrays, not copies.
-    def decode_window(scale, lo, hi, n, regularize, coarser=(), banded=True):
+    # Every stage decodes its window in BAND_BYTES row bands of its float64
+    # (N, H, W) map. Only aggregate's y box couples rows, so a band read with
+    # aggregate_reach rows of halo on each side gives its own rows' bytes
+    # exactly; a band's window is its rows of lo and hi, whose planes are
+    # those rows of the stage's planes, since each plane is worked out per
+    # pixel. `coarser` holds the inputs fused in from scales 4 and 5, and a
+    # stage with them is one band: fusion's row reach is not worked out. A
+    # one-band stage reads the whole feature arrays, not copies.
+    def decode_window(scale, window, regularize, coarser=()):
         fl, fr = feat_l[scale], feat_r[scale]
-        h, w = lo.shape
-        count = min(h, -(-n * lo.nbytes // BAND_BYTES)) if banded else 1
+        h, w = window.lo.shape
+        count = 1 if coarser else min(h, -(-window.n * window.lo.nbytes // BAND_BYTES))
         halo = aggregate_reach(config)
         plane_reach = None if coarser else aggregate_plane_reach(config)
         disp, unc = np.empty((h, w), DTYPE), np.empty((h, w), DTYPE)
         for a, b in _bands(h, count):
             a0, b0 = max(0, a - halo), min(h, b + halo)
             fl_rows, fr_rows = (np.ascontiguousarray(f[:, a0:b0]) for f in (fl, fr))
-            inputs = [(fl_rows, fr_rows, Window(lo[a0:b0], hi[a0:b0], n)), *coarser]
+            inputs = [(fl_rows, fr_rows, Window(window.lo[a0:b0], window.hi[a0:b0], window.n)), *coarser]
             sv = stream_cost(inputs, scale, regularize, w_g, w_a, plane_reach)
             d = soft_argmin(sv)
             disp[a:b] = d[a - a0 : b - a0]
             unc[a:b] = uncertainty(sv, d)[a - a0 : b - a0]
             # the band's cost, softmax and window, before the next band's are made
             del inputs, sv
-        return StageResult(scale, disp, unc, lo, hi, n)
+        return StageResult(scale, disp, unc, window)
 
     with _stage("stage 3"):
         dense = Window.dense(dmax, 3, feat_l[3].shape[1:])
         fused = config.fusion_enabled
         coarser = [(feat_l[s], feat_r[s], Window.dense(dmax, s, feat_l[s].shape[1:])) for s in (4, 5) if fused]
-        regularize = fuse if fused else smooth
-        results = [decode_window(3, dense.lo, dense.hi, dense.n, regularize, coarser, banded=False)]
+        results = [decode_window(3, dense, fuse if fused else smooth, coarser)]
 
     for stage in (3, 2):
         with _stage(f"stage {stage - 1}"):
             prev = results[-1]
             lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
-            results.append(decode_window(stage - 1, lo, hi, params.for_stage(stage)[2], smooth))
+            results.append(decode_window(stage - 1, Window(lo, hi, params.for_stage(stage)[2]), smooth))
 
     with _stage("output"):
         final = results[-1]

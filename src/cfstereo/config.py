@@ -6,7 +6,8 @@ defaults. The full key set is serialized next to every run for
 reproducibility.
 
 `RunConfig` is the schema: each field is one key, named by turning the
-field's first '_' into '.', and its annotation gives the value type.
+field's first '_' into '.', and its annotation gives the value type, which
+`validate_config` checks first, so a value built in code is held to it too.
 `RangeParams` holds the five `cascade.*` keys as the cascade reads them and
 is the only check of their rules; `validate_config` builds one to check them.
 """
@@ -14,6 +15,7 @@ is the only check of their rules; `validate_config` builds one to check them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -115,16 +117,34 @@ def _parse(kind, text: str):
     return kind(text)
 
 
+def _has_kind(kind, value) -> bool:
+    """Whether `value` is of the annotated type `kind`: an int key takes an
+    integral number, a float key a real one (neither a bool), a bool key a
+    bool, and a tuple key a tuple of its length."""
+    if get_origin(kind) is tuple:
+        kinds = get_args(kind)
+        return isinstance(value, tuple) and len(value) == len(kinds) and all(map(_has_kind, kinds, value))
+    if kind is bool:
+        return isinstance(value, bool)
+    return isinstance(value, numbers.Integral if kind is int else numbers.Real) and not isinstance(value, bool)
+
+
 def _format(value) -> str:
     if isinstance(value, tuple):
         return ",".join(_format(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
+    # a NumPy number is written as the Python number it equals
+    return str(int(value)) if isinstance(value, numbers.Integral) else repr(float(value))
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     c = cfg
+    for key, (name, kind) in _KINDS.items():
+        value = getattr(c, name)
+        if not _has_kind(kind, value):
+            expected = kind.__name__ if isinstance(kind, type) else str(kind)
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
     for key, value in (("cost.w_group", c.cost_w_group), ("cost.w_absdiff", c.cost_w_absdiff)):
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite")

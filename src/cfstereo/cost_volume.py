@@ -8,9 +8,9 @@ followed by the group correlations, and `reduce_to_cost` applies `|.|`. A
 score volume holds one cost per plane; softmax of the negated cost is the
 disparity distribution. Every stage searches a `Window`: n planes evenly
 spaced from `lo` to `hi` per pixel, the dense planes being [0, n - 1]. A
-window makes each (H, W) plane only when it is reached, with the bytes of
-`np.linspace(lo, hi, n, axis=0)`; `HypothesisPlanes` holds whole (N, H, W)
-planes for the reference builders, and `sample_planes` makes them.
+window makes each (H, W) plane, k * step + lo, only when it is reached;
+`HypothesisPlanes` holds whole (N, H, W) planes for the reference
+builders, and `Window.planes` (or `sample_planes`) makes them.
 
 The pipeline never holds a volume or a plane array whole. Every step before
 `|.|` acts on each channel alone, so `stream_cost` builds, regularizes and
@@ -62,22 +62,6 @@ from .tensor_ops import (
 BLOCK_BYTES = 256 << 10
 
 
-def _checked_planes(v: np.ndarray) -> np.ndarray:
-    """`v`, a float64 array of plane values that nothing else holds, checked
-    and made read-only."""
-    if v.ndim != 3:
-        raise ValueError(f"plane values must be 3-dimensional, got shape {v.shape}")
-    if v.shape[0] < 2:
-        raise ValueError("need at least 2 hypothesis planes")
-    if not np.isfinite(v).all():
-        raise ValueError("hypothesis planes contain NaN or inf")
-    # one plane pair at a time: np.diff would allocate an (N-1, H, W) temporary
-    if any((v[i + 1] - v[i] < -1e-9).any() for i in range(v.shape[0] - 1)):
-        raise ValueError("plane values must be non-decreasing per pixel")
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class Window:
     """`n` planes evenly spaced from `lo` to `hi` per pixel, in scale-local
@@ -126,23 +110,34 @@ class Window:
         window, so that its fill reads slices of the matched rows."""
         return not self.lo.any() and bool((self.hi == self.n - 1).all())
 
-    @cached_property
-    def _any_zero_step(self) -> bool:
-        return not self.step.all()
-
     def plane(self, k: int) -> np.ndarray:
-        """Plane k, (H, W) float64, with the bytes of `np.linspace(lo, hi, n,
-        axis=0)[k]`: k * step + lo, except that plane n - 1 is `hi` itself
-        and that, if any step is 0, every plane is (k / (n - 1)) * (hi - lo)
-        + lo, as linspace then computes it."""
+        """Plane k, (H, W) float64: k * step + lo, and `hi` itself for plane
+        n - 1, so a pixel with lo == hi holds lo in every plane. Where no
+        step is 0, these are the bytes of `np.linspace(lo, hi, n, axis=0)[k]`."""
         if k == self.n - 1:
             return self.hi
-        if self._any_zero_step:
-            out = (k / (self.n - 1)) * (self.hi - self.lo)
-        else:
-            out = k * self.step
+        out = k * self.step
         out += self.lo
         return out
+
+    def planes(self) -> "HypothesisPlanes":
+        """Every plane at once, for the reference builders and callers that
+        read plane values: one read-only (N, H, W) float64 array filled in
+        place with `plane`'s arithmetic. The window's check holds for its
+        planes, so they are kept without the constructor's copy or check."""
+        values = np.empty((self.n,) + self.lo.shape, DTYPE)
+        # `step`'s arithmetic, not its cached map: a StageResult's window
+        # outlives the pair, and holding its step put perfbench's large
+        # peak_rss_mb at 455.3-455.6 MB against 451.8-451.9 (seeds 4-6)
+        step = (self.hi - self.lo) / (self.n - 1)
+        for k, out in enumerate(values[:-1]):
+            np.multiply(k, step, out=out)
+            out += self.lo
+        values[-1] = self.hi
+        values.flags.writeable = False
+        planes = HypothesisPlanes.__new__(HypothesisPlanes)
+        object.__setattr__(planes, "values", values)
+        return planes
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,20 +148,24 @@ class HypothesisPlanes:
     `values` is (N, H, W) with N >= 2, finite and non-decreasing along N.
     The constructor checks this and keeps a read-only float64 copy, so
     planes stay valid whatever later happens to the caller's array.
-    `sample_planes` makes the planes of a window: it checks the array it
-    makes and keeps it without that copy.
+    `Window.planes` makes the planes of a window without that copy.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _checked_planes(as_grid(self.values).astype(DTYPE)))
-
-    @classmethod
-    def dense(cls, dmax: int, scale: int, shape: tuple[int, int]) -> "HypothesisPlanes":
-        """The planes of `Window.dense`: the integers 0 .. n - 1."""
-        window = Window.dense(dmax, scale, shape)
-        return sample_planes(window.lo, window.hi, window.n)
+        v = as_grid(self.values).astype(DTYPE)
+        if v.ndim != 3:
+            raise ValueError(f"plane values must be 3-dimensional, got shape {v.shape}")
+        if v.shape[0] < 2:
+            raise ValueError("need at least 2 hypothesis planes")
+        if not np.isfinite(v).all():
+            raise ValueError("hypothesis planes contain NaN or inf")
+        # one plane pair at a time: np.diff would allocate an (N-1, H, W) temporary
+        if any((v[i + 1] - v[i] < -1e-9).any() for i in range(v.shape[0] - 1)):
+            raise ValueError("plane values must be non-decreasing per pixel")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def per_pixel(cls, values: np.ndarray) -> "HypothesisPlanes":
@@ -193,17 +192,9 @@ class HypothesisPlanes:
 
 
 def sample_planes(d_min: np.ndarray, d_max: np.ndarray, n: int) -> HypothesisPlanes:
-    """N values linearly spaced from d_min to d_max inclusive, per pixel:
-    `np.linspace(d_min, d_max, n, axis=0)` in float64, checked and kept
-    without a copy. `_checked_planes` rejects n < 2 and d_min > d_max."""
-    lo = as_grid(d_min, 2, "d_min")
-    hi = as_grid(d_max, 2, "d_max")
-    if lo.shape != hi.shape:
-        raise ValueError(f"shape mismatch: {lo.shape} vs {hi.shape}")
-    values = np.linspace(lo, hi, n, axis=0).astype(DTYPE, copy=False)
-    planes = HypothesisPlanes.__new__(HypothesisPlanes)
-    object.__setattr__(planes, "values", _checked_planes(values))
-    return planes
+    """N values evenly spaced from d_min to d_max inclusive, per pixel:
+    `Window(d_min, d_max, n).planes()`, so the window's check applies."""
+    return Window(d_min, d_max, n).planes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +339,10 @@ def build_dense_volume(
 ) -> CombinationVolume:
     """Volume over every integer disparity 0 .. dmax/2^scale - 1 on the left
     features' grid (`Window.dense`), filled by slices as `stream_cost`
-    fills a dense window; its planes are that window's `sample_planes`."""
+    fills a dense window; its planes are that window's `planes()`."""
     fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
     window = Window.dense(dmax, scale, fl.shape[1:])
-    planes = sample_planes(window.lo, window.hi, window.n)
-    return _build(fl, fr, _plane_weights(fl, window, range(window.n)), planes, scale, n_groups)
+    return _build(fl, fr, _plane_weights(fl, window, range(window.n)), window.planes(), scale, n_groups)
 
 
 def build_sparse_volume(

@@ -1,7 +1,8 @@
 import numpy as np
 
-from cfstereo import benchmarks, cascade
+from cfstereo import benchmarks
 from cfstereo.benchmarks import ORACLE_RADIUS, desk_config, desk_scene, evaluate_scene, interior_mask
+from cfstereo.cost_volume import Window
 from cfstereo.metrics import bad_tau, coverage_rate, downsample_gt
 from cfstereo.synth import block_match_oracle
 
@@ -27,21 +28,21 @@ def test_oracle_runs_only_when_read(monkeypatch):
 
 
 def test_coverage_reads_the_stage_window_without_building_planes(monkeypatch):
-    """evaluate_scene takes stage 1's coverage from its `lo`/`hi` bounds: it
-    and the pipeline sample no planes, and the coverage is that of the
+    """evaluate_scene takes stage 1's coverage from its window's bounds: it
+    and the pipeline build no planes, and the coverage is that of the
     stage's planes."""
     calls = []
 
-    def counted(*args):
-        calls.append(args[2])
-        return sample_planes(*args)
+    def counted(window):
+        calls.append(window)
+        return planes(window)
 
-    sample_planes = cascade.sample_planes
-    monkeypatch.setattr(cascade, "sample_planes", counted)
+    planes = Window.planes
+    monkeypatch.setattr(Window, "planes", counted)
     scene, cfg = desk_scene(0), desk_config()
     rep, out = evaluate_scene(scene, cfg)
     assert calls == []
     stage1 = out.stages[-1]
     gt_half = downsample_gt(np.where(scene.valid, scene.gt, 0.0), 2)
     assert rep.coverage == coverage_rate(gt_half, stage1.planes)
-    assert calls == [stage1.count]
+    assert calls == [stage1.window]

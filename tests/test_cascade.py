@@ -26,7 +26,7 @@ from cfstereo.cascade import (
     uncertainty,
 )
 from cfstereo.config import RunConfig
-from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume, stream_cost
+from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume, Window, stream_cost
 from cfstereo.errors import ConfigError, PipelineError
 from cfstereo.synth import random_dot_stereogram
 
@@ -174,8 +174,7 @@ class TestNextRange:
 class TestSamplePlanes:
     def test_is_the_one_sampler(self):
         """`cascade` and the package re-export `cost_volume.sample_planes`
-        itself, not a wrapper, so patching `cascade.sample_planes` reaches
-        every spaced plane set the pipeline builds."""
+        itself, not a wrapper."""
         assert cascade.sample_planes is cost_volume.sample_planes
         assert cfstereo.sample_planes is cost_volume.sample_planes
 
@@ -198,7 +197,7 @@ class TestSamplePlanes:
             sample_planes(np.zeros((1, 1)), np.ones((1, 1)), 1)
 
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
+        with pytest.raises(ValueError, match="^window lo must not exceed hi$"):
             sample_planes(np.ones((1, 1)), np.zeros((1, 1)), 4)
 
 
@@ -246,7 +245,7 @@ class TestPipeline:
         assert out.disparity.shape == out.uncertainty.shape == (64, 64)
         for maps in [(out.disparity, out.uncertainty)] + [(s.disparity, s.uncertainty) for s in out.stages]:
             assert all(np.isfinite(m).all() for m in maps)
-        assert out.stages[0].count == 32
+        assert out.stages[0].window.n == 32
 
     def test_mismatched_shapes_tagged(self):
         with pytest.raises(PipelineError, match=r"^input: image shapes differ: \(64, 64\) vs \(64, 96\)$"):
@@ -361,39 +360,40 @@ def stage_bytes(out):
     """Every array of a PipelineOutput, as bytes, the planes included."""
     maps = [out.disparity, out.uncertainty]
     for stage in out.stages:
-        maps += [stage.disparity, stage.uncertainty, stage.lo, stage.hi, stage.planes.values]
+        maps += [stage.disparity, stage.uncertainty, stage.window.lo, stage.window.hi, stage.planes.values]
     return [m.tobytes() for m in maps]
 
 
 class TestStagePlanes:
-    """A StageResult keeps its window's bounds and plane count, and builds
-    its planes only when they are read."""
+    """A StageResult keeps the window it decoded, and builds its planes
+    only when they are read."""
 
     def test_planes_are_sampled_from_the_window_once(self, monkeypatch):
         scene = desk_scene(2)
         out = run_pipeline(scene.left, scene.right, desk_config())
+        wants = [stage.window.planes().values for stage in out.stages]
         calls = []
+        planes = Window.planes
 
-        def counted(*args):
-            calls.append(None)
-            return sample_planes(*args)
+        def counted(window):
+            calls.append(window)
+            return planes(window)
 
-        monkeypatch.setattr(cascade, "sample_planes", counted)
-        for stage in out.stages:
-            want = sample_planes(stage.lo, stage.hi, stage.count).values
+        monkeypatch.setattr(Window, "planes", counted)
+        for stage, want in zip(out.stages, wants):
             first = stage.planes
             assert stage.planes is first
             assert first.values.tobytes() == want.tobytes()
-            assert first.count == stage.count
-            assert np.array_equal(first.values[0], stage.lo)
-            assert np.array_equal(first.values[-1], stage.hi)
-        assert len(calls) == len(out.stages)
+            assert first.count == stage.window.n
+            assert np.array_equal(first.values[0], stage.window.lo)
+            assert np.array_equal(first.values[-1], stage.window.hi)
+        assert calls == [stage.window for stage in out.stages]
 
     def test_stage3_planes_are_the_dense_planes(self):
         scene = desk_scene(2)
         config = desk_config()
         stage3 = run_pipeline(scene.left, scene.right, config).stages[0]
-        dense = HypothesisPlanes.dense(config.pipeline_dmax, 3, stage3.disparity.shape)
+        dense = Window.dense(config.pipeline_dmax, 3, stage3.disparity.shape).planes()
         assert stage3.planes.values.tobytes() == dense.values.tobytes()
 
     def test_no_stage_samples_its_planes_whole(self, monkeypatch):
@@ -425,7 +425,7 @@ class TestStagePlanes:
         assert len(decoded) == 7
 
     def test_pipeline_makes_no_plane_array(self, monkeypatch):
-        """No stage samples planes (`sample_planes`, `np.linspace`), and
+        """No stage builds planes (`Window.planes`, `np.linspace`), and
         stage 3 fills its dense windows by slices, with no gather tables
         (`_row_weights`); the refinement stages make tables a plane at a
         time."""
@@ -438,8 +438,7 @@ class TestStagePlanes:
 
             return call
 
-        monkeypatch.setattr(cascade, "sample_planes", refused("sample_planes"))
-        monkeypatch.setattr(cost_volume, "sample_planes", refused("sample_planes"))
+        monkeypatch.setattr(Window, "planes", refused("Window.planes"))
         monkeypatch.setattr(np, "linspace", refused("np.linspace"))
         row_weights = cost_volume._row_weights
 
@@ -572,33 +571,38 @@ def banded_run(monkeypatch, scene, config, budget):
 
 
 def assert_band_windows(band_windows, want, config):
-    """Each refinement band's window is its rows, halo included, of the
-    window of the whole stage in `want`."""
+    """Each band's window is its rows, halo included, of the window of the
+    whole stage in `want`; stage 3's bands are rows of the dense window,
+    filled by shifts."""
     halo = cascade.aggregate_reach(config)
-    for stage in want.stages[1:]:
+    for stage in want.stages:
         h, w = stage.disparity.shape
         bands = [win for win in band_windows if win.lo.shape[1] == w]
         for (a, b), win in zip(cascade._bands(h, len(bands)), bands, strict=True):
             rows = slice(max(0, a - halo), min(h, b + halo))
-            assert win.n == stage.count, (stage.scale, a, b)
-            assert win.lo.tobytes() == stage.lo[rows].tobytes(), (stage.scale, a, b)
-            assert win.hi.tobytes() == stage.hi[rows].tobytes(), (stage.scale, a, b)
+            assert win.n == stage.window.n, (stage.scale, a, b)
+            assert win.lo.tobytes() == stage.window.lo[rows].tobytes(), (stage.scale, a, b)
+            assert win.hi.tobytes() == stage.window.hi[rows].tobytes(), (stage.scale, a, b)
+            assert win.shifts == (stage.scale == 3), (stage.scale, a, b)
 
 
 def assert_same_bytes(got, want):
     for a, b in zip(got.stages, want.stages, strict=True):
-        for name in ("disparity", "uncertainty", "lo", "hi"):
+        for name in ("disparity", "uncertainty"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.scale, name)
-        assert a.count == b.count
+        for name in ("lo", "hi"):
+            assert getattr(a.window, name).tobytes() == getattr(b.window, name).tobytes(), (a.scale, name)
+        assert a.window.n == b.window.n
         assert a.planes.values.tobytes() == b.planes.values.tobytes(), a.scale
     for name in ("disparity", "uncertainty"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestBands:
-    """Stages 2 and 1 decode in row bands with `aggregate_reach` rows of halo;
-    every band count, with any channel block size, gives the bytes of the
-    one-band run at the default block size."""
+    """Every stage not fused with coarser scales (stages 2 and 1, and stage 3
+    with fusion off) decodes in row bands with `aggregate_reach` rows of
+    halo; every band count, with any channel block size, gives the bytes of
+    the one-band run at the default block size."""
 
     WHOLE = 1 << 62
     whole_runs: dict = {}  # one-band runs, shared by the budgets of one config
@@ -611,15 +615,18 @@ class TestBands:
         assert all(p[1] == q[0] for p, q in zip(bands, bands[1:]))
         assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
-    # Desk stage 2 is 16 planes of 32x64 (256 KiB), stage 1 is 12 of 64x128 (768 KiB).
+    # Desk stage 3 is 8 planes of 16x32 (32 KiB), stage 2 16 of 32x64 (256 KiB)
+    # and stage 1 12 of 64x128 (768 KiB). `bands` counts each stage's bands,
+    # stage 3's with fusion off: fused, it is one band.
     @pytest.mark.parametrize(
-        "budget, calls",
+        "budget, bands",
         [
             # every band one row, shorter than the desk halo of 2 rows
-            pytest.param(1, 1 + 32 + 64, id="one-row"),
-            # stage 2: 4 bands of 3 rows and 10 of 2; stage 1: 24 of 2 and 16 of 1
-            pytest.param(20000, 1 + 14 + 40, id="last-band-one-row"),
-            pytest.param(200000, 1 + 2 + 4, id="few-bands"),
+            pytest.param(1, (16, 32, 64), id="one-row"),
+            # stage 3: 2 bands of 8 rows; stage 2: 4 of 3 rows and 10 of 2;
+            # stage 1: 24 of 2 and 16 of 1
+            pytest.param(20000, (2, 14, 40), id="last-band-one-row"),
+            pytest.param(200000, (1, 2, 4), id="few-bands"),
         ],
     )
     @pytest.mark.parametrize(
@@ -633,7 +640,7 @@ class TestBands:
     )
     # stream_cost's default channel blocks, and one channel per block
     @pytest.mark.parametrize("block", [None, 1], ids=["block-default", "block-one"])
-    def test_banded_decode_is_exact(self, monkeypatch, budget, calls, change, block):
+    def test_banded_decode_is_exact(self, monkeypatch, budget, bands, change, block):
         scene = desk_scene(6)
         config = replace(desk_config(), **change)
         key = tuple(sorted(change.items()))
@@ -643,9 +650,10 @@ class TestBands:
         if block is not None:
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block)
         got, band_calls = banded_run(monkeypatch, scene, config, budget)
+        calls = (bands[0] if not config.fusion_enabled else 1) + bands[1] + bands[2]
         assert (len(whole_calls), len(band_calls)) == (3, calls)
         assert_same_bytes(got, want)
-        assert_band_windows(band_calls[1:], want, config)
+        assert_band_windows(band_calls, want, config)
 
     def test_large_pair_splits_at_the_default_budget(self, monkeypatch):
         """512x1024 at dmax 256 and 2 MiB bands: stage 2 (16 x 128x256, 4 MiB)
@@ -657,7 +665,7 @@ class TestBands:
         want, whole_calls = banded_run(monkeypatch, scene, config, self.WHOLE)
         assert (len(whole_calls), len(band_calls)) == (3, 1 + 2 + 6)
         assert_same_bytes(got, want)
-        assert_band_windows(band_calls[1:], want, config)
+        assert_band_windows(band_calls, want, config)
 
 
 class TestPrecision:

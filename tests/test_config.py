@@ -176,6 +176,49 @@ def test_each_field_roundtrips(name):
     assert parse_config(format_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        # a string is truthy, so "no" ran with fusion on and was echoed as false
+        ("fusion_enabled", "no", "^fusion.enabled must be bool, got 'no'$"),
+        ("fusion_enabled", 1, "^fusion.enabled must be bool, got 1$"),
+        ("fusion_enabled", np.bool_(True), "^fusion.enabled must be bool"),
+        # a list was echoed as [1, 1, 1], which parse_config rejects
+        ("fusion_smooth_radius", [1, 1, 1], r"^fusion.smooth_radius must be tuple\[int, int, int\], got \[1, 1, 1\]$"),
+        ("fusion_smooth_radius", (1, 1), r"^fusion.smooth_radius must be tuple\[int, int, int\], got \(1, 1\)$"),
+        ("fusion_smooth_radius", (1, 1, 1.0), "^fusion.smooth_radius must be tuple"),
+        ("cascade_alpha", (0.0, "0"), "^cascade.alpha must be tuple"),
+        # these two failed only inside the run, at stage 1 and stage 3
+        ("cascade_n1", 12.5, "^cascade.n1 must be int, got 12.5$"),
+        ("pipeline_dmax", 64.0, "^pipeline.dmax must be int, got 64.0$"),
+        ("fusion_passes", True, "^fusion.passes must be int, got True$"),
+        ("cost_w_group", True, "^cost.w_group must be float, got True$"),
+        ("cost_w_absdiff", "0.5", "^cost.w_absdiff must be float, got '0.5'$"),
+        ("cascade_min_step", None, "^cascade.min_step must be float, got None$"),
+    ],
+)
+def test_values_are_checked_against_their_annotation(name, value, message):
+    with pytest.raises(ConfigError, match=message):
+        replace(RunConfig(), **{name: value})
+
+
+def test_numpy_numbers_pass_and_roundtrip():
+    """Integral and real NumPy numbers have their keys' types, and the echo
+    writes them as the Python numbers they equal, so it parses back."""
+    cfg = replace(
+        RunConfig(),
+        pipeline_dmax=np.int64(96),
+        cascade_n1=np.int32(5),
+        cost_w_group=np.float64(0.3),
+        cost_w_absdiff=np.float32(0.1),
+        cascade_alpha=(1, np.float64(0.5)),
+        fusion_smooth_radius=(np.int16(0), 2, 3),
+    )
+    text = format_config(cfg)
+    assert "np." not in text
+    assert parse_config(text) == cfg
+
+
 def test_invalid_construction_rejected():
     with pytest.raises(ConfigError, match="pass counts"):
         RunConfig(fusion_passes=0)

@@ -58,11 +58,6 @@ def random_window(seed, n, h, w):
     return Window(lo, hi, n)
 
 
-def window_planes(window):
-    """The reference builders' planes of `window`."""
-    return sample_planes(window.lo, window.hi, window.n)
-
-
 class TestHypothesisPlanes:
     @staticmethod
     def ramp(n, h=2, w=3):
@@ -97,13 +92,13 @@ class TestHypothesisPlanes:
     @pytest.mark.parametrize("count", [2, 5, 12])
     def test_spaced_is_the_checked_linspace(self, dtype, count):
         """`sample_planes` keeps the one array it makes: the bytes of the
-        constructor given the same linspace, read-only, and not a view of its
-        bounds."""
+        constructor given the linspace of the float64-cast bounds (the
+        window's), read-only, and not a view of its bounds."""
         rng = np.random.default_rng(count)
         lo = rng.uniform(0.0, 40.0, size=(3, 7)).astype(dtype)
         hi = lo + rng.uniform(0.0, 9.0, size=(3, 7)).astype(dtype)
         planes = sample_planes(lo, hi, count)
-        want = HypothesisPlanes(np.linspace(lo, hi, count, axis=0))
+        want = HypothesisPlanes(np.linspace(lo.astype(np.float64), hi.astype(np.float64), count, axis=0))
         assert planes.values.dtype == np.float64
         assert planes.values.tobytes() == want.values.tobytes()
         assert not planes.values.flags.writeable
@@ -112,10 +107,10 @@ class TestHypothesisPlanes:
     @pytest.mark.parametrize(
         "lo, hi, count, match",
         [
-            (np.zeros((2, 3)), np.ones((2, 3)), 1, "at least 2 hypothesis planes"),
-            (np.ones((2, 3)), np.zeros((2, 3)), 4, "non-decreasing"),
-            (np.zeros((2, 3)), np.full((2, 3), np.nan), 4, "NaN or inf"),
-            (np.zeros(3), np.ones(3), 4, "d_min must be 2-dimensional"),
+            (np.zeros((2, 3)), np.ones((2, 3)), 1, "^need at least 2 hypothesis planes$"),
+            (np.ones((2, 3)), np.zeros((2, 3)), 4, "^window lo must not exceed hi$"),
+            (np.zeros((2, 3)), np.full((2, 3), np.nan), 4, "^window bounds contain NaN or inf$"),
+            (np.zeros(3), np.ones(3), 4, "^window lo must be 2-dimensional"),
         ],
         ids=["one plane", "decreasing", "NaN", "1-D bounds"],
     )
@@ -124,11 +119,11 @@ class TestHypothesisPlanes:
             sample_planes(lo, hi, count)
 
     def test_dense_is_per_pixel(self):
-        """`sample_planes` over [0, n - 1] gives the integers 0 .. n - 1 exactly."""
-        assert HypothesisPlanes.dense(32, 3, (2, 3)).values.tobytes() == self.ramp(4).tobytes()
+        """The planes of [0, n - 1] are the integers 0 .. n - 1 exactly."""
+        assert Window.dense(32, 3, (2, 3)).planes().values.tobytes() == self.ramp(4).tobytes()
         for n in range(2, 513):
-            assert HypothesisPlanes.dense(n, 0, (2, 3)).values.tobytes() == self.ramp(n).tobytes()
-        assert not HypothesisPlanes.dense(32, 3, (2, 3)).values.flags.writeable
+            assert Window.dense(n, 0, (2, 3)).planes().values.tobytes() == self.ramp(n).tobytes()
+        assert not Window.dense(32, 3, (2, 3)).planes().values.flags.writeable
 
     @pytest.mark.parametrize("n_planes", [4, 8])
     def test_score_volume_rejects_other_plane_count(self, n_planes):
@@ -148,34 +143,54 @@ class TestWindow:
         return lo, lo + rng.uniform(0.0, 25.0, size=(h, w))
 
     @pytest.mark.parametrize("n", [2, 12, 16])
-    @pytest.mark.parametrize("zero_step", [False, True], ids=["spaced", "one-zero-step"])
-    def test_planes_are_the_linspace(self, n, zero_step):
-        """Each plane has the bytes of np.linspace's, the last one is `hi`,
-        and one zero-step pixel switches every plane to linspace's other
-        form, as it switches linspace."""
+    def test_planes_are_the_linspace(self, n):
+        """On a window with no zero step, each plane has the bytes of
+        np.linspace's, the last one is `hi`, and `planes()` holds them all."""
         lo, hi = self.bounds(n)
-        if zero_step:
-            hi[2, 3] = lo[2, 3]
         window = Window(lo, hi, n)
+        assert window.step.all()
         want = np.linspace(lo, hi, n, axis=0)
         for k in range(n):
             got = window.plane(k)
             assert got.dtype == np.float64 and got.shape == lo.shape
             assert got.tobytes() == want[k].tobytes(), k
         assert window.plane(n - 1).tobytes() == hi.tobytes()
+        assert window.planes().values.tobytes() == want.tobytes()
         assert sample_planes(lo, hi, n).values.tobytes() == want.tobytes()
 
-    def test_zero_step_form_is_the_one_linspace_takes(self):
-        """With a zero step, k * step + lo would differ from linspace's
-        bytes somewhere on these bounds; the window does not."""
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_zero_step_pixels_hold_lo(self, n):
+        """A pixel with lo == hi holds lo in every plane, and every other
+        pixel keeps k * step + lo, whatever the zero-step pixels."""
         lo, hi = self.bounds(3, 40, 40)
         hi[0, 0] = lo[0, 0]
-        n = 12
+        hi[7] = lo[7]
         window = Window(lo, hi, n)
-        want = np.linspace(lo, hi, n, axis=0)
-        step = (hi - lo) / (n - 1)
-        assert any((k * step + lo).tobytes() != want[k].tobytes() for k in range(n - 1))
-        assert all(window.plane(k).tobytes() == want[k].tobytes() for k in range(n))
+        planes = window.planes()
+        assert not planes.values.flags.writeable
+        for k in range(n):
+            for got in (window.plane(k), planes.values[k]):
+                assert np.array_equal(got[0, 0], lo[0, 0]) and np.array_equal(got[7], lo[7]), k
+                want = hi if k == n - 1 else k * ((hi - lo) / (n - 1)) + lo
+                assert got.tobytes() == want.tobytes(), k
+
+    def test_planes_make_one_array(self):
+        """`planes()` fills one (N, H, W) array in place: at 12 planes of
+        256x512 its peak above held is that array and at most two (H, W)
+        maps (the step and its temporary), with no stacked copy, and leaves
+        no step map cached on the window, which a StageResult keeps."""
+        lo, hi = self.bounds(6, 256, 512)
+        window = Window(lo, hi, 12)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            planes = window.planes()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= planes.values.nbytes + 2 * lo.nbytes
+        assert "step" not in vars(window)
 
     @pytest.mark.parametrize(
         "lo, hi, n, match",
@@ -435,13 +450,13 @@ class TestSoftArgmin:
         assert soft_argmin(ScoreVolume(cost, planes, 1))[0, 0] == 6.0
 
     def test_uniform_cost_symmetry(self):
-        sv = ScoreVolume(np.zeros((4, 2, 2)), HypothesisPlanes.dense(4, 0, (2, 2)), 1)
+        sv = ScoreVolume(np.zeros((4, 2, 2)), Window.dense(4, 0, (2, 2)).planes(), 1)
         assert np.allclose(soft_argmin(sv), 1.5)
 
     def test_dot_product(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
         cost = -np.log(p).reshape(4, 1, 1)
-        sv = ScoreVolume(cost, HypothesisPlanes.dense(4, 0, (1, 1)), 1)
+        sv = ScoreVolume(cost, Window.dense(4, 0, (1, 1)).planes(), 1)
         assert abs(soft_argmin(sv)[0, 0] - 2.0) < 1e-12
 
     @given(st.floats(-20, 20))
@@ -449,7 +464,7 @@ class TestSoftArgmin:
     def test_per_pixel_cost_shift_invariance(self, const):
         rng = np.random.default_rng(8)
         cost = rng.normal(size=(5, 3, 4))
-        planes = HypothesisPlanes.dense(5, 0, (3, 4))
+        planes = Window.dense(5, 0, (3, 4)).planes()
         a = soft_argmin(ScoreVolume(cost, planes, 1))
         b = soft_argmin(ScoreVolume(cost + const, planes, 1))
         assert np.allclose(a, b, atol=1e-9)
@@ -477,7 +492,7 @@ class TestDecode:
 
         softmax = cost_volume.softmax_along_planes
         monkeypatch.setattr(cost_volume, "softmax_along_planes", counting)
-        sv = ScoreVolume(np.random.default_rng(10).normal(size=(5, 3, 4)), HypothesisPlanes.dense(5, 0, (3, 4)), 1)
+        sv = ScoreVolume(np.random.default_rng(10).normal(size=(5, 3, 4)), Window.dense(5, 0, (3, 4)).planes(), 1)
         uncertainty(sv, soft_argmin(sv))
         assert calls == [(5, 3, 4)]
 
@@ -487,7 +502,7 @@ class TestDecode:
         cost = rng.normal(scale=20.0, size=(9, 5, 7))
         cost[:, 0, 0] = 3.0  # ties, where min - cost is +0
         cost[4, 1] = cost.min(axis=0)[1]
-        sv = ScoreVolume(cost, HypothesisPlanes.dense(9, 0, (5, 7)), 1)
+        sv = ScoreVolume(cost, Window.dense(9, 0, (5, 7)).planes(), 1)
         want = softmax_along_planes(-cost)
         assert sv._distribution.tobytes() == want.tobytes()
         assert softmax_along_planes(cost, negate=True).tobytes() == want.tobytes()
@@ -497,7 +512,7 @@ class TestDecode:
         negated copy: the peak above the cost is one (N, H, W) map plus
         per-pixel reductions."""
         cost = np.random.default_rng(6).normal(size=(12, 64, 128))
-        sv = ScoreVolume(cost, HypothesisPlanes.dense(12, 0, (64, 128)), 1)
+        sv = ScoreVolume(cost, Window.dense(12, 0, (64, 128)).planes(), 1)
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -512,7 +527,7 @@ class TestDecode:
     def test_nonfinite_cost_names_the_pixel(self, bad):
         cost = np.zeros((4, 3, 5))
         cost[2, 1, 3] = bad
-        planes = HypothesisPlanes.dense(4, 0, (3, 5))
+        planes = Window.dense(4, 0, (3, 5)).planes()
         with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
             soft_argmin(ScoreVolume(cost, planes, 1))
         with pytest.raises(ValueError, match=r"non-finite value at index \(2, 1, 3\)"):
@@ -523,7 +538,7 @@ def plane_decode(score):
     """The decode that reads plane values: the sum of plane * p in ascending
     order, clipped to the first and last plane, and the variance about it."""
     p = score._distribution
-    pv = window_planes(score.window).values
+    pv = score.window.planes().values
     d = np.zeros(pv.shape[1:])
     for k in range(len(pv)):
         d += pv[k] * p[k]
@@ -802,7 +817,7 @@ class TestStreamCost:
     def test_sparse_planes(self, monkeypatch, dtype):
         fl, fr = self.features(7, 16, 64, dtype)
         window = random_window(8, 12, 16, 64)
-        vol = build_sparse_volume(fl, fr, window_planes(window), 1, 1)
+        vol = build_sparse_volume(fl, fr, window.planes(), 1, 1)
         want = reduce_to_cost(self.smooth(vol.data), window, 1, **self.WEIGHTS)
         for got in self.streamed(monkeypatch, [(fl, fr, window)], 1, self.smooth):
             assert np.array_equal(got, want.cost)
@@ -825,7 +840,7 @@ class TestStreamCost:
             vol = build_dense_volume(fl, fr, 16, 3, 1)
         else:
             window = random_window(13, 3, h, w)
-            vol = build_sparse_volume(fl, fr, window_planes(window), 3, 1)
+            vol = build_sparse_volume(fl, fr, window.planes(), 3, 1)
         n = window.n
 
         def smooth(volume):
@@ -868,7 +883,7 @@ class TestStreamCost:
             vol = build_dense_volume(fl, fr, 128, 3, 1)
         else:
             window = random_window(15, 16, h, w)
-            vol = build_sparse_volume(fl, fr, window_planes(window), 3, 1)
+            vol = build_sparse_volume(fl, fr, window.planes(), 3, 1)
         n = window.n
         assert n == 16
 

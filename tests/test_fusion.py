@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cfstereo.config import RunConfig
 from cfstereo.cost_volume import (
-    HypothesisPlanes,
     ScoreVolume,
+    Window,
     build_dense_volume,
     build_sparse_volume,
     reduce_to_cost,
@@ -33,7 +33,7 @@ def mean_correlation(vol):
 
 def scale3_cost(diff, w_group=1.0, w_absdiff=1.0):
     """Cost of a scale-3 difference volume over uniform integer planes."""
-    return reduce_to_cost(diff, HypothesisPlanes.dense(diff.shape[1], 0, diff.shape[2:]), 3, w_group, w_absdiff).cost
+    return reduce_to_cost(diff, Window.dense(diff.shape[1], 0, diff.shape[2:]).planes(), 3, w_group, w_absdiff).cost
 
 
 class TestAggregate:
@@ -295,7 +295,7 @@ class TestInitialDisparity:
     """Stage 3 decodes its cost with soft_argmin and uncertainty."""
 
     def _decode(self, cost):
-        sv = ScoreVolume(cost, HypothesisPlanes.dense(cost.shape[0], 0, cost.shape[1:]), 3)
+        sv = ScoreVolume(cost, Window.dense(cost.shape[0], 0, cost.shape[1:]).planes(), 3)
         d = soft_argmin(sv)
         return d, uncertainty(sv, d)
 

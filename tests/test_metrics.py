@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cfstereo.cost_volume import HypothesisPlanes, sample_planes
+from cfstereo.cost_volume import HypothesisPlanes, Window, sample_planes
 from cfstereo.metrics import (
     avg_error,
     bad_tau,
@@ -121,7 +121,7 @@ class TestCoverage:
 
     def test_uniform_planes(self):
         gt = np.array([[3.0, 9.0]])
-        assert coverage_rate(gt, HypothesisPlanes.dense(8, 0, gt.shape)) == 0.5
+        assert coverage_rate(gt, Window.dense(8, 0, gt.shape).planes()) == 0.5
 
     def test_per_pixel_planes_of_another_shape_rejected(self):
         planes = HypothesisPlanes.per_pixel(np.stack([np.full((4, 4), 4.0), np.full((4, 4), 6.0)]))
