@@ -13,14 +13,14 @@ One loop decodes every stage, in row bands of `BAND_BYTES`, except that a
 stage fused with coarser scales (stage 3 with fusion on) is one band. A
 band's window is its rows of the stage's window, and the fill and the
 decode make no (N, H, W) plane array. A `StageResult` keeps the `Window`
-it decoded and builds its planes only when they are read.
+it decoded and builds its planes afresh each time they are read, so no
+output holds a plane array.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,16 +53,16 @@ BAND_BYTES = 2 << 20
 @dataclass(frozen=True, eq=False)
 class StageResult:
     """One stage's maps and the `Window` it decoded. The pipeline makes no
-    plane array; `planes` builds the window's (`Window.planes`) the first
-    time it is read, for callers that read plane values, such as the
-    benchmark's stage statistics."""
+    plane array; `planes` builds the window's (`Window.planes`) each time
+    it is read, for callers that read plane values, such as the
+    benchmark's stage statistics, and keeps none."""
 
     scale: int
     disparity: np.ndarray
     uncertainty: np.ndarray
     window: Window
 
-    @cached_property
+    @property
     def planes(self) -> HypothesisPlanes:
         return self.window.planes()
 
@@ -160,12 +160,9 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     w_g, w_a = config.cost_w_group, config.cost_w_absdiff
 
     with _stage("features"):
-        kw = dict(
-            census_radius=config.features_census_radius,
-            stat_radius=config.features_stat_radius,
-        )
+        census = config.features_census_radius
         # features in float64, each level cast as it is made: every volume below is float32
-        feat_l, feat_r = (build_pyramid(img, dtype=np.float32, **kw) for img in (li, ri))
+        feat_l, feat_r = (build_pyramid(img, census_radius=census, dtype=np.float32) for img in (li, ri))
 
     def smooth(volume):
         return aggregate(volume, config)

@@ -27,7 +27,30 @@ def _warn_nonfinite(name: str, values: np.ndarray) -> None:
         print(f"warning: {name} contains {bad} non-finite pixels", file=sys.stderr)
 
 
+def _match_outputs(args) -> str:
+    """The config echo's path, once no two of the files `match` writes (the
+    disparity, the uncertainty, the echo and the six stage maps) resolve to
+    one file, and none resolves to an input: checked before any input is
+    read, so a clash writes nothing."""
+    echo_path = os.path.join(os.path.dirname(os.path.abspath(args.out_disp)), "config_echo.cfg")
+    echo = "the config echo beside --out-disp"
+    outputs = [("--out-disp", args.out_disp), ("--out-unc", args.out_unc), (echo, echo_path)]
+    if args.dump_stages:
+        for name in ("D3", "U3", "D2", "U2", "D1", "U1"):
+            outputs.append((f"--dump-stages {name}.pfm", os.path.join(args.dump_stages, f"{name}.pfm")))
+    # the inputs may share a file (a pair of one image), so they only seed the check
+    inputs = (("--left", args.left), ("--right", args.right), ("--config", args.config))
+    seen = {os.path.realpath(path): flag for flag, path in inputs if path}
+    for flag, path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise CfStereoError(f"{seen[real]} and {flag} are the same file, {real}")
+        seen[real] = flag
+    return echo_path
+
+
 def _cmd_match(args) -> int:
+    echo_path = _match_outputs(args)
     left, _ = read_image(args.left)
     right, _ = read_image(args.right)
     config = load_config(args.config) if args.config else RunConfig()
@@ -37,7 +60,6 @@ def _cmd_match(args) -> int:
         os.makedirs(parent, exist_ok=True)
     write_pfm(args.out_disp, out.disparity)
     write_pfm(args.out_unc, out.uncertainty)
-    echo_path = os.path.join(os.path.dirname(os.path.abspath(args.out_disp)), "config_echo.cfg")
     with open(echo_path, "w", encoding="ascii") as fh:
         fh.write(format_config(config))
     if args.dump_stages:

@@ -70,14 +70,12 @@ class RangeParams:
 @dataclass(frozen=True)
 class RunConfig:
     features_census_radius: int = 1
-    features_stat_radius: int = 2
     cost_w_group: float = 0.8125
     cost_w_absdiff: float = 0.8125
     pipeline_dmax: int = 256
     fusion_enabled: bool = True
     fusion_smooth_radius: tuple[int, int, int] = (1, 1, 1)
     fusion_passes: int = 1
-    fusion_hourglass_passes: int = 1
     cascade_alpha: tuple[float, float] = (0.0, 0.0)
     cascade_beta: tuple[float, float] = (0.0, 0.0)
     cascade_n1: int = 12
@@ -155,25 +153,19 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     # a level has 5 + (2r+1)^2-1 feature channels: 53 at r = 3
     if not 1 <= c.features_census_radius <= 3:
         raise ConfigError("features.census_radius must be 1, 2 or 3")
-    if c.features_stat_radius < 0:
-        raise ConfigError("features.stat_radius must be >= 0")
     if c.pipeline_dmax < 64 or c.pipeline_dmax % 32:
         raise ConfigError("pipeline.dmax must be a multiple of 32 and at least 64")
     if any(r < 0 for r in c.fusion_smooth_radius):
         raise ConfigError("fusion.smooth_radius entries must be >= 0")
-    if c.fusion_passes < 1 or c.fusion_hourglass_passes < 1:
-        raise ConfigError("fusion pass counts must be >= 1")
-    # Smoothing work is linear in each radius and pass count, so each is capped.
-    # The caps bound each key, not their product: all four at their caps took
-    # 20.6 s on desk_scene(1) on a 2-core host, against 0.17 s at the desk config.
-    if c.features_stat_radius > 32:
-        raise ConfigError("features.stat_radius must be <= 32")
+    if c.fusion_passes < 1:
+        raise ConfigError("fusion.passes must be >= 1")
+    # Smoothing work is linear in each radius and the pass count, so each is
+    # capped. The caps bound each key, not their product: both at their caps
+    # took 1.4 s on desk_scene(1) on a 2-core host, against 0.03 s at the desk config.
     if any(r > 32 for r in c.fusion_smooth_radius):
         raise ConfigError("fusion.smooth_radius entries must be <= 32")
     if c.fusion_passes > 16:
         raise ConfigError("fusion.passes must be <= 16")
-    if c.fusion_hourglass_passes > 16:
-        raise ConfigError("fusion.hourglass_passes must be <= 16")
     return c
 
 

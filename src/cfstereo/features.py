@@ -1,12 +1,11 @@
 """Deterministic multi-scale image features for left/right matching.
 
 Each pyramid level stacks, in fixed order: intensity, horizontal gradient,
-vertical gradient, local mean, local standard deviation, and census-sign
-channels for the (2r+1)^2-1 neighborhood. Channels are normalized to zero
-mean / unit variance over the image; constant channels are left at zero.
-`build_pyramid` normalizes each level's own stack in place and casts it to
-the dtype asked for as it is made; `normalize_channels` leaves its input
-as it was.
+vertical gradient, local mean and standard deviation over a box of radius
+STAT_RADIUS, and census-sign channels for the (2r+1)^2-1 neighborhood.
+Channels are normalized to zero mean / unit variance over the image;
+constant channels are left at zero. `build_pyramid` normalizes each level's
+own stack in place and casts it to the dtype asked for as it is made.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from .tensor_ops import DTYPE, _edge_pad, as_grid, box_smooth_axis, require_fini
 _BLUR_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 # scales 1..5: the cascade refines at 1-3 and fusion reaches down to 1/32
 LEVELS = 5
+STAT_RADIUS = 2
 
 
 def blur_decimate2(image: np.ndarray) -> np.ndarray:
@@ -35,7 +35,7 @@ def box_mean2d(image: np.ndarray, radius: int) -> np.ndarray:
     return box_smooth_axis(box_smooth_axis(image, 0, radius), 1, radius)
 
 
-def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 2) -> np.ndarray:
+def channel_stack(image: np.ndarray, census_radius: int = 1) -> np.ndarray:
     """Raw (unnormalized) channel stack for one image; order is fixed.
 
     A census channel is +1 where the center exceeds that neighbor, else -1.
@@ -49,8 +49,8 @@ def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 
     stack = np.empty((5 + len(offsets), h, w), DTYPE)
     stack[0] = image
     stack[2], stack[1] = np.gradient(image)
-    mean = box_mean2d(image, stat_radius)
-    sq_mean = box_mean2d(image * image, stat_radius)
+    mean = box_mean2d(image, STAT_RADIUS)
+    sq_mean = box_mean2d(image * image, STAT_RADIUS)
     stack[3] = mean
     stack[4] = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
     # Each neighbour is a flat run of the padded image, as in
@@ -73,18 +73,11 @@ def channel_stack(image: np.ndarray, census_radius: int = 1, stat_radius: int = 
     return stack
 
 
-def normalize_channels(stack: np.ndarray) -> np.ndarray:
-    """Zero mean / unit variance per channel; constant channels become zero.
-
-    σ comes from the one mean-subtracted copy, squared a channel at a time
-    into one scratch plane and summed as `np.std` sums, so the result is
-    byte-equal to dividing by `np.std`. `stack` is left as it was."""
-    return _scale_centred(stack - stack.mean(axis=(1, 2), keepdims=True))
-
-
 def _scale_centred(out: np.ndarray) -> np.ndarray:
     """Divide each channel of a mean-subtracted stack by its σ in place, or
-    zero it if constant; `normalize_channels` without the copy."""
+    zero it if constant, and return it. σ is squared a channel at a time
+    into one scratch plane and summed as `np.std` sums, so the result is
+    byte-equal to dividing the stack's deviations by `np.std`."""
     square = np.empty(out.shape[1:], out.dtype)
     sigma = np.empty((out.shape[0], 1, 1), out.dtype)
     for k, channel in enumerate(out):
@@ -101,7 +94,6 @@ def build_pyramid(
     image: np.ndarray,
     *,
     census_radius: int = 1,
-    stat_radius: int = 2,
     dtype=DTYPE,
 ) -> dict[int, np.ndarray]:
     """Normalized feature maps, scale i -> (C, H/2^i, W/2^i) for i in 1..LEVELS.
@@ -110,8 +102,8 @@ def build_pyramid(
     blur-then-decimate chain, so C = 5 + (2r+1)^2-1 for census radius r.
     Each level is computed in float64 and cast to `dtype` (float32 or
     float64) as soon as it is normalized, which gives the bytes of casting
-    `normalize_channels` of the stack: the stack is the pyramid's own, so it
-    is normalized in place, and only one float64 level exists at a time.
+    the normalized float64 stack: the stack is the pyramid's own, so it is
+    normalized in place, and only one float64 level exists at a time.
     """
     dtype = np.dtype(dtype)
     if dtype not in (np.float32, np.float64):
@@ -131,7 +123,7 @@ def build_pyramid(
     current = img
     for i in range(1, LEVELS + 1):
         current = blur_decimate2(current)
-        stack = channel_stack(current, census_radius, stat_radius)
+        stack = channel_stack(current, census_radius)
         stack -= stack.mean(axis=(1, 2), keepdims=True)
         maps[i] = _scale_centred(stack).astype(dtype, copy=False)
         del stack  # so the next level's stack is made after this one is gone

@@ -68,7 +68,7 @@ def fuse_volumes(v3: np.ndarray, v4: np.ndarray, v5: np.ndarray, config: RunConf
 
     Encoder: regularize, pool to the next scale, average with that scale's
     regularized volume. Decoder: trilinear upsample plus skip mixing, then
-    down-up hourglass passes.
+    one down-up hourglass pass.
     """
     _check_pyramid_ratios(v3, v4, v5)
     skip3 = aggregate(v3, config)
@@ -76,7 +76,5 @@ def fuse_volumes(v3: np.ndarray, v4: np.ndarray, v5: np.ndarray, config: RunConf
     bottom = aggregate(0.5 * (avgpool_volume(skip4) + aggregate(v5, config)), config)
     up4 = 0.5 * (trilinear_upsample2x(bottom) + skip4)
     up3 = 0.5 * (trilinear_upsample2x(up4) + skip3)
-    for _ in range(config.fusion_hourglass_passes):
-        down = aggregate(avgpool_volume(aggregate(up3, config)), config)
-        up3 = 0.5 * (up3 + trilinear_upsample2x(down))
-    return up3
+    down = aggregate(avgpool_volume(aggregate(up3, config)), config)
+    return 0.5 * (up3 + trilinear_upsample2x(down))

@@ -116,10 +116,7 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
     rows of width `w`: flat indices of the two bracketing columns and their
     weights in `dtype`, so a float32 gather multiplies in float32. Indices are
     `np.intp`, which `np.take` reads without a cast, so a float32 table is
-    24 B per pixel (two 8 B indices, two 4 B weights).
-
-    When every column is an integer the second weight is zero everywhere, so
-    its index and weight are None and the gather reads one column."""
+    24 B per pixel (two 8 B indices, two 4 B weights)."""
     h = src.shape[0]
     base = np.floor(src)
     t = src - base
@@ -140,8 +137,6 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
     w0 = (1.0 - t).astype(dtype, copy=False)
     w0 *= i0.view(np.uint32) < w
     j0 = i0.clip(first, last) + row_start
-    if not t.any():
-        return j0, w0, None, None
     i0 += 1  # the right column from here on
     w1 = t.astype(dtype, copy=False)
     w1 *= i0.view(np.uint32) < w
@@ -151,9 +146,8 @@ def _row_weights(src: np.ndarray, w: int, dtype) -> tuple:
 
 def _apply_row_weights(a: np.ndarray, weights: tuple, out=None, spare=None) -> np.ndarray:
     """w0 * a0 + w1 * a1 per channel of a (..., H, W) grid, with a0/a1 gathered
-    from the flat rows at `_row_weights`'s indices (w0 * a0 alone when there
-    is no second column). Each channel is computed alone, so a slice of
-    channels gives that slice of the whole result.
+    from the flat rows at `_row_weights`'s indices. Each channel is computed
+    alone, so a slice of channels gives that slice of the whole result.
 
     `out` and `spare`, arrays of the result's shape and dtype, receive the
     two gathers in place of fresh arrays; `out` is returned. The gathers use
@@ -163,10 +157,9 @@ def _apply_row_weights(a: np.ndarray, weights: tuple, out=None, spare=None) -> n
     flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
     out = np.take(flat, j0, axis=-1, out=out, mode="wrap")
     out *= w0
-    if j1 is not None:
-        a1 = np.take(flat, j1, axis=-1, out=spare, mode="wrap")
-        a1 *= w1
-        out += a1
+    a1 = np.take(flat, j1, axis=-1, out=spare, mode="wrap")
+    a1 *= w1
+    out += a1
     return out
 
 

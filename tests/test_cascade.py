@@ -366,28 +366,21 @@ def stage_bytes(out):
 
 class TestStagePlanes:
     """A StageResult keeps the window it decoded, and builds its planes
-    only when they are read."""
+    afresh each time they are read, keeping none."""
 
-    def test_planes_are_sampled_from_the_window_once(self, monkeypatch):
+    def test_planes_are_the_windows_and_are_not_kept(self):
         scene = desk_scene(2)
         out = run_pipeline(scene.left, scene.right, desk_config())
-        wants = [stage.window.planes().values for stage in out.stages]
-        calls = []
-        planes = Window.planes
-
-        def counted(window):
-            calls.append(window)
-            return planes(window)
-
-        monkeypatch.setattr(Window, "planes", counted)
-        for stage, want in zip(out.stages, wants):
-            first = stage.planes
-            assert stage.planes is first
-            assert first.values.tobytes() == want.tobytes()
-            assert first.count == stage.window.n
+        for stage in out.stages:
+            want = stage.window.planes().values
+            first, second = stage.planes, stage.planes
+            assert first is not second
+            for planes in (first, second):
+                assert planes.values.tobytes() == want.tobytes()
+                assert planes.count == stage.window.n
             assert np.array_equal(first.values[0], stage.window.lo)
             assert np.array_equal(first.values[-1], stage.window.hi)
-        assert calls == [stage.window for stage in out.stages]
+            assert "planes" not in vars(stage)
 
     def test_stage3_planes_are_the_dense_planes(self):
         scene = desk_scene(2)

@@ -136,6 +136,56 @@ def test_match_is_byte_deterministic(workdir):
     assert (out2 / "unc.pfm").read_bytes() == (workdir / "out" / "unc.pfm").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "outputs, flags",
+    [
+        pytest.param({"--out-disp": "o/x.pfm", "--out-unc": "o/x.pfm"}, ("--out-disp", "--out-unc"), id="disp-is-unc"),
+        pytest.param(
+            {"--out-disp": "p/config_echo.cfg", "--out-unc": "p/u.pfm"},
+            ("--out-disp", "the config echo beside --out-disp"),
+            id="disp-is-echo",
+        ),
+        pytest.param(
+            {"--out-disp": "o/d.pfm", "--out-unc": "o/stages/D1.pfm", "--dump-stages": "o/stages"},
+            ("--out-unc", "--dump-stages D1.pfm"),
+            id="unc-is-stage-map",
+        ),
+    ],
+)
+def test_match_outputs_that_are_one_file_are_data_error(workdir, tmp_path, capsys, outputs, flags):
+    """Two outputs resolving to one file would leave only the last one
+    written; the clash is named before any input is read, and nothing is
+    written."""
+    rc = cli_main([
+        "match",
+        "--left", str(workdir / "scene" / "left.pgm"),
+        "--right", str(workdir / "scene" / "right.pgm"),
+        "--config", str(workdir / "desk.cfg"),
+        *[arg for flag, path in outputs.items() for arg in (flag, str(tmp_path / path))],
+    ])
+    assert rc == 2
+    assert f"{flags[0]} and {flags[1]} are the same file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_match_output_that_is_an_input_is_data_error(workdir, tmp_path, capsys):
+    """An output on an input file would overwrite the image it was read from."""
+    left = tmp_path / "left.pgm"
+    left.write_bytes((workdir / "scene" / "left.pgm").read_bytes())
+    rc = cli_main([
+        "match",
+        "--left", str(left),
+        "--right", str(workdir / "scene" / "right.pgm"),
+        "--config", str(workdir / "desk.cfg"),
+        "--out-disp", str(left),
+        "--out-unc", str(tmp_path / "u.pfm"),
+    ])
+    assert rc == 2
+    assert "--left and --out-disp are the same file" in capsys.readouterr().err
+    assert left.read_bytes() == (workdir / "scene" / "left.pgm").read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["left.pgm"]
+
+
 def test_rank_subcommand(tmp_path, capsys):
     ballots = tmp_path / "ballots.txt"
     ballots.write_text(
@@ -209,6 +259,13 @@ def match_with_config(tmp_path, text):
 
 def test_bad_config_is_data_error(tmp_path, capsys):
     assert match_with_config(tmp_path, "mystery.key = 1\n") == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["features.stat_radius = 2", "fusion.hourglass_passes = 1"])
+def test_retired_config_keys_are_data_error(tmp_path, capsys, line):
+    # the stat box radius and the single hourglass pass are fixed, not keys
+    assert match_with_config(tmp_path, line + "\n") == 2
     assert "unknown config key" in capsys.readouterr().err
 
 

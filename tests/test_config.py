@@ -132,14 +132,12 @@ def test_plane_counts_capped_at_256():
 # One valid non-default value per field; a new field must be added here.
 NON_DEFAULT = {
     "features_census_radius": 2,
-    "features_stat_radius": 3,
     "cost_w_group": 12.5,
     "cost_w_absdiff": 0.1,
     "pipeline_dmax": 96,
     "fusion_enabled": False,
     "fusion_smooth_radius": (0, 2, 3),
     "fusion_passes": 2,
-    "fusion_hourglass_passes": 3,
     "cascade_alpha": (0.5, -0.25),
     "cascade_beta": (1.5, 0.125),
     "cascade_n1": 5,
@@ -149,14 +147,12 @@ NON_DEFAULT = {
 
 DEFAULT_TEXT = """\
 features.census_radius = 1
-features.stat_radius = 2
 cost.w_group = 0.8125
 cost.w_absdiff = 0.8125
 pipeline.dmax = 256
 fusion.enabled = true
 fusion.smooth_radius = 1,1,1
 fusion.passes = 1
-fusion.hourglass_passes = 1
 cascade.alpha = 0.0,0.0
 cascade.beta = 0.0,0.0
 cascade.n1 = 12
@@ -220,7 +216,7 @@ def test_numpy_numbers_pass_and_roundtrip():
 
 
 def test_invalid_construction_rejected():
-    with pytest.raises(ConfigError, match="pass counts"):
+    with pytest.raises(ConfigError, match="^fusion.passes must be >= 1$"):
         RunConfig(fusion_passes=0)
     with pytest.raises(ConfigError, match="min_step"):
         replace(RunConfig(), cascade_min_step=0.0)
@@ -230,11 +226,9 @@ def test_invalid_construction_rejected():
     "line, key",
     [
         ("features.census_radius = 4", "features.census_radius"),
-        ("features.stat_radius = 33", "features.stat_radius"),
         ("fusion.smooth_radius = 0,0,33", "fusion.smooth_radius"),
         ("fusion.smooth_radius = 1000000000", "fusion.smooth_radius"),
         ("fusion.passes = 17", "fusion.passes"),
-        ("fusion.hourglass_passes = 17", "fusion.hourglass_passes"),
     ],
 )
 def test_work_caps(line, key):
@@ -243,10 +237,7 @@ def test_work_caps(line, key):
 
 
 def test_values_at_caps_accepted():
-    cfg = parse_config(
-        "features.census_radius = 3\nfeatures.stat_radius = 32\nfusion.smooth_radius = 32\n"
-        "fusion.passes = 16\nfusion.hourglass_passes = 16\n"
-    )
+    cfg = parse_config("features.census_radius = 3\nfusion.smooth_radius = 32\nfusion.passes = 16\n")
     assert cfg.features_census_radius == 3
     assert cfg.fusion_smooth_radius == (32, 32, 32)
 

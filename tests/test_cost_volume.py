@@ -20,19 +20,12 @@ from cfstereo.cost_volume import (
     uncertainty,
 )
 from cfstereo.benchmarks import desk_config
-from cfstereo.features import normalize_channels
 from cfstereo.fusion import aggregate, aggregate_plane_reach, fuse_volumes
 from cfstereo.synth import volume_oracle
 from cfstereo.tensor_ops import box_smooth_axis, softmax_along_planes
+from references import mean_correlation, std_normalized
 
 BIG = 1000.0
-
-
-def mean_correlation(vol):
-    """The (C+1, N, H, W) volume the cost reads: left - matched per channel,
-    then the mean of the group correlations."""
-    c = vol.data.shape[0] - vol.n_groups
-    return np.concatenate([vol.data[:c], vol.data[c:].mean(axis=0, keepdims=True)])
 
 
 def cost_of(vol, **weights):
@@ -43,7 +36,7 @@ def smoothed_features(rng, c, h, w):
     raw = rng.random((c, h, w))
     for ch in range(c):
         raw[ch] = box_smooth_axis(box_smooth_axis(raw[ch], 0, 1), 1, 1)
-    return normalize_channels(raw)
+    return std_normalized(raw)
 
 
 def random_window(seed, n, h, w):

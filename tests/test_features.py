@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cfstereo.features import blur_decimate2, build_pyramid, channel_stack, normalize_channels
+from cfstereo.features import STAT_RADIUS, _scale_centred, blur_decimate2, build_pyramid, channel_stack
+from references import box_reference, std_normalized, take_clamped
 
 
 def test_constant_image_all_channels_zero():
@@ -67,37 +68,21 @@ def test_smallest_sides_still_run():
     assert all(np.isfinite(f).all() for f in pyr.values())
 
 
-def std_normalized(stack):
-    """`normalize_channels` as written with `np.std`: constant channels become zero."""
-    sigma = stack.std(axis=(1, 2), keepdims=True)
-    flat = sigma[:, 0, 0] < 1e-12
-    out = (stack - stack.mean(axis=(1, 2), keepdims=True)) / np.where(sigma < 1e-12, 1.0, sigma)
-    out[flat] = 0.0
-    return out
-
-
 @pytest.mark.parametrize("shape", [(6, 1, 1), (6, 2, 3), (6, 17, 33), (13, 64, 128), (13, 128, 256)])
-def test_normalize_is_byte_equal_to_dividing_by_std(shape):
+def test_scale_centred_is_byte_equal_to_dividing_by_std(shape):
     rng = np.random.default_rng(shape[1])
     stack = rng.normal(size=shape) * rng.uniform(0.0, 50.0, size=(shape[0], 1, 1)) + 3.0
     stack[1] = -0.0
     stack[2] = 7.25
     stack[3, ..., 0] = -0.0  # a -0.0 column in a varying channel
     stack[4] = rng.choice([-1.0, 1.0], size=shape[1:])
-    got = normalize_channels(stack)
+    centred = stack - stack.mean(axis=(1, 2), keepdims=True)
+    got = _scale_centred(centred)
+    assert got is centred
     assert got.tobytes() == std_normalized(stack).tobytes()
     assert not got[1:3].any()
     if shape[1] * shape[2] > 1:
         assert got[0].any() and got[4].any()
-
-
-def test_normalize_leaves_its_input():
-    stack = np.random.default_rng(2).normal(size=(6, 17, 33)) * 4.0 + 1.5
-    stack[2] = 7.25
-    before = stack.tobytes()
-    got = normalize_channels(stack)
-    assert stack.tobytes() == before
-    assert not np.shares_memory(got, stack)
 
 
 @pytest.mark.parametrize("census_radius", [1, 2])
@@ -133,20 +118,15 @@ def test_levels_match_truncated_full_stack(census_radius, channels):
         current = blur_decimate2(current)
         raw = channel_stack(current, census_radius)
         assert raw.shape[0] == 5 + (2 * census_radius + 1) ** 2 - 1
-        assert pyr[level].tobytes() == normalize_channels(raw).tobytes()
+        assert pyr[level].tobytes() == std_normalized(raw).tobytes()
         # normalization is per channel, so it commutes with truncation
-        assert pyr[level][:channels].tobytes() == normalize_channels(raw[:channels]).tobytes()
+        assert pyr[level][:channels].tobytes() == std_normalized(raw[:channels]).tobytes()
 
 
 # The census neighbours and the blur taps are slices of edge-padded copies.
 # These references write the same formulas with clipped np.take indices, so
 # the two must agree bit for bit, including where the radius reaches past
 # the image (a 4x8 image is desk's scale 5).
-
-
-def take_clamped(a, axis, off):
-    n = a.shape[axis]
-    return np.take(a, np.clip(np.arange(n) + off, 0, n - 1), axis=axis)
 
 
 def blur_reference(a, axis):
@@ -157,17 +137,10 @@ def blur_reference(a, axis):
     return acc
 
 
-def box_reference(a, axis, radius):
-    acc = np.zeros_like(a)
-    for off in range(-radius, radius + 1):
-        acc += take_clamped(a, axis, off)
-    return acc / (2 * radius + 1)
-
-
-def channel_stack_reference(image, census_radius, stat_radius=2):
+def channel_stack_reference(image, census_radius):
     gy, gx = np.gradient(image)
-    mean = box_reference(box_reference(image, 0, stat_radius), 1, stat_radius)
-    sq_mean = box_reference(box_reference(image * image, 0, stat_radius), 1, stat_radius)
+    mean = box_reference(box_reference(image, 0, STAT_RADIUS), 1, STAT_RADIUS)
+    sq_mean = box_reference(box_reference(image * image, 0, STAT_RADIUS), 1, STAT_RADIUS)
     std = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
     channels = [image, gx, gy, mean, std]
     h, w = image.shape

@@ -20,15 +20,9 @@ from cfstereo.features import build_pyramid
 from cfstereo.fusion import aggregate, aggregate_plane_reach, aggregate_reach, box_smooth_volume, fuse_volumes
 from cfstereo.synth import random_dot_stereogram
 from cfstereo.tensor_ops import avgpool_volume, box_smooth_axis
+from references import mean_correlation
 
 BIG = 1000.0
-
-
-def mean_correlation(vol):
-    """The (C+1, N, H, W) volume the cost reads: left - matched per channel,
-    then the mean of the group correlations."""
-    c = vol.data.shape[0] - vol.n_groups
-    return np.concatenate([vol.data[:c], vol.data[c:].mean(axis=0, keepdims=True)])
 
 
 def scale3_cost(diff, w_group=1.0, w_absdiff=1.0):
@@ -226,7 +220,7 @@ class TestFuseVolumes:
         """Fusion acts on each channel alone, so fusing one (N, H, W) channel
         gives that channel of the (F, N, H, W) fuse."""
         vols = self._pyramid_volumes()
-        cfg = replace(RunConfig(), fusion_smooth_radius=(1, 2, 1), fusion_hourglass_passes=2)
+        cfg = replace(RunConfig(), fusion_smooth_radius=(1, 2, 1), fusion_passes=2)
         whole = fuse_volumes(*vols, cfg)
         for c in (0, 5, vols[0].shape[0] - 1):
             alone = fuse_volumes(*(v[c] for v in vols), cfg)
@@ -285,7 +279,7 @@ class TestDifferenceVolume:
             fl, fr = rng.normal(size=(2, self.C, 8 >> k, 16 >> k))
             vols.append(build_dense_volume(fl, fr, 64, 3 + k, g))
             full.append(paper_layout(fl, vols[-1]))
-        cfg = replace(RunConfig(), fusion_smooth_radius=(1, 1, 1), fusion_hourglass_passes=2)
+        cfg = replace(RunConfig(), fusion_smooth_radius=(1, 1, 1), fusion_passes=2)
         got = scale3_cost(fuse_volumes(*(mean_correlation(v) for v in vols), cfg), 3.0, 2.0)
         want = layout_cost(fuse_volumes(*full, cfg), self.C, g, 3.0, 2.0)
         assert np.abs(got - want).max() < 1e-9

@@ -18,6 +18,7 @@ from cfstereo.tensor_ops import (
     trilinear_upsample2x,
     weighted_smooth_axis,
 )
+from references import box_reference, take_clamped
 
 finite = st.floats(-50, 50, allow_nan=False)
 
@@ -144,20 +145,6 @@ def test_trilinear_matches_bilinear_per_slice():
 # Reference formulas that shift with np.take over clipped indices. The library
 # shifts by slicing but computes the same terms and adds them in the same
 # order, so results must be equal bit for bit, signed zeros included.
-
-
-def take_clamped(a, axis, off):
-    n = a.shape[axis]
-    return np.take(a, np.clip(np.arange(n) + off, 0, n - 1), axis=axis)
-
-
-def box_reference(a, axis, radius):
-    if radius == 0:
-        return a.copy()
-    acc = np.zeros_like(a)
-    for off in range(-radius, radius + 1):
-        acc += take_clamped(a, axis, off)
-    return acc / (2 * radius + 1)
 
 
 def weighted_reference(a, axis, weights):
@@ -564,8 +551,6 @@ def reference_row_weights(src, w, dtype):
     row_start = np.arange(h, dtype=np.intp)[:, None] * w
     w0 = ((1.0 - t) * ((i0 >= 0) & (i0 < w))).astype(dtype, copy=False)
     j0 = np.clip(i0, 0, w - 1) + row_start
-    if not t.any():
-        return j0, w0, None, None
     w1 = (t * ((i0 >= -1) & (i0 < w - 1))).astype(dtype, copy=False)
     j1 = np.clip(i0, -1, w - 2) + (row_start + 1)
     return j0, w0, j1, w1
@@ -575,16 +560,15 @@ class TestRowWeightTables:
     """`_row_weights` builds its tables in fewer passes (an in-place clip,
     unsigned frame compares, weights cast before masking) and gives the
     bytes of `reference_row_weights`: every column from -3 to w + 2, whole
-    and fractional, in float32 and float64."""
+    and fractional, in float32 and float64. Whole columns give four tables
+    too, their second weights all zero."""
 
     @staticmethod
     def assert_tables_equal(got, want):
+        assert len(got) == len(want) == 4
         for g, x in zip(got, want):
-            if x is None:
-                assert g is None
-            else:
-                assert g.dtype == x.dtype and g.shape == x.shape
-                assert g.tobytes() == x.tobytes()
+            assert g.dtype == x.dtype and g.shape == x.shape
+            assert g.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("w", [1, 2, 7, 16])
@@ -597,8 +581,9 @@ class TestRowWeightTables:
         for src in (whole, fractional, np.concatenate([whole, fractional])):
             got = _row_weights(src, w, dtype)
             want = reference_row_weights(src, w, dtype)
-            assert (got[2] is None) == (src is whole)
             self.assert_tables_equal(got, want)
+            if src is whole:
+                assert not got[3].any()
             assert got[0].dtype == np.intp and got[1].dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -622,61 +607,30 @@ class TestRowWeightTables:
         src = rng.uniform(-4.0, 12.0, size=(5, 8))
         j0, w0, j1, w1 = _row_weights(src if fractional else np.round(src), 8, dtype)
         flat = a.reshape(3, 40)
-        for j in (j0, j1) if fractional else (j0,):
+        for j in (j0, j1):
             assert np.take(flat, j, axis=-1, mode="wrap").tobytes() == np.take(flat, j, axis=-1, mode="clip").tobytes()
         clipped = np.take(flat, j0, axis=-1, mode="clip") * w0
-        if fractional:
-            clipped += np.take(flat, j1, axis=-1, mode="clip") * w1
+        clipped += np.take(flat, j1, axis=-1, mode="clip") * w1
         assert _apply_row_weights(a, (j0, w0, j1, w1)).tobytes() == clipped.tobytes()
 
 
-def two_gather(a, src):
-    """`_apply_row_weights` with the second column's gather kept: the column
-    right of each integer source, at weight 0, as before integer planes took
-    one gather."""
-    h, w = src.shape
-    j0, w0, j1, w1 = _row_weights(src, w, a.dtype)
-    assert j1 is None and w1 is None
-    j1 = np.clip(src.astype(np.int64) + 1, 0, w - 1).astype(j0.dtype) + np.arange(h, dtype=j0.dtype)[:, None] * w
-    return _apply_row_weights(a, (j0, w0, j1, np.zeros_like(w0)))
-
-
-class TestIntegerColumnsTakeOneGather:
-    """Integer columns give `_row_weights` no second table, so the gather
-    reads one column. The second gather added (+0.0) * neighbour: that is
-    the value unchanged, except that it turns an exact lookup of -0.0 into
-    0.0 when the neighbour is not negative. So the one gather equals the two
-    byte for byte except at -0.0 lookups, where it keeps the -0.0 it read."""
+class TestIntegerColumns:
+    """Integer columns are an exact lookup through both gathers, the second
+    at weight 0: the in-frame value, and 0 outside [0, W)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_one_gather_equals_two(self, dtype, data):
+    def test_in_frame_value_and_zero_outside(self, dtype, data):
         elements = finite32 if dtype == np.float32 else finite
         a = data.draw(arrays(dtype, array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=5), elements=elements))
         h, w = a.shape[-2:]
         cols = data.draw(arrays(np.int64, (h, w), elements=st.integers(-w - 2, 2 * w + 2)), label="cols")
-        src = cols.astype(np.float64)
-        got, want = _sample_rows(a, src), two_gather(a, src)
-        assert got.dtype == want.dtype == dtype
-        assert np.array_equal(got, want)
-        # equal values differ in bytes only by the sign of a zero
-        assert np.all((np.signbit(got) == np.signbit(want)) | ((got == 0) & np.signbit(got)))
-        # byte for byte the in-frame lookup, zero outside [0, W)
-        inside = ((cols >= 0) & (cols < w)).astype(dtype)
-        lookup = np.take_along_axis(a, np.broadcast_to(np.clip(cols, 0, w - 1), a.shape), axis=-1) * inside
-        assert got.tobytes() == lookup.tobytes()
-
-    def test_negative_zero_lookup_is_kept(self):
-        a = np.array([[-0.0, 1.0, -2.0]])
-        got, want = _sample_rows(a, np.array([[0.0, 1.0, -1.0]])), two_gather(a, np.array([[0.0, 1.0, -1.0]]))
-        assert np.signbit(got[0, 0]) and not np.signbit(want[0, 0])
-        assert got.tolist() == want.tolist() == [[0.0, 1.0, 0.0]]
-
-    def test_fractional_plane_keeps_both_gathers(self):
-        src = np.array([[0.0, 1.5, 2.0]])
-        j0, w0, j1, w1 = _row_weights(src, 3, np.float64)
-        assert j1 is not None and w1.tolist() == [[0.0, 0.5, 0.0]]
+        got = _sample_rows(a, cols.astype(np.float64))
+        assert got.dtype == dtype
+        inside = (cols >= 0) & (cols < w)
+        lookup = np.take_along_axis(a, np.broadcast_to(np.clip(cols, 0, w - 1), a.shape), axis=-1)
+        assert np.array_equal(got, np.where(inside, lookup, 0.0))
 
 
 # Float32 grids stay float32, within float32 rounding of the float64 result
