@@ -632,6 +632,22 @@ class TestIntegerColumns:
         lookup = np.take_along_axis(a, np.broadcast_to(np.clip(cols, 0, w - 1), a.shape), axis=-1)
         assert np.array_equal(got, np.where(inside, lookup, 0.0))
 
+    def test_negative_zero_lookup_is_the_two_term_sum(self):
+        """The second gather adds (+0.0) * neighbour, so an exact lookup of
+        -0.0 next to a non-negative neighbour reads +0.0: equal in value."""
+        a = np.array([[-0.0, 1.0, -2.0]])
+        got = _sample_rows(a, np.array([[0.0, 1.0, -1.0]]))
+        assert got.tolist() == [[0.0, 1.0, 0.0]]
+        assert not np.signbit(got[0, 0])
+
+    def test_fractional_plane_keeps_both_gathers(self):
+        src = np.array([[0.0, 1.5, 2.0]])
+        j0, w0, j1, w1 = _row_weights(src, 3, np.float64)
+        assert w0.tolist() == [[1.0, 0.5, 1.0]]
+        assert w1.tolist() == [[0.0, 0.5, 0.0]]
+        a = np.array([[4.0, 6.0, 10.0]])
+        assert _sample_rows(a, src).tolist() == [[4.0, 8.0, 10.0]]
+
 
 # Float32 grids stay float32, within float32 rounding of the float64 result
 # on the same values; the float64 results are pinned bit for bit above.
