@@ -6,15 +6,16 @@ with the dense windows of scales 4 and 5; stages 2 and 1 re-match inside a
 per-pixel window derived from the previous stage's estimate and its
 variance. `config.RangeParams`, the window's parameters, is re-exported
 here, and so is `cost_volume.sample_planes`; each checks its own input,
-and a `Window` checks its bounds. The image size is checked by
-`build_pyramid`, so the pipeline does not check them again.
+and a `Window` checks its bounds.
 
-One loop decodes every stage, in row bands of `BAND_BYTES`, except that a
-stage fused with coarser scales (stage 3 with fusion on) is one band. A
-band's window is its rows of the stage's window, and the fill and the
-decode make no (N, H, W) plane array. A `StageResult` keeps the `Window`
-it decoded and builds its planes afresh each time they are read, so no
-output holds a plane array.
+`plan` works out how every stage is tiled from the image shape and the
+config alone, and checks the shape: one `StagePlan` per stage, with its row
+bands, their halo, its plane reach and `stream_cost`'s spans and channel
+blocks; `StagePlan` states the rules once. `run_pipeline` makes the plan and
+runs it, one loop for every stage. A band's window is its rows of the
+stage's window, and the fill and the decode make no (N, H, W) plane array.
+A `StageResult` keeps the `Window` it decoded and builds its planes afresh
+each time they are read, so no output holds a plane array.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RangeParams, RunConfig
-from .cost_volume import HypothesisPlanes, Window, sample_planes, soft_argmin, stream_cost, uncertainty
+from .cost_volume import HypothesisPlanes, Window, sample_planes, soft_argmin, stream_cost, tiling, uncertainty
 from .errors import PipelineError
-from .features import build_pyramid
-from .fusion import aggregate, aggregate_plane_reach, aggregate_reach, fuse_volumes
+from .features import build_pyramid, channel_count, check_size
+from .fusion import aggregate, fuse_volumes
 from .tensor_ops import DTYPE, as_grid, bilinear_upsample2x
 
 __all__ = [
@@ -39,6 +40,8 @@ __all__ = [
     "range_bounds",
     "next_range",
     "sample_planes",
+    "StagePlan",
+    "plan",
     "run_pipeline",
 ]
 
@@ -48,6 +51,50 @@ __all__ = [
 # 10 interleaved pairs (1.84 -> 1.70); a 256x512 pair's stage 1 takes 2
 # bands, not 1, and mid's was no worse (2.36 -> 2.29).
 BAND_BYTES = 2 << 20
+# the pipeline's feature and volume dtype
+FEATURE_DTYPE = np.float32
+
+
+@dataclass(frozen=True)
+class Band:
+    """Rows [a, b) of a stage's maps, decoded from rows [a0, b0): the band
+    and its halo, clipped at the grid's edge. `tiles` are `stream_cost`'s
+    (planes, channels per block) for each span of the band's planes."""
+
+    a0: int
+    a: int
+    b: int
+    b0: int
+    tiles: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class StagePlan:
+    """How one stage is decoded, worked out by `plan` before any pixel is
+    read: `n` planes on the (h, w) grid of `scale`, in `bands`.
+
+    Stage 3 is `dense`, its window the [0, n - 1] of dmax/8 planes, filled
+    by slices, and `fused` with scales 4 and 5 when fusion is on; stages 2
+    and 1 search `cascade.n2` and `cascade.n1` planes. A stage not fused is
+    cut into as many even row bands as its float64 (n, h, w) map fills
+    `BAND_BYTES`, rounded up, at most one per row. Its `halo`, the rows a
+    band reads on each side, is `aggregate`'s y box once per pass, and its
+    `plane_reach` the plane box once per pass: what its regularizer reads,
+    so rows [a, b) of a band read with its halo are those rows of the whole
+    stage's decode, byte for byte. A fused stage is one band with no halo
+    and every plane in reach (None), since fusion's reach across scales is
+    not worked out. Each band's `tiles` are `cost_volume.tiling`'s for its
+    rows of `FEATURE_DTYPE` features."""
+
+    scale: int
+    h: int
+    w: int
+    n: int
+    fused: bool
+    dense: bool
+    halo: int
+    plane_reach: int | None
+    bands: tuple[Band, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +180,32 @@ def _bands(h: int, count: int) -> list[tuple[int, int]]:
     return list(zip(starts[:-1], starts[1:]))
 
 
+def plan(shape: tuple[int, int], config: RunConfig) -> tuple[StagePlan, ...]:
+    """Every stage's `StagePlan`, scales 3, 2 and 1, from the image shape
+    and the config alone. The shape must pass `features.check_size`."""
+    h, w = shape
+    check_size(h, w)
+    dmax, passes, (r_plane, _, r_y) = config.pipeline_dmax, config.fusion_passes, config.fusion_smooth_radius
+    c, itemsize = channel_count(config.features_census_radius), np.dtype(FEATURE_DTYPE).itemsize
+    entries = []
+    for scale, n in ((3, dmax >> 3), (2, config.cascade_n2), (1, config.cascade_n1)):
+        hs, ws = h >> scale, w >> scale
+        fused = scale == 3 and config.fusion_enabled
+        if fused:
+            halo, plane_reach, count = 0, None, 1
+            coarser = [(dmax >> s, (h >> s) * (w >> s) * itemsize) for s in (4, 5)]
+        else:
+            halo, plane_reach, coarser = passes * r_y, passes * r_plane, []
+            count = min(hs, -(-n * hs * ws * 8 // BAND_BYTES))
+        bands = []
+        for a, b in _bands(hs, count):
+            a0, b0 = max(0, a - halo), min(hs, b + halo)
+            tiles = tiling(c, [(n, (b0 - a0) * ws * itemsize), *coarser], plane_reach)
+            bands.append(Band(a0, a, b, b0, tiles))
+        entries.append(StagePlan(scale, hs, ws, n, fused, scale == 3, halo, plane_reach, tuple(bands)))
+    return tuple(entries)
+
+
 @contextmanager
 def _stage(tag: str):
     """Re-raise a failure inside the block as a PipelineError tagged `tag`."""
@@ -160,9 +233,10 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     w_g, w_a = config.cost_w_group, config.cost_w_absdiff
 
     with _stage("features"):
+        stages = plan(li.shape, config)
         census = config.features_census_radius
         # features in float64, each level cast as it is made: every volume below is float32
-        feat_l, feat_r = (build_pyramid(img, census_radius=census, dtype=np.float32) for img in (li, ri))
+        feat_l, feat_r = (build_pyramid(img, census_radius=census, dtype=FEATURE_DTYPE) for img in (li, ri))
 
     def smooth(volume):
         return aggregate(volume, config)
@@ -170,44 +244,36 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     def fuse(v3, v4, v5):
         return fuse_volumes(v3, v4, v5, config)
 
-    # Every stage decodes its window in BAND_BYTES row bands of its float64
-    # (N, H, W) map. Only aggregate's y box couples rows, so a band read with
-    # aggregate_reach rows of halo on each side gives its own rows' bytes
-    # exactly; a band's window is its rows of lo and hi, whose planes are
-    # those rows of the stage's planes, since each plane is worked out per
-    # pixel. `coarser` holds the inputs fused in from scales 4 and 5, and a
-    # stage with them is one band: fusion's row reach is not worked out. A
-    # one-band stage reads the whole feature arrays, not copies.
-    def decode_window(scale, window, regularize, coarser=()):
-        fl, fr = feat_l[scale], feat_r[scale]
-        h, w = window.lo.shape
-        count = 1 if coarser else min(h, -(-window.n * window.lo.nbytes // BAND_BYTES))
-        halo = aggregate_reach(config)
-        plane_reach = None if coarser else aggregate_plane_reach(config)
-        disp, unc = np.empty((h, w), DTYPE), np.empty((h, w), DTYPE)
-        for a, b in _bands(h, count):
-            a0, b0 = max(0, a - halo), min(h, b + halo)
-            fl_rows, fr_rows = (np.ascontiguousarray(f[:, a0:b0]) for f in (fl, fr))
-            inputs = [(fl_rows, fr_rows, Window(window.lo[a0:b0], window.hi[a0:b0], window.n)), *coarser]
-            sv = stream_cost(inputs, scale, regularize, w_g, w_a, plane_reach)
+    def dense_window(scale):
+        return Window.dense(dmax, scale, feat_l[scale].shape[1:])
+
+    def decode_window(entry, window):
+        fl, fr = feat_l[entry.scale], feat_r[entry.scale]
+        coarser = [(feat_l[s], feat_r[s], dense_window(s)) for s in (4, 5)] if entry.fused else []
+        regularize = fuse if entry.fused else smooth
+        disp, unc = np.empty((entry.h, entry.w), DTYPE), np.empty((entry.h, entry.w), DTYPE)
+        for band in entry.bands:
+            rows, keep = slice(band.a0, band.b0), slice(band.a - band.a0, band.b - band.a0)
+            fl_rows, fr_rows = (np.ascontiguousarray(f[:, rows]) for f in (fl, fr))
+            inputs = [(fl_rows, fr_rows, Window(window.lo[rows], window.hi[rows], window.n)), *coarser]
+            sv = stream_cost(inputs, entry.scale, regularize, w_g, w_a, entry.plane_reach, entry.dense)
             d = soft_argmin(sv)
-            disp[a:b] = d[a - a0 : b - a0]
-            unc[a:b] = uncertainty(sv, d)[a - a0 : b - a0]
+            disp[band.a : band.b] = d[keep]
+            unc[band.a : band.b] = uncertainty(sv, d)[keep]
             # the band's cost, softmax and window, before the next band's are made
             del inputs, sv
-        return StageResult(scale, disp, unc, window)
+        return StageResult(entry.scale, disp, unc, window)
 
-    with _stage("stage 3"):
-        dense = Window.dense(dmax, 3, feat_l[3].shape[1:])
-        fused = config.fusion_enabled
-        coarser = [(feat_l[s], feat_r[s], Window.dense(dmax, s, feat_l[s].shape[1:])) for s in (4, 5) if fused]
-        results = [decode_window(3, dense, fuse if fused else smooth, coarser)]
-
-    for stage in (3, 2):
-        with _stage(f"stage {stage - 1}"):
-            prev = results[-1]
-            lo, hi = next_range(prev.disparity, prev.uncertainty, params, stage, dmax)
-            results.append(decode_window(stage - 1, Window(lo, hi, params.for_stage(stage)[2]), smooth))
+    results = []
+    for entry in stages:
+        with _stage(f"stage {entry.scale}"):
+            if entry.dense:
+                window = dense_window(entry.scale)
+            else:
+                prev = results[-1]
+                lo, hi = next_range(prev.disparity, prev.uncertainty, params, prev.scale, dmax)
+                window = Window(lo, hi, entry.n)
+            results.append(decode_window(entry, window))
 
     with _stage("output"):
         final = results[-1]

@@ -22,6 +22,11 @@ from typing import get_args, get_origin, get_type_hints
 from .errors import ConfigError
 
 
+# Bound on |value| of cascade.alpha, cascade.beta and the cost weights, far
+# past any useful value: cost.w_group = 1e38 overflowed the float32 cost.
+MAX_MAGNITUDE = 1e6
+
+
 @dataclass(frozen=True)
 class RangeParams:
     """Search-window parameters per refinement step (stage 3->2, then 2->1).
@@ -46,6 +51,11 @@ class RangeParams:
             raise ValueError("cascade.alpha must be >= -1")
         if any(b < 0.0 for b in self.beta):
             raise ValueError("cascade.beta must be >= 0")
+        # A window of 1e308 overflowed in next_range; a beta past dmax
+        # already spans the whole range.
+        for key, values in (("alpha", self.alpha), ("beta", self.beta)):
+            if any(v > MAX_MAGNITUDE for v in values):
+                raise ValueError(f"cascade.{key} must be <= {MAX_MAGNITUDE:.0f}")
         if self.min_step <= 0.0:
             raise ValueError("cascade.min_step must be > 0")
         if any(n < 2 for n in self.plane_counts):
@@ -146,6 +156,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for key, value in (("cost.w_group", c.cost_w_group), ("cost.w_absdiff", c.cost_w_absdiff)):
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite")
+        if abs(value) > MAX_MAGNITUDE:
+            raise ConfigError(f"{key} must be between -{MAX_MAGNITUDE:.0f} and {MAX_MAGNITUDE:.0f}")
     try:
         RangeParams.from_config(c)
     except ValueError as exc:

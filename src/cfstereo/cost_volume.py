@@ -14,20 +14,15 @@ builders, and `Window.planes` (or `sample_planes`) makes them.
 
 The pipeline never holds a volume or a plane array whole. Every step before
 `|.|` acts on each channel alone, so `stream_cost` builds, regularizes and
-reduces one block of channels at a time, adding |.| of each regularized
-block into the cost and regularizing the correlation last. A block is
-`BLOCK_BYTES` (256 KiB) of volume, or one channel if a channel is larger:
-small enough that it, its edge-pad copies and its box sums stay in L2 from
-its fill to its sum. When the regularizer reads no neighbouring plane
-(plane reach 0, as in the refinement stages under `desk_config`), blocks
-are cut from spans of as many whole planes as fit a block with every
-channel, at least one. Its cost is byte-identical to `reduce_to_cost` of
-the whole regularized volume either way.
-The builders and `stream_cost` share one fill (`_plane_weights`, `_fill`):
-a dense plane d reads the right features shifted d columns as slices, and
-any other plane gathers through `_row_weights` tables. So
-`synth.volume_oracle` checks both fills the pipeline runs, and the builders
-stay the whole-volume reference for `stream_cost`'s blocking,
+reduces one block of channels at a time, in the spans and blocks that
+`tiling` gives and `cascade.plan` records, adding |.| of each regularized
+block into the cost and regularizing the correlation last. Its cost is
+byte-identical to `reduce_to_cost` of the whole regularized volume.
+The builders and `stream_cost` share one fill (`_fill`):
+a plane of a dense window, the integer d, reads the right features shifted
+d columns as slices, and any other plane gathers through `_row_weights`
+tables. So `synth.volume_oracle` checks both fills the pipeline runs, and
+the builders stay the whole-volume reference for `stream_cost`'s blocking,
 regularization order and reduction. Plane k's value is lo + k * step, so
 soft argmin is lo + step * E[k] and the variance step^2 * Var[k] under
 p = softmax(-cost): the decode reads no plane values.
@@ -57,8 +52,9 @@ from .tensor_ops import (
 )
 
 # Bytes of (C+1)-layout volume that stream_cost builds, regularizes and sums
-# at once: the pipeline's one cache unit. A channel larger than this still
-# goes alone. Blocks of 512 KiB to 4 MiB made a desk pair 8-10% slower.
+# at once (`tiling`): the pipeline's one cache unit, small enough that a
+# block, its edge-pad copies and its box sums stay in L2 from its fill to
+# its sum. Blocks of 512 KiB to 4 MiB made a desk pair 8-10% slower.
 BLOCK_BYTES = 256 << 10
 
 
@@ -103,12 +99,6 @@ class Window:
     def step(self) -> np.ndarray:
         """(hi - lo) / (n - 1): the spacing of the planes at each pixel."""
         return (self.hi - self.lo) / (self.n - 1)
-
-    @cached_property
-    def shifts(self) -> bool:
-        """Whether plane k is the integer k at every pixel, as in a dense
-        window, so that its fill reads slices of the matched rows."""
-        return not self.lo.any() and bool((self.hi == self.n - 1).all())
 
     def plane(self, k: int) -> np.ndarray:
         """Plane k, (H, W) float64: k * step + lo, and `hi` itself for plane
@@ -274,15 +264,6 @@ def _gather_weights(fl, values):
     return _row_weights(np.arange(w, dtype=DTYPE)[None, :] - values, w, fl.dtype)
 
 
-def _plane_weights(fl, window, ks):
-    """`_fill`'s input for each plane k in `ks` of `window`: k itself when the
-    window's planes are integer shifts, else the plane's gather tables, each
-    made from its plane as it is reached."""
-    if window.shifts:
-        return list(ks)
-    return [_gather_weights(fl, window.plane(k)) for k in ks]
-
-
 def _shift_rows(fr, d, out):
     """Write the (..., H, W) `fr` shifted d columns along its rows into
     `out`, a C-contiguous array of its shape, with zeros in each row's
@@ -342,7 +323,7 @@ def build_dense_volume(
     fills a dense window; its planes are that window's `planes()`."""
     fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
     window = Window.dense(dmax, scale, fl.shape[1:])
-    return _build(fl, fr, _plane_weights(fl, window, range(window.n)), window.planes(), scale, n_groups)
+    return _build(fl, fr, list(range(window.n)), window.planes(), scale, n_groups)
 
 
 def build_sparse_volume(
@@ -401,6 +382,28 @@ def reduce_to_cost(
     return ScoreVolume(_cost_from_sums(total, diff[c], c, w_group, w_absdiff), window, scale)
 
 
+def tiling(
+    c: int, grids: Sequence[tuple[int, int]], plane_reach: int | None = None
+) -> tuple[tuple[int, int], ...]:
+    """`stream_cost`'s (planes, channels per block) for each span of planes,
+    for `c` channels over inputs of `grids`, (planes, bytes of one
+    channel's plane) each. At plane reach 0, which takes one input, a span
+    is as many whole planes as fit `BLOCK_BYTES` with every channel;
+    otherwise every plane of every input is one span. A block is as many
+    channels as fit `BLOCK_BYTES` with their planes in the span. Each is at
+    least one; a negative reach is a `ValueError`."""
+    if plane_reach is not None and plane_reach < 0:
+        raise ValueError(f"plane reach must be None or >= 0, got {plane_reach}")
+    if plane_reach == 0 and len(grids) > 1:
+        raise ValueError(f"plane reach 0 takes one input, got {len(grids)}")
+    n, plane = grids[0]
+    if plane_reach != 0:
+        return ((n, max(1, BLOCK_BYTES // sum(k * size for k, size in grids))),)
+    step = max(1, BLOCK_BYTES // (c * plane))
+    spans = [min(step, n - k) for k in range(0, n, step)]
+    return tuple((m, max(1, BLOCK_BYTES // (m * plane))) for m in spans)
+
+
 def stream_cost(
     inputs: Sequence[tuple[np.ndarray, np.ndarray, Window]],
     scale: int,
@@ -408,6 +411,7 @@ def stream_cost(
     w_group: float = 1.0,
     w_absdiff: float = 1.0,
     plane_reach: int | None = None,
+    dense: bool = False,
 ) -> ScoreVolume:
     """`reduce_to_cost` of a regularized one-group volume, built and
     regularized a block of channels at a time.
@@ -421,23 +425,15 @@ def stream_cost(
     byte: |.| of each regularized block is added in channel order into a
     sum of the regularized volume's dtype, and the correlation accumulates
     over all channels in the builders' order and is regularized last, as
-    one channel. A dense window is filled by slices, as `build_dense_volume`
-    fills it; any other is gathered, as `build_sparse_volume` gathers its
-    planes.
+    one channel. `dense` says that every window is its dense window
+    (`Window.dense`), filled by slices as `build_dense_volume` fills it;
+    otherwise the planes are gathered, as `build_sparse_volume` gathers
+    them.
 
     `plane_reach` is how many planes on each side of a plane `regularize`
-    reads (`fusion.aggregate_plane_reach`), or None for every plane; a
-    negative reach is a `ValueError`. At 0, with one input, a span holds as
-    many whole planes as fit `BLOCK_BYTES` with every channel, and at least
-    one: its planes, weights, channel blocks and sum are made a span at a
-    time, so small planes share a block and large ones go one at a time.
-    Otherwise every plane is one span. A span's blocks are the channels
-    whose planes fit `BLOCK_BYTES` (at least one channel), so a block, which
-    `regularize` works on whole, stays in L2 from its fill to its sum.
-
-    The cost is made from the sum and the correlation as `reduce_to_cost`
-    makes it (`_cost_from_sums`): in the volume's dtype a plane at a time,
-    cast to float64 as each plane is written.
+    reads, or None for every plane; it sets `tiling`'s spans and blocks,
+    and a span's weights, blocks and sum are made a span at a time. The
+    cost is made as `reduce_to_cost` makes it (`_cost_from_sums`).
     """
     prepared = []
     for left, right, window in inputs:
@@ -449,26 +445,20 @@ def stream_cost(
     if len(counts) != 1:
         raise ValueError(f"feature counts differ across inputs: {sorted(counts)}")
     c = counts.pop()
-    if plane_reach is not None and plane_reach < 0:
-        raise ValueError(f"plane reach must be None or >= 0, got {plane_reach}")
-    if plane_reach == 0 and len(prepared) > 1:
-        raise ValueError(f"plane reach 0 takes one input, got {len(prepared)}")
+    tiles = tiling(c, [(window.n, fl[0].nbytes) for fl, _, window in prepared], plane_reach)
     corrs = [np.zeros((window.n,) + fl.shape[1:], dtype=fl.dtype) for fl, _, window in prepared]
     total = None  # made at the first block, in the regularized volume's dtype
-    n_planes = prepared[0][2].n
-    if plane_reach == 0:
-        # whole planes with every channel, prepared[0][0] being (C, H, W)
-        step = max(1, BLOCK_BYTES // prepared[0][0].nbytes)
-        spans = [slice(n, n + step) for n in range(0, n_planes, step)]
-    else:
-        spans = [slice(None)]
-    for span in spans:
-        parts = [
-            (fl, fr, _plane_weights(fl, window, range(window.n)[span]), corr[span])
-            for (fl, fr, window), corr in zip(prepared, corrs)
-        ]
-        channel_bytes = sum(len(wts) * fl[0].nbytes for fl, _, wts, _ in parts)
-        block = max(1, BLOCK_BYTES // channel_bytes)
+    k0 = 0
+    for planes, block in tiles:
+        # one span is every plane of every input
+        span = slice(k0, k0 + planes) if len(tiles) > 1 else slice(None)
+        k0 += planes
+        parts = []
+        for (fl, fr, window), corr in zip(prepared, corrs):
+            ks = range(window.n)[span]
+            # a dense plane k is the shift k; another plane's tables are made as it is reached
+            weights = list(ks) if dense else [_gather_weights(fl, window.plane(k)) for k in ks]
+            parts.append((fl, fr, weights, corr[span]))
         for c0 in range(0, c, block):
             chans = slice(c0, min(c0 + block, c))
             volumes = []

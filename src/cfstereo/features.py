@@ -35,6 +35,22 @@ def box_mean2d(image: np.ndarray, radius: int) -> np.ndarray:
     return box_smooth_axis(box_smooth_axis(image, 0, radius), 1, radius)
 
 
+def channel_count(census_radius: int) -> int:
+    """Channels of a level: 5, then (2r+1)^2-1 census signs for radius r."""
+    return 4 + (2 * census_radius + 1) ** 2
+
+
+def check_size(h: int, w: int) -> None:
+    """Raise ValueError unless each side is a multiple of 2^LEVELS and at
+    least two pixels at the coarsest level, where np.gradient needs two."""
+    step = 1 << LEVELS
+    if h % step or w % step or min(h, w) < 2 * step:
+        raise ValueError(
+            f"image dims {(h, w)} must be divisible by {step} and at least {2 * step} "
+            f"(two pixels at scale {LEVELS}); pad the input"
+        )
+
+
 def channel_stack(image: np.ndarray, census_radius: int = 1) -> np.ndarray:
     """Raw (unnormalized) channel stack for one image; order is fixed.
 
@@ -46,7 +62,7 @@ def channel_stack(image: np.ndarray, census_radius: int = 1) -> np.ndarray:
     r = census_radius
     offsets = [(dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1) if dy or dx]
     # float64, as the census channels are
-    stack = np.empty((5 + len(offsets), h, w), DTYPE)
+    stack = np.empty((channel_count(r), h, w), DTYPE)
     stack[0] = image
     stack[2], stack[1] = np.gradient(image)
     mean = box_mean2d(image, STAT_RADIUS)
@@ -99,7 +115,8 @@ def build_pyramid(
     """Normalized feature maps, scale i -> (C, H/2^i, W/2^i) for i in 1..LEVELS.
 
     Level i is the normalized channel stack of the i-th image in the
-    blur-then-decimate chain, so C = 5 + (2r+1)^2-1 for census radius r.
+    blur-then-decimate chain, so C = `channel_count(census_radius)`, and the
+    image's size must pass `check_size`.
     Each level is computed in float64 and cast to `dtype` (float32 or
     float64) as soon as it is normalized, which gives the bytes of casting
     the normalized float64 stack: the stack is the pyramid's own, so it is
@@ -110,15 +127,7 @@ def build_pyramid(
         raise ValueError(f"feature dtype must be float32 or float64, got {dtype}")
     img = as_grid(image, 2, "image").astype(DTYPE, copy=False)
     require_finite(img, "image")
-    h, w = img.shape
-    step = 1 << LEVELS
-    # np.gradient needs two pixels per axis at the coarsest scale
-    if h % step or w % step or min(h, w) < 2 * step:
-        raise ValueError(
-            f"image dims {(h, w)} must be divisible by {step} and at least {2 * step} "
-            f"(two pixels at scale {LEVELS}); pad the input"
-        )
-
+    check_size(*img.shape)
     maps: dict[int, np.ndarray] = {}
     current = img
     for i in range(1, LEVELS + 1):

@@ -28,8 +28,8 @@ def box_smooth_volume(data: np.ndarray, radii: tuple[int, int, int], passes: int
 
 def aggregate(data: np.ndarray, config: RunConfig) -> np.ndarray:
     """Regularize a (…, planes, H, W) grid: `box_smooth_volume` half-mixed
-    with the input. The pipeline calls it on one `stream_cost` block
-    (`cost_volume.BLOCK_BYTES`) at a time, so it needs no tiling of its own."""
+    with the input. The pipeline calls it on one `stream_cost` block at a
+    time (`cascade.plan`), so it needs no tiling of its own."""
     data = as_grid(data)
     if data.ndim not in (3, 4):
         raise ValueError(f"expected 3D or 4D volume, got shape {data.shape}")
@@ -37,21 +37,6 @@ def aggregate(data: np.ndarray, config: RunConfig) -> np.ndarray:
     out += data
     out *= 0.5
     return out
-
-
-def aggregate_reach(config: RunConfig) -> int:
-    """Rows on each side of an output row that `aggregate` reads: its y box,
-    once per pass. Its x and plane boxes and its mix stay within a row, so
-    rows [a, b) of `aggregate` over rows [a - reach, b + reach), clipped at
-    the grid's edge, equal rows [a, b) of `aggregate` over the whole grid."""
-    return config.fusion_passes * config.fusion_smooth_radius[2]
-
-
-def aggregate_plane_reach(config: RunConfig) -> int:
-    """Planes on each side of an output plane that `aggregate` reads: its
-    plane box, once per pass. At 0, `aggregate` of one plane's slabs equals
-    that plane of `aggregate` over every plane."""
-    return config.fusion_passes * config.fusion_smooth_radius[0]
 
 
 def _check_pyramid_ratios(v3: np.ndarray, v4: np.ndarray, v5: np.ndarray):

@@ -26,7 +26,7 @@ from cfstereo.cascade import (
     uncertainty,
 )
 from cfstereo.config import RunConfig
-from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume, Window, stream_cost
+from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume, Window, soft_argmin, stream_cost
 from cfstereo.errors import ConfigError, PipelineError
 from cfstereo.synth import random_dot_stereogram
 
@@ -393,12 +393,12 @@ class TestStagePlanes:
         """With small bands, every refinement call decodes a window of a
         band's rows, and stage 3 the whole dense window."""
         scene = desk_scene(2)
-        _, windows = banded_run(monkeypatch, scene, desk_config(), 200000)
+        _, stages, windows = banded_run(monkeypatch, scene, desk_config(), 200000)
         # stage 2 (32x64) in 2 bands and stage 1 (64x128) in 4, halo 2 rows
         shapes = [w.lo.shape for w in windows]
         assert shapes == [(16, 32), (18, 64), (18, 64), (18, 128), (20, 128), (20, 128), (18, 128)]
         assert [w.n for w in windows] == [8] + [16] * 2 + [12] * 4
-        assert windows[0].shifts and not any(w.shifts for w in windows[1:])
+        assert [entry.dense for entry in stages] == [True, False, False]
 
     def test_a_band_frees_its_decode_before_the_next(self, monkeypatch):
         """A band's score volume (its cost, softmax and window) is gone
@@ -415,7 +415,8 @@ class TestStagePlanes:
         monkeypatch.setattr(cascade, "stream_cost", counted)
         scene = desk_scene(2)
         run_pipeline(scene.left, scene.right, desk_config())
-        assert len(decoded) == 7
+        stages = cascade.plan(scene.left.shape, desk_config())
+        assert len(decoded) == sum(len(entry.bands) for entry in stages) == 7
 
     def test_pipeline_makes_no_plane_array(self, monkeypatch):
         """No stage builds planes (`Window.planes`, `np.linspace`), and
@@ -549,34 +550,32 @@ class TestTracedPeak:
 
 
 def banded_run(monkeypatch, scene, config, budget):
-    """run_pipeline with `budget` as the refinement stages' byte budget, and
-    the first input's window of each stream_cost call, in call order."""
-    calls = []
+    """run_pipeline with `budget` as the stages' band byte budget, the plan
+    it ran, and the window of each band it decoded, in decode order."""
+    windows = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0][0][2])
-        return stream_cost(*args, **kwargs)
+    def decoded(score):
+        windows.append(score.window)
+        return soft_argmin(score)
 
     with monkeypatch.context() as patch:
         patch.setattr(cascade, "BAND_BYTES", budget)
-        patch.setattr(cascade, "stream_cost", counted)
-        return run_pipeline(scene.left, scene.right, config), calls
+        patch.setattr(cascade, "soft_argmin", decoded)
+        stages = cascade.plan(scene.left.shape, config)
+        return run_pipeline(scene.left, scene.right, config), stages, windows
 
 
-def assert_band_windows(band_windows, want, config):
-    """Each band's window is its rows, halo included, of the window of the
-    whole stage in `want`; stage 3's bands are rows of the dense window,
-    filled by shifts."""
-    halo = cascade.aggregate_reach(config)
-    for stage in want.stages:
-        h, w = stage.disparity.shape
-        bands = [win for win in band_windows if win.lo.shape[1] == w]
-        for (a, b), win in zip(cascade._bands(h, len(bands)), bands, strict=True):
-            rows = slice(max(0, a - halo), min(h, b + halo))
-            assert win.n == stage.window.n, (stage.scale, a, b)
-            assert win.lo.tobytes() == stage.window.lo[rows].tobytes(), (stage.scale, a, b)
-            assert win.hi.tobytes() == stage.window.hi[rows].tobytes(), (stage.scale, a, b)
-            assert win.shifts == (stage.scale == 3), (stage.scale, a, b)
+def assert_band_windows(stages, windows, want):
+    """Every planned band was decoded, in order, and each band's window is
+    its rows, halo included, of the window of the whole stage in `want`."""
+    bands = [(entry, band) for entry in stages for band in entry.bands]
+    for (entry, band), win in zip(bands, windows, strict=True):
+        stage = want.stages[3 - entry.scale]
+        rows = slice(max(0, band.a - entry.halo), min(entry.h, band.b + entry.halo))
+        assert (band.a0, band.b0) == (rows.start, rows.stop), (entry.scale, band)
+        assert win.n == stage.window.n == entry.n, (entry.scale, band)
+        assert win.lo.tobytes() == stage.window.lo[rows].tobytes(), (entry.scale, band)
+        assert win.hi.tobytes() == stage.window.hi[rows].tobytes(), (entry.scale, band)
 
 
 def assert_same_bytes(got, want):
@@ -593,9 +592,9 @@ def assert_same_bytes(got, want):
 
 class TestBands:
     """Every stage not fused with coarser scales (stages 2 and 1, and stage 3
-    with fusion off) decodes in row bands with `aggregate_reach` rows of
-    halo; every band count, with any channel block size, gives the bytes of
-    the one-band run at the default block size."""
+    with fusion off) decodes in the row bands and halo of its plan; every
+    band count, with any channel block size, gives the bytes of the
+    one-band run at the default block size."""
 
     WHOLE = 1 << 62
     whole_runs: dict = {}  # one-band runs, shared by the budgets of one config
@@ -639,14 +638,16 @@ class TestBands:
         key = tuple(sorted(change.items()))
         if key not in self.whole_runs:
             self.whole_runs[key] = banded_run(monkeypatch, scene, config, self.WHOLE)
-        want, whole_calls = self.whole_runs[key]
+        want, whole_stages, whole_windows = self.whole_runs[key]
         if block is not None:
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block)
-        got, band_calls = banded_run(monkeypatch, scene, config, budget)
-        calls = (bands[0] if not config.fusion_enabled else 1) + bands[1] + bands[2]
-        assert (len(whole_calls), len(band_calls)) == (3, calls)
+        got, stages, windows = banded_run(monkeypatch, scene, config, budget)
+        assert [len(entry.bands) for entry in whole_stages] == [1, 1, 1]
+        counts = [bands[0] if not config.fusion_enabled else 1, bands[1], bands[2]]
+        assert [len(entry.bands) for entry in stages] == counts
         assert_same_bytes(got, want)
-        assert_band_windows(band_calls, want, config)
+        assert_band_windows(whole_stages, whole_windows, want)
+        assert_band_windows(stages, windows, want)
 
     def test_large_pair_splits_at_the_default_budget(self, monkeypatch):
         """512x1024 at dmax 256 and 2 MiB bands: stage 2 (16 x 128x256, 4 MiB)
@@ -654,11 +655,78 @@ class TestBands:
         assert cascade.BAND_BYTES == 2 << 20
         scene = random_dot_stereogram(512, 1024, "two-plane:20,90", 5)
         config = replace(desk_config(), pipeline_dmax=256)
-        got, band_calls = banded_run(monkeypatch, scene, config, cascade.BAND_BYTES)
-        want, whole_calls = banded_run(monkeypatch, scene, config, self.WHOLE)
-        assert (len(whole_calls), len(band_calls)) == (3, 1 + 2 + 6)
+        got, stages, windows = banded_run(monkeypatch, scene, config, cascade.BAND_BYTES)
+        want, whole_stages, _ = banded_run(monkeypatch, scene, config, self.WHOLE)
+        assert [len(entry.bands) for entry in stages] == [1, 2, 6]
+        assert [len(entry.bands) for entry in whole_stages] == [1, 1, 1]
+        assert [entry.halo for entry in stages] == [0, 2, 2]
         assert_same_bytes(got, want)
-        assert_band_windows(band_calls, want, config)
+        assert_band_windows(stages, windows, want)
+
+
+class TestPlan:
+    """`cascade.plan` works out every stage's tiling from the shape and the
+    config, and the pipeline decodes exactly the plan."""
+
+    @pytest.mark.parametrize(
+        "h, w, dmax, counts",
+        [(128, 256, 64, [1, 1, 1]), (256, 512, 256, [1, 1, 2]), (512, 1024, 256, [1, 2, 6])],
+        ids=["desk", "mid", "large"],
+    )
+    def test_band_counts_are_the_runs_stream_cost_calls(self, monkeypatch, h, w, dmax, counts):
+        """Each `stream_cost` call works out its spans and blocks once
+        (`cost_volume.tiling`); one run's calls are the plan's bands, stage
+        by stage, with the plan's spans and blocks."""
+        config = replace(desk_config(), pipeline_dmax=dmax)
+        scene = desk_scene(0) if h == 128 else random_dot_stereogram(h, w, "two-plane:20,90", 5)
+        tiling, calls = cost_volume.tiling, []
+
+        def counted(*args):
+            calls.append(tiling(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(cost_volume, "tiling", counted)
+        run_pipeline(scene.left, scene.right, config)
+        stages = cascade.plan((h, w), config)
+        assert [len(entry.bands) for entry in stages] == counts
+        assert calls == [band.tiles for entry in stages for band in entry.bands]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({}, id="desk"),
+            pytest.param({"fusion_passes": 2, "fusion_smooth_radius": (1, 2, 3)}, id="two-pass"),
+            pytest.param({"fusion_enabled": False, "cascade_n1": 40}, id="fusion-off"),
+            pytest.param({"features_census_radius": 3, "pipeline_dmax": 256}, id="census-3"),
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 256), (512, 1024)])
+    def test_entries(self, change, shape):
+        config = replace(desk_config(), **change)
+        stages = cascade.plan(shape, config)
+        r_plane, _, r_y = config.fusion_smooth_radius
+        assert [entry.scale for entry in stages] == [3, 2, 1]
+        assert [entry.n for entry in stages] == [config.pipeline_dmax >> 3, config.cascade_n2, config.cascade_n1]
+        assert [entry.dense for entry in stages] == [True, False, False]
+        assert [entry.fused for entry in stages] == [config.fusion_enabled, False, False]
+        for entry in stages:
+            assert (entry.h, entry.w) == (shape[0] >> entry.scale, shape[1] >> entry.scale)
+            rows = [(band.a, band.b) for band in entry.bands]
+            if entry.fused:
+                assert (entry.halo, entry.plane_reach, rows) == (0, None, [(0, entry.h)])
+            else:
+                assert (entry.halo, entry.plane_reach) == (config.fusion_passes * r_y, config.fusion_passes * r_plane)
+                count = -(-entry.n * entry.h * entry.w * 8 // cascade.BAND_BYTES)
+                assert rows == cascade._bands(entry.h, min(entry.h, count))
+            for band in entry.bands:
+                assert (band.a0, band.b0) == (max(0, band.a - entry.halo), min(entry.h, band.b + entry.halo))
+                assert sum(planes for planes, _ in band.tiles) == entry.n
+                assert all(block >= 1 for _, block in band.tiles)
+                assert len(band.tiles) == 1 or entry.plane_reach == 0
+
+    def test_bad_size_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^image dims \(96, 80\) must be divisible by 32"):
+            cascade.plan((96, 80), desk_config())
 
 
 class TestPrecision:

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from cfstereo import cli
@@ -184,6 +186,32 @@ def test_match_output_that_is_an_input_is_data_error(workdir, tmp_path, capsys):
     assert "--left and --out-disp are the same file" in capsys.readouterr().err
     assert left.read_bytes() == (workdir / "scene" / "left.pgm").read_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["left.pgm"]
+
+
+@pytest.mark.parametrize(
+    "line", ["cascade.alpha = 1e308", "cascade.beta = 0,1e308", "cost.w_group = 1e38", "cost.w_absdiff = -1e38"]
+)
+def test_huge_config_value_is_data_error(workdir, tmp_path, capsys, line):
+    """A value that would overflow partway through a run is refused up
+    front: exit 2 naming the key, no output, and no RuntimeWarning."""
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("".join(f"{row}\n" for row in DESK_CFG.splitlines() if not row.startswith(key)) + line + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli_main([
+            "match",
+            "--left", str(workdir / "scene" / "left.pgm"),
+            "--right", str(workdir / "scene" / "right.pgm"),
+            "--config", str(cfg),
+            "--out-disp", str(tmp_path / "out" / "d.pfm"),
+            "--out-unc", str(tmp_path / "out" / "u.pfm"),
+        ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{key} must be" in err and "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.cfg"]
 
 
 def test_rank_subcommand(tmp_path, capsys):

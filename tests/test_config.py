@@ -86,6 +86,15 @@ def test_nonfinite_floats_rejected(key, value):
         parse_config(f"{key} = {value}\n")
 
 
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "1e38", "1000000.5"])
+@pytest.mark.parametrize("key", ["cost.w_group", "cost.w_absdiff", "cascade.alpha", "cascade.beta"])
+def test_huge_finite_values_rejected(key, value):
+    """Values this large overflowed partway through a run; 1e6 is the bound."""
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        parse_config(f"{key} = {value}\n")
+    assert parse_config(f"{key} = 1e6\n")
+
+
 @pytest.mark.parametrize(
     "line, change, message",
     [
@@ -99,6 +108,8 @@ def test_nonfinite_floats_rejected(key, value):
         ("cascade.n2 = 0", {"plane_counts": (0, 12)}, "cascade.n1 and cascade.n2 must be >= 2"),
         ("cascade.n1 = 257", {"plane_counts": (16, 257)}, "cascade.n1 and cascade.n2 must be <= 256"),
         ("cascade.n2 = 257", {"plane_counts": (257, 12)}, "cascade.n1 and cascade.n2 must be <= 256"),
+        ("cascade.alpha = 1e308", {"alpha": (1e308, 1e308)}, "cascade.alpha must be <= 1000000"),
+        ("cascade.beta = 0,1e7", {"beta": (0.0, 1e7)}, "cascade.beta must be <= 1000000"),
     ],
 )
 def test_window_rules_have_one_message(line, change, message):

@@ -20,7 +20,8 @@ from cfstereo.cost_volume import (
     uncertainty,
 )
 from cfstereo.benchmarks import desk_config
-from cfstereo.fusion import aggregate, aggregate_plane_reach, fuse_volumes
+from cfstereo.cascade import plan
+from cfstereo.fusion import aggregate, fuse_volumes
 from cfstereo.synth import volume_oracle
 from cfstereo.tensor_ops import box_smooth_axis, softmax_along_planes
 from references import mean_correlation, std_normalized
@@ -30,6 +31,11 @@ BIG = 1000.0
 
 def cost_of(vol, **weights):
     return reduce_to_cost(mean_correlation(vol), vol.planes, vol.scale, **weights)
+
+
+def plane_reach(config):
+    """The plane reach `cascade.plan` gives a refinement stage of a desk pair."""
+    return plan((128, 256), config)[-1].plane_reach
 
 
 def smoothed_features(rng, c, h, w):
@@ -218,10 +224,8 @@ class TestWindow:
 
     def test_dense(self):
         window = Window.dense(64, 3, (2, 3))
-        assert window.n == 8 and window.shifts
+        assert window.n == 8
         assert all(np.array_equal(window.plane(k), np.full((2, 3), float(k))) for k in range(8))
-        assert not Window(np.ones((2, 3)), np.full((2, 3), 8.0), 8).shifts
-        assert not Window(np.zeros((2, 3)), np.full((2, 3), 14.0), 8).shifts
         with pytest.raises(ValueError, match="^dmax 36 not divisible by 2\\*\\*scale at scale 3$"):
             Window.dense(36, 3, (2, 3))
         with pytest.raises(ValueError, match="^dmax 8 leaves fewer than 2 planes at scale 3$"):
@@ -720,7 +724,7 @@ class TestStreamCost:
         fr = 0.8 * np.roll(fl, 5, axis=-1) + 0.2 * smoothed_features(rng, self.CHANNELS, h, w)
         return fl.astype(dtype), fr.astype(dtype)
 
-    def streamed(self, monkeypatch, inputs, scale, regularize, split=True):
+    def streamed(self, monkeypatch, inputs, scale, regularize, split=True, dense=False):
         """stream_cost's costs at the default BLOCK_BYTES and at 1, checking
         the channel counts of the regularize calls: at the default, two or
         more blocks if `split`, else one."""
@@ -733,7 +737,7 @@ class TestStreamCost:
                 blocks.append(volumes[0].shape[0])
                 return regularize(*volumes)
 
-            score = stream_cost(inputs, scale, counted, **self.WEIGHTS)
+            score = stream_cost(inputs, scale, counted, dense=dense, **self.WEIGHTS)
             assert score.cost.dtype == np.float64 and score.window is inputs[0][2]
             # channel blocks, then the correlation as one channel
             *channel_blocks, corr = blocks
@@ -762,7 +766,7 @@ class TestStreamCost:
         inputs = [(*feats[s], Window.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
         volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
         want = reduce_to_cost(regularize(*volumes), inputs[0][2], 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, inputs, 3, regularize):
+        for got in self.streamed(monkeypatch, inputs, 3, regularize, dense=True):
             assert np.array_equal(got, want.cost)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -778,7 +782,7 @@ class TestStreamCost:
         inputs = [(*feats[s], Window.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
         volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
         want = reduce_to_cost(regularize(*volumes), inputs[0][2], scales[0], **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, inputs, scales[0], regularize, split=False):
+        for got in self.streamed(monkeypatch, inputs, scales[0], regularize, split=False, dense=True):
             assert got.tobytes() == want.cost.tobytes()
 
     def test_mixed_dtype_inputs(self, monkeypatch):
@@ -790,7 +794,7 @@ class TestStreamCost:
         fused = self.fuse(*(build_dense_volume(*feats[s], dmax, s, 1).data for s in scales))
         assert fused.dtype == np.float64
         want = reduce_to_cost(fused, inputs[0][2], 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, inputs, 3, self.fuse):
+        for got in self.streamed(monkeypatch, inputs, 3, self.fuse, dense=True):
             assert got.tobytes() == want.cost.tobytes()
 
     def test_sum_takes_the_regularized_dtype(self, monkeypatch):
@@ -803,7 +807,7 @@ class TestStreamCost:
             return self.smooth(volume).astype(np.float64)
 
         want = reduce_to_cost(widened(build_dense_volume(fl, fr, 128, 3, 1).data), window, 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, [(fl, fr, window)], 3, widened):
+        for got in self.streamed(monkeypatch, [(fl, fr, window)], 3, widened, dense=True):
             assert got.tobytes() == want.cost.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -825,7 +829,7 @@ class TestStreamCost:
         two or more blocks per plane at the default BLOCK_BYTES, the last
         one partial, in float32 and in float64."""
         config = replace(desk_config(), fusion_smooth_radius=radii, fusion_passes=passes)
-        assert aggregate_plane_reach(config) == 0
+        assert plane_reach(config) == 0
         h, w = 32, 256
         fl, fr = self.features(12, h, w, dtype)
         if planes == "dense":
@@ -848,7 +852,7 @@ class TestStreamCost:
                 calls.append(volume.shape[:2])
                 return smooth(volume)
 
-            score = stream_cost([(fl, fr, window)], 3, counted, plane_reach=0, **self.WEIGHTS)
+            score = stream_cost([(fl, fr, window)], 3, counted, plane_reach=0, dense=planes == "dense", **self.WEIGHTS)
             assert np.array_equal(score.cost, want.cost)
             block = max(1, block_bytes // fl[0].nbytes)
             chunks = [(min(block, self.CHANNELS - c0), 1) for c0 in range(0, self.CHANNELS, block)]
@@ -868,7 +872,7 @@ class TestStreamCost:
         correlation. At BLOCK_BYTES = 1 every channel of every plane is a
         call of its own."""
         config = desk_config()
-        assert aggregate_plane_reach(config) == 0
+        assert plane_reach(config) == 0
         h, w = 16, 32
         fl, fr = self.features(14, h, w, dtype)
         if planes == "dense":
@@ -892,7 +896,7 @@ class TestStreamCost:
                 calls.append(volume.shape[:2])
                 return smooth(volume)
 
-            score = stream_cost([(fl, fr, window)], 3, counted, plane_reach=0, **self.WEIGHTS)
+            score = stream_cost([(fl, fr, window)], 3, counted, plane_reach=0, dense=planes == "dense", **self.WEIGHTS)
             assert score.cost.tobytes() == want.cost.tobytes()
             if block_bytes == 1:
                 assert calls == [(1, 1)] * (self.CHANNELS * n) + [(1, n)]
@@ -916,7 +920,7 @@ class TestStreamCost:
         config = desk_config()
         fl, fr = self.features(3, 64, 128, np.float32)
         window = random_window(4, 12, 64, 128)
-        reach = aggregate_plane_reach(config)
+        reach = plane_reach(config)
         assert reach == 0
 
         def smooth(volume):

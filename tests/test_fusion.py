@@ -17,7 +17,8 @@ from cfstereo.cost_volume import (
     uncertainty,
 )
 from cfstereo.features import build_pyramid
-from cfstereo.fusion import aggregate, aggregate_plane_reach, aggregate_reach, box_smooth_volume, fuse_volumes
+from cfstereo.cascade import plan
+from cfstereo.fusion import aggregate, box_smooth_volume, fuse_volumes
 from cfstereo.synth import random_dot_stereogram
 from cfstereo.tensor_ops import avgpool_volume, box_smooth_axis
 from references import mean_correlation
@@ -116,14 +117,19 @@ RADII_AND_PASSES = [
 ]
 
 
+def refinement(config):
+    """`cascade.plan`'s entry for stage 1, a refinement stage, of a desk pair."""
+    return plan((128, 256), config)[-1]
+
+
 class TestAggregateReach:
-    """`aggregate_reach` is the halo of a refinement stage's row bands."""
+    """A refinement stage's planned halo is the rows `aggregate` reads."""
 
     @pytest.mark.parametrize("radii, passes", RADII_AND_PASSES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     def test_one_input_row_reaches_exactly_reach_rows(self, radii, passes, dtype):
         cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
-        reach = aggregate_reach(cfg)
+        reach = refinement(cfg).halo
         v = np.random.default_rng(8).normal(size=(2, 3, 24, 7)).astype(dtype)
         row = 11
         bumped = v.copy()
@@ -135,7 +141,7 @@ class TestAggregateReach:
     @pytest.mark.parametrize("span", [(0, 1), (0, 5), (3, 4), (6, 13), (20, 24), (23, 24), (0, 24)])
     def test_band_with_reach_rows_of_halo_is_exact(self, radii, passes, span):
         cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
-        reach = aggregate_reach(cfg)
+        reach = refinement(cfg).halo
         v = np.random.default_rng(9).normal(size=(2, 3, 24, 7)).astype(np.float32)
         a, b = span
         a0, b0 = max(0, a - reach), min(24, b + reach)
@@ -144,12 +150,13 @@ class TestAggregateReach:
 
 
 class TestAggregatePlaneReach:
-    """`aggregate_plane_reach` says when `stream_cost` may work plane by plane."""
+    """A refinement stage's planned plane reach is the planes `aggregate`
+    reads, so at 0 `stream_cost` may work plane by plane."""
 
     @pytest.mark.parametrize("radii, passes", RADII_AND_PASSES)
     def test_one_input_plane_reaches_exactly_reach_planes(self, radii, passes):
         cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
-        reach = aggregate_plane_reach(cfg)
+        reach = refinement(cfg).plane_reach
         v = np.random.default_rng(10).normal(size=(2, 15, 6, 7))
         plane = 7
         bumped = v.copy()
@@ -161,7 +168,7 @@ class TestAggregatePlaneReach:
     @pytest.mark.parametrize("radii, passes", [((0, 2, 2), 1), ((0, 1, 0), 2), ((0, 0, 3), 3)])
     def test_at_reach_zero_each_plane_aggregates_alone(self, radii, passes, dtype):
         cfg = replace(RunConfig(), fusion_smooth_radius=radii, fusion_passes=passes)
-        assert aggregate_plane_reach(cfg) == 0
+        assert refinement(cfg).plane_reach == 0
         v = np.random.default_rng(11).normal(size=(3, 5, 24, 40)).astype(dtype)
         whole = aggregate(v, cfg)
         for n in range(v.shape[1]):
