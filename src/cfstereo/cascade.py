@@ -2,7 +2,8 @@
 
 Every stage decodes a `cost_volume.Window`: n planes evenly spaced from
 `lo` to `hi` per pixel. Stage 3's window is the dense [0, n - 1], fused
-with the dense windows of scales 4 and 5; stages 2 and 1 re-match inside a
+with the dense volumes of scales 4 and 5, which are built whole once per
+pair and read a channel block at a time; stages 2 and 1 re-match inside a
 per-pixel window derived from the previous stage's estimate and its
 variance. `config.RangeParams`, the window's parameters, is re-exported
 here, and so is `cost_volume.sample_planes`; each checks its own input,
@@ -12,8 +13,9 @@ and a `Window` checks its bounds.
 config alone, and checks the shape: one `StagePlan` per stage, with its row
 bands, their halo, its plane reach and `stream_cost`'s spans and channel
 blocks; `StagePlan` states the rules once. `run_pipeline` makes the plan and
-runs it, one loop for every stage. A band's window is its rows of the
-stage's window, and the fill and the decode make no (N, H, W) plane array.
+runs it, one loop for every stage: each band streams its rows of the
+stage's features and window, one input, through the stage's regularizer.
+The fill and the decode make no (N, H, W) plane array.
 A `StageResult` keeps the `Window` it decoded and builds its planes afresh
 each time they are read, so no output holds a plane array.
 """
@@ -26,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RangeParams, RunConfig
-from .cost_volume import HypothesisPlanes, Window, sample_planes, soft_argmin, stream_cost, tiling, uncertainty
+from .cost_volume import (
+    HypothesisPlanes, Window, dense_data, sample_planes, soft_argmin, stream_cost, tiling, uncertainty
+)
 from .errors import PipelineError
 from .features import build_pyramid, channel_count, check_size
 from .fusion import aggregate, fuse_volumes
@@ -75,7 +79,8 @@ class StagePlan:
 
     Stage 3 is `dense`, its window the [0, n - 1] of dmax/8 planes, filled
     by slices, and `fused` with scales 4 and 5 when fusion is on; stages 2
-    and 1 search `cascade.n2` and `cascade.n1` planes. A stage not fused is
+    and 1 search `cascade.n2` and `cascade.n1` planes, read through
+    `RangeParams.for_stage` as `next_range` reads them. A stage not fused is
     cut into as many even row bands as its float64 (n, h, w) map fills
     `BAND_BYTES`, rounded up, at most one per row. Its `halo`, the rows a
     band reads on each side, is `aggregate`'s y box once per pass, and its
@@ -83,8 +88,9 @@ class StagePlan:
     so rows [a, b) of a band read with its halo are those rows of the whole
     stage's decode, byte for byte. A fused stage is one band with no halo
     and every plane in reach (None), since fusion's reach across scales is
-    not worked out. Each band's `tiles` are `cost_volume.tiling`'s for its
-    rows of `FEATURE_DTYPE` features."""
+    not worked out; its scale-4 and scale-5 volumes are whole, so they take
+    no part in its tiling. Each band's `tiles` are `cost_volume.tiling`'s
+    for its rows of `FEATURE_DTYPE` features."""
 
     scale: int
     h: int
@@ -187,21 +193,20 @@ def plan(shape: tuple[int, int], config: RunConfig) -> tuple[StagePlan, ...]:
     check_size(h, w)
     dmax, passes, (r_plane, _, r_y) = config.pipeline_dmax, config.fusion_passes, config.fusion_smooth_radius
     c, itemsize = channel_count(config.features_census_radius), np.dtype(FEATURE_DTYPE).itemsize
+    params = RangeParams.from_config(config)
     entries = []
-    for scale, n in ((3, dmax >> 3), (2, config.cascade_n2), (1, config.cascade_n1)):
+    for scale, n in ((3, dmax >> 3), (2, params.for_stage(3)[2]), (1, params.for_stage(2)[2])):
         hs, ws = h >> scale, w >> scale
         fused = scale == 3 and config.fusion_enabled
         if fused:
             halo, plane_reach, count = 0, None, 1
-            coarser = [(dmax >> s, (h >> s) * (w >> s) * itemsize) for s in (4, 5)]
         else:
-            halo, plane_reach, coarser = passes * r_y, passes * r_plane, []
+            halo, plane_reach = passes * r_y, passes * r_plane
             count = min(hs, -(-n * hs * ws * 8 // BAND_BYTES))
         bands = []
         for a, b in _bands(hs, count):
             a0, b0 = max(0, a - halo), min(hs, b + halo)
-            tiles = tiling(c, [(n, (b0 - a0) * ws * itemsize), *coarser], plane_reach)
-            bands.append(Band(a0, a, b, b0, tiles))
+            bands.append(Band(a0, a, b, b0, tiling(c, n, (b0 - a0) * ws * itemsize, plane_reach)))
         entries.append(StagePlan(scale, hs, ws, n, fused, scale == 3, halo, plane_reach, tuple(bands)))
     return tuple(entries)
 
@@ -238,37 +243,34 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         # features in float64, each level cast as it is made: every volume below is float32
         feat_l, feat_r = (build_pyramid(img, census_radius=census, dtype=FEATURE_DTYPE) for img in (li, ri))
 
-    def smooth(volume):
-        return aggregate(volume, config)
-
-    def fuse(v3, v4, v5):
-        return fuse_volumes(v3, v4, v5, config)
-
-    def dense_window(scale):
-        return Window.dense(dmax, scale, feat_l[scale].shape[1:])
-
     def decode_window(entry, window):
-        fl, fr = feat_l[entry.scale], feat_r[entry.scale]
-        coarser = [(feat_l[s], feat_r[s], dense_window(s)) for s in (4, 5)] if entry.fused else []
-        regularize = fuse if entry.fused else smooth
+        coarser = [dense_data(feat_l[s], feat_r[s], dmax, s) for s in (4, 5)] if entry.fused else []
+
+        def regularize(block, chans):
+            if coarser:
+                return fuse_volumes(block, *(v[chans] for v in coarser), config)
+            return aggregate(block, config)
+
         disp, unc = np.empty((entry.h, entry.w), DTYPE), np.empty((entry.h, entry.w), DTYPE)
         for band in entry.bands:
             rows, keep = slice(band.a0, band.b0), slice(band.a - band.a0, band.b - band.a0)
-            fl_rows, fr_rows = (np.ascontiguousarray(f[:, rows]) for f in (fl, fr))
-            inputs = [(fl_rows, fr_rows, Window(window.lo[rows], window.hi[rows], window.n)), *coarser]
-            sv = stream_cost(inputs, entry.scale, regularize, w_g, w_a, entry.plane_reach, entry.dense)
+            fl_rows, fr_rows = (np.ascontiguousarray(f[entry.scale][:, rows]) for f in (feat_l, feat_r))
+            rows_window = Window(window.lo[rows], window.hi[rows], window.n)
+            sv = stream_cost(
+                fl_rows, fr_rows, rows_window, entry.scale, regularize, w_g, w_a, entry.plane_reach, entry.dense
+            )
             d = soft_argmin(sv)
             disp[band.a : band.b] = d[keep]
             unc[band.a : band.b] = uncertainty(sv, d)[keep]
             # the band's cost, softmax and window, before the next band's are made
-            del inputs, sv
+            del rows_window, sv
         return StageResult(entry.scale, disp, unc, window)
 
     results = []
     for entry in stages:
         with _stage(f"stage {entry.scale}"):
             if entry.dense:
-                window = dense_window(entry.scale)
+                window = Window.dense(dmax, entry.scale, (entry.h, entry.w))
             else:
                 prev = results[-1]
                 lo, hi = next_range(prev.disparity, prev.uncertainty, params, prev.scale, dmax)

@@ -28,20 +28,27 @@ def _warn_nonfinite(name: str, values: np.ndarray) -> None:
 
 
 def _match_outputs(args) -> str:
-    """The config echo's path, once no two of the files `match` writes (the
-    disparity, the uncertainty, the echo and the six stage maps) resolve to
-    one file, and none resolves to an input: checked before any input is
-    read, so a clash writes nothing."""
+    """The config echo's path, once no file `match` writes (the disparity,
+    the uncertainty, the echo and the six stage maps) is a directory, the
+    `--dump-stages` path is a directory or new, and no two of those files
+    and that path resolve to one file or any to an input: checked before
+    any input is read, so a bad output location writes nothing."""
     echo_path = os.path.join(os.path.dirname(os.path.abspath(args.out_disp)), "config_echo.cfg")
     echo = "the config echo beside --out-disp"
     outputs = [("--out-disp", args.out_disp), ("--out-unc", args.out_unc), (echo, echo_path)]
     if args.dump_stages:
         for name in ("D3", "U3", "D2", "U2", "D1", "U1"):
             outputs.append((f"--dump-stages {name}.pfm", os.path.join(args.dump_stages, f"{name}.pfm")))
+        if os.path.lexists(args.dump_stages) and not os.path.isdir(args.dump_stages):
+            raise CfStereoError(f"--dump-stages is not a directory: {args.dump_stages}")
+    for flag, path in outputs:
+        if os.path.isdir(path):
+            raise CfStereoError(f"{flag} is a directory: {path}")
     # the inputs may share a file (a pair of one image), so they only seed the check
     inputs = (("--left", args.left), ("--right", args.right), ("--config", args.config))
     seen = {os.path.realpath(path): flag for flag, path in inputs if path}
-    for flag, path in outputs:
+    # the stage directory is made after the other outputs are written
+    for flag, path in outputs + ([("--dump-stages", args.dump_stages)] if args.dump_stages else []):
         real = os.path.realpath(path)
         if real in seen:
             raise CfStereoError(f"{seen[real]} and {flag} are the same file, {real}")

@@ -12,12 +12,14 @@ window makes each (H, W) plane, k * step + lo, only when it is reached;
 `HypothesisPlanes` holds whole (N, H, W) planes for the reference
 builders, and `Window.planes` (or `sample_planes`) makes them.
 
-The pipeline never holds a volume or a plane array whole. Every step before
-`|.|` acts on each channel alone, so `stream_cost` builds, regularizes and
-reduces one block of channels at a time, in the spans and blocks that
-`tiling` gives and `cascade.plan` records, adding |.| of each regularized
-block into the cost and regularizing the correlation last. Its cost is
-byte-identical to `reduce_to_cost` of the whole regularized volume.
+The pipeline holds no plane array, and no volume whole but the fused
+stage's scale-4 and scale-5 ones (`dense_data`), 1/8 and 1/64 of stage 3's.
+Every step before `|.|` acts on each channel alone, so `stream_cost` builds,
+regularizes and reduces its one input a block of channels at a time, in the
+spans and blocks that `tiling` gives and `cascade.plan` records, adding |.|
+of each regularized block into the cost and regularizing the correlation
+last; `regularize(block, chans)` gets each block's channel slice. Its cost
+is byte-identical to `reduce_to_cost` of the whole regularized volume.
 The builders and `stream_cost` share one fill (`_fill`):
 a plane of a dense window, the integer d, reads the right features shifted
 d columns as slices, and any other plane gathers through `_row_weights`
@@ -37,7 +39,7 @@ windows and every decoded map are float64 either way. The decode adds one
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -298,8 +300,8 @@ def _fill(fl, fr, weights, out, corr):
             corr[n] += product
 
 
-def _build(fl, fr, weights, planes, scale, n_groups) -> CombinationVolume:
-    """The whole volume of the checked features, filled a group at a time."""
+def _build(fl, fr, weights, n_groups) -> np.ndarray:
+    """The whole volume data of the checked features, filled a group at a time."""
     c = fl.shape[0]
     group_size = c // n_groups
     data = np.empty((c + n_groups, len(weights)) + fl.shape[1:], dtype=fl.dtype)
@@ -308,7 +310,17 @@ def _build(fl, fr, weights, planes, scale, n_groups) -> CombinationVolume:
         chans = slice(g * group_size, (g + 1) * group_size)
         _fill(fl[chans], fr[chans], weights, data[chans], data[c + g])
     data[c:] /= group_size
-    return CombinationVolume(data, planes, scale, n_groups)
+    return data
+
+
+def dense_data(
+    left_feats: np.ndarray, right_feats: np.ndarray, dmax: int, scale: int, n_groups: int = 1
+) -> np.ndarray:
+    """`build_dense_volume(...).data` without its planes: the volume over
+    every integer disparity of `Window.dense`, filled by slices. The fused
+    stage builds its scale-4 and scale-5 volumes whole with it."""
+    fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
+    return _build(fl, fr, list(range(Window.dense(dmax, scale, fl.shape[1:]).n)), n_groups)
 
 
 def build_dense_volume(
@@ -321,9 +333,8 @@ def build_dense_volume(
     """Volume over every integer disparity 0 .. dmax/2^scale - 1 on the left
     features' grid (`Window.dense`), filled by slices as `stream_cost`
     fills a dense window; its planes are that window's `planes()`."""
-    fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
-    window = Window.dense(dmax, scale, fl.shape[1:])
-    return _build(fl, fr, list(range(window.n)), window.planes(), scale, n_groups)
+    data = dense_data(left_feats, right_feats, dmax, scale, n_groups)
+    return CombinationVolume(data, Window.dense(dmax, scale, data.shape[2:]).planes(), scale, n_groups)
 
 
 def build_sparse_volume(
@@ -337,7 +348,7 @@ def build_sparse_volume(
     features sampled at x - plane (`tensor_ops._row_weights`)."""
     fl, fr = _check_feature_pair(left_feats, right_feats, n_groups)
     weights = [_gather_weights(fl, v) for v in planes.values_at(*fl.shape[1:])]
-    return _build(fl, fr, weights, planes, scale, n_groups)
+    return CombinationVolume(_build(fl, fr, weights, n_groups), planes, scale, n_groups)
 
 
 def _cost_from_sums(total, corr, c, w_group, w_absdiff) -> np.ndarray:
@@ -382,50 +393,45 @@ def reduce_to_cost(
     return ScoreVolume(_cost_from_sums(total, diff[c], c, w_group, w_absdiff), window, scale)
 
 
-def tiling(
-    c: int, grids: Sequence[tuple[int, int]], plane_reach: int | None = None
-) -> tuple[tuple[int, int], ...]:
+def tiling(c: int, n: int, plane_bytes: int, plane_reach: int | None) -> tuple[tuple[int, int], ...]:
     """`stream_cost`'s (planes, channels per block) for each span of planes,
-    for `c` channels over inputs of `grids`, (planes, bytes of one
-    channel's plane) each. At plane reach 0, which takes one input, a span
-    is as many whole planes as fit `BLOCK_BYTES` with every channel;
-    otherwise every plane of every input is one span. A block is as many
-    channels as fit `BLOCK_BYTES` with their planes in the span. Each is at
-    least one; a negative reach is a `ValueError`."""
+    for `c` channels of `n` planes of `plane_bytes` each. At plane reach 0
+    a span is as many whole planes as fit `BLOCK_BYTES` with every channel;
+    otherwise the `n` planes are one span. A block is as many channels as
+    fit `BLOCK_BYTES` with their planes in the span. Each is at least one;
+    a negative reach is a `ValueError`."""
     if plane_reach is not None and plane_reach < 0:
         raise ValueError(f"plane reach must be None or >= 0, got {plane_reach}")
-    if plane_reach == 0 and len(grids) > 1:
-        raise ValueError(f"plane reach 0 takes one input, got {len(grids)}")
-    n, plane = grids[0]
-    if plane_reach != 0:
-        return ((n, max(1, BLOCK_BYTES // sum(k * size for k, size in grids))),)
-    step = max(1, BLOCK_BYTES // (c * plane))
+    step = max(1, BLOCK_BYTES // (c * plane_bytes)) if plane_reach == 0 else n
     spans = [min(step, n - k) for k in range(0, n, step)]
-    return tuple((m, max(1, BLOCK_BYTES // (m * plane))) for m in spans)
+    return tuple((m, max(1, BLOCK_BYTES // (m * plane_bytes))) for m in spans)
 
 
 def stream_cost(
-    inputs: Sequence[tuple[np.ndarray, np.ndarray, Window]],
+    left: np.ndarray,
+    right: np.ndarray,
+    window: Window,
     scale: int,
-    regularize: Callable[..., np.ndarray],
+    regularize: Callable[[np.ndarray, slice], np.ndarray],
     w_group: float = 1.0,
     w_absdiff: float = 1.0,
     plane_reach: int | None = None,
     dense: bool = False,
 ) -> ScoreVolume:
-    """`reduce_to_cost` of a regularized one-group volume, built and
-    regularized a block of channels at a time.
+    """`reduce_to_cost` of a regularized one-group volume on `window`'s
+    planes, built and regularized a block of channels at a time.
 
-    `inputs` holds (left features, right features, window) per input scale,
-    and `regularize` maps one (B, N, H, W) volume per input to a volume on
-    the first input's planes, acting on each channel alone (as `aggregate`
-    and `fuse_volumes` do). The result equals
-    `reduce_to_cost(regularize(*(v.data for v in volumes)), ...)` for the
-    one-group volumes the builders give on the windows' planes, byte for
-    byte: |.| of each regularized block is added in channel order into a
-    sum of the regularized volume's dtype, and the correlation accumulates
-    over all channels in the builders' order and is regularized last, as
-    one channel. `dense` says that every window is its dense window
+    `regularize(block, chans)` maps a (B, N, H, W) block to a volume on the
+    same planes, acting on each channel alone (as `aggregate` and
+    `fuse_volumes` do); `chans` is the block's slice of the (C+1)-channel
+    layout, the correlation being channel C, so a regularizer may read the
+    same channels of other volumes. The result equals
+    `reduce_to_cost(regularize(v.data, slice(None)), ...)` for the one-group
+    volume `v` the builders give on the window's planes, byte for byte:
+    |.| of each regularized block is added in channel order into a sum of
+    the regularized volume's dtype, and the correlation accumulates over
+    all channels in the builders' order and is regularized last, as one
+    channel. `dense` says that the window is its dense window
     (`Window.dense`), filled by slices as `build_dense_volume` fills it;
     otherwise the planes are gathered, as `build_sparse_volume` gathers
     them.
@@ -435,51 +441,35 @@ def stream_cost(
     and a span's weights, blocks and sum are made a span at a time. The
     cost is made as `reduce_to_cost` makes it (`_cost_from_sums`).
     """
-    prepared = []
-    for left, right, window in inputs:
-        fl, fr = _check_feature_pair(left, right, 1)
-        if window.lo.shape != fl.shape[1:]:
-            raise ValueError(f"window shaped {window.lo.shape} does not match features {fl.shape[1:]}")
-        prepared.append((fl, fr, window))
-    counts = {fl.shape[0] for fl, _, _ in prepared}
-    if len(counts) != 1:
-        raise ValueError(f"feature counts differ across inputs: {sorted(counts)}")
-    c = counts.pop()
-    tiles = tiling(c, [(window.n, fl[0].nbytes) for fl, _, window in prepared], plane_reach)
-    corrs = [np.zeros((window.n,) + fl.shape[1:], dtype=fl.dtype) for fl, _, window in prepared]
+    fl, fr = _check_feature_pair(left, right, 1)
+    if window.lo.shape != fl.shape[1:]:
+        raise ValueError(f"window shaped {window.lo.shape} does not match features {fl.shape[1:]}")
+    c = fl.shape[0]
+    corr = np.zeros((window.n,) + fl.shape[1:], dtype=fl.dtype)
     total = None  # made at the first block, in the regularized volume's dtype
     k0 = 0
-    for planes, block in tiles:
-        # one span is every plane of every input
-        span = slice(k0, k0 + planes) if len(tiles) > 1 else slice(None)
+    for planes, block in tiling(c, window.n, fl[0].nbytes, plane_reach):
+        span = slice(k0, k0 + planes)
+        # a dense plane k is the shift k; another plane's tables are made as it is reached
+        ks = range(k0, k0 + planes)
+        weights = list(ks) if dense else [_gather_weights(fl, window.plane(k)) for k in ks]
         k0 += planes
-        parts = []
-        for (fl, fr, window), corr in zip(prepared, corrs):
-            ks = range(window.n)[span]
-            # a dense plane k is the shift k; another plane's tables are made as it is reached
-            weights = list(ks) if dense else [_gather_weights(fl, window.plane(k)) for k in ks]
-            parts.append((fl, fr, weights, corr[span]))
         for c0 in range(0, c, block):
             chans = slice(c0, min(c0 + block, c))
-            volumes = []
-            for fl, fr, weights, corr in parts:
-                fb = fl[chans]
-                vol = np.empty((fb.shape[0], len(weights)) + fb.shape[1:], dtype=fl.dtype)
-                _fill(fb, fr[chans], weights, vol, corr)
-                volumes.append(vol)
-            out = regularize(*volumes)
+            vol = np.empty((chans.stop - c0, planes) + fl.shape[1:], dtype=fl.dtype)
+            _fill(fl[chans], fr[chans], weights, vol, corr[span])
+            out = regularize(vol, chans)
             np.abs(out, out=out)
             if total is None:
-                total = np.zeros(corrs[0].shape, dtype=out.dtype)
+                total = np.zeros(corr.shape, dtype=out.dtype)
             total_span = total[span]
             for channel in out:
                 total_span += channel
             del out  # before the next block is built
     # the correlation, averaged in place, is regularized last as one channel
-    for corr in corrs:
-        corr /= c
-    corr = regularize(*(acc[None] for acc in corrs))[0]
-    return ScoreVolume(_cost_from_sums(total, corr, c, w_group, w_absdiff), inputs[0][2], scale)
+    corr /= c
+    corr = regularize(corr[None], slice(c, c + 1))[0]
+    return ScoreVolume(_cost_from_sums(total, corr, c, w_group, w_absdiff), window, scale)
 
 
 def soft_argmin(score: ScoreVolume) -> np.ndarray:

@@ -247,6 +247,20 @@ class TestPipeline:
             assert all(np.isfinite(m).all() for m in maps)
         assert out.stages[0].window.n == 32
 
+    def test_refinement_plane_counts_are_the_floors_counts(self):
+        """Each refinement stage decodes the plane count of its plan entry,
+        and its window is at least (n - 1) * min_step wide, the floor
+        `next_range` works out from the same count."""
+        config = replace(desk_config(), pipeline_dmax=256, cascade_n2=10, cascade_n1=6)
+        scene = desk_scene(1)
+        stages = cascade.plan(scene.left.shape, config)
+        out = run_pipeline(scene.left, scene.right, config)
+        assert [entry.n for entry in stages[1:]] == [10, 6]
+        for entry, stage in zip(stages[1:], out.stages[1:], strict=True):
+            assert stage.window.n == entry.n
+            width = stage.window.hi - stage.window.lo
+            assert width.min() >= (entry.n - 1) * config.cascade_min_step - 1e-9, entry.scale
+
     def test_mismatched_shapes_tagged(self):
         with pytest.raises(PipelineError, match=r"^input: image shapes differ: \(64, 64\) vs \(64, 96\)$"):
             run_pipeline(np.zeros((64, 64)), np.zeros((64, 96)), desk_config())
@@ -499,8 +513,10 @@ class TestMemory:
         return int(proc.stdout.split()[-1]) / 1024
 
     def test_volumes_are_never_whole(self):
-        """A 512x1024 pair at dmax 256 stays under 280 MB max RSS. Building
-        each stage's (C+1)-channel volume whole took 371 MB; streaming the
+        """A 512x1024 pair at dmax 256 stays under 280 MB max RSS. The
+        stage volumes, at scales 3, 2 and 1, are never whole; only the fused
+        stage's scale-4 and scale-5 volumes are (about 2 MB). Building each
+        stage's (C+1)-channel volume whole took 371 MB; streaming the
         channels in blocks took about 190 MB, and decoding stages 2 and 1 in
         row bands as well takes about 120 MB."""
         peak_mb = self.max_rss_mb(512, 1024)
@@ -547,6 +563,15 @@ class TestTracedPeak:
         scene = random_dot_stereogram(256, 512, "two-plane:20,90", 5)
         peaks = stage_peaks_mb(monkeypatch, scene, replace(desk_config(), pipeline_dmax=256))
         assert peaks["stage 1"] < 12.0, peaks
+
+    def test_fused_stage3_peak(self, monkeypatch):
+        """A 512x1024 pair at dmax 256 fuses stage 3 (32 planes of 64x128)
+        with its whole scale-4 and scale-5 volumes (1.8 and 0.2 MB): the
+        stage's peak above held is about 12.2 MB, and 10.4 MB when those
+        volumes were streamed a channel block at a time as well."""
+        scene = random_dot_stereogram(512, 1024, "two-plane:20,90", 5)
+        peaks = stage_peaks_mb(monkeypatch, scene, replace(desk_config(), pipeline_dmax=256))
+        assert peaks["stage 3"] < 14.0, peaks
 
 
 def banded_run(monkeypatch, scene, config, budget):

@@ -138,6 +138,17 @@ def test_match_is_byte_deterministic(workdir):
     assert (out2 / "unc.pfm").read_bytes() == (workdir / "out" / "unc.pfm").read_bytes()
 
 
+def match_into(workdir, tmp_path, outputs):
+    """`match` on the shared scene, with `outputs` as {flag: path under tmp_path}."""
+    return cli_main([
+        "match",
+        "--left", str(workdir / "scene" / "left.pgm"),
+        "--right", str(workdir / "scene" / "right.pgm"),
+        "--config", str(workdir / "desk.cfg"),
+        *[arg for flag, path in outputs.items() for arg in (flag, str(tmp_path / path))],
+    ])
+
+
 @pytest.mark.parametrize(
     "outputs, flags",
     [
@@ -158,13 +169,7 @@ def test_match_outputs_that_are_one_file_are_data_error(workdir, tmp_path, capsy
     """Two outputs resolving to one file would leave only the last one
     written; the clash is named before any input is read, and nothing is
     written."""
-    rc = cli_main([
-        "match",
-        "--left", str(workdir / "scene" / "left.pgm"),
-        "--right", str(workdir / "scene" / "right.pgm"),
-        "--config", str(workdir / "desk.cfg"),
-        *[arg for flag, path in outputs.items() for arg in (flag, str(tmp_path / path))],
-    ])
+    rc = match_into(workdir, tmp_path, outputs)
     assert rc == 2
     assert f"{flags[0]} and {flags[1]} are the same file" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -186,6 +191,40 @@ def test_match_output_that_is_an_input_is_data_error(workdir, tmp_path, capsys):
     assert "--left and --out-disp are the same file" in capsys.readouterr().err
     assert left.read_bytes() == (workdir / "scene" / "left.pgm").read_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["left.pgm"]
+
+
+def test_match_output_that_is_a_directory_is_data_error(workdir, tmp_path, capsys):
+    """An output path naming a directory is refused before anything is
+    written, not after the disparity."""
+    (tmp_path / "p" / "isdir").mkdir(parents=True)
+    rc = match_into(workdir, tmp_path, {"--out-disp": "p/d.pfm", "--out-unc": "p/isdir"})
+    assert rc == 2
+    assert f"--out-unc is a directory: {tmp_path / 'p' / 'isdir'}" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "p").iterdir()] == ["isdir"]
+    assert list((tmp_path / "p" / "isdir").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "existing, message",
+    [
+        pytest.param(True, "--dump-stages is not a directory: {q}", id="existing-file"),
+        pytest.param(False, "--out-disp and --dump-stages are the same file, {real}", id="is-out-disp"),
+    ],
+)
+def test_match_stage_directory_that_is_a_file_is_data_error(workdir, tmp_path, capsys, existing, message):
+    """A `--dump-stages` path that is a file, or the `--out-disp` file, is
+    refused before anything is written, not after the disparity, the
+    uncertainty and the echo."""
+    (tmp_path / "q").mkdir()
+    q = tmp_path / "q" / "d.pfm"
+    if existing:
+        q.write_bytes(b"kept")
+    rc = match_into(workdir, tmp_path, {"--out-disp": "q/d.pfm", "--out-unc": "q/u.pfm", "--dump-stages": "q/d.pfm"})
+    assert rc == 2
+    assert message.format(q=q, real=q.resolve()) in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "q").iterdir()] == (["d.pfm"] if existing else [])
+    if existing:
+        assert q.read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize(

@@ -247,7 +247,7 @@ class TestWindow:
     def test_stream_cost_rejects_a_window_of_another_grid(self):
         fl = np.zeros((2, 4, 8))
         with pytest.raises(ValueError, match=r"^window shaped \(4, 6\) does not match features \(4, 8\)$"):
-            stream_cost([(fl, fl, Window.dense(32, 3, (4, 6)))], 3, lambda v: v)
+            stream_cost(fl, fl, Window.dense(32, 3, (4, 6)), 3, lambda v, chans: v)
 
 
 class TestDenseVolume:
@@ -724,24 +724,28 @@ class TestStreamCost:
         fr = 0.8 * np.roll(fl, 5, axis=-1) + 0.2 * smoothed_features(rng, self.CHANNELS, h, w)
         return fl.astype(dtype), fr.astype(dtype)
 
-    def streamed(self, monkeypatch, inputs, scale, regularize, split=True, dense=False):
+    def streamed(self, monkeypatch, fl, fr, window, scale, regularize, split=True, dense=False):
         """stream_cost's costs at the default BLOCK_BYTES and at 1, checking
-        the channel counts of the regularize calls: at the default, two or
-        more blocks if `split`, else one."""
+        the regularize calls: each block's channels are its `chans` of the
+        (C+1)-channel layout, the blocks run through the C channels in
+        order, then the correlation, channel C; at the default, two or more
+        blocks if `split`, else one."""
         costs = []
         for block_bytes in (cost_volume.BLOCK_BYTES, 1):
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
             blocks = []
 
-            def counted(*volumes):
-                blocks.append(volumes[0].shape[0])
-                return regularize(*volumes)
+            def counted(volume, chans):
+                assert volume.shape[0] == chans.stop - chans.start
+                blocks.append((chans.start, chans.stop))
+                return regularize(volume, chans)
 
-            score = stream_cost(inputs, scale, counted, dense=dense, **self.WEIGHTS)
-            assert score.cost.dtype == np.float64 and score.window is inputs[0][2]
-            # channel blocks, then the correlation as one channel
-            *channel_blocks, corr = blocks
-            assert corr == 1 and sum(channel_blocks) == self.CHANNELS
+            score = stream_cost(fl, fr, window, scale, counted, dense=dense, **self.WEIGHTS)
+            assert score.cost.dtype == np.float64 and score.window is window
+            *chunks, corr = blocks
+            assert corr == (self.CHANNELS, self.CHANNELS + 1)
+            assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]] and chunks[-1][1] == self.CHANNELS
+            channel_blocks = [b - a for a, b in chunks]
             if block_bytes == 1:
                 assert channel_blocks == [1] * self.CHANNELS
             elif split:
@@ -751,22 +755,35 @@ class TestStreamCost:
             costs.append(score.cost)
         return costs
 
-    def smooth(self, volume):
+    def smooth(self, volume, chans=None):
         return aggregate(volume, self.CONFIG)
 
-    def fuse(self, v3, v4, v5):
-        return fuse_volumes(v3, v4, v5, self.CONFIG)
+    def fuser(self, v4, v5):
+        """The fused stage's regularizer: a scale-3 block fused with the
+        same channels of the whole scale-4 and scale-5 volumes."""
+
+        def fuse(block, chans):
+            return fuse_volumes(block, v4[chans], v5[chans], self.CONFIG)
+
+        return fuse
+
+    def dense_case(self, dmax, scales, h, w, dtypes):
+        """The features of `scales` (each of its dtype), the dense window of
+        the first, its regularizer (fused if three scales are given, else
+        smoothed) and the whole regularized volume the builders give."""
+        feats = {s: self.features(s, h >> s, w >> s, dtype) for s, dtype in zip(scales, dtypes)}
+        volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
+        regularize = self.fuser(*volumes[1:]) if len(scales) == 3 else self.smooth
+        window = Window.dense(dmax, scales[0], feats[scales[0]][0].shape[1:])
+        return feats[scales[0]], window, regularize, regularize(volumes[0], slice(None))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("fusion", [True, False])
     def test_dense_planes(self, monkeypatch, dtype, fusion):
-        dmax, scales = 128, ((3, 4, 5) if fusion else (3,))
-        feats = {s: self.features(s, 64 >> s, 512 >> s, dtype) for s in scales}
-        regularize = self.fuse if fusion else self.smooth
-        inputs = [(*feats[s], Window.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
-        volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
-        want = reduce_to_cost(regularize(*volumes), inputs[0][2], 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, inputs, 3, regularize, dense=True):
+        scales = (3, 4, 5) if fusion else (3,)
+        feats, window, regularize, whole = self.dense_case(128, scales, 64, 512, [dtype] * 3)
+        want = reduce_to_cost(whole, window, 3, **self.WEIGHTS)
+        for got in self.streamed(monkeypatch, *feats, window, 3, regularize, dense=True):
             assert np.array_equal(got, want.cost)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -776,25 +793,19 @@ class TestStreamCost:
         rows 8 wide, 16 on scale-4 rows 4 wide and 8 on scale-5 rows 2 wide.
         A shift at or past the row width reads a zero row, in the builder
         and in the stream alike."""
-        dmax = 256
-        feats = {s: self.features(s, 64 >> s, 64 >> s, dtype) for s in scales}
-        regularize = self.fuse if len(scales) == 3 else self.smooth
-        inputs = [(*feats[s], Window.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
-        volumes = [build_dense_volume(*feats[s], dmax, s, 1).data for s in scales]
-        want = reduce_to_cost(regularize(*volumes), inputs[0][2], scales[0], **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, inputs, scales[0], regularize, split=False, dense=True):
+        feats, window, regularize, whole = self.dense_case(256, scales, 64, 64, [dtype] * 3)
+        want = reduce_to_cost(whole, window, scales[0], **self.WEIGHTS)
+        for got in self.streamed(monkeypatch, *feats, window, scales[0], regularize, split=False, dense=True):
             assert got.tobytes() == want.cost.tobytes()
 
     def test_mixed_dtype_inputs(self, monkeypatch):
         """float32 features at scale 3 fused with float64 ones at 4 and 5
         regularize to float64, and the sum follows: still byte-equal."""
-        dmax, scales = 128, (3, 4, 5)
-        feats = {s: self.features(s, 64 >> s, 512 >> s, np.float32 if s == 3 else np.float64) for s in scales}
-        inputs = [(*feats[s], Window.dense(dmax, s, feats[s][0].shape[1:])) for s in scales]
-        fused = self.fuse(*(build_dense_volume(*feats[s], dmax, s, 1).data for s in scales))
+        dtypes = [np.float32, np.float64, np.float64]
+        feats, window, fuse, fused = self.dense_case(128, (3, 4, 5), 64, 512, dtypes)
         assert fused.dtype == np.float64
-        want = reduce_to_cost(fused, inputs[0][2], 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, inputs, 3, self.fuse, dense=True):
+        want = reduce_to_cost(fused, window, 3, **self.WEIGHTS)
+        for got in self.streamed(monkeypatch, *feats, window, 3, fuse, dense=True):
             assert got.tobytes() == want.cost.tobytes()
 
     def test_sum_takes_the_regularized_dtype(self, monkeypatch):
@@ -803,11 +814,11 @@ class TestStreamCost:
         fl, fr = self.features(3, 8, 64, np.float32)
         window = Window.dense(128, 3, fl.shape[1:])
 
-        def widened(volume):
+        def widened(volume, chans=None):
             return self.smooth(volume).astype(np.float64)
 
         want = reduce_to_cost(widened(build_dense_volume(fl, fr, 128, 3, 1).data), window, 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, [(fl, fr, window)], 3, widened, dense=True):
+        for got in self.streamed(monkeypatch, fl, fr, window, 3, widened, dense=True):
             assert got.tobytes() == want.cost.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -816,7 +827,7 @@ class TestStreamCost:
         window = random_window(8, 12, 16, 64)
         vol = build_sparse_volume(fl, fr, window.planes(), 1, 1)
         want = reduce_to_cost(self.smooth(vol.data), window, 1, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, [(fl, fr, window)], 1, self.smooth):
+        for got in self.streamed(monkeypatch, fl, fr, window, 1, self.smooth):
             assert np.array_equal(got, want.cost)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -848,11 +859,11 @@ class TestStreamCost:
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
             calls = []
 
-            def counted(volume):
+            def counted(volume, chans):
                 calls.append(volume.shape[:2])
                 return smooth(volume)
 
-            score = stream_cost([(fl, fr, window)], 3, counted, plane_reach=0, dense=planes == "dense", **self.WEIGHTS)
+            score = stream_cost(fl, fr, window, 3, counted, plane_reach=0, dense=planes == "dense", **self.WEIGHTS)
             assert np.array_equal(score.cost, want.cost)
             block = max(1, block_bytes // fl[0].nbytes)
             chunks = [(min(block, self.CHANNELS - c0), 1) for c0 in range(0, self.CHANNELS, block)]
@@ -892,11 +903,11 @@ class TestStreamCost:
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
             calls = []
 
-            def counted(volume):
+            def counted(volume, chans):
                 calls.append(volume.shape[:2])
                 return smooth(volume)
 
-            score = stream_cost([(fl, fr, window)], 3, counted, plane_reach=0, dense=planes == "dense", **self.WEIGHTS)
+            score = stream_cost(fl, fr, window, 3, counted, plane_reach=0, dense=planes == "dense", **self.WEIGHTS)
             assert score.cost.tobytes() == want.cost.tobytes()
             if block_bytes == 1:
                 assert calls == [(1, 1)] * (self.CHANNELS * n) + [(1, n)]
@@ -907,9 +918,8 @@ class TestStreamCost:
     @pytest.mark.parametrize("reach", [-1, -4])
     def test_negative_plane_reach_rejected(self, reach):
         fl, fr = self.features(0, 4, 8, np.float64)
-        inputs = [(fl, fr, Window.dense(32, 3, (4, 8)))]
         with pytest.raises(ValueError, match=f"^plane reach must be None or >= 0, got {reach}$"):
-            stream_cost(inputs, 3, self.smooth, plane_reach=reach)
+            stream_cost(fl, fr, Window.dense(32, 3, (4, 8)), 3, self.smooth, plane_reach=reach)
 
     def test_peak_memory_is_cost_maps_plus_blocks(self):
         """A desk refinement band (stage 1: 12 planes of 64x128, plane reach
@@ -923,36 +933,18 @@ class TestStreamCost:
         reach = plane_reach(config)
         assert reach == 0
 
-        def smooth(volume):
+        def smooth(volume, chans):
             return aggregate(volume, config)
 
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            score = stream_cost([(fl, fr, window)], 1, smooth, plane_reach=reach, **self.WEIGHTS)
+            score = stream_cost(fl, fr, window, 1, smooth, plane_reach=reach, **self.WEIGHTS)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert peak <= 5 * score.cost.nbytes + 4 * cost_volume.BLOCK_BYTES
-
-    def test_plane_reach_zero_takes_one_input(self):
-        fl, fr = self.features(0, 4, 8, np.float64)
-        inputs = [
-            (fl, fr, Window.dense(32, 3, (4, 8))),
-            (fl[:, :2, :4], fr[:, :2, :4], Window.dense(32, 4, (2, 4))),
-        ]
-        with pytest.raises(ValueError, match="plane reach 0 takes one input"):
-            stream_cost(inputs, 3, self.fuse, plane_reach=0)
-
-    def test_feature_counts_must_agree(self):
-        fl, fr = self.features(0, 4, 8, np.float64)
-        inputs = [
-            (fl, fr, Window.dense(32, 3, (4, 8))),
-            (fl[:5, :2, :4], fr[:5, :2, :4], Window.dense(32, 4, (2, 4))),
-        ]
-        with pytest.raises(ValueError, match="feature counts differ"):
-            stream_cost(inputs, 3, self.fuse)
 
     def test_nonfinite_planes_rejected(self):
         # planes keep their own copy, so a NaN written into the source array
