@@ -30,9 +30,11 @@ def _warn_nonfinite(name: str, values: np.ndarray) -> None:
 def _match_outputs(args) -> str:
     """The config echo's path, once no file `match` writes (the disparity,
     the uncertainty, the echo and the six stage maps) is a directory, the
-    `--dump-stages` path is a directory or new, and no two of those files
-    and that path resolve to one file or any to an input: checked before
-    any input is read, so a bad output location writes nothing."""
+    `--dump-stages` path is a directory or new, no two of those files and
+    that path resolve to one file or any to an input, and none lies beneath
+    an input, another output file or an existing file: checked before any
+    input is read, so a bad output location writes nothing, not even a
+    directory."""
     echo_path = os.path.join(os.path.dirname(os.path.abspath(args.out_disp)), "config_echo.cfg")
     echo = "the config echo beside --out-disp"
     outputs = [("--out-disp", args.out_disp), ("--out-unc", args.out_unc), (echo, echo_path)]
@@ -53,6 +55,18 @@ def _match_outputs(args) -> str:
         if real in seen:
             raise CfStereoError(f"{seen[real]} and {flag} are the same file, {real}")
         seen[real] = flag
+    # A file holds no path, so nothing may lie beneath an input, an output
+    # file or any existing non-directory. --dump-stages, checked first so that
+    # a clash names it and not a stage map in it, is the one directory.
+    files = {real: flag for real, flag in seen.items() if flag != "--dump-stages"}
+    for real, flag in reversed(seen.items()):
+        parent = os.path.dirname(real)
+        while parent != os.path.dirname(parent):
+            if parent in files:
+                raise CfStereoError(f"{flag} lies beneath {files[parent]}, {parent}")
+            if os.path.lexists(parent) and not os.path.isdir(parent):
+                raise CfStereoError(f"{flag} lies beneath a file, {parent}")
+            parent = os.path.dirname(parent)
     return echo_path
 
 

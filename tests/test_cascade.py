@@ -518,14 +518,18 @@ class TestMemory:
         stage's scale-4 and scale-5 volumes are (about 2 MB). Building each
         stage's (C+1)-channel volume whole took 371 MB; streaming the
         channels in blocks took about 190 MB, and decoding stages 2 and 1 in
-        row bands as well takes about 120 MB."""
+        row bands as well takes about 86 MB. The process starts at about
+        29 MB and making the scene (synth) takes it to 48 MB; the features
+        take it to 82 MB and the output to 86 MB."""
         peak_mb = self.max_rss_mb(512, 1024)
         assert peak_mb < 280, f"max RSS {peak_mb:.0f} MB"
 
     def test_refinement_maps_are_never_whole(self):
         """A 1024x2048 pair at dmax 256 stays under 450 MB max RSS. With
         stages 2 and 1 decoded whole it took about 660 MB; in row bands (8
-        and 24 bands) it takes about 330 MB."""
+        and 24 bands) it takes about 233 MB. Making the scene (synth) takes
+        the process from about 29 to 86 MB, and the features set the peak:
+        no later stage raises it by more than 0.5 MB."""
         peak_mb = self.max_rss_mb(1024, 2048)
         assert peak_mb < 450, f"max RSS {peak_mb:.0f} MB"
 

@@ -228,6 +228,57 @@ def test_match_stage_directory_that_is_a_file_is_data_error(workdir, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "outputs, message",
+    [
+        pytest.param(
+            {"--out-disp": "q/d.pfm", "--out-unc": "q/d.pfm/u.pfm"},
+            "--out-unc lies beneath --out-disp, {tmp}/q/d.pfm",
+            id="unc-in-disp",
+        ),
+        pytest.param(
+            {"--out-disp": "r/d.pfm", "--out-unc": "r/u.pfm", "--dump-stages": "r/d.pfm/st"},
+            "--dump-stages lies beneath --out-disp, {tmp}/r/d.pfm",
+            id="stages-in-disp",
+        ),
+    ],
+)
+def test_match_output_beneath_another_output_is_data_error(workdir, tmp_path, capsys, outputs, message):
+    """An output whose directory would be another output file is refused
+    before anything is written, not after the pair has run, and no
+    directory is made for it."""
+    rc = match_into(workdir, tmp_path, outputs)
+    assert rc == 2
+    assert message.format(tmp=tmp_path.resolve()) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "beneath, message",
+    [
+        pytest.param("left.pgm", "--out-unc lies beneath --left, {tmp}/left.pgm", id="input"),
+        pytest.param("notes.txt", "--out-unc lies beneath a file, {tmp}/notes.txt", id="other-file"),
+    ],
+)
+def test_match_output_beneath_a_file_is_data_error(workdir, tmp_path, capsys, beneath, message):
+    """An output beneath an input, or beneath any existing file, is refused
+    before the `--out-disp` directory is made."""
+    left = tmp_path / "left.pgm"
+    left.write_bytes((workdir / "scene" / "left.pgm").read_bytes())
+    (tmp_path / "notes.txt").write_bytes(b"kept")
+    rc = cli_main([
+        "match",
+        "--left", str(left),
+        "--right", str(workdir / "scene" / "right.pgm"),
+        "--config", str(workdir / "desk.cfg"),
+        "--out-disp", str(tmp_path / "o" / "d.pfm"),
+        "--out-unc", str(tmp_path / beneath / "u.pfm"),
+    ])
+    assert rc == 2
+    assert message.format(tmp=tmp_path.resolve()) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["left.pgm", "notes.txt"]
+
+
+@pytest.mark.parametrize(
     "line", ["cascade.alpha = 1e308", "cascade.beta = 0,1e308", "cost.w_group = 1e38", "cost.w_absdiff = -1e38"]
 )
 def test_huge_config_value_is_data_error(workdir, tmp_path, capsys, line):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cfstereo import synth
 from cfstereo.synth import block_match_oracle, disparity_field, random_dot_stereogram
+from references import whole_image_stereogram
 
 
 class TestStereogram:
@@ -50,6 +54,74 @@ class TestStereogram:
     def test_rejects_oversized_disparity(self):
         with pytest.raises(ValueError, match="W/4"):
             random_dot_stereogram(16, 64, "constant:20", 0)
+
+
+# Every spec kind, piecewise with the default and an explicit slab count;
+# only constant:0 leaves every pixel valid, so its fill is never drawn.
+SMALL_SPECS = ["constant:0", "constant:5", "two-plane:2,6", "slanted:1,7", "piecewise:0,7", "piecewise:0,7,5"]
+# 300 and 100 rows are not a multiple of their bands (128 and 32 rows), one
+# row, a band of a single row at a width past BAND_PIXELS, and 7x33
+SMALL_SIZES = [(300, 128), (100, 512), (1, 64), (3, synth.BAND_PIXELS + 40), (7, 33)]
+
+
+def assert_same_scene(a, b):
+    for name in ("left", "right", "gt", "valid"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+class TestBandedStereogram:
+    """The scene made in row bands is the whole-image scene, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("h, w", SMALL_SIZES)
+    @pytest.mark.parametrize("spec", SMALL_SPECS)
+    def test_matches_whole_image_reference(self, spec, h, w, seed):
+        scene = random_dot_stereogram(h, w, spec, seed)
+        assert_same_scene(scene, whole_image_stereogram(h, w, spec, seed))
+        assert scene.valid.all() == (spec == "constant:0")
+
+    @pytest.mark.parametrize("spec", ["two-plane:20,90", "piecewise:0,120,9"])
+    def test_matches_at_benchmark_disparities(self, spec):
+        assert_same_scene(random_dot_stereogram(130, 1024, spec, 5), whole_image_stereogram(130, 1024, spec, 5))
+
+    @pytest.mark.parametrize("band_pixels", [1, 33, 1000])
+    def test_band_size_does_not_change_the_scene(self, monkeypatch, band_pixels):
+        monkeypatch.setattr(synth, "BAND_PIXELS", band_pixels)
+        for spec in ("constant:0", "piecewise:0,7,5"):
+            assert_same_scene(random_dot_stereogram(37, 64, spec, 3), whole_image_stereogram(37, 64, spec, 3))
+
+    @pytest.mark.parametrize(
+        "h, w, spec",
+        [
+            (16, 64, "spiral:1"),
+            (16, 64, "constant:1,2"),
+            (16, 64, "piecewise:0,10,2.5"),
+            (0, 64, "constant:0"),
+            (16, -1, "constant:0"),
+            (16, 64, "constant:20"),
+            (16, 64, "constant:inf"),
+            (16, 64, "slanted:-1,3"),
+        ],
+    )
+    def test_errors_are_the_references(self, h, w, spec):
+        with pytest.raises(ValueError) as expected:
+            whole_image_stereogram(h, w, spec, 0)
+        with pytest.raises(ValueError) as got:
+            random_dot_stereogram(h, w, spec, 0)
+        assert str(got.value) == str(expected.value)
+
+    def test_traced_peak_is_the_outputs_and_a_band(self):
+        """At 512x1024 the four outputs take 13.1 MB; the banded scene peaks
+        at about 14.2 MB traced, where the whole-image one reached 43.2."""
+        tracemalloc.start()
+        try:
+            random_dot_stereogram(512, 1024, "two-plane:20,90", 5)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 20, f"traced peak {peak_mb:.1f} MB"
 
 
 class TestDisparityField:
