@@ -27,67 +27,73 @@ def _warn_nonfinite(name: str, values: np.ndarray) -> None:
         print(f"warning: {name} contains {bad} non-finite pixels", file=sys.stderr)
 
 
-def _match_outputs(args) -> str:
-    """The config echo's path, once no file `match` writes (the disparity,
-    the uncertainty, the echo and the six stage maps) is a directory, the
-    `--dump-stages` path is a directory or new, no two of those files and
-    that path resolve to one file or any to an input, and none lies beneath
-    an input, another output file or an existing file: checked before any
-    input is read, so a bad output location writes nothing, not even a
-    directory."""
-    echo_path = os.path.join(os.path.dirname(os.path.abspath(args.out_disp)), "config_echo.cfg")
-    echo = "the config echo beside --out-disp"
-    outputs = [("--out-disp", args.out_disp), ("--out-unc", args.out_unc), (echo, echo_path)]
-    if args.dump_stages:
-        for name in ("D3", "U3", "D2", "U2", "D1", "U1"):
-            outputs.append((f"--dump-stages {name}.pfm", os.path.join(args.dump_stages, f"{name}.pfm")))
-        if os.path.lexists(args.dump_stages) and not os.path.isdir(args.dump_stages):
-            raise CfStereoError(f"--dump-stages is not a directory: {args.dump_stages}")
-    for flag, path in outputs:
+def _resolve(path: str) -> tuple[str, object]:
+    """`path` resolved, and what makes it one file: for a path that exists,
+    its device and inode, so a hard link matches too; else the resolved path."""
+    real = os.path.realpath(path)
+    try:
+        st = os.stat(real)
+    except OSError:
+        return real, real
+    return real, (st.st_dev, st.st_ino)
+
+
+def _check_outputs(files, inputs, directory) -> None:
+    """Refuse, before any input is read or any work done, output `files` that
+    cannot all be written, so a bad location writes nothing, not even a
+    directory. `files` and `inputs` are (flag, path) pairs; `directory`, the
+    pair of the directory the command makes, or None. Refused: a file path
+    that is a directory; a `directory` that exists and is not one; two paths,
+    or a path and an input, that are one file (see `_resolve`); and a path
+    beneath an input, another output file or any existing file."""
+    if directory and os.path.lexists(directory[1]) and not os.path.isdir(directory[1]):
+        raise CfStereoError(f"{directory[0]} is not a directory: {directory[1]}")
+    for flag, path in files:
         if os.path.isdir(path):
             raise CfStereoError(f"{flag} is a directory: {path}")
+    ins = [(flag, *_resolve(path)) for flag, path in inputs if path]
+    outs = [(flag, *_resolve(path)) for flag, path in files]
+    made = [(directory[0], *_resolve(directory[1]))] if directory else []
     # the inputs may share a file (a pair of one image), so they only seed the check
-    inputs = (("--left", args.left), ("--right", args.right), ("--config", args.config))
-    seen = {os.path.realpath(path): flag for flag, path in inputs if path}
-    # the stage directory is made after the other outputs are written
-    for flag, path in outputs + ([("--dump-stages", args.dump_stages)] if args.dump_stages else []):
-        real = os.path.realpath(path)
-        if real in seen:
-            raise CfStereoError(f"{seen[real]} and {flag} are the same file, {real}")
-        seen[real] = flag
+    seen = {key: flag for flag, _, key in ins}
+    for flag, real, key in outs + made:
+        if key in seen:
+            raise CfStereoError(f"{seen[key]} and {flag} are the same file, {real}")
+        seen[key] = flag
     # A file holds no path, so nothing may lie beneath an input, an output
-    # file or any existing non-directory. --dump-stages, checked first so that
-    # a clash names it and not a stage map in it, is the one directory.
-    files = {real: flag for real, flag in seen.items() if flag != "--dump-stages"}
-    for real, flag in reversed(seen.items()):
+    # file or any existing non-directory. The directory, checked first so
+    # that a clash names it and not a file in it, is the one that may.
+    held = {real: flag for flag, real, _ in ins + outs}
+    for flag, real, _ in reversed(ins + outs + made):
         parent = os.path.dirname(real)
         while parent != os.path.dirname(parent):
-            if parent in files:
-                raise CfStereoError(f"{flag} lies beneath {files[parent]}, {parent}")
+            if parent in held:
+                raise CfStereoError(f"{flag} lies beneath {held[parent]}, {parent}")
             if os.path.lexists(parent) and not os.path.isdir(parent):
                 raise CfStereoError(f"{flag} lies beneath a file, {parent}")
             parent = os.path.dirname(parent)
-    return echo_path
 
 
 def _cmd_match(args) -> int:
-    echo_path = _match_outputs(args)
+    files = [("--out-disp", args.out_disp), ("--out-unc", args.out_unc)]
+    if args.dump_stages:
+        names = [f"{kind}{scale}.pfm" for scale in (3, 2, 1) for kind in "DU"]
+        files += [(f"--dump-stages {name}", os.path.join(args.dump_stages, name)) for name in names]
+    echo = os.path.join(os.path.dirname(os.path.abspath(args.out_disp)), "config_echo.cfg")
+    inputs = [("--left", args.left), ("--right", args.right), ("--config", args.config)]
+    stages = ("--dump-stages", args.dump_stages) if args.dump_stages else None
+    _check_outputs(files + [("the config echo beside --out-disp", echo)], inputs, stages)
     left, _ = read_image(args.left)
     right, _ = read_image(args.right)
     config = load_config(args.config) if args.config else RunConfig()
     out = run_pipeline(left, right, config)
-    for path in (args.out_disp, args.out_unc):
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-    write_pfm(args.out_disp, out.disparity)
-    write_pfm(args.out_unc, out.uncertainty)
-    with open(echo_path, "w", encoding="ascii") as fh:
+    # stages come at scales 3, 2, 1, as the names do; zip stops at the files asked for
+    maps = [out.disparity, out.uncertainty] + [m for s in out.stages for m in (s.disparity, s.uncertainty)]
+    for (_, path), values in zip(files, maps):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        write_pfm(path, values)
+    with open(echo, "w", encoding="ascii") as fh:
         fh.write(format_config(config))
-    if args.dump_stages:
-        os.makedirs(args.dump_stages, exist_ok=True)
-        for stage in out.stages:
-            write_pfm(os.path.join(args.dump_stages, f"D{stage.scale}.pfm"), stage.disparity)
-            write_pfm(os.path.join(args.dump_stages, f"U{stage.scale}.pfm"), stage.uncertainty)
     return 0
 
 
@@ -109,6 +115,7 @@ def _cmd_eval(args) -> int:
     print(f"avg_error={avg_error(pred, gt):.6f}")
     if args.unc is not None:
         unc = read_pfm(args.unc)
+        _warn_nonfinite("uncertainty", unc)
         filt = filtered_metrics(pred, gt, unc, args.filter_sqrtu)
         print(f"kept_fraction={filt.kept_fraction:.6f}")
         print(f"d1_kept={filt.d1_kept:.6f}")
@@ -116,12 +123,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    names = ("left.pgm", "right.pgm", "gt.pfm", "mask.pgm")
+    left, right, gt, mask = paths = [os.path.join(args.out, name) for name in names]
+    _check_outputs([(f"--out {name}", path) for name, path in zip(names, paths)], (), ("--out", args.out))
     scene = random_dot_stereogram(args.height, args.width, args.spec, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    write_pgm(os.path.join(args.out, "left.pgm"), scene.left, maxval=65535)
-    write_pgm(os.path.join(args.out, "right.pgm"), scene.right, maxval=65535)
-    write_pfm(os.path.join(args.out, "gt.pfm"), scene.gt)
-    write_pgm(os.path.join(args.out, "mask.pgm"), scene.valid.astype(float), maxval=255)
+    write_pgm(left, scene.left, maxval=65535)
+    write_pgm(right, scene.right, maxval=65535)
+    write_pfm(gt, scene.gt)
+    write_pgm(mask, scene.valid.astype(float), maxval=255)
     return 0
 
 

@@ -1,12 +1,14 @@
+import os
 import warnings
 
+import numpy as np
 import pytest
 
-from cfstereo import cli
+from cfstereo import cli, run_pipeline
 from cfstereo.cli import cli_main
 from cfstereo.config import load_config, parse_config
 from cfstereo.errors import FormatError
-from cfstereo.io_formats import read_image, read_pfm, read_pgm
+from cfstereo.io_formats import read_image, read_pfm, read_pgm, write_pfm
 
 DESK_CFG = """\
 pipeline.dmax = 64
@@ -69,12 +71,84 @@ def test_synth_nonpositive_size_is_data_error(tmp_path, capsys, height):
     assert not out.exists()
 
 
+def tree(root):
+    """Every path under `root`, with a file's bytes or None for the rest."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def not_called(*args, **kwargs):
+    pytest.fail("ran before the output check")
+
+
+def symlinked(root):
+    (root / "o").mkdir()
+    (root / "o" / "right.pgm").write_bytes(b"kept")
+    (root / "o" / "left.pgm").symlink_to("right.pgm")
+
+
+def hard_linked(root):
+    (root / "o").mkdir()
+    (root / "o" / "left.pgm").write_bytes(b"kept")
+    os.link(root / "o" / "left.pgm", root / "o" / "right.pgm")
+
+
+@pytest.mark.parametrize(
+    "make, out, message",
+    [
+        pytest.param(
+            lambda root: (root / "o" / "gt.pfm").mkdir(parents=True),
+            "o",
+            "--out gt.pfm is a directory: {tmp}/o/gt.pfm",
+            id="gt-is-a-directory",
+        ),
+        pytest.param(
+            lambda root: (root / "o").write_bytes(b"kept"), "o", "--out is not a directory: {tmp}/o", id="out-is-a-file"
+        ),
+        pytest.param(
+            lambda root: (root / "f").write_bytes(b"kept"),
+            "f/o",
+            "--out lies beneath a file, {real}/f",
+            id="out-beneath-a-file",
+        ),
+        pytest.param(
+            symlinked, "o", "--out left.pgm and --out right.pgm are the same file, {real}/o/right.pgm", id="symlink"
+        ),
+        pytest.param(
+            hard_linked, "o", "--out left.pgm and --out right.pgm are the same file, {real}/o/right.pgm", id="hard-link"
+        ),
+    ],
+)
+def test_synth_unusable_output_is_data_error(tmp_path, capsys, monkeypatch, make, out, message):
+    """An output location `synth` cannot write all four files to is refused
+    before the scene is made, naming the flag, and nothing is written."""
+    monkeypatch.setattr(cli, "random_dot_stereogram", not_called)
+    make(tmp_path)
+    before = tree(tmp_path)
+    assert cli_main(["synth", "--spec", "constant:4", "--seed", "0", "--out", str(tmp_path / out),
+                     "--height", "16", "--width", "32"]) == 2
+    assert message.format(tmp=tmp_path, real=tmp_path.resolve()) in capsys.readouterr().err
+    assert tree(tmp_path) == before
+
+
 def test_match_outputs_and_stage_dumps(workdir):
     assert read_pfm(workdir / "out" / "disp.pfm").shape == (64, 128)
     assert read_pfm(workdir / "out" / "unc.pfm").min() >= 0.0
     for scale in (1, 2, 3):
         assert (workdir / "out" / "stages" / f"D{scale}.pfm").exists()
         assert (workdir / "out" / "stages" / f"U{scale}.pfm").exists()
+
+
+def test_stage_maps_hold_their_stages(workdir):
+    """Each dumped map is the disparity (D) or uncertainty (U) of the stage
+    its name's scale gives."""
+    left, _ = read_image(workdir / "scene" / "left.pgm")
+    right, _ = read_image(workdir / "scene" / "right.pgm")
+    out = run_pipeline(left, right, load_config(workdir / "desk.cfg"))
+    assert [stage.scale for stage in out.stages] == [3, 2, 1]
+    for stage in out.stages:
+        stages = workdir / "out" / "stages"
+        np.testing.assert_array_equal(read_pfm(stages / f"D{stage.scale}.pfm"), stage.disparity.astype(np.float32))
+        np.testing.assert_array_equal(read_pfm(stages / f"U{stage.scale}.pfm"), stage.uncertainty.astype(np.float32))
 
 
 def test_config_echo_reparses_equal(workdir):
@@ -97,6 +171,24 @@ def test_eval_prints_metric_lines(workdir, capsys):
     values = {line.split("=")[0]: float(line.split("=")[1]) for line in lines}
     assert 0.0 <= values["bad2.0"] <= 1.0
     assert values["d1_kept"] <= values["d1_all"] + 1e-9
+
+
+def test_eval_warns_of_nonfinite_uncertainty(tmp_path, capsys):
+    """A NaN uncertainty is still dropped by the filter, and is now said."""
+    gt = np.full((8, 8), 4.0, dtype=np.float32)
+    unc = np.ones((8, 8), dtype=np.float32)
+    unc[:4] = np.nan
+    write_pfm(tmp_path / "gt.pfm", gt)
+    write_pfm(tmp_path / "unc.pfm", unc)
+    rc = cli_main(["eval", "--pred", str(tmp_path / "gt.pfm"), "--gt", str(tmp_path / "gt.pfm"),
+                   "--unc", str(tmp_path / "unc.pfm"), "--filter-sqrtu", "2.5"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.splitlines() == [
+        "bad1.0=0.000000", "bad2.0=0.000000", "d1_all=0.000000", "avg_error=0.000000",
+        "kept_fraction=0.500000", "d1_kept=0.000000",
+    ]
+    assert "warning: uncertainty contains 32 non-finite pixels" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -175,8 +267,9 @@ def test_match_outputs_that_are_one_file_are_data_error(workdir, tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
-def test_match_output_that_is_an_input_is_data_error(workdir, tmp_path, capsys):
+def test_match_output_that_is_an_input_is_data_error(workdir, tmp_path, capsys, monkeypatch):
     """An output on an input file would overwrite the image it was read from."""
+    monkeypatch.setattr(cli, "read_image", not_called)
     left = tmp_path / "left.pgm"
     left.write_bytes((workdir / "scene" / "left.pgm").read_bytes())
     rc = cli_main([
@@ -191,6 +284,43 @@ def test_match_output_that_is_an_input_is_data_error(workdir, tmp_path, capsys):
     assert "--left and --out-disp are the same file" in capsys.readouterr().err
     assert left.read_bytes() == (workdir / "scene" / "left.pgm").read_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["left.pgm"]
+
+
+@pytest.mark.parametrize(
+    "left, outputs, message",
+    [
+        pytest.param(
+            "s/left.pgm",
+            {"--out-disp": "s/hard.pgm", "--out-unc": "s/u.pfm"},
+            "--left and --out-disp are the same file, {real}/s/hard.pgm",
+            id="disp-is-left",
+        ),
+        pytest.param(
+            None,
+            {"--out-disp": "s/left.pgm", "--out-unc": "s/hard.pgm"},
+            "--out-disp and --out-unc are the same file, {real}/s/hard.pgm",
+            id="disp-is-unc",
+        ),
+    ],
+)
+def test_match_hard_linked_outputs_are_data_error(workdir, tmp_path, capsys, monkeypatch, left, outputs, message):
+    """A hard link has its own path, so two paths that are one file are told
+    apart by device and inode: refused before any input is read, and the
+    linked file is left as it was."""
+    monkeypatch.setattr(cli, "read_image", not_called)
+    (tmp_path / "s").mkdir()
+    (tmp_path / "s" / "left.pgm").write_bytes((workdir / "scene" / "left.pgm").read_bytes())
+    os.link(tmp_path / "s" / "left.pgm", tmp_path / "s" / "hard.pgm")
+    before = tree(tmp_path)
+    rc = cli_main([
+        "match",
+        "--left", str(tmp_path / left if left else workdir / "scene" / "left.pgm"),
+        "--right", str(workdir / "scene" / "right.pgm"),
+        *[arg for flag, path in outputs.items() for arg in (flag, str(tmp_path / path))],
+    ])
+    assert rc == 2
+    assert message.format(real=tmp_path.resolve()) in capsys.readouterr().err
+    assert tree(tmp_path) == before
 
 
 def test_match_output_that_is_a_directory_is_data_error(workdir, tmp_path, capsys):
