@@ -15,6 +15,11 @@ bands, their halo, its plane reach and `stream_cost`'s spans and channel
 blocks; `StagePlan` states the rules once. `run_pipeline` makes the plan and
 runs it, one loop for every stage: each band streams its rows of the
 stage's features and window, one input, through the stage's regularizer.
+A stage makes the pyramid levels it reads from the images' blur chains
+(`features.blur_chain`) and drops them once it is decoded: levels 4 and 5,
+each until the fused stage 3 has built its volume, and level 3 for stage
+3, level 2 for stage 2, level 1 for stage 1. No two stages' levels are
+held at once, and none is held during the output.
 The fill and the decode make no (N, H, W) plane array.
 A `StageResult` keeps the `Window` it decoded and builds its planes afresh
 each time they are read, so no output holds a plane array.
@@ -32,7 +37,7 @@ from .cost_volume import (
     HypothesisPlanes, Window, dense_data, sample_planes, soft_argmin, stream_cost, tiling, uncertainty
 )
 from .errors import PipelineError
-from .features import build_pyramid, channel_count, check_size
+from .features import blur_chain, channel_count, check_size, level_features
 from .fusion import aggregate, fuse_volumes
 from .tensor_ops import DTYPE, as_grid, bilinear_upsample2x
 
@@ -240,11 +245,20 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     with _stage("features"):
         stages = plan(li.shape, config)
         census = config.features_census_radius
-        # features in float64, each level cast as it is made: every volume below is float32
-        feat_l, feat_r = (build_pyramid(img, census_radius=census, dtype=FEATURE_DTYPE) for img in (li, ri))
+        # each image's blur chain; a stage makes its levels from it as it needs them
+        chains = [blur_chain(img) for img in (li, ri)]
+
+    def level(scale):
+        """Both images' features at `scale`, in `FEATURE_DTYPE`: every volume
+        below is float32. The chains drop their images at that scale."""
+        return [level_features(chain.pop(scale), census, FEATURE_DTYPE) for chain in chains]
 
     def decode_window(entry, window):
-        coarser = [dense_data(feat_l[s], feat_r[s], dmax, s) for s in (4, 5)] if entry.fused else []
+        # the fused stage's whole scale-4 and scale-5 volumes, each level
+        # dropped once its volume is built, then the stage's own level: all
+        # of them live until the stage is decoded and no longer
+        coarser = [dense_data(*level(s), dmax, s) for s in (4, 5)] if entry.fused else []
+        feats = level(entry.scale)
 
         def regularize(block, chans):
             if coarser:
@@ -254,7 +268,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
         disp, unc = np.empty((entry.h, entry.w), DTYPE), np.empty((entry.h, entry.w), DTYPE)
         for band in entry.bands:
             rows, keep = slice(band.a0, band.b0), slice(band.a - band.a0, band.b - band.a0)
-            fl_rows, fr_rows = (np.ascontiguousarray(f[entry.scale][:, rows]) for f in (feat_l, feat_r))
+            fl_rows, fr_rows = (np.ascontiguousarray(f[:, rows]) for f in feats)
             rows_window = Window(window.lo[rows], window.hi[rows], window.n)
             sv = stream_cost(
                 fl_rows, fr_rows, rows_window, entry.scale, regularize, w_g, w_a, entry.plane_reach, entry.dense

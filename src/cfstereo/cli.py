@@ -98,7 +98,8 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # flag errors come before any file is read or any metric is printed
+    # flag errors come before any file is read, and every file is read and
+    # every metric computed before the first is printed
     if args.unc is not None and args.filter_sqrtu is None:
         raise CfStereoError("--unc requires --filter-sqrtu")
     if args.filter_sqrtu is not None:
@@ -107,18 +108,21 @@ def _cmd_eval(args) -> int:
         check_threshold(args.filter_sqrtu, "--filter-sqrtu")
     pred = read_pfm(args.pred)
     gt = read_pfm(args.gt)
+    unc = None if args.unc is None else read_pfm(args.unc)
     _warn_nonfinite("prediction", pred)
     _warn_nonfinite("ground truth", gt)
-    print(f"bad1.0={bad_tau(pred, gt, 1.0):.6f}")
-    print(f"bad2.0={bad_tau(pred, gt, 2.0):.6f}")
-    print(f"d1_all={d1_all(pred, gt):.6f}")
-    print(f"avg_error={avg_error(pred, gt):.6f}")
-    if args.unc is not None:
-        unc = read_pfm(args.unc)
+    metrics = {
+        "bad1.0": bad_tau(pred, gt, 1.0),
+        "bad2.0": bad_tau(pred, gt, 2.0),
+        "d1_all": d1_all(pred, gt),
+        "avg_error": avg_error(pred, gt),
+    }
+    if unc is not None:
         _warn_nonfinite("uncertainty", unc)
         filt = filtered_metrics(pred, gt, unc, args.filter_sqrtu)
-        print(f"kept_fraction={filt.kept_fraction:.6f}")
-        print(f"d1_kept={filt.d1_kept:.6f}")
+        metrics.update(kept_fraction=filt.kept_fraction, d1_kept=filt.d1_kept)
+    for name, value in metrics.items():
+        print(f"{name}={value:.6f}")
     return 0
 
 

@@ -4,8 +4,10 @@ Each pyramid level stacks, in fixed order: intensity, horizontal gradient,
 vertical gradient, local mean and standard deviation over a box of radius
 STAT_RADIUS, and census-sign channels for the (2r+1)^2-1 neighborhood.
 Channels are normalized to zero mean / unit variance over the image;
-constant channels are left at zero. `build_pyramid` normalizes each level's
-own stack in place and casts it to the dtype asked for as it is made.
+constant channels are left at zero. A level is made a channel at a time
+(`level_features`) from one image of the blur-then-decimate chain
+(`blur_chain`), so a caller can make each level when it needs it;
+`build_pyramid` makes them all.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ STAT_RADIUS = 2
 
 
 def blur_decimate2(image: np.ndarray) -> np.ndarray:
-    """Separable binomial blur followed by 2x decimation (even samples).
-
-    The odd rows are dropped before the blur along x, which treats each row
-    alone, so it runs on half of them."""
-    sm = weighted_smooth_axis(image, 0, _BLUR_KERNEL)[::2]
-    sm = weighted_smooth_axis(sm, 1, _BLUR_KERNEL)
-    return sm[:, ::2]
+    """Separable binomial blur and 2x decimation (even samples): the blur
+    is computed at the kept rows and then at the kept columns only, and
+    each kept sample is the whole blur's, byte for byte."""
+    sm = weighted_smooth_axis(image, 0, _BLUR_KERNEL, step=2)
+    return weighted_smooth_axis(sm, 1, _BLUR_KERNEL, step=2)
 
 
 def box_mean2d(image: np.ndarray, radius: int) -> np.ndarray:
@@ -51,24 +51,29 @@ def check_size(h: int, w: int) -> None:
         )
 
 
-def channel_stack(image: np.ndarray, census_radius: int = 1) -> np.ndarray:
-    """Raw (unnormalized) channel stack for one image; order is fixed.
+def _channels(image: np.ndarray, census_radius: int):
+    """The raw (unnormalized) channels of one image, one at a time in the
+    fixed order, each a fresh C-contiguous float64 (h, w) array that the
+    caller may overwrite. A channel is the caller's once yielded: the
+    generator holds none while it makes the next.
 
     A census channel is +1 where the center exceeds that neighbor, else -1.
     Neighbors are clamped at the border, so border pixels compare against
     themselves there and read -1.
     """
+    image = np.asarray(image, DTYPE)
     h, w = image.shape
     r = census_radius
     offsets = [(dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1) if dy or dx]
-    # float64, as the census channels are
-    stack = np.empty((channel_count(r), h, w), DTYPE)
-    stack[0] = image
-    stack[2], stack[1] = np.gradient(image)
-    mean = box_mean2d(image, STAT_RADIUS)
-    sq_mean = box_mean2d(image * image, STAT_RADIUS)
-    stack[3] = mean
-    stack[4] = np.sqrt(np.maximum(sq_mean - mean * mean, 0.0))
+    yield image.copy()
+    yield np.gradient(image, axis=1)
+    yield np.gradient(image, axis=0)
+    mean = np.ascontiguousarray(box_mean2d(image, STAT_RADIUS))
+    var = box_mean2d(image * image, STAT_RADIUS) - mean * mean
+    yield mean
+    del mean
+    yield np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+    del var
     # Each neighbour is a flat run of the padded image, as in
     # `tensor_ops._shifts`: its rows are w + 2r long, so the run that starts
     # at (r + dy, r + dx) lines up with the centre's run at (r, r), and the
@@ -79,30 +84,78 @@ def channel_stack(image: np.ndarray, census_radius: int = 1) -> np.ndarray:
     size = (h - 1) * row + w
     centre = flat[r * row + r :][:size]
     greater = np.empty((h, row), bool)
-    for k, (dy, dx) in enumerate(offsets, start=5):
+    for dy, dx in offsets:
         start = (r + dy) * row + r + dx
         np.greater(centre, flat[start : start + size], out=greater.reshape(-1)[:size])
-        stack[k] = greater[:, :w]
-    # +1 where the centre is greater, else -1
-    stack[5:] *= 2.0
-    stack[5:] -= 1.0
+        # +1 where the centre is greater, else -1; np.where takes about three
+        # times as long on these random masks
+        channel = greater[:, :w].astype(DTYPE)
+        channel *= 2.0
+        channel -= 1.0
+        yield channel
+        del channel
+
+
+def channel_stack(image: np.ndarray, census_radius: int = 1) -> np.ndarray:
+    """Raw (unnormalized) float64 channel stack for one image, in the fixed
+    order: intensity, x and y gradient, local mean and σ, census signs."""
+    stack = np.empty((channel_count(census_radius), *image.shape), DTYPE)
+    for slot, channel in zip(stack, _channels(image, census_radius)):
+        slot[...] = channel
     return stack
 
 
-def _scale_centred(out: np.ndarray) -> np.ndarray:
-    """Divide each channel of a mean-subtracted stack by its σ in place, or
-    zero it if constant, and return it. σ is squared a channel at a time
-    into one scratch plane and summed as `np.std` sums, so the result is
-    byte-equal to dividing the stack's deviations by `np.std`."""
-    square = np.empty(out.shape[1:], out.dtype)
-    sigma = np.empty((out.shape[0], 1, 1), out.dtype)
-    for k, channel in enumerate(out):
-        sigma[k] = np.square(channel, out=square).sum()
-    sigma /= square.size
-    np.sqrt(sigma, out=sigma)
-    flat = sigma < 1e-12
-    out /= np.where(flat, 1.0, sigma)
-    out[flat[:, 0, 0]] = 0.0
+def _scale_centred(channel: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """Divide a mean-subtracted channel by its σ in place, or zero it if
+    constant, and return it. σ is squared into the scratch plane `square`
+    and summed as `np.std` sums, so the result is byte-equal to dividing the
+    channel's deviations by `np.std`."""
+    sigma = np.sqrt(np.add.reduce(np.square(channel, out=square), axis=None) / square.size)
+    if sigma < 1e-12:
+        channel[...] = 0.0
+    else:
+        channel /= sigma
+    return channel
+
+
+def blur_chain(image: np.ndarray) -> dict[int, np.ndarray]:
+    """Scale i -> the image blurred and decimated i times (`blur_decimate2`),
+    for i in 1..LEVELS: the images the pyramid levels are made from. The
+    image must be finite and its size must pass `check_size`."""
+    current = as_grid(image, 2, "image").astype(DTYPE, copy=False)
+    require_finite(current, "image")
+    check_size(*current.shape)
+    chain = {}
+    for i in range(1, LEVELS + 1):
+        current = chain[i] = blur_decimate2(current)
+    return chain
+
+
+def level_features(image: np.ndarray, census_radius: int = 1, dtype=DTYPE) -> np.ndarray:
+    """One pyramid level: the normalized (C, h, w) channels of one image of
+    `blur_chain`, in `dtype` (float32 or float64), C =
+    `channel_count(census_radius)`.
+
+    Each channel is made in float64, centred by its own mean, scaled by
+    `_scale_centred` and cast into its slot, so no (C, h, w) float64 stack
+    is made, and the bytes are those of normalizing the whole
+    `channel_stack` and casting it.
+    """
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"feature dtype must be float32 or float64, got {dtype}")
+    out = np.empty((channel_count(census_radius), *image.shape), dtype)
+    square = np.empty(image.shape, DTYPE)
+    channels = _channels(image, census_radius)
+    # next(), not zip(), whose reused tuple would hold the last channel
+    # while the next is made. The mean is `channel.mean()`'s sum and divide
+    # without its Python wrapper, which costs more than the sum on the
+    # small levels; a desk pair centres 130 channels.
+    for slot in out:
+        channel = next(channels)
+        channel -= np.add.reduce(channel, axis=None) / channel.size
+        slot[...] = _scale_centred(channel, square)
+        del channel
     return out
 
 
@@ -112,28 +165,6 @@ def build_pyramid(
     census_radius: int = 1,
     dtype=DTYPE,
 ) -> dict[int, np.ndarray]:
-    """Normalized feature maps, scale i -> (C, H/2^i, W/2^i) for i in 1..LEVELS.
-
-    Level i is the normalized channel stack of the i-th image in the
-    blur-then-decimate chain, so C = `channel_count(census_radius)`, and the
-    image's size must pass `check_size`.
-    Each level is computed in float64 and cast to `dtype` (float32 or
-    float64) as soon as it is normalized, which gives the bytes of casting
-    the normalized float64 stack: the stack is the pyramid's own, so it is
-    normalized in place, and only one float64 level exists at a time.
-    """
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"feature dtype must be float32 or float64, got {dtype}")
-    img = as_grid(image, 2, "image").astype(DTYPE, copy=False)
-    require_finite(img, "image")
-    check_size(*img.shape)
-    maps: dict[int, np.ndarray] = {}
-    current = img
-    for i in range(1, LEVELS + 1):
-        current = blur_decimate2(current)
-        stack = channel_stack(current, census_radius)
-        stack -= stack.mean(axis=(1, 2), keepdims=True)
-        maps[i] = _scale_centred(stack).astype(dtype, copy=False)
-        del stack  # so the next level's stack is made after this one is gone
-    return maps
+    """Normalized feature maps, scale i -> (C, H/2^i, W/2^i) for i in 1..LEVELS:
+    the `level_features` of each image of the image's `blur_chain`."""
+    return {i: level_features(img, census_radius, dtype) for i, img in blur_chain(image).items()}

@@ -72,28 +72,31 @@ def _edge_pad(a: np.ndarray, axis: int, r: int) -> np.ndarray:
     return out
 
 
-def _shifts(a: np.ndarray, axis: int, r: int) -> tuple:
+def _shifts(a: np.ndarray, axis: int, r: int, step: int = 1) -> tuple:
     """The 2r+1 edge-clamped shifts of `a` along `axis`, offsets -r..r in
     order, read from one `_edge_pad` copy, with `acc`, a fresh array shaped
-    as one tap, and `out`, the view of `acc`'s buffer in `a`'s shape. A
-    stencil writes its result into `acc` and returns `out`, which shares
-    no memory with `a`.
+    as one tap, and `out`, the view of `acc`'s buffer in the result's shape.
+    A stencil writes its result into `acc` and returns `out`, which shares
+    no memory with `a`. With `step` > 1 each tap keeps only every step-th
+    sample along `axis`, from the first, so a stencil computes its result's
+    `[::step]` there and nothing else.
 
-    Along a leading axis the taps are slices of the copy, shaped as `a`, and
-    `out` is `acc`. Along the last axis, of length n, they are 1-D slices of
-    the flattened copy, whose rows are n + 2r long: tap k starts k elements
-    in, so it holds every row's shift by k - r in one run, and each NumPy
-    call loops once over the grid, not once per row. The 2r results between
-    two rows mix the end of one padded row with the start of the next; they
-    land in the padding columns of `acc`'s (..., n + 2r) buffer, and `out`,
-    its first n columns, drops them."""
+    Along a leading axis, or with `step` > 1, the taps are slices of the
+    copy and `out` is `acc`. Along the last axis, of length n, they are 1-D
+    slices of the flattened copy, whose rows are n + 2r long: tap k starts k
+    elements in, so it holds every row's shift by k - r in one run, and each
+    NumPy call loops once over the grid, not once per row. The 2r results
+    between two rows mix the end of one padded row with the start of the
+    next; they land in the padding columns of `acc`'s (..., n + 2r) buffer,
+    and `out`, its first n columns, drops them."""
     axis %= a.ndim
     n = a.shape[axis]
     padded = _edge_pad(a, axis, r)
-    if axis < a.ndim - 1 or not a.size:  # an empty grid has no padding to read
+    if step > 1 or axis < a.ndim - 1 or not a.size:  # an empty grid has no padding to read
         lead = (slice(None),) * axis
-        acc = np.empty(a.shape, a.dtype)
-        return [padded[lead + (slice(k, k + n),)] for k in range(2 * r + 1)], acc, acc
+        taps = [padded[lead + (slice(k, k + n, step),)] for k in range(2 * r + 1)]
+        acc = np.empty(taps[0].shape, a.dtype)
+        return taps, acc, acc
     flat = padded.reshape(-1)
     size = flat.size - 2 * r
     buffer = np.empty(padded.shape, a.dtype)
@@ -252,14 +255,18 @@ def box_smooth_axis(a: np.ndarray, axis: int, radius: int) -> np.ndarray:
     return out
 
 
-def weighted_smooth_axis(a: np.ndarray, axis: int, weights) -> np.ndarray:
-    """Edge-clamped correlation with a centered odd-length kernel along one axis."""
+def weighted_smooth_axis(a: np.ndarray, axis: int, weights, step: int = 1) -> np.ndarray:
+    """Edge-clamped correlation with a centered odd-length kernel along one
+    axis, at every `step`-th sample of that axis from the first: the
+    full correlation's `[::step]` along it, byte for byte."""
     weights = np.asarray(weights, dtype=DTYPE)
     if weights.ndim != 1 or weights.size % 2 == 0:
         raise ValueError("kernel must be 1D with odd length")
+    if step < 1:
+        raise ValueError("step must be >= 1")
     radius = weights.size // 2
     a = as_grid(a)
-    taps, acc, out = _shifts(a, axis, radius)
+    taps, acc, out = _shifts(a, axis, radius, step)
     weights = weights.astype(a.dtype)
     np.multiply(weights[0], taps[0], out=acc)
     acc += 0.0  # as in box_smooth_axis

@@ -518,18 +518,23 @@ class TestMemory:
         stage's scale-4 and scale-5 volumes are (about 2 MB). Building each
         stage's (C+1)-channel volume whole took 371 MB; streaming the
         channels in blocks took about 190 MB, and decoding stages 2 and 1 in
-        row bands as well takes about 86 MB. The process starts at about
-        29 MB and making the scene (synth) takes it to 48 MB; the features
-        take it to 82 MB and the output to 86 MB."""
+        row bands as well took about 86 MB, when both whole pyramids were
+        made up front. With each stage making its own levels a channel at a
+        time it takes about 77 MB. The process starts at about 29 MB and
+        making the scene (synth) takes it to 48 MB; the blur chains take it
+        to 59 MB, stage 3 to 65 MB, and stage 1, with its level-1 features,
+        to 77 MB."""
         peak_mb = self.max_rss_mb(512, 1024)
         assert peak_mb < 280, f"max RSS {peak_mb:.0f} MB"
 
     def test_refinement_maps_are_never_whole(self):
         """A 1024x2048 pair at dmax 256 stays under 450 MB max RSS. With
         stages 2 and 1 decoded whole it took about 660 MB; in row bands (8
-        and 24 bands) it takes about 233 MB. Making the scene (synth) takes
-        the process from about 29 to 86 MB, and the features set the peak:
-        no later stage raises it by more than 0.5 MB."""
+        and 24 bands) it took about 233 MB, set by the two whole pyramids
+        made up front. With each stage making its own levels a channel at a
+        time it takes about 186 MB. Making the scene (synth) takes the
+        process from about 29 to 86 MB, the blur chains to 129 MB, stage 3
+        to 155 MB, and stage 1, with its level-1 features, sets the peak."""
         peak_mb = self.max_rss_mb(1024, 2048)
         assert peak_mb < 450, f"max RSS {peak_mb:.0f} MB"
 
@@ -576,6 +581,56 @@ class TestTracedPeak:
         scene = random_dot_stereogram(512, 1024, "two-plane:20,90", 5)
         peaks = stage_peaks_mb(monkeypatch, scene, replace(desk_config(), pipeline_dmax=256))
         assert peaks["stage 3"] < 14.0, peaks
+
+
+    def test_largest_stage_peak_is_stage1_with_its_level(self, monkeypatch):
+        """A 512x1024 pair at dmax 256: every stage makes the levels it reads,
+        a channel at a time, and drops them once decoded, so the largest
+        stage peak above held is stage 1's, about 25.3 MB, of which its
+        level-1 features are 13.6 MB. With both whole pyramids made up
+        front from whole float64 stacks, the features' 31.6 MB was the
+        largest."""
+        scene = random_dot_stereogram(512, 1024, "two-plane:20,90", 5)
+        peaks = stage_peaks_mb(monkeypatch, scene, replace(desk_config(), pipeline_dmax=256))
+        assert max(peaks.values()) < 26.0, peaks
+
+
+class TestLevels:
+    def test_each_stage_makes_its_levels_and_drops_them(self, monkeypatch):
+        """Stage 3 makes levels 4 and 5, builds their fused volumes and
+        drops them, then makes level 3; stages 2 and 1 make levels 2 and 1.
+        Each level is made once per image, the left image's first, and when
+        a level is made, the only other one alive is the left image's of the
+        same scale. None is alive while a stage works out its window or the
+        output is upsampled."""
+        scene = desk_scene(2)
+        h, w = scene.left.shape
+        made = []
+        real_level, real_upsample = cascade.level_features, cascade.bilinear_upsample2x
+
+        def alive():
+            return [(scale, k) for scale, k, ref in made if ref() is not None]
+
+        def level(image, *args):
+            scale = {(h >> s, w >> s): s for s in range(1, 6)}[image.shape]
+            k = sum(1 for s, _, _ in made if s == scale)
+            assert alive() == ([(scale, 0)] if k else []), (scale, k)
+            out = real_level(image, *args)
+            made.append((scale, k, weakref.ref(out)))
+            return out
+
+        upsampled = []
+
+        def upsample(grid):
+            upsampled.append(alive())
+            return real_upsample(grid)
+
+        monkeypatch.setattr(cascade, "level_features", level)
+        monkeypatch.setattr(cascade, "bilinear_upsample2x", upsample)
+        run_pipeline(scene.left, scene.right, desk_config())
+        assert [(scale, k) for scale, k, _ in made] == [(s, k) for s in (4, 5, 3, 2, 1) for k in (0, 1)]
+        # two upsamples per refinement step in next_range, then the output's two
+        assert upsampled == [[]] * 6
 
 
 def banded_run(monkeypatch, scene, config, budget):
@@ -805,16 +860,29 @@ class TestPrecision:
 
     def test_float32_within_stated_tolerance_of_float64(self, monkeypatch):
         """README's tolerance: 1e-2 px in disparity and 1e-3*max(1, |u|) in
-        uncertainty against float64 pyramid levels, over the digest's runs."""
+        uncertainty against float64 pyramid levels, over the digest's runs.
+        The levels' dtype is `cascade.FEATURE_DTYPE`; each run records the
+        dtype of the features its stages stream, so the float64 runs are
+        seen to read float64 levels and the float32 runs float32 ones."""
         path = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
         spec = importlib.util.spec_from_file_location("output_digest", path)
         digest = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(digest)
         cases = list(digest.cases())
+        streamed = []
+        stream = cascade.stream_cost
+
+        def recording(left, right, *args):
+            streamed.extend([left.dtype, right.dtype])
+            return stream(left, right, *args)
+
+        monkeypatch.setattr(cascade, "stream_cost", recording)
         got = [run_pipeline(scene.left, scene.right, cfg) for scene, cfg in cases]
-        build = cascade.build_pyramid
-        monkeypatch.setattr(cascade, "build_pyramid", lambda image, dtype, **kw: build(image, dtype=np.float64, **kw))
+        assert streamed and set(streamed) == {np.dtype(np.float32)}
+        streamed.clear()
+        monkeypatch.setattr(cascade, "FEATURE_DTYPE", np.float64)
         for (scene, cfg), a in zip(cases, got):
             b = run_pipeline(scene.left, scene.right, cfg)
             assert np.abs(a.disparity - b.disparity).max() <= 1e-2
             assert (np.abs(a.uncertainty - b.uncertainty) / np.maximum(1.0, np.abs(b.uncertainty))).max() <= 1e-3
+        assert streamed and set(streamed) == {np.dtype(np.float64)}

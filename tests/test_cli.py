@@ -192,6 +192,28 @@ def test_eval_warns_of_nonfinite_uncertainty(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "unc, message",
+    [
+        pytest.param(None, "No such file or directory", id="missing"),
+        pytest.param(np.ones((4, 8), np.float32), "uncertainty shape (4, 8) does not match (8, 8)", id="wrong-shape"),
+        pytest.param(np.full((8, 8), -1.0, np.float32), "uncertainty must be non-negative", id="negative"),
+    ],
+)
+def test_eval_failing_uncertainty_prints_no_metric(tmp_path, capsys, unc, message):
+    """Every input is read and every metric computed before the first line
+    is printed, so an eval that fails on `--unc` leaves stdout empty."""
+    write_pfm(tmp_path / "gt.pfm", np.full((8, 8), 4.0, dtype=np.float32))
+    if unc is not None:
+        write_pfm(tmp_path / "unc.pfm", unc)
+    rc = cli_main(["eval", "--pred", str(tmp_path / "gt.pfm"), "--gt", str(tmp_path / "gt.pfm"),
+                   "--unc", str(tmp_path / "unc.pfm"), "--filter-sqrtu", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         pytest.param(["--unc", "UNC"], "--unc requires --filter-sqrtu", id="unc-alone"),

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from cfstereo.features import STAT_RADIUS, _scale_centred, blur_decimate2, build_pyramid, channel_stack
-from references import box_reference, std_normalized, take_clamped
+from cfstereo.features import (
+    STAT_RADIUS, _scale_centred, blur_chain, blur_decimate2, build_pyramid, channel_stack, level_features
+)
+from references import (
+    blur_then_decimate, box_reference, std_normalized, take_clamped, whole_stack_channels, whole_stack_pyramid
+)
 
 
 def test_constant_image_all_channels_zero():
@@ -77,8 +81,10 @@ def test_scale_centred_is_byte_equal_to_dividing_by_std(shape):
     stack[3, ..., 0] = -0.0  # a -0.0 column in a varying channel
     stack[4] = rng.choice([-1.0, 1.0], size=shape[1:])
     centred = stack - stack.mean(axis=(1, 2), keepdims=True)
-    got = _scale_centred(centred)
-    assert got is centred
+    square = np.empty(shape[1:])
+    for channel in centred:
+        assert _scale_centred(channel, square) is channel
+    got = centred
     assert got.tobytes() == std_normalized(stack).tobytes()
     assert not got[1:3].any()
     if shape[1] * shape[2] > 1:
@@ -225,3 +231,71 @@ def test_census_channels_match_where_form(census_radius, name):
     got = channel_stack(image, census_radius)[5:]
     want = census_where(image, census_radius)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Levels are made a channel at a time, and the blur computes only the kept
+# samples. `references` keeps the whole-stack forms they replaced; the two
+# must agree byte for byte.
+
+WHOLE_STACK_IMAGES = {
+    "random 128x256": np.random.default_rng(14).random((128, 256)),
+    "ties 64x128": np.random.default_rng(15).integers(0, 3, size=(64, 128)).astype(np.float64),
+    "constant 64x64": np.full((64, 64), 0.4),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("census_radius", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(WHOLE_STACK_IMAGES))
+def test_levels_are_the_whole_stack_levels(name, census_radius, dtype):
+    image = WHOLE_STACK_IMAGES[name]
+    got = build_pyramid(image, census_radius=census_radius, dtype=dtype)
+    want = whole_stack_pyramid(image, census_radius, dtype)
+    assert sorted(got) == sorted(want) == [1, 2, 3, 4, 5]
+    chain = blur_chain(image)
+    for level, feats in got.items():
+        assert feats.dtype == dtype and feats.flags.c_contiguous
+        assert feats.tobytes() == want[level].tobytes(), level
+        # the pipeline's path: one level from one image of the chain
+        assert level_features(chain[level], census_radius, dtype).tobytes() == feats.tobytes(), level
+        if name.startswith("constant"):
+            assert not feats.any(), level
+
+
+@pytest.mark.parametrize("census_radius", [1, 3])
+@pytest.mark.parametrize("name", sorted(PADDED_IMAGES))
+def test_channel_stack_is_the_whole_stack(census_radius, name):
+    image = PADDED_IMAGES[name]
+    got, want = channel_stack(image, census_radius), whole_stack_channels(image, census_radius)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+BLUR_IMAGES = {
+    **PADDED_IMAGES,
+    "odd 7x9": np.random.default_rng(16).random((7, 9)),
+    "one row 1x6": np.random.default_rng(17).random((1, 6)),
+    "float32 16x32": np.random.default_rng(18).random((16, 32)).astype(np.float32),
+    "signed zeros 8x8": np.random.default_rng(19).choice([-0.0, 0.0], size=(8, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLUR_IMAGES))
+def test_blur_decimate2_is_the_blur_then_decimate(name):
+    """Blurring only the kept rows and columns gives the bytes of blurring
+    everything and then dropping the odd rows and columns."""
+    image = BLUR_IMAGES[name]
+    got, want = blur_decimate2(image), blur_then_decimate(image)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def test_blur_chain_checks_the_image():
+    image = np.random.default_rng(20).random((64, 128))
+    chain = blur_chain(image)
+    assert sorted(chain) == [1, 2, 3, 4, 5]
+    assert [chain[i].shape for i in chain] == [(64 >> i, 128 >> i) for i in range(1, 6)]
+    image[5, 7] = np.inf
+    with pytest.raises(ValueError, match=r"image has a non-finite value at index \(5, 7\)"):
+        blur_chain(image)
+    with pytest.raises(ValueError, match="divisible"):
+        blur_chain(np.zeros((60, 64)))

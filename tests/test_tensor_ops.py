@@ -331,6 +331,23 @@ class TestSliceShiftsMatchGathers:
         want = weighted_reference(a, axis, weights.astype(np.float32))
         assert_bitwise_equal(weighted_smooth_axis(a, axis, weights), want)
 
+    @given(st.one_of(grids(), grids32()), st.integers(-4, 3), kernels(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    @example(WIDE, 0, [1.0, 4.0, 6.0, 4.0, 1.0], 2)
+    @example(WIDE, -1, [1.0, 4.0, 6.0, 4.0, 1.0], 2)
+    @example(WIDE_ROW, -1, [0.25, -0.5, 1.0, 0.0, 2.0], 3)
+    @example(TRANSPOSED, -1, [1.0, 2.0, 1.0], 2)
+    @example(STEPPED, -2, [-1.0, 0.5, 3.0, 0.5, -1.0], 2)
+    @example(NEG_ZERO_32, 0, [1.0, 2.0, 1.0], 2)
+    def test_weighted_smooth_axis_step(self, a, axis, weights, step):
+        """With `step`, the result is the whole result's [::step] along the
+        axis, byte for byte: each kept sample is computed as it would be."""
+        axis = any_axis(axis, a.ndim)
+        weights = np.asarray(weights)
+        whole = weighted_reference(a, axis, weights.astype(a.dtype))
+        kept = whole[(slice(None),) * (axis % a.ndim) + (slice(None, None, step),)]
+        assert_bitwise_equal(weighted_smooth_axis(a, axis, weights, step=step), kept)
+
     @given(arrays(np.float32, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5), elements=finite32))
     @settings(max_examples=80, deadline=None)
     @example(NEG_ZERO_32)
@@ -389,6 +406,8 @@ STENCILS = {
     "box radius 0": lambda a: box_smooth_axis(a, -1, 0),
     "weighted x": lambda a: weighted_smooth_axis(a, -1, [1.0, 2.0, 1.0]),
     "weighted y": lambda a: weighted_smooth_axis(a, -2, [1.0, 2.0, 1.0]),
+    "weighted x step 2": lambda a: weighted_smooth_axis(a, -1, [1.0, 2.0, 1.0], step=2),
+    "weighted y step 2": lambda a: weighted_smooth_axis(a, -2, [1.0, 2.0, 1.0], step=2),
     "bilinear": lambda a: bilinear_upsample2x(a[0, 0]),
     "trilinear": trilinear_upsample2x,
     "avgpool": avgpool_volume,
@@ -418,6 +437,12 @@ def test_box_smooth_axis_upcasts_like_as_grid(a, radius):
     want = box_smooth_axis(a.astype(np.float64), 0, radius)
     assert want.dtype == np.float64
     assert_bitwise_equal(box_smooth_axis(a, 0, radius), want)
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_weighted_smooth_axis_rejects_a_step_under_one(step):
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        weighted_smooth_axis(np.zeros((4, 4)), 0, [1.0, 2.0, 1.0], step=step)
 
 
 def blocks_mean(v):
