@@ -15,6 +15,14 @@ bands, their halo, its plane reach and `stream_cost`'s spans and channel
 blocks; `StagePlan` states the rules once. `run_pipeline` makes the plan and
 runs it, one loop for every stage: each band streams its rows of the
 stage's features and window, one input, through the stage's regularizer.
+Stages 3 and 2 regularize each of their C + 1 channel volumes and take
+`|.|` after, as the combination volume is regularized before its cost;
+stage 1 (`StagePlan.reduce_first`) reduces its channels to one cost first
+and regularizes that, the classic matching-cost-then-aggregation order.
+At stage 1 that order passes every accuracy gate and regularizes one
+channel, not C + 1; at stages 3 and 2 it raised the D1 of filtered pixels
+on noisy desk scenes, so they wait for a temperature that transfers across
+dmax (ROADMAP items 21 and 11).
 A stage makes the pyramid levels it reads from the images' blur chains
 (`features.blur_chain`) and drops them once it is decoded: levels 4 and 5,
 each until the fused stage 3 has built its volume, and level 3 for stage
@@ -95,7 +103,12 @@ class StagePlan:
     and every plane in reach (None), since fusion's reach across scales is
     not worked out; its scale-4 and scale-5 volumes are whole, so they take
     no part in its tiling. Each band's `tiles` are `cost_volume.tiling`'s
-    for its rows of `FEATURE_DTYPE` features."""
+    for its rows of `FEATURE_DTYPE` features.
+
+    `reduce_first`, set for stage 1 only, makes `stream_cost` regularize
+    the band's one cost channel rather than its C + 1 channel volumes. The
+    regularizer reaches as far on one channel as on each of many, so the
+    halo and tiling are the same either way."""
 
     scale: int
     h: int
@@ -106,6 +119,7 @@ class StagePlan:
     halo: int
     plane_reach: int | None
     bands: tuple[Band, ...]
+    reduce_first: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +226,7 @@ def plan(shape: tuple[int, int], config: RunConfig) -> tuple[StagePlan, ...]:
         for a, b in _bands(hs, count):
             a0, b0 = max(0, a - halo), min(hs, b + halo)
             bands.append(Band(a0, a, b, b0, tiling(c, n, (b0 - a0) * ws * itemsize, plane_reach)))
-        entries.append(StagePlan(scale, hs, ws, n, fused, scale == 3, halo, plane_reach, tuple(bands)))
+        entries.append(StagePlan(scale, hs, ws, n, fused, scale == 3, halo, plane_reach, tuple(bands), scale == 1))
     return tuple(entries)
 
 
@@ -271,7 +285,8 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             fl_rows, fr_rows = (np.ascontiguousarray(f[:, rows]) for f in feats)
             rows_window = Window(window.lo[rows], window.hi[rows], window.n)
             sv = stream_cost(
-                fl_rows, fr_rows, rows_window, entry.scale, regularize, w_g, w_a, entry.plane_reach, entry.dense
+                fl_rows, fr_rows, rows_window, entry.scale, regularize, w_g, w_a,
+                entry.plane_reach, entry.dense, entry.reduce_first,
             )
             d = soft_argmin(sv)
             disp[band.a : band.b] = d[keep]

@@ -14,12 +14,21 @@ builders, and `Window.planes` (or `sample_planes`) makes them.
 
 The pipeline holds no plane array, and no volume whole but the fused
 stage's scale-4 and scale-5 ones (`dense_data`), 1/8 and 1/64 of stage 3's.
-Every step before `|.|` acts on each channel alone, so `stream_cost` builds,
-regularizes and reduces its one input a block of channels at a time, in the
-spans and blocks that `tiling` gives and `cascade.plan` records, adding |.|
-of each regularized block into the cost and regularizing the correlation
-last; `regularize(block, chans)` gets each block's channel slice. Its cost
-is byte-identical to `reduce_to_cost` of the whole regularized volume.
+`stream_cost` builds and reduces its one input a block of channels at a
+time, in the spans and blocks that `tiling` gives and `cascade.plan`
+records, and regularizes in one of two orders. Regularizing the channels
+(stages 3 and 2): every step before `|.|` acts on each channel alone, so
+each block is regularized before |.| of it is added into the cost, and the
+correlation last; `regularize(block, chans)` gets each block's channel
+slice, and the cost is byte-identical to `reduce_to_cost` of the whole
+regularized volume. Regularizing the cost (`reduce_first`, stage 1): |.|
+of each block is added unregularized, and the one cost channel the sums
+give is regularized once, as `regularize(cost, None)`: byte-identical to
+regularizing the cost `reduce_to_cost` makes of the whole volume in the
+volume's dtype. That is the classic order of matching cost, then
+aggregation (Scharstein and Szeliski, IJCV 2002), at 1/(C + 1) of the
+regularizing. Stages 3 and 2 keep the channel order: reducing first there
+raised the D1 of filtered pixels on noisy desk scenes (ROADMAP item 21).
 The builders and `stream_cost` share one fill (`_fill`):
 a plane of a dense window, the integer d, reads the right features shifted
 d columns as slices, and any other plane gathers through `_row_weights`
@@ -31,8 +40,9 @@ p = softmax(-cost): the decode reads no plane values.
 
 Volumes take the features' float dtype: float32 features (the pipeline's)
 give float32 volumes, float64 features give the float64 reference. The
-channel sum and the cost tail (a plane at a time) run in the volume's dtype
-too, and float64 starts at the decode: the cost is cast once, and the
+channel sum, the cost tail (a plane at a time) and the regularizing of a
+reduced cost run in the volume's dtype too, and float64 starts at the
+decode: the cost is cast once, and the
 windows and every decoded map are float64 either way. The decode adds one
 (N, H, W) float64 array to the cost, the softmax's one buffer.
 """
@@ -351,14 +361,15 @@ def build_sparse_volume(
     return CombinationVolume(_build(fl, fr, weights, n_groups), planes, scale, n_groups)
 
 
-def _cost_from_sums(total, corr, c, w_group, w_absdiff) -> np.ndarray:
-    """The float64 cost from `total`, the channel-order sum of |diff| over
-    `c` channels, and `corr`, the correlation channel, both (N, H, W) in the
+def _cost_from_sums(total, corr, c, w_group, w_absdiff, dtype=DTYPE) -> np.ndarray:
+    """The cost from `total`, the channel-order sum of |diff| over `c`
+    channels, and `corr`, the correlation channel, both (N, H, W) in the
     volume's dtype: w_absdiff * total / c - w_group * corr, worked out in
     that dtype a plane at a time, in place in `total`. Each plane's last
-    subtraction writes its float64 cost plane, the one cast."""
+    subtraction writes its cost plane in `dtype`: float64, the one cast, or
+    the volume's dtype, into `total` itself."""
     w_group, w_absdiff = total.dtype.type(w_group), total.dtype.type(w_absdiff)
-    cost = np.empty(total.shape, DTYPE)
+    cost = total if total.dtype == dtype else np.empty(total.shape, dtype)
     weighted = np.empty(total.shape[1:], total.dtype)
     for plane, k, out in zip(total, corr, cost):
         plane /= c
@@ -417,9 +428,11 @@ def stream_cost(
     w_absdiff: float = 1.0,
     plane_reach: int | None = None,
     dense: bool = False,
+    reduce_first: bool = False,
 ) -> ScoreVolume:
     """`reduce_to_cost` of a regularized one-group volume on `window`'s
-    planes, built and regularized a block of channels at a time.
+    planes, built and regularized a block of channels at a time; or, with
+    `reduce_first`, its cost regularized once.
 
     `regularize(block, chans)` maps a (B, N, H, W) block to a volume on the
     same planes, acting on each channel alone (as `aggregate` and
@@ -435,6 +448,13 @@ def stream_cost(
     (`Window.dense`), filled by slices as `build_dense_volume` fills it;
     otherwise the planes are gathered, as `build_sparse_volume` gathers
     them.
+
+    With `reduce_first`, no block is regularized: |.| of each is added
+    into the sum as it is filled, the cost is made from the sums in the
+    volume's dtype, and `regularize(cost, None)` is called once on that
+    (N, H, W) cost, then cast to float64. The result equals `regularize`
+    of `reduce_to_cost(v.data, ...).cost` cast back to the volume's dtype
+    (an exact cast: that cost is worked out in it), byte for byte.
 
     `plane_reach` is how many planes on each side of a plane `regularize`
     reads, or None for every plane; it sets `tiling`'s spans and blocks,
@@ -458,16 +478,22 @@ def stream_cost(
             chans = slice(c0, min(c0 + block, c))
             vol = np.empty((chans.stop - c0, planes) + fl.shape[1:], dtype=fl.dtype)
             _fill(fl[chans], fr[chans], weights, vol, corr[span])
-            out = regularize(vol, chans)
+            out = vol if reduce_first else regularize(vol, chans)
             np.abs(out, out=out)
             if total is None:
                 total = np.zeros(corr.shape, dtype=out.dtype)
             total_span = total[span]
             for channel in out:
                 total_span += channel
-            del out  # before the next block is built
-    # the correlation, averaged in place, is regularized last as one channel
+            del vol, out  # before the next block is built
     corr /= c
+    if reduce_first:
+        # the cost, made in place in the sum, is the one channel regularized
+        cost = _cost_from_sums(total, corr, c, w_group, w_absdiff, total.dtype)
+        del total, corr
+        cost = regularize(cost, None)
+        return ScoreVolume(cost.astype(DTYPE, copy=False), window, scale)
+    # the correlation, averaged in place, is regularized last as one channel
     corr = regularize(corr[None], slice(c, c + 1))[0]
     return ScoreVolume(_cost_from_sums(total, corr, c, w_group, w_absdiff), window, scale)
 

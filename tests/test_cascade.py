@@ -567,8 +567,9 @@ class TestTracedPeak:
         """A 256x512 pair at dmax 256 decodes stage 1 (12 planes of 128x256,
         3 MB of float64 map) in 2 bands. Each band samples only its own
         planes and the softmax makes one array, so the stage's peak above
-        held is about 10.2 MB; with the stage's planes sampled whole and
-        copied, and a four-array softmax, it was 17.6 MB."""
+        held is about 9.9 MB (10.6 MB when stage 1 regularized its
+        channels rather than its cost); with the stage's planes sampled
+        whole and copied, and a four-array softmax, it was 17.6 MB."""
         scene = random_dot_stereogram(256, 512, "two-plane:20,90", 5)
         peaks = stage_peaks_mb(monkeypatch, scene, replace(desk_config(), pipeline_dmax=256))
         assert peaks["stage 1"] < 12.0, peaks
@@ -586,7 +587,7 @@ class TestTracedPeak:
     def test_largest_stage_peak_is_stage1_with_its_level(self, monkeypatch):
         """A 512x1024 pair at dmax 256: every stage makes the levels it reads,
         a channel at a time, and drops them once decoded, so the largest
-        stage peak above held is stage 1's, about 25.3 MB, of which its
+        stage peak above held is stage 1's, about 24.2 MB, of which its
         level-1 features are 13.6 MB. With both whole pyramids made up
         front from whole float64 stacks, the features' 31.6 MB was the
         largest."""
@@ -678,7 +679,8 @@ class TestBands:
     """Every stage not fused with coarser scales (stages 2 and 1, and stage 3
     with fusion off) decodes in the row bands and halo of its plan; every
     band count, with any channel block size, gives the bytes of the
-    one-band run at the default block size."""
+    one-band run at the default block size, whether the stage regularizes
+    its channels (stages 3 and 2) or its cost (stage 1)."""
 
     WHOLE = 1 << 62
     whole_runs: dict = {}  # one-band runs, shared by the budgets of one config
@@ -703,6 +705,8 @@ class TestBands:
             # stage 1: 24 of 2 and 16 of 1
             pytest.param(20000, (2, 14, 40), id="last-band-one-row"),
             pytest.param(200000, (1, 2, 4), id="few-bands"),
+            # stage 1, which regularizes its cost, in 3 bands of 21-22 rows
+            pytest.param(300000, (1, 1, 3), id="three-bands"),
         ],
     )
     @pytest.mark.parametrize(
@@ -793,6 +797,7 @@ class TestPlan:
         assert [entry.n for entry in stages] == [config.pipeline_dmax >> 3, config.cascade_n2, config.cascade_n1]
         assert [entry.dense for entry in stages] == [True, False, False]
         assert [entry.fused for entry in stages] == [config.fusion_enabled, False, False]
+        assert [entry.reduce_first for entry in stages] == [False, False, True]
         for entry in stages:
             assert (entry.h, entry.w) == (shape[0] >> entry.scale, shape[1] >> entry.scale)
             rows = [(band.a, band.b) for band in entry.bands]
@@ -811,6 +816,32 @@ class TestPlan:
     def test_bad_size_is_rejected(self):
         with pytest.raises(ValueError, match=r"^image dims \(96, 80\) must be divisible by 32"):
             cascade.plan((96, 80), desk_config())
+
+    @pytest.mark.parametrize("h, w, dmax", [(128, 256, 64), (256, 512, 256)], ids=["desk", "mid"])
+    def test_only_stage1_regularizes_its_cost(self, monkeypatch, h, w, dmax):
+        """With stage 1's `reduce_first` cleared, so that every stage
+        regularizes its channels, stages 3 and 2 keep their bytes; only
+        stage 1 and the output move."""
+        config = replace(desk_config(), pipeline_dmax=dmax)
+        scene = desk_scene(0) if h == 128 else random_dot_stereogram(h, w, "two-plane:20,90", 5)
+        got = run_pipeline(scene.left, scene.right, config)
+        planned = cascade.plan
+
+        def channels_everywhere(shape, cfg):
+            entries = planned(shape, cfg)
+            return tuple(replace(entry, reduce_first=False) if entry.scale == 1 else entry for entry in entries)
+
+        monkeypatch.setattr(cascade, "plan", channels_everywhere)
+        want = run_pipeline(scene.left, scene.right, config)
+        assert [entry.reduce_first for entry in channels_everywhere((h, w), config)] == [False] * 3
+        for a, b in zip(got.stages[:2], want.stages[:2], strict=True):
+            for name in ("disparity", "uncertainty"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.scale, name)
+            for name in ("lo", "hi"):
+                assert getattr(a.window, name).tobytes() == getattr(b.window, name).tobytes(), (a.scale, name)
+        assert got.stages[2].window.lo.tobytes() == want.stages[2].window.lo.tobytes()
+        assert got.stages[2].disparity.tobytes() != want.stages[2].disparity.tobytes()
+        assert got.disparity.tobytes() != want.disparity.tobytes()
 
 
 class TestPrecision:

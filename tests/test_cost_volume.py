@@ -707,11 +707,22 @@ class TestFloat32Volumes:
         assert np.all(np.abs(got - wide) <= 1e-5 * np.maximum(1.0, np.abs(wide)))
 
 
+# (dtype, reduce_first): each dtype regularizing its channels, then its cost
+DTYPE_ORDERS = [
+    pytest.param(np.float32, False, id="float32"),
+    pytest.param(np.float64, False, id="float64"),
+    pytest.param(np.float32, True, id="float32-cost"),
+    pytest.param(np.float64, True, id="float64-cost"),
+]
+
+
 class TestStreamCost:
     """stream_cost equals reduce_to_cost of the whole regularized volume byte
-    for byte. Each case streams twice against one reference: at the default
-    BLOCK_BYTES, where the shapes give two or more channel blocks with the
-    last one partial, in float32 and in float64; and at BLOCK_BYTES = 1, the
+    for byte, and with `reduce_first` the regularized cost that
+    reduce_to_cost makes of the whole volume in the volume's dtype. Each
+    case streams twice against one reference: at the default BLOCK_BYTES,
+    where the shapes give two or more channel blocks with the last one
+    partial, in float32 and in float64; and at BLOCK_BYTES = 1, the
     one-channel floor that a channel over 256 KiB reaches."""
 
     CONFIG = replace(desk_config(), fusion_smooth_radius=(1, 2, 1), fusion_passes=2)
@@ -724,34 +735,50 @@ class TestStreamCost:
         fr = 0.8 * np.roll(fl, 5, axis=-1) + 0.2 * smoothed_features(rng, self.CHANNELS, h, w)
         return fl.astype(dtype), fr.astype(dtype)
 
-    def streamed(self, monkeypatch, fl, fr, window, scale, regularize, split=True, dense=False):
+    def streamed(self, monkeypatch, fl, fr, window, scale, regularize, split=True, dense=False, reduce_first=False):
         """stream_cost's costs at the default BLOCK_BYTES and at 1, checking
-        the regularize calls: each block's channels are its `chans` of the
-        (C+1)-channel layout, the blocks run through the C channels in
-        order, then the correlation, channel C; at the default, two or more
-        blocks if `split`, else one."""
+        the fills and the regularize calls. The fills run through the C
+        channels in blocks; at the default, two or more blocks if `split`,
+        else one. Regularizing the channels, each block's channels are its
+        `chans` of the (C+1)-channel layout, in order, then the
+        correlation, channel C. With `reduce_first` the one call is on the
+        (N, H, W) cost in the features' dtype, with `chans` None."""
         costs = []
+        fill = cost_volume._fill
         for block_bytes in (cost_volume.BLOCK_BYTES, 1):
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
-            blocks = []
+            blocks, fills = [], []
 
             def counted(volume, chans):
-                assert volume.shape[0] == chans.stop - chans.start
-                blocks.append((chans.start, chans.stop))
+                if chans is None:
+                    assert volume.shape == (window.n,) + window.lo.shape and volume.dtype == fl.dtype
+                    blocks.append(None)
+                else:
+                    assert volume.shape[0] == chans.stop - chans.start
+                    blocks.append((chans.start, chans.stop))
                 return regularize(volume, chans)
 
-            score = stream_cost(fl, fr, window, scale, counted, dense=dense, **self.WEIGHTS)
+            def filled(fl_block, *args):
+                fills.append(len(fl_block))
+                return fill(fl_block, *args)
+
+            monkeypatch.setattr(cost_volume, "_fill", filled)
+            score = stream_cost(fl, fr, window, scale, counted, dense=dense, reduce_first=reduce_first, **self.WEIGHTS)
             assert score.cost.dtype == np.float64 and score.window is window
-            *chunks, corr = blocks
-            assert corr == (self.CHANNELS, self.CHANNELS + 1)
-            assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]] and chunks[-1][1] == self.CHANNELS
-            channel_blocks = [b - a for a, b in chunks]
-            if block_bytes == 1:
-                assert channel_blocks == [1] * self.CHANNELS
-            elif split:
-                assert len(channel_blocks) >= 2 and channel_blocks[-1] < channel_blocks[0]
+            if reduce_first:
+                assert blocks == [None]
             else:
-                assert channel_blocks == [self.CHANNELS]
+                *chunks, corr = blocks
+                assert corr == (self.CHANNELS, self.CHANNELS + 1)
+                assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]] and chunks[-1][1] == self.CHANNELS
+                assert [b - a for a, b in chunks] == fills
+            assert sum(fills) == self.CHANNELS
+            if block_bytes == 1:
+                assert fills == [1] * self.CHANNELS
+            elif split:
+                assert len(fills) >= 2 and fills[-1] < fills[0]
+            else:
+                assert fills == [self.CHANNELS]
             costs.append(score.cost)
         return costs
 
@@ -821,24 +848,34 @@ class TestStreamCost:
         for got in self.streamed(monkeypatch, fl, fr, window, 3, widened, dense=True):
             assert got.tobytes() == want.cost.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_sparse_planes(self, monkeypatch, dtype):
+    @pytest.mark.parametrize("dtype, reduce_first", DTYPE_ORDERS)
+    def test_sparse_planes(self, monkeypatch, dtype, reduce_first):
+        """Regularizing the channels, the cost is reduce_to_cost of the
+        regularized volume; regularizing the cost (stage 1's order), it is
+        `aggregate` of the cost reduce_to_cost makes of the whole volume,
+        cast back to the volume's dtype (exactly: it is worked out in it)."""
         fl, fr = self.features(7, 16, 64, dtype)
         window = random_window(8, 12, 16, 64)
         vol = build_sparse_volume(fl, fr, window.planes(), 1, 1)
-        want = reduce_to_cost(self.smooth(vol.data), window, 1, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, fl, fr, window, 1, self.smooth):
-            assert np.array_equal(got, want.cost)
+        if reduce_first:
+            cost = reduce_to_cost(vol.data, window, 1, **self.WEIGHTS).cost.astype(dtype)
+            want = self.smooth(cost).astype(np.float64)
+        else:
+            want = reduce_to_cost(self.smooth(vol.data), window, 1, **self.WEIGHTS).cost
+        for got in self.streamed(monkeypatch, fl, fr, window, 1, self.smooth, reduce_first=reduce_first):
+            assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype, reduce_first", DTYPE_ORDERS)
     @pytest.mark.parametrize("passes", [1, 2])
     @pytest.mark.parametrize("radii", [(0, 2, 2), (0, 1, 0)])
     @pytest.mark.parametrize("planes", ["dense", "sparse"])
-    def test_plane_reach_zero_streams_plane_by_plane(self, monkeypatch, planes, radii, passes, dtype):
+    def test_plane_reach_zero_streams_plane_by_plane(self, monkeypatch, planes, radii, passes, dtype, reduce_first):
         """At plane reach 0 each plane is regularized alone, a block of
-        channels at a time, then the correlation once. 32x256 planes give
-        two or more blocks per plane at the default BLOCK_BYTES, the last
-        one partial, in float32 and in float64."""
+        channels at a time, then the correlation once; regularizing the
+        cost, as stage 1 does, the blocks are filled the same way and the
+        one cost is regularized once. 32x256 planes give two or more blocks
+        per plane at the default BLOCK_BYTES, the last one partial, in
+        float32 and in float64."""
         config = replace(desk_config(), fusion_smooth_radius=radii, fusion_passes=passes)
         assert plane_reach(config) == 0
         h, w = 32, 256
@@ -854,25 +891,39 @@ class TestStreamCost:
         def smooth(volume):
             return aggregate(volume, config)
 
-        want = reduce_to_cost(smooth(vol.data), window, 3, **self.WEIGHTS)
+        if reduce_first:
+            want = smooth(reduce_to_cost(vol.data, window, 3, **self.WEIGHTS).cost.astype(dtype)).astype(np.float64)
+        else:
+            want = reduce_to_cost(smooth(vol.data), window, 3, **self.WEIGHTS).cost
+        fill = cost_volume._fill
         for block_bytes in (cost_volume.BLOCK_BYTES, 1):
             monkeypatch.setattr(cost_volume, "BLOCK_BYTES", block_bytes)
-            calls = []
+            calls, fills = [], []
 
             def counted(volume, chans):
                 calls.append(volume.shape[:2])
                 return smooth(volume)
 
-            score = stream_cost(fl, fr, window, 3, counted, plane_reach=0, dense=planes == "dense", **self.WEIGHTS)
-            assert np.array_equal(score.cost, want.cost)
+            def filled(fl_block, fr_block, weights, *args):
+                fills.append((len(fl_block), len(weights)))
+                return fill(fl_block, fr_block, weights, *args)
+
+            monkeypatch.setattr(cost_volume, "_fill", filled)
+            score = stream_cost(
+                fl, fr, window, 3, counted, plane_reach=0, dense=planes == "dense", reduce_first=reduce_first,
+                **self.WEIGHTS,
+            )
+            assert score.cost.tobytes() == want.tobytes()
             block = max(1, block_bytes // fl[0].nbytes)
             chunks = [(min(block, self.CHANNELS - c0), 1) for c0 in range(0, self.CHANNELS, block)]
             if block_bytes == 1:
                 assert chunks == [(1, 1)] * self.CHANNELS
             else:
                 assert len(chunks) >= 2 and chunks[-1] < chunks[0]
-            # a (channel chunk, one plane) call per chunk of each plane, then the correlation
-            assert calls == chunks * n + [(1, n)]
+            # a (channel chunk, one plane) fill per chunk of each plane
+            assert fills == chunks * n
+            # and as many calls, then the correlation; or the one (N, H, W) cost
+            assert calls == ([(n, h)] if reduce_first else chunks * n + [(1, n)])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("planes", ["dense", "sparse"])
