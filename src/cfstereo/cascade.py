@@ -9,12 +9,14 @@ variance. `config.RangeParams`, the window's parameters, is re-exported
 here, and so is `cost_volume.sample_planes`; each checks its own input,
 and a `Window` checks its bounds.
 
-`plan` works out how every stage is tiled from the image shape and the
+`plan` works out how every stage is banded from the image shape and the
 config alone, and checks the shape: one `StagePlan` per stage, with its row
-bands, their halo, its plane reach and `stream_cost`'s spans and channel
-blocks; `StagePlan` states the rules once. `run_pipeline` makes the plan and
-runs it, one loop for every stage: each band streams its rows of the
-stage's features and window, one input, through the stage's regularizer.
+bands, their halo, its plane reach and its order; `StagePlan` states the
+rules once. `stream_cost` tiles each band into plane spans and channel
+blocks itself, from the band's rows and the plane reach. `run_pipeline`
+makes the plan and runs it, one loop for every stage: each band streams
+its rows of the stage's features and window, one input, through the
+stage's regularizer.
 Stages 3 and 2 regularize each of their C + 1 channel volumes and take
 `|.|` after, as the combination volume is regularized before its cost;
 stage 1 (`StagePlan.reduce_first`) reduces its channels to one cost first
@@ -41,11 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RangeParams, RunConfig
-from .cost_volume import (
-    HypothesisPlanes, Window, dense_data, sample_planes, soft_argmin, stream_cost, tiling, uncertainty
-)
+from .cost_volume import HypothesisPlanes, Window, dense_data, sample_planes, soft_argmin, stream_cost, uncertainty
 from .errors import PipelineError
-from .features import blur_chain, channel_count, check_size, level_features
+from .features import blur_chain, check_size, level_features
 from .fusion import aggregate, fuse_volumes
 from .tensor_ops import DTYPE, as_grid, bilinear_upsample2x
 
@@ -75,14 +75,12 @@ FEATURE_DTYPE = np.float32
 @dataclass(frozen=True)
 class Band:
     """Rows [a, b) of a stage's maps, decoded from rows [a0, b0): the band
-    and its halo, clipped at the grid's edge. `tiles` are `stream_cost`'s
-    (planes, channels per block) for each span of the band's planes."""
+    and its halo, clipped at the grid's edge."""
 
     a0: int
     a: int
     b: int
     b0: int
-    tiles: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -101,14 +99,13 @@ class StagePlan:
     so rows [a, b) of a band read with its halo are those rows of the whole
     stage's decode, byte for byte. A fused stage is one band with no halo
     and every plane in reach (None), since fusion's reach across scales is
-    not worked out; its scale-4 and scale-5 volumes are whole, so they take
-    no part in its tiling. Each band's `tiles` are `cost_volume.tiling`'s
-    for its rows of `FEATURE_DTYPE` features.
+    not worked out. `stream_cost` tiles each band, from its rows and the
+    plane reach (`cost_volume.tiling`).
 
     `reduce_first`, set for stage 1 only, makes `stream_cost` regularize
     the band's one cost channel rather than its C + 1 channel volumes. The
     regularizer reaches as far on one channel as on each of many, so the
-    halo and tiling are the same either way."""
+    halo and plane reach are the same either way."""
 
     scale: int
     h: int
@@ -211,7 +208,6 @@ def plan(shape: tuple[int, int], config: RunConfig) -> tuple[StagePlan, ...]:
     h, w = shape
     check_size(h, w)
     dmax, passes, (r_plane, _, r_y) = config.pipeline_dmax, config.fusion_passes, config.fusion_smooth_radius
-    c, itemsize = channel_count(config.features_census_radius), np.dtype(FEATURE_DTYPE).itemsize
     params = RangeParams.from_config(config)
     entries = []
     for scale, n in ((3, dmax >> 3), (2, params.for_stage(3)[2]), (1, params.for_stage(2)[2])):
@@ -222,11 +218,8 @@ def plan(shape: tuple[int, int], config: RunConfig) -> tuple[StagePlan, ...]:
         else:
             halo, plane_reach = passes * r_y, passes * r_plane
             count = min(hs, -(-n * hs * ws * 8 // BAND_BYTES))
-        bands = []
-        for a, b in _bands(hs, count):
-            a0, b0 = max(0, a - halo), min(hs, b + halo)
-            bands.append(Band(a0, a, b, b0, tiling(c, n, (b0 - a0) * ws * itemsize, plane_reach)))
-        entries.append(StagePlan(scale, hs, ws, n, fused, scale == 3, halo, plane_reach, tuple(bands), scale == 1))
+        bands = tuple(Band(max(0, a - halo), a, b, min(hs, b + halo)) for a, b in _bands(hs, count))
+        entries.append(StagePlan(scale, hs, ws, n, fused, scale == 3, halo, plane_reach, bands, scale == 1))
     return tuple(entries)
 
 

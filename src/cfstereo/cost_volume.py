@@ -15,8 +15,8 @@ builders, and `Window.planes` (or `sample_planes`) makes them.
 The pipeline holds no plane array, and no volume whole but the fused
 stage's scale-4 and scale-5 ones (`dense_data`), 1/8 and 1/64 of stage 3's.
 `stream_cost` builds and reduces its one input a block of channels at a
-time, in the spans and blocks that `tiling` gives and `cascade.plan`
-records, and regularizes in one of two orders. Regularizing the channels
+time, in the spans and blocks that `tiling` gives for its rows and plane
+reach, and regularizes in one of two orders. Regularizing the channels
 (stages 3 and 2): every step before `|.|` acts on each channel alone, so
 each block is regularized before |.| of it is added into the cost, and the
 correlation last; `regularize(block, chans)` gets each block's channel
@@ -40,9 +40,9 @@ p = softmax(-cost): the decode reads no plane values.
 
 Volumes take the features' float dtype: float32 features (the pipeline's)
 give float32 volumes, float64 features give the float64 reference. The
-channel sum, the cost tail (a plane at a time) and the regularizing of a
+channel sum, the cost (made a plane at a time) and the regularizing of a
 reduced cost run in the volume's dtype too, and float64 starts at the
-decode: the cost is cast once, and the
+decode: a `ScoreVolume` holds its cost as float64, the one cast, and the
 windows and every decoded map are float64 either way. The decode adds one
 (N, H, W) float64 array to the cost, the softmax's one buffer.
 """
@@ -214,14 +214,16 @@ class CombinationVolume:
 @dataclass(frozen=True, eq=False)
 class ScoreVolume:
     """(N, H, W) matching cost over the N planes of `window`; lower is a
-    better match. `HypothesisPlanes` given as the window are taken as
-    their `window()`."""
+    better match. The cost is held as float64, so the decode is float64
+    whatever made it: a float64 cost without a copy, any other cast once.
+    `HypothesisPlanes` given as the window are taken as their `window()`."""
 
     cost: np.ndarray
     window: Window
     scale: int
 
     def __post_init__(self):
+        object.__setattr__(self, "cost", np.asarray(self.cost, DTYPE))
         if isinstance(self.window, HypothesisPlanes):
             object.__setattr__(self, "window", self.window.window())
         planes = (self.window.n,) + self.window.lo.shape
@@ -264,6 +266,8 @@ def _check_feature_pair(left_feats, right_feats, n_groups):
     dtype = np.result_type(fl, fr)
     fl, fr = fl.astype(dtype, copy=False), fr.astype(dtype, copy=False)
     c = fl.shape[0]
+    if not c:
+        raise ValueError(f"features have no channel: shape {fl.shape}")
     if n_groups < 1 or c % n_groups:
         raise ValueError(f"{c} channels not divisible into {n_groups} groups")
     return fl, fr
@@ -361,23 +365,19 @@ def build_sparse_volume(
     return CombinationVolume(_build(fl, fr, weights, n_groups), planes, scale, n_groups)
 
 
-def _cost_from_sums(total, corr, c, w_group, w_absdiff, dtype=DTYPE) -> np.ndarray:
+def _cost_from_sums(total, corr, c, w_group, w_absdiff) -> np.ndarray:
     """The cost from `total`, the channel-order sum of |diff| over `c`
     channels, and `corr`, the correlation channel, both (N, H, W) in the
     volume's dtype: w_absdiff * total / c - w_group * corr, worked out in
-    that dtype a plane at a time, in place in `total`. Each plane's last
-    subtraction writes its cost plane in `dtype`: float64, the one cast, or
-    the volume's dtype, into `total` itself."""
+    that dtype a plane at a time, in place in `total`, which is returned."""
     w_group, w_absdiff = total.dtype.type(w_group), total.dtype.type(w_absdiff)
-    cost = total if total.dtype == dtype else np.empty(total.shape, dtype)
     weighted = np.empty(total.shape[1:], total.dtype)
-    for plane, k, out in zip(total, corr, cost):
+    for plane, k in zip(total, corr):
         plane /= c
         plane *= w_absdiff
-        # a - w * x is -w * x + a exactly; NumPy picks the loop from the
-        # inputs, so the difference is rounded in their dtype, then cast
-        np.subtract(plane, np.multiply(k, w_group, out=weighted), out=out)
-    return cost
+        # a - w * x is -w * x + a exactly
+        plane -= np.multiply(k, w_group, out=weighted)
+    return total
 
 
 def reduce_to_cost(
@@ -394,9 +394,12 @@ def reduce_to_cost(
     after aggregation: cost = -w_group * diff[C] + w_absdiff * mean_c |diff[c]|.
     The sum of |diff[c]| runs in channel order, and it and the rest of the
     cost are worked out in the volume's dtype (float32 for the pipeline's
-    volumes); the cost is then float64, cast once for the decode.
+    volumes); `ScoreVolume` holds it as float64. A volume of fewer than
+    two channels (a feature channel and the correlation) is a ValueError.
     """
     diff = as_grid(diff)
+    if diff.shape[0] < 2:
+        raise ValueError(f"need the correlation and at least one feature channel, got shape {diff.shape}")
     c = diff.shape[0] - 1
     total = np.zeros(diff.shape[1:], diff.dtype)
     for channel in diff[:c]:
@@ -409,10 +412,13 @@ def tiling(c: int, n: int, plane_bytes: int, plane_reach: int | None) -> tuple[t
     for `c` channels of `n` planes of `plane_bytes` each. At plane reach 0
     a span is as many whole planes as fit `BLOCK_BYTES` with every channel;
     otherwise the `n` planes are one span. A block is as many channels as
-    fit `BLOCK_BYTES` with their planes in the span. Each is at least one;
-    a negative reach is a `ValueError`."""
+    fit `BLOCK_BYTES` with their planes in the span. Each is at least one,
+    and a zero-byte plane (an empty grid) fits one span and one block of
+    everything; a negative reach is a `ValueError`."""
     if plane_reach is not None and plane_reach < 0:
         raise ValueError(f"plane reach must be None or >= 0, got {plane_reach}")
+    if not plane_bytes:  # an empty plane fits any block
+        return ((n, c),)
     step = max(1, BLOCK_BYTES // (c * plane_bytes)) if plane_reach == 0 else n
     spans = [min(step, n - k) for k in range(0, n, step)]
     return tuple((m, max(1, BLOCK_BYTES // (m * plane_bytes))) for m in spans)
@@ -452,14 +458,17 @@ def stream_cost(
     With `reduce_first`, no block is regularized: |.| of each is added
     into the sum as it is filled, the cost is made from the sums in the
     volume's dtype, and `regularize(cost, None)` is called once on that
-    (N, H, W) cost, then cast to float64. The result equals `regularize`
-    of `reduce_to_cost(v.data, ...).cost` cast back to the volume's dtype
-    (an exact cast: that cost is worked out in it), byte for byte.
+    (N, H, W) cost. The result equals `regularize` of
+    `reduce_to_cost(v.data, ...).cost` cast back to the volume's dtype (an
+    exact cast: that cost is worked out in it), byte for byte.
 
-    `plane_reach` is how many planes on each side of a plane `regularize`
-    reads, or None for every plane; it sets `tiling`'s spans and blocks,
-    and a span's weights, blocks and sum are made a span at a time. The
-    cost is made as `reduce_to_cost` makes it (`_cost_from_sums`).
+    Both orders end in one tail: the correlation regularized (channel
+    order only), the cost made as `reduce_to_cost` makes it
+    (`_cost_from_sums`), the cost regularized (`reduce_first` only), and
+    the `ScoreVolume`, which holds it as float64. `plane_reach` is how many
+    planes on each side of a plane `regularize` reads, or None for every
+    plane; with the rows' plane bytes it sets `tiling`'s spans and blocks,
+    and a span's weights, blocks and sum are made a span at a time.
     """
     fl, fr = _check_feature_pair(left, right, 1)
     if window.lo.shape != fl.shape[1:]:
@@ -487,15 +496,15 @@ def stream_cost(
                 total_span += channel
             del vol, out  # before the next block is built
     corr /= c
+    if not reduce_first:
+        # the correlation, averaged in place, is regularized last as one channel
+        corr = regularize(corr[None], slice(c, c + 1))[0]
+    cost = _cost_from_sums(total, corr, c, w_group, w_absdiff)
+    del total, corr
     if reduce_first:
         # the cost, made in place in the sum, is the one channel regularized
-        cost = _cost_from_sums(total, corr, c, w_group, w_absdiff, total.dtype)
-        del total, corr
         cost = regularize(cost, None)
-        return ScoreVolume(cost.astype(DTYPE, copy=False), window, scale)
-    # the correlation, averaged in place, is regularized last as one channel
-    corr = regularize(corr[None], slice(c, c + 1))[0]
-    return ScoreVolume(_cost_from_sums(total, corr, c, w_group, w_absdiff), window, scale)
+    return ScoreVolume(cost, window, scale)
 
 
 def soft_argmin(score: ScoreVolume) -> np.ndarray:

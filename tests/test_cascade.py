@@ -28,6 +28,7 @@ from cfstereo.cascade import (
 from cfstereo.config import RunConfig
 from cfstereo.cost_volume import HypothesisPlanes, ScoreVolume, Window, soft_argmin, stream_cost
 from cfstereo.errors import ConfigError, PipelineError
+from cfstereo.features import channel_count
 from cfstereo.synth import random_dot_stereogram
 
 BIG = 1000.0
@@ -753,8 +754,15 @@ class TestBands:
 
 
 class TestPlan:
-    """`cascade.plan` works out every stage's tiling from the shape and the
+    """`cascade.plan` works out every stage's bands from the shape and the
     config, and the pipeline decodes exactly the plan."""
+
+    @staticmethod
+    def tiles(config, entry, band):
+        """`cost_volume.tiling` of a band: its spans and channel blocks for
+        the band's rows, halo included, of `FEATURE_DTYPE` features."""
+        plane_bytes = (band.b0 - band.a0) * entry.w * np.dtype(cascade.FEATURE_DTYPE).itemsize
+        return cost_volume.tiling(channel_count(config.features_census_radius), entry.n, plane_bytes, entry.plane_reach)
 
     @pytest.mark.parametrize(
         "h, w, dmax, counts",
@@ -764,9 +772,12 @@ class TestPlan:
     def test_band_counts_are_the_runs_stream_cost_calls(self, monkeypatch, h, w, dmax, counts):
         """Each `stream_cost` call works out its spans and blocks once
         (`cost_volume.tiling`); one run's calls are the plan's bands, stage
-        by stage, with the plan's spans and blocks."""
+        by stage, each with the spans and blocks of its rows."""
         config = replace(desk_config(), pipeline_dmax=dmax)
         scene = desk_scene(0) if h == 128 else random_dot_stereogram(h, w, "two-plane:20,90", 5)
+        stages = cascade.plan((h, w), config)
+        assert [len(entry.bands) for entry in stages] == counts
+        want = [self.tiles(config, entry, band) for entry in stages for band in entry.bands]
         tiling, calls = cost_volume.tiling, []
 
         def counted(*args):
@@ -775,9 +786,7 @@ class TestPlan:
 
         monkeypatch.setattr(cost_volume, "tiling", counted)
         run_pipeline(scene.left, scene.right, config)
-        stages = cascade.plan((h, w), config)
-        assert [len(entry.bands) for entry in stages] == counts
-        assert calls == [band.tiles for entry in stages for band in entry.bands]
+        assert calls == want
 
     @pytest.mark.parametrize(
         "change",
@@ -809,9 +818,10 @@ class TestPlan:
                 assert rows == cascade._bands(entry.h, min(entry.h, count))
             for band in entry.bands:
                 assert (band.a0, band.b0) == (max(0, band.a - entry.halo), min(entry.h, band.b + entry.halo))
-                assert sum(planes for planes, _ in band.tiles) == entry.n
-                assert all(block >= 1 for _, block in band.tiles)
-                assert len(band.tiles) == 1 or entry.plane_reach == 0
+                tiles = self.tiles(config, entry, band)
+                assert sum(planes for planes, _ in tiles) == entry.n
+                assert all(block >= 1 for _, block in tiles)
+                assert len(tiles) == 1 or entry.plane_reach == 0
 
     def test_bad_size_is_rejected(self):
         with pytest.raises(ValueError, match=r"^image dims \(96, 80\) must be divisible by 32"):

@@ -299,9 +299,34 @@ class TestDenseVolume:
         oracle = volume_oracle(fl, fr, vol.planes, 3, 1)
         assert np.abs(vol.data - oracle.data).max() < 1e-12
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="differ"):
-            build_dense_volume(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), 8, 1, 1)
+    NO_CHANNEL = r"^features have no channel: shape \(0, 4, 8\)$"
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ("shapes-differ", r"^feature shapes differ: \(2, 3, 4\) vs \(2, 3, 5\)$"),
+            ("dense-no-channel", NO_CHANNEL),
+            ("sparse-no-channel", NO_CHANNEL),
+            ("stream-no-channel", NO_CHANNEL),
+            (
+                "reduce-correlation-only",
+                r"^need the correlation and at least one feature channel, got shape \(1, 4, 4, 8\)$",
+            ),
+        ],
+    )
+    def test_bad_feature_shapes_rejected(self, entry, match):
+        """Each entry point rejects features of another shape or of no
+        channel, and a volume of the correlation alone, by name."""
+        none, window = np.zeros((0, 4, 8)), Window.dense(32, 3, (4, 8))
+        calls = {
+            "shapes-differ": lambda: build_dense_volume(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), 8, 1, 1),
+            "dense-no-channel": lambda: build_dense_volume(none, none, 32, 3, 1),
+            "sparse-no-channel": lambda: build_sparse_volume(none, none, window.planes(), 3, 1),
+            "stream-no-channel": lambda: stream_cost(none, none, window, 3, lambda v, chans: v),
+            "reduce-correlation-only": lambda: reduce_to_cost(np.zeros((1, 4, 4, 8)), window, 3),
+        }
+        with pytest.raises(ValueError, match=match):
+            calls[entry]()
 
 
 class TestSparseVolume:
@@ -480,6 +505,19 @@ class TestSoftArgmin:
 
 
 class TestDecode:
+    def test_cost_is_held_as_float64(self):
+        """A float64 cost is held as the same array; a float32 one as its
+        float64 cast, and it decodes to the bytes of that cast."""
+        cost = np.random.default_rng(11).normal(scale=5.0, size=(6, 4, 5))
+        window = Window.dense(6, 0, (4, 5))
+        assert ScoreVolume(cost, window, 1).cost is cost
+        narrow = cost.astype(np.float32)
+        sv, wide = ScoreVolume(narrow, window, 1), ScoreVolume(narrow.astype(np.float64), window, 1)
+        assert sv.cost.dtype == np.float64 and sv.cost.tobytes() == wide.cost.tobytes()
+        d = soft_argmin(sv)
+        assert d.tobytes() == soft_argmin(wide).tobytes()
+        assert uncertainty(sv, d).tobytes() == uncertainty(wide, d).tobytes()
+
     def test_softmax_runs_once_per_decode(self, monkeypatch):
         calls = []
 
@@ -773,7 +811,9 @@ class TestStreamCost:
                 assert [a for a, _ in chunks] == [0] + [b for _, b in chunks[:-1]] and chunks[-1][1] == self.CHANNELS
                 assert [b - a for a, b in chunks] == fills
             assert sum(fills) == self.CHANNELS
-            if block_bytes == 1:
+            if not fl[0].size:  # an empty plane fits any block
+                assert fills == [self.CHANNELS]
+            elif block_bytes == 1:
                 assert fills == [1] * self.CHANNELS
             elif split:
                 assert len(fills) >= 2 and fills[-1] < fills[0]
@@ -853,17 +893,23 @@ class TestStreamCost:
         """Regularizing the channels, the cost is reduce_to_cost of the
         regularized volume; regularizing the cost (stage 1's order), it is
         `aggregate` of the cost reduce_to_cost makes of the whole volume,
-        cast back to the volume's dtype (exactly: it is worked out in it)."""
-        fl, fr = self.features(7, 16, 64, dtype)
-        window = random_window(8, 12, 16, 64)
-        vol = build_sparse_volume(fl, fr, window.planes(), 1, 1)
-        if reduce_first:
-            cost = reduce_to_cost(vol.data, window, 1, **self.WEIGHTS).cost.astype(dtype)
-            want = self.smooth(cost).astype(np.float64)
-        else:
-            want = reduce_to_cost(self.smooth(vol.data), window, 1, **self.WEIGHTS).cost
-        for got in self.streamed(monkeypatch, fl, fr, window, 1, self.smooth, reduce_first=reduce_first):
-            assert got.tobytes() == want.tobytes()
+        cast back to the volume's dtype (exactly: it is worked out in it).
+        So it is on a grid of no rows or no columns too, where the builders
+        give an empty volume."""
+        features = self.features(7, 16, 64, dtype)
+        whole = random_window(8, 12, 16, 64)
+        for h, w in ((16, 64), (0, 64), (16, 0)):
+            fl, fr = (f[:, :h, :w] for f in features)
+            window = Window(whole.lo[:h, :w], whole.hi[:h, :w], whole.n)
+            vol = build_sparse_volume(fl, fr, window.planes(), 1, 1)
+            if reduce_first:
+                cost = reduce_to_cost(vol.data, window, 1, **self.WEIGHTS).cost.astype(dtype)
+                want = self.smooth(cost).astype(np.float64)
+            else:
+                want = reduce_to_cost(self.smooth(vol.data), window, 1, **self.WEIGHTS).cost
+            assert want.shape == (12, h, w)
+            for got in self.streamed(monkeypatch, fl, fr, window, 1, self.smooth, reduce_first=reduce_first):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype, reduce_first", DTYPE_ORDERS)
     @pytest.mark.parametrize("passes", [1, 2])
