@@ -1,13 +1,13 @@
 """Uncertainty-driven coarse-to-fine disparity refinement.
 
 Every stage decodes a `cost_volume.Window`: n planes evenly spaced from
-`lo` to `hi` per pixel. Stage 3's window is the dense [0, n - 1], fused
-with the dense volumes of scales 4 and 5, which are built whole once per
-pair and read a channel block at a time; stages 2 and 1 re-match inside a
-per-pixel window derived from the previous stage's estimate and its
-variance. `config.RangeParams`, the window's parameters, is re-exported
-here, and so is `cost_volume.sample_planes`; each checks its own input,
-and a `Window` checks its bounds.
+`lo` to `hi` per pixel, which alone decide `stream_cost`'s fill. Stage 3
+has no estimate to refine: its window, the dense [0, n - 1], is filled by
+slices and fused with scales 4 and 5's dense volumes, built whole once
+per pair; stages 2 and 1 gather in a per-pixel window from the previous
+stage's estimate and variance. `config.RangeParams`, the window's
+parameters, is re-exported here, and so is `cost_volume.sample_planes`;
+each checks its own input, and a `Window` checks its bounds.
 
 `plan` works out how every stage is banded from the image shape and the
 config alone, and checks the shape: one `StagePlan` per stage, with its row
@@ -88,10 +88,10 @@ class StagePlan:
     """How one stage is decoded, worked out by `plan` before any pixel is
     read: `n` planes on the (h, w) grid of `scale`, in `bands`.
 
-    Stage 3 is `dense`, its window the [0, n - 1] of dmax/8 planes, filled
-    by slices, and `fused` with scales 4 and 5 when fusion is on; stages 2
-    and 1 search `cascade.n2` and `cascade.n1` planes, read through
-    `RangeParams.for_stage` as `next_range` reads them. A stage not fused is
+    Stage 3 searches dmax/8 planes, `fused` with scales 4 and 5 when fusion
+    is on, and stages 2 and 1 `cascade.n2` and `cascade.n1`, read through
+    `RangeParams.for_stage` as `next_range` reads them; each stage's window
+    says whether `stream_cost` fills it by slices. A stage not fused is
     cut into as many even row bands as its float64 (n, h, w) map fills
     `BAND_BYTES`, rounded up, at most one per row. Its `halo`, the rows a
     band reads on each side, is `aggregate`'s y box once per pass, and its
@@ -112,7 +112,6 @@ class StagePlan:
     w: int
     n: int
     fused: bool
-    dense: bool
     halo: int
     plane_reach: int | None
     bands: tuple[Band, ...]
@@ -219,7 +218,7 @@ def plan(shape: tuple[int, int], config: RunConfig) -> tuple[StagePlan, ...]:
             halo, plane_reach = passes * r_y, passes * r_plane
             count = min(hs, -(-n * hs * ws * 8 // BAND_BYTES))
         bands = tuple(Band(max(0, a - halo), a, b, min(hs, b + halo)) for a, b in _bands(hs, count))
-        entries.append(StagePlan(scale, hs, ws, n, fused, scale == 3, halo, plane_reach, bands, scale == 1))
+        entries.append(StagePlan(scale, hs, ws, n, fused, halo, plane_reach, bands, scale == 1))
     return tuple(entries)
 
 
@@ -279,7 +278,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
             rows_window = Window(window.lo[rows], window.hi[rows], window.n)
             sv = stream_cost(
                 fl_rows, fr_rows, rows_window, entry.scale, regularize, w_g, w_a,
-                entry.plane_reach, entry.dense, entry.reduce_first,
+                entry.plane_reach, entry.reduce_first,
             )
             d = soft_argmin(sv)
             disp[band.a : band.b] = d[keep]
@@ -291,7 +290,7 @@ def run_pipeline(left: np.ndarray, right: np.ndarray, config: RunConfig) -> Pipe
     results = []
     for entry in stages:
         with _stage(f"stage {entry.scale}"):
-            if entry.dense:
+            if not results:  # the first stage has no estimate to refine
                 window = Window.dense(dmax, entry.scale, (entry.h, entry.w))
             else:
                 prev = results[-1]

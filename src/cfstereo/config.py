@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+from .io_formats import _SCALE
 
 
 # Bound on |value| of cascade.alpha, cascade.beta and the cost weights, far
@@ -106,7 +107,11 @@ _KINDS = {_key(name): (name, kind) for name, kind in get_type_hints(RunConfig).i
 
 def _parse(kind, text: str):
     """Parse `text` as the annotated type `kind`; a tuple takes 1 value
-    (broadcast) or one per item."""
+    (broadcast) or one per item. Numbers are plain ASCII decimals, as the
+    image headers read them: an int is digits with an optional "-", a float
+    a PFM scale (`io_formats._SCALE`) or inf or nan, which the checks then
+    name. `int()` and `float()` alone would take "_" between digits, a "+"
+    on an int and other scripts' digits."""
     if get_origin(kind) is tuple:
         kinds = get_args(kind)
         items = [p.strip() for p in text.split(",")]
@@ -122,7 +127,13 @@ def _parse(kind, text: str):
         if low in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {text!r}")
-    return kind(text)
+    if kind is int:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError(f"not a plain decimal integer: {text!r}")
+        return int(text)
+    if not ((text.isascii() and _SCALE.fullmatch(text.encode())) or text.lower() in ("inf", "+inf", "-inf", "nan")):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return float(text)
 
 
 def _has_kind(kind, value) -> bool:

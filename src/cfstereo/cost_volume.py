@@ -29,10 +29,10 @@ volume's dtype. That is the classic order of matching cost, then
 aggregation (Scharstein and Szeliski, IJCV 2002), at 1/(C + 1) of the
 regularizing. Stages 3 and 2 keep the channel order: reducing first there
 raised the D1 of filtered pixels on noisy desk scenes (ROADMAP item 21).
-The builders and `stream_cost` share one fill (`_fill`):
-a plane of a dense window, the integer d, reads the right features shifted
-d columns as slices, and any other plane gathers through `_row_weights`
-tables. So `synth.volume_oracle` checks both fills the pipeline runs, and
+The builders and `stream_cost` share one fill (`_fill`): an integer plane
+d reads the right features shifted d columns as slices, any other plane
+gathers through `_row_weights` tables, and `stream_cost` reads which from
+its window. So `synth.volume_oracle` checks both fills the pipeline runs, and
 the builders stay the whole-volume reference for `stream_cost`'s blocking,
 regularization order and reduction. Plane k's value is lo + k * step, so
 soft argmin is lo + step * E[k] and the variance step^2 * Var[k] under
@@ -433,7 +433,6 @@ def stream_cost(
     w_group: float = 1.0,
     w_absdiff: float = 1.0,
     plane_reach: int | None = None,
-    dense: bool = False,
     reduce_first: bool = False,
 ) -> ScoreVolume:
     """`reduce_to_cost` of a regularized one-group volume on `window`'s
@@ -450,10 +449,10 @@ def stream_cost(
     |.| of each regularized block is added in channel order into a sum of
     the regularized volume's dtype, and the correlation accumulates over
     all channels in the builders' order and is regularized last, as one
-    channel. `dense` says that the window is its dense window
-    (`Window.dense`), filled by slices as `build_dense_volume` fills it;
-    otherwise the planes are gathered, as `build_sparse_volume` gathers
-    them.
+    channel. A window whose planes are the integers 0 .. n - 1 at every
+    pixel (`lo` 0 and `hi` n - 1 everywhere, as `Window.dense` and each of
+    its row bands) is filled by slices, as `build_dense_volume` fills it;
+    any other is gathered, as `build_sparse_volume` gathers its planes.
 
     With `reduce_first`, no block is regularized: |.| of each is added
     into the sum as it is filled, the cost is made from the sums in the
@@ -474,6 +473,7 @@ def stream_cost(
     if window.lo.shape != fl.shape[1:]:
         raise ValueError(f"window shaped {window.lo.shape} does not match features {fl.shape[1:]}")
     c = fl.shape[0]
+    dense = (window.lo == 0).all() and (window.hi == window.n - 1).all()
     corr = np.zeros((window.n,) + fl.shape[1:], dtype=fl.dtype)
     total = None  # made at the first block, in the regularized volume's dtype
     k0 = 0

@@ -121,10 +121,14 @@ def _scale_centred(channel: np.ndarray, square: np.ndarray) -> np.ndarray:
 def blur_chain(image: np.ndarray) -> dict[int, np.ndarray]:
     """Scale i -> the image blurred and decimated i times (`blur_decimate2`),
     for i in 1..LEVELS: the images the pyramid levels are made from. The
-    image must be finite and its size must pass `check_size`."""
+    image must be finite, its size must pass `check_size`, and its values
+    at most 1e100 in magnitude, so that the squares its features sum stay
+    finite: far past real images (a PGM reads in [0, 1])."""
     current = as_grid(image, 2, "image").astype(DTYPE, copy=False)
     require_finite(current, "image")
     check_size(*current.shape)
+    if max(current.max(), -current.min()) > 1e100:
+        raise ValueError("image values must be at most 1e100 in magnitude, so that the feature squares stay finite")
     chain = {}
     for i in range(1, LEVELS + 1):
         current = chain[i] = blur_decimate2(current)

@@ -4,12 +4,13 @@ PFM layout as written here: ``Pf\\n{width} {height}\\n-1.0\\n`` followed by
 float32 rows stored bottom-to-top (negative scale = little-endian). PGM/PPM
 are the binary Netpbm variants (P5/P6); samples above maxval 255 are two
 bytes, big-endian. Reads of finite data round-trip bitwise through the
-matching writer. A header must fit in `_HEADER_MAX` bytes, and a message
-quotes at most `_QUOTE` bytes of the file.
+matching writer. A header must fit in `_HEADER_MAX` bytes, the payload must
+end the file, and a message quotes at most `_QUOTE` bytes of the file.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -79,7 +80,7 @@ def read_pfm(path) -> np.ndarray:
             raise FormatError(
                 f"bad scale in header: {scale_tok[:_QUOTE]!r}; scale must be finite and non-zero"
             )
-        rows = _read_samples(fh, w * h, "<f4" if scale < 0 else ">f4").reshape(h, w)
+        rows = _read_samples(fh, (h, w), "<f4" if scale < 0 else ">f4")
         return np.flipud(rows).astype(DTYPE)
 
 
@@ -121,23 +122,27 @@ def _read_netpbm(path, accepted: tuple[bytes, ...]) -> tuple[np.ndarray, int]:
             raise FormatError(f"maxval exceeds 65535: {maxval_tok[:_QUOTE]!r}")
         dtype = ">u2" if maxval > 255 else "u1"
         if magic == b"P5":
-            return _read_samples(fh, w * h, dtype).reshape(h, w) / maxval, maxval
-        raw = _read_samples(fh, 3 * w * h, dtype).reshape(h, w, 3) / maxval
+            return _read_samples(fh, (h, w), dtype) / maxval, maxval
+        raw = _read_samples(fh, (h, w, 3), dtype) / maxval
         return _LUMA[0] * raw[:, :, 0] + _LUMA[1] * raw[:, :, 1] + _LUMA[2] * raw[:, :, 2], maxval
 
 
-def _read_samples(fh, count: int, dtype: str) -> np.ndarray:
-    """Read count samples in bounded chunks, so a header that claims more than
-    the file or pipe holds fails after reading what is there, never by
-    allocating the claimed size."""
-    nbytes = count * np.dtype(dtype).itemsize
+def _read_samples(fh, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    """Read the (h, w[, 3]) samples in bounded chunks, so a header that claims
+    more than the file or pipe holds fails after reading what is there,
+    never by allocating the claimed size. One more read must find the end of
+    the file: a byte after the payload means that the payload does not
+    start where the header ends (one extra newline shifts every sample)."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     chunks, got = [], 0
     while got < nbytes and (chunk := fh.read(min(_CHUNK, nbytes - got))):
         chunks.append(chunk)
         got += len(chunk)
     if got != nbytes:
         raise FormatError(f"truncated payload: expected {nbytes} bytes, got {got}")
-    return np.frombuffer(b"".join(chunks), dtype=dtype)
+    if fh.read(1):
+        raise FormatError(f"bytes follow the {shape[1]}x{shape[0]} payload")
+    return np.frombuffer(b"".join(chunks), dtype=dtype).reshape(shape)
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

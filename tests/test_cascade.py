@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
@@ -288,6 +289,16 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="features"):
             run_pipeline(img, np.zeros((64, 64)), desk_config())
 
+    def test_image_too_large_to_square_tagged_as_features_stage(self):
+        """Gain 1e160 keeps the images finite but overflows their squares:
+        the features reject them by their bound, before any warning."""
+        scene = desk_scene(1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PipelineError, match=r"^features: image values must be at most 1e100 in magnitude"):
+                run_pipeline(scene.left * 1e160, scene.right * 1e160, desk_config())
+        assert caught == []
+
     @pytest.mark.parametrize(
         "name, call, tag, budget",
         [
@@ -408,12 +419,11 @@ class TestStagePlanes:
         """With small bands, every refinement call decodes a window of a
         band's rows, and stage 3 the whole dense window."""
         scene = desk_scene(2)
-        _, stages, windows = banded_run(monkeypatch, scene, desk_config(), 200000)
+        *_, windows = banded_run(monkeypatch, scene, desk_config(), 200000)
         # stage 2 (32x64) in 2 bands and stage 1 (64x128) in 4, halo 2 rows
         shapes = [w.lo.shape for w in windows]
         assert shapes == [(16, 32), (18, 64), (18, 64), (18, 128), (20, 128), (20, 128), (18, 128)]
         assert [w.n for w in windows] == [8] + [16] * 2 + [12] * 4
-        assert [entry.dense for entry in stages] == [True, False, False]
 
     def test_a_band_frees_its_decode_before_the_next(self, monkeypatch):
         """A band's score volume (its cost, softmax and window) is gone
@@ -804,7 +814,6 @@ class TestPlan:
         r_plane, _, r_y = config.fusion_smooth_radius
         assert [entry.scale for entry in stages] == [3, 2, 1]
         assert [entry.n for entry in stages] == [config.pipeline_dmax >> 3, config.cascade_n2, config.cascade_n1]
-        assert [entry.dense for entry in stages] == [True, False, False]
         assert [entry.fused for entry in stages] == [config.fusion_enabled, False, False]
         assert [entry.reduce_first for entry in stages] == [False, False, True]
         for entry in stages:

@@ -57,9 +57,21 @@ def test_malformed_line_rejected():
         parse_config("pipeline.dmax\n")
 
 
-def test_bad_value_reports_line():
-    with pytest.raises(ConfigError, match="line 1"):
-        parse_config("pipeline.dmax = many\n")
+@pytest.mark.parametrize(
+    "line",
+    [
+        "pipeline.dmax = many",
+        # int() and float() take these; the image headers refuse them
+        "pipeline.dmax = 2_56",
+        "cost.w_absdiff = 1_000",
+        "pipeline.dmax = +64",
+        "pipeline.dmax = \u0666\u0664",  # ARABIC-INDIC DIGITS SIX FOUR
+    ],
+    ids=["word", "int-underscore", "float-underscore", "int-plus", "arabic-indic"],
+)
+def test_bad_value_reports_line(line):
+    with pytest.raises(ConfigError, match=f"^line 1: bad value for '{line.split(' = ')[0]}'"):
+        parse_config(line + "\n")
 
 
 @pytest.mark.parametrize(

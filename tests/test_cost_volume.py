@@ -773,7 +773,7 @@ class TestStreamCost:
         fr = 0.8 * np.roll(fl, 5, axis=-1) + 0.2 * smoothed_features(rng, self.CHANNELS, h, w)
         return fl.astype(dtype), fr.astype(dtype)
 
-    def streamed(self, monkeypatch, fl, fr, window, scale, regularize, split=True, dense=False, reduce_first=False):
+    def streamed(self, monkeypatch, fl, fr, window, scale, regularize, split=True, reduce_first=False):
         """stream_cost's costs at the default BLOCK_BYTES and at 1, checking
         the fills and the regularize calls. The fills run through the C
         channels in blocks; at the default, two or more blocks if `split`,
@@ -801,7 +801,7 @@ class TestStreamCost:
                 return fill(fl_block, *args)
 
             monkeypatch.setattr(cost_volume, "_fill", filled)
-            score = stream_cost(fl, fr, window, scale, counted, dense=dense, reduce_first=reduce_first, **self.WEIGHTS)
+            score = stream_cost(fl, fr, window, scale, counted, reduce_first=reduce_first, **self.WEIGHTS)
             assert score.cost.dtype == np.float64 and score.window is window
             if reduce_first:
                 assert blocks == [None]
@@ -850,7 +850,7 @@ class TestStreamCost:
         scales = (3, 4, 5) if fusion else (3,)
         feats, window, regularize, whole = self.dense_case(128, scales, 64, 512, [dtype] * 3)
         want = reduce_to_cost(whole, window, 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, *feats, window, 3, regularize, dense=True):
+        for got in self.streamed(monkeypatch, *feats, window, 3, regularize):
             assert np.array_equal(got, want.cost)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -862,7 +862,7 @@ class TestStreamCost:
         and in the stream alike."""
         feats, window, regularize, whole = self.dense_case(256, scales, 64, 64, [dtype] * 3)
         want = reduce_to_cost(whole, window, scales[0], **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, *feats, window, scales[0], regularize, split=False, dense=True):
+        for got in self.streamed(monkeypatch, *feats, window, scales[0], regularize, split=False):
             assert got.tobytes() == want.cost.tobytes()
 
     def test_mixed_dtype_inputs(self, monkeypatch):
@@ -872,7 +872,7 @@ class TestStreamCost:
         feats, window, fuse, fused = self.dense_case(128, (3, 4, 5), 64, 512, dtypes)
         assert fused.dtype == np.float64
         want = reduce_to_cost(fused, window, 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, *feats, window, 3, fuse, dense=True):
+        for got in self.streamed(monkeypatch, *feats, window, 3, fuse):
             assert got.tobytes() == want.cost.tobytes()
 
     def test_sum_takes_the_regularized_dtype(self, monkeypatch):
@@ -885,8 +885,38 @@ class TestStreamCost:
             return self.smooth(volume).astype(np.float64)
 
         want = reduce_to_cost(widened(build_dense_volume(fl, fr, 128, 3, 1).data), window, 3, **self.WEIGHTS)
-        for got in self.streamed(monkeypatch, fl, fr, window, 3, widened, dense=True):
+        for got in self.streamed(monkeypatch, fl, fr, window, 3, widened):
             assert got.tobytes() == want.cost.tobytes()
+
+    def test_the_window_decides_the_fill(self, monkeypatch):
+        """A window whose planes are the integers 0 .. n - 1 at every pixel
+        is filled by slices, made by `Window.dense` or by hand, and its cost
+        is the dense builder's; with one pixel's `hi` at n - 1.5, or its
+        `lo` at 0.5, the window is gathered, and its cost is the sparse
+        builder's."""
+        fl, fr = self.features(5, 8, 64, np.float32)
+        shape, n = fl.shape[1:], 16
+        by_hand = Window(np.zeros(shape), np.full(shape, n - 1.0), n)
+        lo, hi = by_hand.lo.copy(), by_hand.hi.copy()
+        hi[3, 5] = n - 1.5
+        lo[6, 2] = 0.5
+        cases = [(Window.dense(128, 3, shape), True), (by_hand, True), (Window(by_hand.lo, hi, n), False)]
+        cases.append((Window(lo, by_hand.hi, n), False))
+        dense = build_dense_volume(fl, fr, 128, 3, 1).data
+        fill = cost_volume._fill
+        for window, integer in cases:
+            volume = dense if integer else build_sparse_volume(fl, fr, window.planes(), 3, 1).data
+            want = reduce_to_cost(self.smooth(volume), window, 3, **self.WEIGHTS)
+            kinds = set()
+
+            def filled(fl_block, fr_block, weights, *args):
+                kinds.update(isinstance(wts, int) for wts in weights)
+                return fill(fl_block, fr_block, weights, *args)
+
+            monkeypatch.setattr(cost_volume, "_fill", filled)
+            got = stream_cost(fl, fr, window, 3, self.smooth, **self.WEIGHTS)
+            assert kinds == {integer}
+            assert got.cost.tobytes() == want.cost.tobytes()
 
     @pytest.mark.parametrize("dtype, reduce_first", DTYPE_ORDERS)
     def test_sparse_planes(self, monkeypatch, dtype, reduce_first):
@@ -956,7 +986,7 @@ class TestStreamCost:
 
             monkeypatch.setattr(cost_volume, "_fill", filled)
             score = stream_cost(
-                fl, fr, window, 3, counted, plane_reach=0, dense=planes == "dense", reduce_first=reduce_first,
+                fl, fr, window, 3, counted, plane_reach=0, reduce_first=reduce_first,
                 **self.WEIGHTS,
             )
             assert score.cost.tobytes() == want.tobytes()
@@ -1004,7 +1034,7 @@ class TestStreamCost:
                 calls.append(volume.shape[:2])
                 return smooth(volume)
 
-            score = stream_cost(fl, fr, window, 3, counted, plane_reach=0, dense=planes == "dense", **self.WEIGHTS)
+            score = stream_cost(fl, fr, window, 3, counted, plane_reach=0, **self.WEIGHTS)
             assert score.cost.tobytes() == want.cost.tobytes()
             if block_bytes == 1:
                 assert calls == [(1, 1)] * (self.CHANNELS * n) + [(1, n)]

@@ -63,10 +63,20 @@ class TestPfm:
         with pytest.raises(FormatError, match="grayscale"):
             read_pfm(path)
 
-    def test_truncated_payload(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"Pf\n2 2\n-1.0\n" + b"\x00" * 7, "truncated"),
+            # the payload read from the second newline: values shifted a byte
+            (b"Pf\n2 1\n-1.0\n\n" + struct.pack("<2f", 1.0, 2.0), "^bytes follow the 2x1 payload$"),
+            (b"Pf\n2 1\n-1.0\n" + struct.pack("<2f", 1.0, 2.0) + b"\n", "^bytes follow the 2x1 payload$"),
+        ],
+        ids=["short", "doubled-newline", "trailing-byte"],
+    )
+    def test_truncated_payload(self, tmp_path, data, message):
         path = tmp_path / "t.pfm"
-        path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 7)
-        with pytest.raises(FormatError, match="truncated"):
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
             read_pfm(path)
 
     def test_oversized_header_rejected_before_reading(self, tmp_path):
@@ -189,18 +199,26 @@ class TestPpm:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize(
         "data, want",
-        [(b"P5\n2 1\n255\n\x00\xff", [[0.0, 1.0]]), (b"P6\n1 1\n255\n\x00\xff\x00", [[0.587]])],
+        [
+            (b"P5\n2 1\n255\n\x00\xff", [[0.0, 1.0]]),
+            (b"P6\n1 1\n255\n\x00\xff\x00", [[0.587]]),
+            (b"P5\n2 1\n255\n\x00\xff\x00", "bytes follow the 2x1 payload"),
+            (b"P6\n1 1\n255\n\x00\xff\x00\n", "bytes follow the 1x1 payload"),
+        ],
     )
     def test_read_image_from_a_pipe(self, data, want):
-        # a pipe can be read only once, so sniffing the magic must not reopen it
+        # a pipe can be read only once, so sniffing the magic must not reopen
+        # it, and the read past the payload finds the end once it is closed
         r, w = os.pipe()
         try:
             os.write(w, data)
             os.close(w)
-            gray, _ = read_image(f"/dev/fd/{r}")
+            got = read_image(f"/dev/fd/{r}")[0].tolist()
+        except FormatError as exc:
+            got = str(exc)
         finally:
             os.close(r)
-        assert gray.tolist() == want
+        assert got == want
 
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "x.bin"
